@@ -14,6 +14,7 @@ All outputs are deterministic for a fixed config.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -214,10 +215,7 @@ def _check_cluster_cutoff(cfg: dict, model: CollisionModel, rho0: np.ndarray) ->
         m = models.build_model(cfg["spec"], cfg["g_tau"], interaction_name="cluster",
                                fock_cutoff=c, tau=cfg["tau"])
         if cfg["method"] == "decorrelated":
-            env = decorrelate(m.env, length=cfg["k_max"])
-            m = CollisionModel(env=env, unitary=m.unitary, d_system=2,
-                               mode_dim=m.mode_dim, g_tau=m.g_tau, tau=m.tau,
-                               hamiltonian=m.hamiltonian)
+            m = dataclasses.replace(m, env=decorrelate(m.env, length=cfg["k_max"]))
         return m
 
     probe = models.named_observable("coherence")
@@ -235,10 +233,7 @@ def _states_for_method(cfg: dict, model: CollisionModel, rho0: np.ndarray) -> li
     if method == "embedding":
         return trajectory(model, rho0, k_max)
     if method == "decorrelated":
-        env = decorrelate(model.env, length=k_max)
-        dec = CollisionModel(env=env, unitary=model.unitary, d_system=model.d_system,
-                             mode_dim=model.mode_dim, g_tau=model.g_tau, tau=model.tau,
-                             hamiltonian=model.hamiltonian)
+        dec = dataclasses.replace(model, env=decorrelate(model.env, length=k_max))
         return trajectory(dec, rho0, k_max)
     if method == "oracle":
         run = OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max)
@@ -275,17 +270,23 @@ def _format_csv(header: list[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_config(cfg: dict) -> str:
-    """Execute one validated config and return its CSV text."""
+def _rows(g_tau: float, columns: list[list[float]]) -> list[list[float]]:
+    return [[k, k * g_tau] + [col[k] for col in columns] for k in range(len(columns[0]))]
+
+
+def _run_columns(cfg: dict, gate: bool = True) -> tuple[list[str], list[list[float]]]:
+    """Build the model, evolve it by the configured method, evaluate observables."""
     model = _build_model(cfg)
     rho0 = _initial_matrix(cfg)
-    _check_cluster_cutoff(cfg, model, rho0)
-    states = _states_for_method(cfg, model, rho0)
-    names, columns = _observable_columns(cfg, states)
-    rows = []
-    for k in range(len(states)):
-        rows.append([k, k * cfg["g_tau"]] + [col[k] for col in columns])
-    return _format_csv(["k", "g_t"] + names, rows)
+    if gate:
+        _check_cluster_cutoff(cfg, model, rho0)
+    return _observable_columns(cfg, _states_for_method(cfg, model, rho0))
+
+
+def run_config(cfg: dict) -> str:
+    """Execute one validated config and return its CSV text."""
+    names, columns = _run_columns(cfg)
+    return _format_csv(["k", "g_t"] + names, _rows(cfg["g_tau"], columns))
 
 
 # -- figure presets -----------------------------------------------------------
@@ -336,19 +337,11 @@ PRESETS = {
 _FIG5B_CUTOFF = {0.3: 7, 0.6: 9}
 
 
-def _run_variants(base: dict, methods: tuple, column_names: tuple) -> str:
-    columns = []
-    for method in methods:
-        cfg = load_config({**base, "method": method})
-        model = _build_model(cfg)
-        rho0 = _initial_matrix(cfg)
-        states = _states_for_method(cfg, model, rho0)
-        _, cols = _observable_columns(cfg, states)
-        columns.append(cols[0])
-    rows = []
-    for k in range(len(columns[0])):
-        rows.append([k, k * base["g_tau"]] + [c[k] for c in columns])
-    return _format_csv(["k", "g_t"] + list(column_names), rows)
+def _variant_rows(base: dict, methods: tuple) -> list[list[float]]:
+    """Rows k, g_t and the first observable of ``base`` under each method."""
+    columns = [_run_columns(load_config({**base, "method": method}), gate=False)[1][0]
+               for method in methods]
+    return _rows(base["g_tau"], columns)
 
 
 def reproduce(figure: str, out_dir: str) -> list[Path]:
@@ -357,30 +350,25 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     written = []
     if figure == "fig5a":
-        text = _run_variants(PRESETS["fig5a"], ("embedding", "decorrelated"),
-                             ("excited_population_correlated", "excited_population_uncorrelated"))
-        written.append(_write(out / "fig5a.csv", text))
+        rows = _variant_rows(PRESETS["fig5a"], ("embedding", "decorrelated"))
+        header = ["excited_population_correlated", "excited_population_uncorrelated"]
+        written.append(_write(out / "fig5a.csv", _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig5b":
         for g_tau in (0.3, 0.6):
             base = {**PRESETS["fig5b"], "g_tau": g_tau,
                     "fock_cutoff": _FIG5B_CUTOFF[g_tau]}
-            text = _run_variants(base, ("embedding", "decorrelated"),
-                                 ("coherence_correlated", "coherence_uncorrelated"))
+            rows = _variant_rows(base, ("embedding", "decorrelated"))
+            header = ["coherence_correlated", "coherence_uncorrelated"]
             tag = str(g_tau).replace(".", "")
-            written.append(_write(out / f"fig5b_gtau{tag}.csv", text))
+            written.append(_write(out / f"fig5b_gtau{tag}.csv",
+                                  _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig6a":
-        base = PRESETS["fig6a"]
-        text = _run_variants(base, ("embedding", "decorrelated"),
-                             ("q_exact", "q_uncorrelated"))
-        # append the closed forms as extra columns
-        lines = text.strip().split("\n")
-        header = lines[0] + ",q_exact_closed_form,q_markov_closed_form"
-        rows = [header]
-        for k, line in enumerate(lines[1:]):
-            qe = models.aklt_exact_q(k, base["g_tau"])
-            qm = models.aklt_markov_q(k, base["g_tau"])
-            rows.append(line + f",{qe:.17g},{qm:.17g}")
-        written.append(_write(out / "fig6a.csv", "\n".join(rows) + "\n"))
+        g_tau = PRESETS["fig6a"]["g_tau"]
+        rows = _variant_rows(PRESETS["fig6a"], ("embedding", "decorrelated"))
+        for k, row in enumerate(rows):
+            row += [models.aklt_exact_q(k, g_tau), models.aklt_markov_q(k, g_tau)]
+        header = ["q_exact", "q_uncorrelated", "q_exact_closed_form", "q_markov_closed_form"]
+        written.append(_write(out / "fig6a.csv", _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig6b":
         base = PRESETS["fig6b"]
         cfg = load_config(base)

@@ -59,7 +59,6 @@ class CollisionModel:
     g_tau: float
     tau: float | None = None
     hamiltonian: object = None
-    unitary_tol: float = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self):
         if self.tau is None:
@@ -77,7 +76,7 @@ class CollisionModel:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary shape {u.shape}, expected {(dim, dim)}")
             res = frobenius(dagger(u) @ u - np.eye(dim))
-            if res > self.unitary_tol:
+            if res > DEFAULT_TOL:
                 raise ValueError(f"interaction is not unitary (residual {res:.3e})")
         sites = [0] if self.env.homogeneous else range(len(self.env.sites))
         for k in sites:
@@ -90,10 +89,6 @@ class CollisionModel:
     @property
     def g(self) -> float:
         return self.g_tau / self.tau
-
-    @property
-    def k_max_available(self):
-        return self.env.length
 
     def base_unitary(self, k: int) -> np.ndarray:
         if isinstance(self.unitary, tuple):

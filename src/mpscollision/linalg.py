@@ -13,10 +13,8 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "kron",
-    "kron_all",
     "dagger",
     "partial_trace",
-    "permute_factors",
     "expm_hermitian_generator",
     "lq_factorize",
     "hermitian_part",
@@ -24,7 +22,6 @@ __all__ = [
     "is_hermitian",
     "min_eigenvalue",
     "assert_density_matrix",
-    "hermitian_basis",
 ]
 
 DEFAULT_TOL = 1e-12
@@ -33,14 +30,6 @@ DEFAULT_TOL = 1e-12
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; dimensions multiply, first factor is the slow index."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(factors) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -94,24 +83,6 @@ def partial_trace(matrix: np.ndarray, dims, keep) -> np.ndarray:
     return tensor.reshape(kept_dim, kept_dim)
 
 
-def permute_factors(matrix: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder the tensor factors of a square operator.
-
-    ``perm[j]`` gives the original position of the factor that ends up at
-    slot ``j``.  Returns the operator on the reordered space.
-    """
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    perm = list(perm)
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm {perm} is not a permutation of {n} factors")
-    tensor = matrix.reshape(dims + dims)
-    axes = perm + [p + n for p in perm]
-    tensor = tensor.transpose(axes)
-    total = int(np.prod(dims))
-    return tensor.reshape(total, total)
-
-
 def expm_hermitian_generator(h: np.ndarray, theta: float, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Unitary exp(-i*theta*h) for Hermitian ``h`` via eigendecomposition.
 
@@ -161,29 +132,3 @@ def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10, what: str = "stat
     lo = min_eigenvalue(rho)
     if lo < -tol:
         raise ValueError(f"{what} has negative eigenvalue {lo:.3e}")
-
-
-def hermitian_basis(dim: int) -> list[np.ndarray]:
-    """Hilbert-Schmidt-orthonormal Hermitian basis of dim x dim matrices.
-
-    Generalized Gell-Mann construction: identity/sqrt(dim), symmetric and
-    antisymmetric pair matrices, and diagonal traceless matrices.  Satisfies
-    tr(B_a B_b) = delta_ab and spans all Hermitian matrices.
-    """
-    basis = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            sym = np.zeros((dim, dim), dtype=complex)
-            sym[a, b] = sym[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(sym)
-            asym = np.zeros((dim, dim), dtype=complex)
-            asym[a, b] = -1j / np.sqrt(2.0)
-            asym[b, a] = 1j / np.sqrt(2.0)
-            basis.append(asym)
-    for a in range(1, dim):
-        diag = np.zeros(dim, dtype=complex)
-        diag[:a] = 1.0
-        diag[a] = -a
-        diag /= np.sqrt(a * (a + 1))
-        basis.append(np.diag(diag))
-    return basis

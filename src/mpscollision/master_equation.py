@@ -6,6 +6,14 @@ Superoperators are stored as matrices acting on column-vectorized operators
 term and nonlocal terms built by threading complementary projections between
 collision propagators; by construction the resulting time-convolution
 recursion reproduces the embedding trajectory exactly.
+
+Every superoperator is built in closed form: collision channels are one
+einsum of the collision unitary with the particle state, and the projections
+are reshapes and Kraus sums.  The second-order kernel ties memory to the
+environment's connected pair correlator C: it needs H only through
+X[s,t,u,v] = sum_ijpq C[i,j,p,q] H[s,q,t,j] H[u,p,v,i], which by completeness
+of any Hilbert-Schmidt-orthonormal mode basis {E_a} equals the expansion
+sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
 """
 
 from __future__ import annotations
@@ -18,15 +26,7 @@ import scipy.linalg
 
 from . import embedding as emb
 from .embedding import CollisionModel
-from .linalg import (
-    DEFAULT_TOL,
-    dagger,
-    frobenius,
-    hermitian_basis,
-    kron,
-    partial_trace,
-    permute_factors,
-)
+from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
@@ -166,15 +166,18 @@ def propagator_superop(model: CollisionModel, k: int) -> Superoperator:
 
 
 def _embed_superop(chi: np.ndarray, d_system: int) -> Superoperator:
-    return Superoperator.from_map(lambda x: kron(x, chi), d_system,
-                                  d_system * chi.shape[0])
+    """X -> X (x) chi."""
+    d_bond = chi.shape[0]
+    eye = np.eye(d_system, dtype=complex)
+    mat = np.einsum("tu,sv,ab->tbsauv", eye, eye, chi)
+    return Superoperator(mat.reshape((d_system * d_bond) ** 2, d_system ** 2),
+                         d_system, d_system * d_bond)
 
 
 def _trace_bond_superop(d_system: int, bond_dim: int) -> Superoperator:
-    return Superoperator.from_map(
-        lambda x: partial_trace(x, (d_system, bond_dim), keep=(0,)),
-        d_system * bond_dim, d_system,
-    )
+    """X -> tr_bond X, with Kraus operators I (x) <b|."""
+    eye = np.eye(d_system, dtype=complex)
+    return Superoperator.from_kraus([kron(eye, row) for row in np.eye(bond_dim)[:, None, :]])
 
 
 def projection_P(d_system: int, chi: BondState) -> Superoperator:
@@ -195,98 +198,55 @@ def _bond_ladder(env: MpsEnvironment, k_max: int) -> list[BondState]:
     return chis
 
 
-def _pad_state(rho: np.ndarray, from_dims, to_dims) -> np.ndarray:
-    """Embed an operator on a product of small spaces into larger factors."""
-    from_dims = list(from_dims)
-    to_dims = list(to_dims)
-    idx = [0]
-    for df, dt in zip(from_dims, to_dims):
-        idx = [base * dt + j for base in idx for j in range(df)]
-    out = np.zeros((int(np.prod(to_dims)), int(np.prod(to_dims))), dtype=complex)
-    out[np.ix_(idx, idx)] = rho
-    return out
+def _particle_state(model: CollisionModel, sites, chi: BondState) -> np.ndarray:
+    """Joint state of one or two particles on their padded mode (x) ancilla spaces.
 
-
-def _mode_site_state(model: CollisionModel, chi: BondState) -> np.ndarray:
-    """Next-particle state on the padded interaction mode space."""
+    ``chi`` is the bond state entering ``sites[0]``.  Mode levels the chain
+    does not populate are padded with zeros up to ``model.mode_dim``; the
+    purification ancilla is kept, so interactions enter as ``kron(h, I_anc)``.
+    """
     env = model.env
-    rho = site_reduced_state(env, chi)
     anc = env.ancilla_dim
-    if anc > 1:
-        dm = env.mode_dim(chi.site)
-        rho = rho.reshape(dm, anc, dm, anc)
-        rho = np.einsum("iaja->ij", rho)
-    return _pad_state(rho, (rho.shape[0],), (model.mode_dim,))
+    if len(sites) == 1:
+        rho = site_reduced_state(env, chi)
+    else:
+        rho = two_site_reduced_state(env, sites[0], sites[1], chi)
+    dims = [d for k in sites for d in (env.mode_dim(k), anc)] * 2
+    out = np.zeros([model.mode_dim, anc] * (2 * len(sites)), dtype=complex)
+    out[tuple(slice(d) for d in dims)] = rho.reshape(dims)
+    dim = model.effective_mode_dim() ** len(sites)
+    return out.reshape(dim, dim)
 
 
-def _site_state_effective(model: CollisionModel, chi: BondState) -> np.ndarray:
-    """Next-particle state on the full effective space (mode x ancilla)."""
-    env = model.env
-    rho = site_reduced_state(env, chi)
-    return _pad_state(rho, (env.mode_dim(chi.site), env.ancilla_dim),
-                      (model.mode_dim, env.ancilla_dim))
-
-
-def _mode_pair_state(model: CollisionModel, site_a: int, site_b: int,
-                     chi: BondState) -> np.ndarray:
-    """Two-particle mode state (ancillas traced, padded to the mode space)."""
-    env = model.env
-    rho = two_site_reduced_state(env, site_a, site_b, chi)
-    anc = env.ancilla_dim
-    da = env.mode_dim(site_a)
-    db = env.mode_dim(site_b)
-    if anc > 1:
-        rho = rho.reshape(da, anc, db, anc, da, anc, db, anc)
-        rho = np.einsum("iajbkalb->ijkl", rho).reshape(da * db, da * db)
-    return _pad_state(rho, (da, db), (model.mode_dim, model.mode_dim))
-
-
-def _pair_state_effective(model: CollisionModel, site_a: int, site_b: int,
-                          chi: BondState) -> np.ndarray:
-    env = model.env
-    rho = two_site_reduced_state(env, site_a, site_b, chi)
-    anc = env.ancilla_dim
-    return _pad_state(rho,
-                      (env.mode_dim(site_a), anc, env.mode_dim(site_b), anc),
-                      (model.mode_dim, anc, model.mode_dim, anc))
+def _collision_channel(u: np.ndarray, particles: np.ndarray) -> Superoperator:
+    """rho -> tr_env[U (rho (x) particles) U^dag] for U on system (x) env."""
+    d_env = particles.shape[0]
+    d_s = u.shape[0] // d_env
+    u4 = u.reshape(d_s, d_env, d_s, d_env)
+    mat = np.einsum("setf,fg,aebg->asbt", u4, particles, u4.conj(), optimize=True)
+    return Superoperator(mat.reshape(d_s ** 2, d_s ** 2), d_s, d_s)
 
 
 def single_collision_channel(model: CollisionModel, chi: BondState) -> Superoperator:
     """Channel of one collision with the current particle's reduced state."""
-    m_eff = model.effective_mode_dim(chi.site)
-    u = model.effective_unitary(chi.site)
-    particle = _site_state_effective(model, chi)
-    d_s = model.d_system
-
-    def channel(rho):
-        joint = u @ kron(rho, particle) @ dagger(u)
-        return partial_trace(joint, (d_s, m_eff), keep=(0,))
-
-    return Superoperator.from_map(channel, d_s, d_s)
+    return _collision_channel(model.effective_unitary(chi.site),
+                              _particle_state(model, (chi.site,), chi))
 
 
 def two_collision_channel(model: CollisionModel, chi: BondState,
                           correlated: bool = True) -> Superoperator:
     """Channel of two sequential collisions with the joint two-particle state."""
     k = chi.site
-    m_eff = model.effective_mode_dim(k)
+    if not correlated:
+        later = single_collision_channel(model, evolve_bond_state(model.env, chi))
+        return later @ single_collision_channel(model, chi)
     d_s = model.d_system
-    if correlated:
-        pair = _pair_state_effective(model, k, k + 1, chi)
-    else:
-        first = _site_state_effective(model, chi)
-        second = _site_state_effective(model, evolve_bond_state(model.env, chi))
-        pair = kron(first, second)
-    u1 = kron(model.effective_unitary(k), np.eye(m_eff))
-    u2 = permute_factors(kron(model.effective_unitary(k + 1), np.eye(m_eff)),
-                         (d_s, m_eff, m_eff), (0, 2, 1))
-    u21 = u2 @ u1
-
-    def channel(rho):
-        joint = u21 @ kron(rho, pair) @ dagger(u21)
-        return partial_trace(joint, (d_s, m_eff, m_eff), keep=(0,))
-
-    return Superoperator.from_map(channel, d_s, d_s)
+    m_eff = model.effective_mode_dim(k)
+    u1 = model.effective_unitary(k).reshape(d_s, m_eff, d_s, m_eff)
+    u2 = model.effective_unitary(k + 1).reshape(d_s, m_eff, d_s, m_eff)
+    # U_{k+1} acts on the second particle after U_k acted on the first.
+    u21 = np.einsum("scxd,xatb->sactbd", u2, u1).reshape(d_s * m_eff ** 2, d_s * m_eff ** 2)
+    return _collision_channel(u21, _particle_state(model, (k, k + 1), chi))
 
 
 # -- exact memory kernel -----------------------------------------------------
@@ -378,86 +338,69 @@ def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndar
 
 # -- second-order (correlation-function) kernel ------------------------------
 
-def _system_factors(hamiltonian: np.ndarray, d_system: int, mode_dim: int,
-                    basis) -> list[np.ndarray]:
-    h4 = hamiltonian.reshape(d_system, mode_dim, d_system, mode_dim)
-    return [np.einsum("sitj,ji->st", h4, e) for e in basis]
+def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
+    """rho -> <A B rho - B rho A - A rho B + rho B A> over a two-particle operator.
 
-
-def _double_commutator_superop(s_late: np.ndarray, s_early: np.ndarray,
-                               d_system: int) -> np.ndarray:
-    """Matrix of rho -> A B rho - B rho A - A rho B + rho B A.
-
-    A acts at the later site, B at the earlier one (outer commutator is the
-    later collision).
+    ``h`` is the interaction generator on system (x) particle; A is h acting
+    on the later particle, B on the earlier one, and the average is taken
+    against ``corr`` (earlier particle first).  Every term is bilinear in
+    (A, B), so the average only needs
+    X[s,t,u,v] = <A_st B_uv> = sum_ijpq corr[i,j,p,q] h[s,q,t,j] h[u,p,v,i]:
+    one contraction, where the Hermitian-basis expansion
+    sum_ab tr[(E_b (x) E_a) corr] S_a (x) S_b with S_a = tr_particle[h (I (x) E_a)]
+    gives the same X by completeness of the basis.
     """
-    eye = np.eye(d_system, dtype=complex)
-    ab = s_late @ s_early
-    ba = s_early @ s_late
-    return (kron(eye, ab) - kron(s_late.T, s_early)
-            - kron(s_early.T, s_late) + kron(ba.T, eye))
+    m = int(round(np.sqrt(corr.shape[0])))
+    d_s = h.shape[0] // m
+    h4 = h.reshape(d_s, m, d_s, m)
+    x = np.einsum("ijpq,sqtj,upvi->stuv", corr.reshape(m, m, m, m), h4, h4, optimize=True)
+    eye = np.eye(d_s, dtype=complex)
+    ab = np.einsum("sttv->sv", x)
+    ba = np.einsum("xtux->ut", x)
+    mat = (kron(eye, ab) - x.transpose(1, 2, 0, 3).reshape(d_s ** 2, d_s ** 2)
+           - x.transpose(3, 0, 2, 1).reshape(d_s ** 2, d_s ** 2) + kron(ba.T, eye))
+    return Superoperator(mat, d_s, d_s)
 
 
-def second_order_kernel(model: CollisionModel, k: int, m: int,
-                        hamiltonian: np.ndarray | None = None,
-                        g: float | None = None) -> Superoperator:
+def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
+    """Interaction generator on system (x) (mode (x) purification ancilla)."""
+    if model.hamiltonian is None:
+        raise ValueError("model carries no interaction Hamiltonian")
+    return kron(model.hamiltonian, np.eye(model.env.ancilla_dim))
+
+
+def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """Leading (two-point correlation) contribution to K_{km}, m >= 1.
 
-    Expands the interaction generator in a Hilbert-Schmidt-orthonormal mode
-    basis, evaluates the connected pair correlator between the sites of the
-    latest and the (m steps earlier) collision, and assembles the double
-    commutator weighted by -g^2 tau.
+    -g^2 tau times the double commutator of the interaction generator at the
+    latest and at the (m steps earlier) collision, averaged over the
+    connected pair correlator C = rho_{k-m,k} - rho_{k-m} (x) rho_k.  The
+    average is one tensor contraction of C with two copies of H (see
+    ``_double_commutator``); it equals the expansion of H in any
+    Hilbert-Schmidt-orthonormal mode basis weighted by tr[(E_b (x) E_a) C].
     """
     if m < 1 or m > k:
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    h = model.hamiltonian if hamiltonian is None else np.asarray(hamiltonian, dtype=complex)
-    if h is None:
-        raise ValueError("model carries no interaction Hamiltonian")
-    if frobenius(h - dagger(h)) > DEFAULT_TOL:
+    h = _effective_hamiltonian(model)
+    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
         raise ValueError("interaction Hamiltonian must be Hermitian")
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(model.hamiltonian))))
     if hnorm > 1.0 + 1e-9:
         warnings.warn(
             f"interaction Hamiltonian has operator norm {hnorm:.3f} > 1; the "
             "dimensionless normalization convention is violated",
             stacklevel=2,
         )
-    g = model.g if g is None else float(g)
-    d_s = model.d_system
-    mode = model.mode_dim
-
-    ladder = _bond_ladder(model.env, k - m + 1)
-    chi = ladder[k - m]
-    pair = _mode_pair_state(model, k - m, k, chi)
-    early = _mode_site_state(model, chi)
-    late_chi = chi
-    for j in range(k - m, k):
-        late_chi = evolve_bond_state(model.env, late_chi)
-    late = _mode_site_state(model, late_chi)
-    connected = pair - kron(early, late)
-
-    basis = hermitian_basis(mode)
-    s_ops = _system_factors(h, d_s, mode, basis)
-    conn4 = connected.reshape(mode, mode, mode, mode)
-    # weight[b, a] = tr[(E_b (x) E_a) connected], E_b at the earlier site
-    weights = np.array([
-        [np.einsum("pi,qj,ijpq->", eb, ea, conn4) for ea in basis]
-        for eb in basis
-    ])
-    mat = np.zeros((d_s ** 2, d_s ** 2), dtype=complex)
-    for bi in range(len(basis)):
-        for ai in range(len(basis)):
-            w = weights[bi, ai]
-            if abs(w) < 1e-16:
-                continue
-            mat += w * _double_commutator_superop(s_ops[ai], s_ops[bi], d_s)
-    return Superoperator(-(g ** 2) * model.tau * mat, d_s, d_s)
+    ladder = _bond_ladder(model.env, k)
+    early = _particle_state(model, (k - m,), ladder[k - m])
+    late = _particle_state(model, (k,), ladder[k])
+    pair = _particle_state(model, (k - m, k), ladder[k - m])
+    return _double_commutator(h, pair - kron(early, late)) * (-(model.g ** 2) * model.tau)
 
 
 # -- stroboscopic (GKSL) limit ------------------------------------------------
 
-def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated",
-                           tol: float = 1e-10) -> Superoperator:
+def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") -> Superoperator:
     """Markovian generator of the stroboscopic limit for a homogeneous model.
 
     The local part is the two-collision channel rate (Phi_12 - Id)/(2 tau)
@@ -474,9 +417,7 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated",
         raise ValueError("stroboscopic limit needs a homogeneous environment")
     if isinstance(model.unitary, tuple):
         raise ValueError("stroboscopic limit needs a homogeneous interaction")
-    h = model.hamiltonian
-    if h is None:
-        raise ValueError("model carries no interaction Hamiltonian")
+    h = _effective_hamiltonian(model)
 
     spectrum = transfer_spectrum(model.env)  # raises for infinite correlation length
     lam = spectrum.lambda2
@@ -487,31 +428,14 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated",
     local = (two_collision_channel(model, chi_star, correlated=(two_site == "correlated"))
              - Superoperator.identity(d_s)) * (1.0 / (2.0 * model.tau))
 
-    # Mean-field (environment-averaged) generator and its double commutator.
-    mode = model.mode_dim
-    rho1 = _mode_site_state(model, chi_star)
-    h4 = h.reshape(d_s, mode, d_s, mode)
-    h_avg = np.einsum("sitj,ji->st", h4, rho1)
-    adh2 = Superoperator(_double_commutator_superop(h_avg, h_avg, d_s), d_s, d_s)
-
-    # Connected pair kernel at separation 1; the geometric transfer decay
-    # lambda2^m of the correlators sums the whole nonlocal tail.
-    pair = _mode_pair_state(model, 0, 1, BondState(0, chi_star.matrix))
-    basis = hermitian_basis(mode)
-    s_ops = _system_factors(h, d_s, mode, basis)
-    conn4 = (pair - kron(rho1, rho1)).reshape(mode, mode, mode, mode)
-    weights = np.array([
-        [np.einsum("pi,qj,ijpq->", eb, ea, conn4) for ea in basis]
-        for eb in basis
-    ])
-    k1_mat = np.zeros((d_s ** 2, d_s ** 2), dtype=complex)
-    for bi in range(len(basis)):
-        for ai in range(len(basis)):
-            w = weights[bi, ai]
-            if abs(w) < 1e-16:
-                continue
-            k1_mat += w * _double_commutator_superop(s_ops[ai], s_ops[bi], d_s)
-    k1 = Superoperator(-k1_mat, d_s, d_s)  # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>
+    # Mean-field double commutator [<H>,[<H>,.]] is the same average at the
+    # product state; the connected pair kernel at separation 1, decaying
+    # geometrically as lambda2^m, sums the whole nonlocal tail.
+    rho1 = _particle_state(model, (0,), chi_star)
+    product = kron(rho1, rho1)
+    adh2 = _double_commutator(h, product)
+    pair = _particle_state(model, (0, 1), chi_star)
+    k1 = -_double_commutator(h, pair - product)  # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>
 
     if two_site == "correlated":
         # Local part already carries half of the separation-1 kernel.
@@ -520,7 +444,7 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated",
         weight = 1.0 / (1.0 - lam)
     generator = local + g2tau * weight * k1 + g2tau * adh2
 
-    if not generator.annihilates_trace(tol):
+    if not generator.annihilates_trace():
         raise ValueError("assembled generator does not annihilate the trace")
     return generator
 

@@ -312,7 +312,7 @@ def reduced_density_prefix(env: MpsEnvironment, k: int) -> np.ndarray:
 
 
 def transfer_matrix(env: MpsEnvironment) -> np.ndarray:
-    """Matrix of the bond free-evolution channel (column vectorization).
+    """Matrix of the bond free-evolution channel on row-major vec(chi).
 
     For a finite chain, requires a well-defined repeated bulk tensor (all
     square interior tensors equal).
@@ -384,7 +384,7 @@ def stationary_bond_state(env: MpsEnvironment, tol: float = 1e-10) -> BondState:
     if abs(eigs[idx] - 1.0) > tol:
         raise ValueError("transfer matrix has no eigenvalue 1")
     d = int(round(np.sqrt(t.shape[0])))
-    chi = vecs[:, idx].reshape(d, d, order="F")
+    chi = vecs[:, idx].reshape(d, d)
     chi = hermitian_part(chi)
     tr = np.trace(chi).real
     if abs(tr) < tol:

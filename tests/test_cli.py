@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +187,27 @@ def test_reproduce_fig6b(tmp_path):
     # what acceptance criterion 9 quantifies via the convergence ratio)
     for k in (0, 50, 100, 200):
         assert abs(exact[k, 2] - gksl[10 * k, 2]) < 0.2
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+def test_reproduce_matches_golden(tmp_path):
+    written = []
+    for figure in ("fig5a", "fig5b", "fig6a", "fig6b"):
+        written += reproduce(figure, str(tmp_path))
+    assert sorted(p.name for p in written) == sorted(p.name for p in GOLDEN.glob("*.csv"))
+    for path in written:
+        golden = GOLDEN / path.name
+        if path.name == "fig6b_gksl.csv":
+            # matrix exponentials of a generator assembled in floating point
+            got_header, got = parse_csv(path.read_text())
+            want_header, want = parse_csv(golden.read_text())
+            assert got_header == want_header
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12
+        else:
+            assert path.read_bytes() == golden.read_bytes(), path.name
 
 
 def test_kernel_subcommand_output():

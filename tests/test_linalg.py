@@ -3,14 +3,12 @@ import pytest
 
 from mpscollision.linalg import (
     expm_hermitian_generator,
-    hermitian_basis,
     kron,
     lq_factorize,
     partial_trace,
-    permute_factors,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import hermitian_basis, random_density, random_hermitian
 
 
 def test_kron_identities():
@@ -77,13 +75,6 @@ def test_partial_trace_invalid_index():
         partial_trace(np.eye(6), (2, 3), keep=(2,))
     with pytest.raises(ValueError):
         partial_trace(np.eye(6), (2, 3), keep=())
-
-
-def test_permute_factors_matches_kron_swap(rng):
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    swapped = permute_factors(kron(a, b), (2, 3), (1, 0))
-    assert np.allclose(swapped, kron(b, a))
 
 
 def test_expm_diagonal_phase():

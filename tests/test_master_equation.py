@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mpscollision import models
 from mpscollision.embedding import CollisionModel, initial_state, step, trajectory
-from mpscollision.linalg import dagger, kron
+from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.master_equation import (
     Superoperator,
     build_kernel_table,
@@ -25,12 +27,14 @@ from mpscollision.mps import (
     BondState,
     InfiniteCorrelationLengthError,
     MpsEnvironment,
+    decorrelate,
     evolve_bond_state,
+    site_reduced_state,
     stationary_bond_state,
     two_site_reduced_state,
 )
 
-from conftest import random_density, trace_distance
+from conftest import hermitian_basis, random_density, trace_distance
 
 
 def vacuum_product_model(g_tau=0.4):
@@ -40,6 +44,55 @@ def vacuum_product_model(g_tau=0.4):
     inter = models.interaction("exchange", g_tau, 3)
     return CollisionModel(env=env, unitary=inter.unitary, d_system=2, mode_dim=3,
                           g_tau=g_tau, hamiltonian=inter.hamiltonian)
+
+
+def complex_single_photon_model(g_tau=0.4):
+    amps = np.exp(-np.arange(8) / 3.0) * np.exp(1j * 0.7 * np.arange(8))
+    inter = models.interaction("exchange", g_tau, 3)
+    return CollisionModel(env=models.single_photon_env(amps), unitary=inter.unitary,
+                          d_system=2, mode_dim=3, g_tau=g_tau,
+                          hamiltonian=inter.hamiltonian)
+
+
+def two_photon_model():
+    return build_model(
+        ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), g_tau=0.3)
+
+
+def reference_models():
+    """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon."""
+    two_photon = two_photon_model()
+    decorrelated = dataclasses.replace(two_photon, env=decorrelate(two_photon.env, length=6))
+    assert decorrelated.env.ancilla_dim > 1
+    return {
+        "aklt": build_model(ModelSpec("aklt"), g_tau=0.5),
+        "two_photon": two_photon,
+        "two_photon_decorrelated": decorrelated,
+        "single_photon_complex": complex_single_photon_model(),
+    }
+
+
+def pad(rho, from_dims, to_dims):
+    """Embed an operator on a product of small spaces into larger factors."""
+    out = np.zeros(list(to_dims) * 2, dtype=complex)
+    out[tuple(slice(d) for d in list(from_dims) * 2)] = rho.reshape(list(from_dims) * 2)
+    dim = int(np.prod(to_dims))
+    return out.reshape(dim, dim)
+
+
+def padded_site_state(model, chi):
+    env = model.env
+    anc = env.ancilla_dim
+    return pad(site_reduced_state(env, chi), (env.mode_dim(chi.site), anc),
+               (model.mode_dim, anc))
+
+
+def padded_pair_state(model, site_a, site_b, chi):
+    env = model.env
+    anc = env.ancilla_dim
+    return pad(two_site_reduced_state(env, site_a, site_b, chi),
+               (env.mode_dim(site_a), anc, env.mode_dim(site_b), anc),
+               (model.mode_dim, anc, model.mode_dim, anc))
 
 
 # -- vectorization and superoperator algebra -----------------------------------
@@ -131,6 +184,55 @@ def test_projection_algebra_along_trajectory():
         assert np.max(np.abs((p @ q).matrix)) < 1e-12
 
 
+# -- closed-form superoperators against their defining maps --------------------
+
+@pytest.mark.parametrize("name", ["aklt", "two_photon_decorrelated", "single_photon_complex"])
+def test_closed_forms_match_defining_maps(name):
+    model = reference_models()[name]
+    d_s = model.d_system
+    m_eff = model.effective_mode_dim()
+    chi = model.env.initial_bond_state()
+    for _ in range(3):
+        d_bond = chi.matrix.shape[0]
+        k = chi.site
+        nxt = evolve_bond_state(model.env, chi)
+        u1 = model.effective_unitary(k)
+        # second collision acts on the second particle: swap it into the first slot
+        swap = kron(np.eye(d_s), np.eye(m_eff ** 2).reshape(m_eff, m_eff, m_eff, m_eff)
+                    .transpose(1, 0, 2, 3).reshape(m_eff ** 2, m_eff ** 2))
+        u21 = swap @ kron(model.effective_unitary(k + 1), np.eye(m_eff)) @ swap \
+            @ kron(u1, np.eye(m_eff))
+        pair = padded_pair_state(model, k, k + 1, chi)
+        product = kron(padded_site_state(model, chi), padded_site_state(model, nxt))
+
+        def two(particles):
+            return lambda rho: partial_trace(
+                u21 @ kron(rho, particles) @ dagger(u21), (d_s, m_eff ** 2), keep=(0,))
+
+        cases = [
+            (projection_P(d_s, chi), Superoperator.from_map(
+                lambda r: kron(partial_trace(r, (d_s, d_bond), keep=(0,)), chi.matrix),
+                d_s * d_bond, d_s * d_bond)),
+            (single_collision_channel(model, chi), Superoperator.from_map(
+                lambda rho: partial_trace(
+                    u1 @ kron(rho, padded_site_state(model, chi)) @ dagger(u1),
+                    (d_s, m_eff), keep=(0,)), d_s, d_s)),
+            (two_collision_channel(model, chi), Superoperator.from_map(two(pair), d_s, d_s)),
+            (two_collision_channel(model, chi, correlated=False),
+             Superoperator.from_map(two(product), d_s, d_s)),
+        ]
+        for got, want in cases:
+            assert np.max(np.abs(got.matrix - want.matrix)) < 1e-13
+        chi = nxt
+
+
+def test_projection_P_matches_defining_map_complex_bond(rng):
+    chi = BondState(0, random_density(rng, 3))
+    want = Superoperator.from_map(
+        lambda r: kron(partial_trace(r, (2, 3), keep=(0,)), chi.matrix), 6, 6)
+    assert np.max(np.abs(projection_P(2, chi).matrix - want.matrix)) < 1e-13
+
+
 # -- memory kernel ----------------------------------------------------------------
 
 def test_kernel_zero_for_uncorrelated_environment():
@@ -174,11 +276,7 @@ def test_nz_reproduces_embedding_two_photon():
 
 def test_nz_with_complex_tensors_and_bond():
     # complex amplitudes + projection chain: transpose/adjoint discipline
-    amps = np.exp(-np.arange(8) / 3.0) * np.exp(1j * 0.7 * np.arange(8))
-    env = models.single_photon_env(amps)
-    inter = models.interaction("exchange", 0.4, 3)
-    model = CollisionModel(env=env, unitary=inter.unitary, d_system=2, mode_dim=3,
-                           g_tau=0.4, hamiltonian=inter.hamiltonian)
+    model = complex_single_photon_model()
     rho0 = models.named_initial_state("plus")
     table = build_kernel_table(model, 8)
     nz = solve_nz(table, rho0, 8)
@@ -282,6 +380,38 @@ def test_second_order_matches_direct_correlator(rng):
         correlated = np.einsum("sitj,ji->st", dc4, delta)
         want = -(model.g ** 2) * model.tau * correlated
         assert np.max(np.abs(kernel.apply(rho) - want)) < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:interaction Hamiltonian has operator norm")
+@pytest.mark.parametrize("name", ["aklt", "two_photon", "single_photon_complex"])
+def test_second_order_matches_basis_expansion(name):
+    """The contraction equals the Hermitian-basis expansion of the interaction."""
+    model = reference_models()[name]
+    k, m = 5, 2
+    d_s, mode = model.d_system, model.mode_dim
+    chi = model.env.initial_bond_state()
+    for _ in range(k - m):
+        chi = evolve_bond_state(model.env, chi)
+    late = chi
+    for _ in range(m):
+        late = evolve_bond_state(model.env, late)
+    connected = (padded_pair_state(model, k - m, k, chi)
+                 - kron(padded_site_state(model, chi), padded_site_state(model, late)))
+    conn4 = connected.reshape(mode, mode, mode, mode)
+    h4 = model.hamiltonian.reshape(d_s, mode, d_s, mode)
+    basis = hermitian_basis(mode)
+    s_ops = [np.einsum("sitj,ji->st", h4, e) for e in basis]
+    eye = np.eye(d_s)
+    want = np.zeros((d_s ** 2, d_s ** 2), dtype=complex)
+    for eb, s_b in zip(basis, s_ops):
+        for ea, s_a in zip(basis, s_ops):
+            # E_b at the earlier site, E_a at the later one
+            w = np.einsum("pi,qj,ijpq->", eb, ea, conn4)
+            want += w * (kron(eye, s_a @ s_b) - kron(s_a.T, s_b)
+                         - kron(s_b.T, s_a) + kron((s_b @ s_a).T, eye))
+    want *= -(model.g ** 2) * model.tau
+    assert np.max(np.abs(want)) > 1e-3
+    assert np.max(np.abs(second_order_kernel(model, k, m).matrix - want)) < 1e-13
 
 
 def test_exact_kernel_approaches_second_order():

@@ -344,6 +344,18 @@ def test_stationary_bond_state_aklt():
     assert np.max(np.abs(chi.matrix - np.eye(2) / 2)) < 1e-12
 
 
+@pytest.mark.parametrize("d_bond", [2, 3, 4])
+def test_stationary_bond_state_is_fixed_point_complex(rng, d_bond):
+    # Complex site tensors: the fixed point is not its own transpose.
+    g = rng.normal(size=(3 * d_bond, d_bond)) + 1j * rng.normal(size=(3 * d_bond, d_bond))
+    q, _ = np.linalg.qr(g)
+    site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
+    env = MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
+    chi = stationary_bond_state(env)
+    chi.validate()
+    assert np.linalg.norm(evolve_bond_state(env, chi).matrix - chi.matrix) < 1e-12
+
+
 # -- decorrelation ---------------------------------------------------------------
 
 def test_decorrelate_product_unchanged():
