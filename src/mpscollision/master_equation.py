@@ -2,10 +2,13 @@
 
 Superoperators are stored as matrices acting on column-vectorized operators
 (vec stacks columns, so the conjugation X -> A X B^dag has matrix
-``kron(conj(B), A)``).  The memory kernel splits into a local single-collision
-term and nonlocal terms built by threading complementary projections between
-collision propagators; by construction the resulting time-convolution
-recursion reproduces the embedding trajectory exactly.
+``kron(conj(B), A)``).  The memory kernel K_{km} threads m complementary
+projections between collision propagators; by construction the resulting
+time-convolution recursion reproduces the embedding trajectory exactly.
+Kernels with the same start s = k - m share a forward recursion: from
+W = X -> X (x) chi_s, each step k yields K_{k,k-s} = (tr_bond U_k W -
+delta_ks Id) / tau and advances W <- Q_{k+1} U_k W, so a table up to k_max
+costs O(k_max^2) superoperator products.
 
 Every superoperator is built in closed form: collision channels are one
 einsum of the collision unitary with the particle state, and the projections
@@ -36,6 +39,7 @@ from .mps import (
     transfer_spectrum,
     two_site_reduced_state,
 )
+from .oracle import SizeGuardError
 
 __all__ = [
     "Superoperator",
@@ -54,6 +58,8 @@ __all__ = [
     "stroboscopic_generator",
     "evolve_gksl",
 ]
+
+KERNEL_GUARD = 2 ** 22
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -175,9 +181,9 @@ def _embed_superop(chi: np.ndarray, d_system: int) -> Superoperator:
 
 
 def _trace_bond_superop(d_system: int, bond_dim: int) -> Superoperator:
-    """X -> tr_bond X, with Kraus operators I (x) <b|."""
-    eye = np.eye(d_system, dtype=complex)
-    return Superoperator.from_kraus([kron(eye, row) for row in np.eye(bond_dim)[:, None, :]])
+    """X -> tr_bond X, the adjoint of X -> X (x) I_bond (a real 0/1 matrix)."""
+    embed = _embed_superop(np.eye(bond_dim, dtype=complex), d_system)
+    return Superoperator(embed.matrix.T, d_system * bond_dim, d_system)
 
 
 def projection_P(d_system: int, chi: BondState) -> Superoperator:
@@ -251,8 +257,29 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 # -- exact memory kernel -----------------------------------------------------
 
-def memory_kernel(model: CollisionModel, k: int, m: int,
-                  _ladder=None, _props=None) -> Superoperator:
+def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
+    """Yield ((k, k - s), K_{k,k-s}) for every start s in ``starts`` and s <= k < k_max.
+
+    One thread per start: W = embed(chi_s), K_{k,k-s} = (tr_bond U_k W -
+    delta_ks Id) / tau, then W <- Q_{k+1} U_k W.  The two per-step factors
+    are built once per k and shared by every thread.
+    """
+    ladder = _bond_ladder(model.env, k_max - 1)
+    d_s = model.d_system
+    rate = 1.0 / model.tau
+    steps = range(starts.start, k_max)
+    props = {k: propagator_superop(model, k) for k in steps}
+    traced = {k: _trace_bond_superop(d_s, model.env.site(k).shape[2]) @ props[k] for k in steps}
+    threaded = {k: projection_Q(d_s, ladder[k + 1]) @ props[k] for k in steps[:-1]}
+    for s in starts:
+        w = _embed_superop(ladder[s].matrix, d_s)
+        yield (s, 0), (traced[s] @ w - Superoperator.identity(d_s)) * rate
+        for k in range(s + 1, k_max):
+            w = threaded[k - 1] @ w
+            yield (k, k - s), (traced[k] @ w) * rate
+
+
+def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """Exact discrete memory kernel K_{km} on system operators (0-based k).
 
     m = 0 is the local term (latest collision relative to the free-evolved
@@ -262,24 +289,7 @@ def memory_kernel(model: CollisionModel, k: int, m: int,
     """
     if m < 0 or m > k:
         raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    ladder = _ladder if _ladder is not None else _bond_ladder(model.env, k + 1)
-    d_s = model.d_system
-    tau = model.tau
-    if m == 0:
-        phi = single_collision_channel(model, ladder[k])
-        return (phi - Superoperator.identity(d_s)) * (1.0 / tau)
-
-    def prop(j):
-        if _props is not None:
-            return _props(j)
-        return propagator_superop(model, j)
-
-    comp = _embed_superop(ladder[k - m].matrix, d_s)
-    for j in range(k - m, k):
-        comp = projection_Q(d_s, ladder[j + 1]) @ prop(j) @ comp
-    bond_out = model.env.site(k).shape[2]
-    comp = _trace_bond_superop(d_s, bond_out) @ prop(k) @ comp
-    return comp * (1.0 / tau)
+    return dict(_kernel_threads(model, range(k - m, k - m + 1), k + 1))[(k, m)]
 
 
 @dataclass(frozen=True)
@@ -300,23 +310,14 @@ class KernelTable:
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps.
 
-    Entries are independent given the precomputed bond ladder and propagators
-    and could be filled concurrently; this fills them in a simple loop.
+    Kernels with the same start k - m share one forward thread, so the table
+    costs O(k_max^2) superoperator products.  Raises ``SizeGuardError`` before
+    any work when the table would hold more than ``KERNEL_GUARD`` numbers.
     """
-    ladder = _bond_ladder(model.env, k_max)
-    homog = model.env.homogeneous and not isinstance(model.unitary, tuple)
-    cache = {}
-
-    def props(j):
-        key = 0 if homog else j
-        if key not in cache:
-            cache[key] = propagator_superop(model, key)
-        return cache[key]
-
-    entries = {}
-    for k in range(k_max):
-        for m in range(k + 1):
-            entries[(k, m)] = memory_kernel(model, k, m, _ladder=ladder, _props=props)
+    size = k_max * (k_max + 1) // 2 * model.d_system ** 4
+    if size > KERNEL_GUARD:
+        raise SizeGuardError(f"kernel table of {size} entries exceeds the {KERNEL_GUARD} guard")
+    entries = dict(_kernel_threads(model, range(k_max), k_max))
     return KernelTable(model.tau, model.d_system, entries)
 
 

@@ -289,12 +289,9 @@ def build_model(spec: ModelSpec, g_tau: float, interaction_name: str | None = No
     """CollisionModel for a named environment with its case-study interaction."""
     env = environment_for(spec)
     name = interaction_name or DEFAULT_INTERACTION[spec.name]
-    if name in ("heisenberg", "controlled"):
-        mode_dim = 3
-    elif name == "cluster":
+    mode_dim = None
+    if name == "cluster":
         mode_dim = int(fock_cutoff or spec.parameters.get("fock_cutoff", DEFAULT_FOCK_CUTOFF))
-    else:
-        mode_dim = 3
     inter = interaction(name, g_tau, mode_dim)
     return CollisionModel(env=env, unitary=inter.unitary, d_system=2,
                           mode_dim=inter.mode_dim, g_tau=g_tau, tau=tau,

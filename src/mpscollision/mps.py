@@ -433,11 +433,7 @@ def decorrelate(env: MpsEnvironment, length: int | None = None,
         marginals.append(rho)
         chi = evolve_bond_state(env, chi)
 
-    purified = []
-    for rho in marginals:
-        w_eig, v = np.linalg.eigh(hermitian_part(rho))
-        keep = w_eig > tol * max(w_eig.max(), 1.0)
-        purified.append(v[:, keep] * np.sqrt(w_eig[keep]))
+    purified = [_purify_bond(rho, tol).T for rho in marginals]
     anc = max(p.shape[1] for p in purified)
     sites = []
     for p in purified:

@@ -136,6 +136,12 @@ def test_run_oracle_guard_exit_code(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+def test_run_nz_guard_exit_code(tmp_path, capsys):
+    path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
+    assert main(["run", "--config", path]) == 3
+    assert "guard" in capsys.readouterr().err
+
+
 # -- presets and reproduce -----------------------------------------------------------
 
 def test_presets_round_trip_schema():

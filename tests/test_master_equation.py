@@ -46,8 +46,8 @@ def vacuum_product_model(g_tau=0.4):
                           g_tau=g_tau, hamiltonian=inter.hamiltonian)
 
 
-def complex_single_photon_model(g_tau=0.4):
-    amps = np.exp(-np.arange(8) / 3.0) * np.exp(1j * 0.7 * np.arange(8))
+def complex_single_photon_model(g_tau=0.4, n_sites=8):
+    amps = np.exp(-np.arange(n_sites) / 3.0) * np.exp(1j * 0.7 * np.arange(n_sites))
     inter = models.interaction("exchange", g_tau, 3)
     return CollisionModel(env=models.single_photon_env(amps), unitary=inter.unitary,
                           d_system=2, mode_dim=3, g_tau=g_tau,
@@ -59,16 +59,21 @@ def two_photon_model():
         ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), g_tau=0.3)
 
 
-def reference_models():
-    """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon."""
+def reference_models(length=6, n_sites=8):
+    """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon.
+
+    ``length`` sites of the decorrelated twin and ``n_sites`` of the complex
+    single_photon chain are available to collide with.
+    """
     two_photon = two_photon_model()
-    decorrelated = dataclasses.replace(two_photon, env=decorrelate(two_photon.env, length=6))
+    decorrelated = dataclasses.replace(two_photon,
+                                       env=decorrelate(two_photon.env, length=length))
     assert decorrelated.env.ancilla_dim > 1
     return {
         "aklt": build_model(ModelSpec("aklt"), g_tau=0.5),
         "two_photon": two_photon,
         "two_photon_decorrelated": decorrelated,
-        "single_photon_complex": complex_single_photon_model(),
+        "single_photon_complex": complex_single_photon_model(n_sites=n_sites),
     }
 
 
@@ -311,6 +316,42 @@ def test_nz_uncorrelated_equals_channel_composition():
         phi = single_collision_channel(model, BondState(k, np.eye(1, dtype=complex)))
         rho = phi.apply(rho)
         assert np.max(np.abs(rho - nz[k + 1])) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["aklt", "two_photon_decorrelated", "single_photon_complex"])
+def test_nz_equals_embedding_as_maps(name):
+    # Every operator-basis input E_ij, so the whole dynamical map is compared.
+    k_max = 16
+    model = reference_models(length=k_max, n_sites=k_max)[name]
+    table = build_kernel_table(model, k_max)
+    d_s = model.d_system
+    for i in range(d_s):
+        for j in range(d_s):
+            e_ij = np.zeros((d_s, d_s), dtype=complex)
+            e_ij[i, j] = 1.0
+            nz = solve_nz(table, e_ij, k_max)
+            embed = trajectory(model, e_ij, k_max)
+            assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) < 1e-12
+    for k in range(k_max):
+        for m in range(k + 1):
+            assert np.array_equal(memory_kernel(model, k, m).matrix, table.kernel(k, m).matrix)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec("aklt"), ModelSpec("single_photon", {"n_sites": 20})])
+def test_kernel_table_product_count(spec, monkeypatch):
+    # The table threads each start forward: O(K^2) superoperator products.
+    model = build_model(spec, g_tau=0.4)
+    products = []
+    matmul = Superoperator.__matmul__
+
+    def counted(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Superoperator, "__matmul__", counted)
+    k_max = 20
+    build_kernel_table(model, k_max)
+    assert len(products) <= k_max * (k_max + 1) + 4 * k_max
 
 
 def test_solve_nz_zero_kernels_constant(rng):
