@@ -9,6 +9,9 @@ unitary with transposed site tensors:
 The recurrence ``R(k) = sum_j A_j R(k-1) A_j^dag`` with ``R(0) = rho_S (x)
 chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
+
+``collide`` and ``trace_bond`` are the one implementation of this map: ``step``
+applies them to one joint state, the memory kernels to a stack of them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ __all__ = [
     "SystemBondState",
     "CutoffConvergenceError",
     "kraus_operators",
+    "collide",
+    "trace_bond",
     "initial_state",
     "step",
     "system_state",
@@ -132,11 +137,12 @@ class SystemBondState:
         assert_density_matrix(self.matrix, tol, f"system-bond state at step {self.step}")
 
 
-def kraus_operators(model: CollisionModel, k: int) -> list[np.ndarray]:
-    """Kraus operators of the k-th collision (0-based).
+def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
+    """Kraus operators of the k-th collision (0-based), stacked on axis 0.
 
-    Each operator maps system (x) bond#k to system (x) bond#(k+1); there is
-    one per output basis state of the (ancilla-extended) mode space.
+    Shape (m_eff, d_S * D_out, d_S * D_in): each operator maps system (x)
+    bond#k to system (x) bond#(k+1); there is one per output basis state of
+    the (ancilla-extended) mode space.
     Completeness sum_j A_j^dag A_j = I follows from unitarity plus
     right-canonicality and is checked in the test suite, not here.
     """
@@ -152,8 +158,20 @@ def kraus_operators(model: CollisionModel, k: int) -> list[np.ndarray]:
     # populated levels occupy a contiguous leading block.
     bpad = np.zeros((m_eff, dl, dr), dtype=complex)
     bpad[: b.shape[0]] = b
-    ops = np.einsum("sqtp,pab->qsbta", u4, bpad, optimize=True)
-    return [ops[q].reshape(d_s * dr, d_s * dl) for q in range(m_eff)]
+    ops = np.einsum("sqtp,pab->qsbta", u4, bpad)
+    return ops.reshape(m_eff, d_s * dr, d_s * dl)
+
+
+def collide(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in)."""
+    return np.sum(ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3)
+
+
+def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
+    """Bond partial trace of one system (x) bond operator or a stack of them."""
+    d_bond = x.shape[-1] // d_system
+    x = x.reshape(x.shape[:-2] + (d_system, d_bond, d_system, d_bond))
+    return np.einsum("...sata->...st", x)
 
 
 def initial_state(model: CollisionModel, rho_s0: np.ndarray) -> SystemBondState:
@@ -171,16 +189,13 @@ def step(model: CollisionModel, state: SystemBondState) -> SystemBondState:
     k = state.step
     if model.env.length is not None and k >= model.env.length:
         raise IndexError(f"collision {k} beyond environment length {model.env.length}")
-    ops = kraus_operators(model, k)
-    out = np.zeros((ops[0].shape[0], ops[0].shape[0]), dtype=complex)
-    for a in ops:
-        out += a @ state.matrix @ dagger(a)
+    out = collide(kraus_operators(model, k), state.matrix)
     return SystemBondState(k + 1, out, model.d_system, model.env.site(k).shape[2])
 
 
 def system_state(state: SystemBondState) -> np.ndarray:
     """rho_S = tr_bond R."""
-    return partial_trace(state.matrix, (state.d_system, state.bond_dim), keep=(0,))
+    return trace_bond(state.matrix, state.d_system)
 
 
 def bond_state_of(state: SystemBondState) -> BondState:

@@ -3,16 +3,16 @@
 Superoperators are stored as matrices acting on column-vectorized operators
 (vec stacks columns, so the conjugation X -> A X B^dag has matrix
 ``kron(conj(B), A)``).  The memory kernel K_{km} threads m complementary
-projections between collision propagators; by construction the resulting
-time-convolution recursion reproduces the embedding trajectory exactly.
-Kernels with the same start s = k - m share a forward recursion: from
-W = X -> X (x) chi_s, each step k yields K_{k,k-s} = (tr_bond U_k W -
-delta_ks Id) / tau and advances W <- Q_{k+1} U_k W, so a table up to k_max
-costs O(k_max^2) superoperator products.
+projections between the embedding's own collisions, so the time-convolution
+recursion reproduces the embedding trajectory exactly.  Kernels with the
+same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
+system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
+delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
+through one ``collide`` per step: a table costs k_max batched collisions.
 
-Every superoperator is built in closed form: collision channels are one
-einsum of the collision unitary with the particle state, and the projections
-are reshapes and Kraus sums.  The second-order kernel ties memory to the
+The other superoperators are closed forms: collision channels are one einsum
+of the collision unitary with the particle state, the projections one
+einsum each.  The second-order kernel ties memory to the
 environment's connected pair correlator C: it needs H only through
 X[s,t,u,v] = sum_ijpq C[i,j,p,q] H[s,q,t,j] H[u,p,v,i], which by completeness
 of any Hilbert-Schmidt-orthonormal mode basis {E_a} equals the expansion
@@ -21,7 +21,6 @@ sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +45,6 @@ __all__ = [
     "KernelTable",
     "vec",
     "unvec",
-    "propagator_superop",
     "projection_P",
     "projection_Q",
     "single_collision_channel",
@@ -166,30 +164,14 @@ class Superoperator:
 
 # -- building blocks -------------------------------------------------------
 
-def propagator_superop(model: CollisionModel, k: int) -> Superoperator:
-    """Matrix of the k-th collision map on system (x) bond operators."""
-    return Superoperator.from_kraus(emb.kraus_operators(model, k))
-
-
-def _embed_superop(chi: np.ndarray, d_system: int) -> Superoperator:
-    """X -> X (x) chi."""
-    d_bond = chi.shape[0]
-    eye = np.eye(d_system, dtype=complex)
-    mat = np.einsum("tu,sv,ab->tbsauv", eye, eye, chi)
-    return Superoperator(mat.reshape((d_system * d_bond) ** 2, d_system ** 2),
-                         d_system, d_system * d_bond)
-
-
-def _trace_bond_superop(d_system: int, bond_dim: int) -> Superoperator:
-    """X -> tr_bond X, the adjoint of X -> X (x) I_bond (a real 0/1 matrix)."""
-    embed = _embed_superop(np.eye(bond_dim, dtype=complex), d_system)
-    return Superoperator(embed.matrix.T, d_system * bond_dim, d_system)
-
-
 def projection_P(d_system: int, chi: BondState) -> Superoperator:
     """R -> tr_bond[R] (x) chi_k; idempotent on system-bond operators."""
     d_bond = chi.matrix.shape[0]
-    return _embed_superop(chi.matrix, d_system) @ _trace_bond_superop(d_system, d_bond)
+    dim = d_system * d_bond
+    eye_s = np.eye(d_system, dtype=complex)
+    # Column-major vec: row (v, e, u, c) of the output, column (t, b, s, a).
+    mat = np.einsum("us,vt,ab,ce->veuctbsa", eye_s, eye_s, np.eye(d_bond), chi.matrix)
+    return Superoperator(mat.reshape(dim ** 2, dim ** 2), dim, dim)
 
 
 def projection_Q(d_system: int, chi: BondState) -> Superoperator:
@@ -260,32 +242,37 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
     """Yield ((k, k - s), K_{k,k-s}) for every start s in ``starts`` and s <= k < k_max.
 
-    One thread per start: W = embed(chi_s), K_{k,k-s} = (tr_bond U_k W -
-    delta_ks Id) / tau, then W <- Q_{k+1} U_k W.  The two per-step factors
-    are built once per k and shared by every thread.
+    Thread s is the stack W_s[E] = E (x) chi_s over the system basis E in
+    column-major order (the columns of a Superoperator matrix).  At step k
+    every live thread goes through one ``collide``; K_{k,k-s} is read off the
+    bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
     """
     ladder = _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
+    d2 = d_s ** 2
+    basis = np.eye(d2, dtype=complex).reshape(d2, d_s, d_s).transpose(0, 2, 1)
     rate = 1.0 / model.tau
-    steps = range(starts.start, k_max)
-    props = {k: propagator_superop(model, k) for k in steps}
-    traced = {k: _trace_bond_superop(d_s, model.env.site(k).shape[2]) @ props[k] for k in steps}
-    threaded = {k: projection_Q(d_s, ladder[k + 1]) @ props[k] for k in steps[:-1]}
-    for s in starts:
-        w = _embed_superop(ladder[s].matrix, d_s)
-        yield (s, 0), (traced[s] @ w - Superoperator.identity(d_s)) * rate
-        for k in range(s + 1, k_max):
-            w = threaded[k - 1] @ w
-            yield (k, k - s), (traced[k] @ w) * rate
+    live, threads = [], np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
+    for k in range(starts.start, k_max):
+        if k in starts:
+            threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
+            live.append(k)
+        out = emb.collide(emb.kraus_operators(model, k), threads)
+        traced = emb.trace_bond(out, d_s)
+        mats = traced.transpose(0, 3, 2, 1).reshape(len(live), d2, d2)
+        for s, mat in zip(live, mats):
+            yield (k, k - s), Superoperator((mat - np.eye(d2) if s == k else mat) * rate, d_s, d_s)
+        if k + 1 < k_max:
+            threads = out - kron(traced, ladder[k + 1].matrix)
 
 
 def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """Exact discrete memory kernel K_{km} on system operators (0-based k).
 
     m = 0 is the local term (latest collision relative to the free-evolved
-    bond); m >= 1 threads m complementary projections between collision
-    propagators, which isolates exactly the correlation-carried part of the
-    dynamics.  Scaled by 1/tau so the kernels are rates.
+    bond); m >= 1 threads m complementary projections between collisions,
+    which isolates exactly the correlation-carried part of the dynamics.
+    Scaled by 1/tau so the kernels are rates.
     """
     if m < 0 or m > k:
         raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
@@ -310,13 +297,18 @@ class KernelTable:
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps.
 
-    Kernels with the same start k - m share one forward thread, so the table
-    costs O(k_max^2) superoperator products.  Raises ``SizeGuardError`` before
-    any work when the table would hold more than ``KERNEL_GUARD`` numbers.
+    One batched ``collide`` of the live threads per step.  Raises
+    ``SizeGuardError`` before any work when the table, or the thread stack
+    times the m_eff Kraus operators ``collide`` broadcasts over, would hold
+    more than ``KERNEL_GUARD`` numbers.
     """
-    size = k_max * (k_max + 1) // 2 * model.d_system ** 4
-    if size > KERNEL_GUARD:
-        raise SizeGuardError(f"kernel table of {size} entries exceeds the {KERNEL_GUARD} guard")
+    d_s = model.d_system
+    d_bond = max((max(model.env.site(k).shape[1:]) for k in range(k_max)), default=1)
+    table = k_max * (k_max + 1) // 2 * d_s ** 4
+    stack = model.effective_mode_dim() * k_max * d_s ** 2 * (d_s * d_bond) ** 2
+    for what, size in (("kernel table", table), ("thread stack", stack)):
+        if size > KERNEL_GUARD:
+            raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
     entries = dict(_kernel_threads(model, range(k_max), k_max))
     return KernelTable(model.tau, model.d_system, entries)
 
@@ -385,13 +377,6 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     h = _effective_hamiltonian(model)
     if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
         raise ValueError("interaction Hamiltonian must be Hermitian")
-    hnorm = float(np.max(np.abs(np.linalg.eigvalsh(model.hamiltonian))))
-    if hnorm > 1.0 + 1e-9:
-        warnings.warn(
-            f"interaction Hamiltonian has operator norm {hnorm:.3f} > 1; the "
-            "dimensionless normalization convention is violated",
-            stacklevel=2,
-        )
     ladder = _bond_ladder(model.env, k)
     early = _particle_state(model, (k - m,), ladder[k - m])
     late = _particle_state(model, (k,), ladder[k])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from mpscollision.embedding import (
     step,
     system_state,
     bond_state_of,
+    collide,
+    trace_bond,
     trajectory,
 )
-from mpscollision.linalg import dagger, kron
+from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.mps import BondState, decorrelate, evolve_bond_state
 from mpscollision.master_equation import single_collision_channel
@@ -31,6 +35,18 @@ def zoo_models():
         "ghz": build_model(ModelSpec("ghz", {"n_sites": 8}), g_tau=0.4),
         "single_photon": build_model(ModelSpec("single_photon", {"n_sites": 8}), g_tau=0.4),
     }
+
+
+def primitive_models():
+    """A complex single_photon chain and the decorrelated two_photon twin (ancilla > 1)."""
+    amps = np.exp(-np.arange(6) / 2.0) * np.exp(1j * 0.9 * np.arange(6) ** 2)
+    inter = models.interaction("exchange", 0.45, 3)
+    single = CollisionModel(env=models.single_photon_env(amps), unitary=inter.unitary,
+                            d_system=2, mode_dim=3, g_tau=0.45)
+    two_photon = zoo_models()["two_photon"]
+    twin = dataclasses.replace(two_photon, env=decorrelate(two_photon.env, length=6))
+    assert twin.env.ancilla_dim > 1
+    return {"single_photon_complex": single, "two_photon_decorrelated": twin}
 
 
 def test_model_validation():
@@ -76,6 +92,26 @@ def test_kraus_completeness_all_zoo():
             dim = ops[0].shape[1]
             comp = sum(dagger(a) @ a for a in ops)
             assert np.max(np.abs(comp - np.eye(dim))) < 1e-12, (name, k)
+
+
+@pytest.mark.parametrize("name", ["single_photon_complex", "two_photon_decorrelated"])
+def test_collide_and_trace_bond_match_references(name, rng):
+    model = primitive_models()[name]
+    d_s = model.d_system
+    for k in range(model.env.length):
+        ops = kraus_operators(model, k)
+        b = model.env.site(k)
+        assert ops.shape == (model.effective_mode_dim(k), d_s * b.shape[2], d_s * b.shape[1])
+        n_in = ops.shape[2]
+        stack = rng.normal(size=(4, n_in, n_in)) + 1j * rng.normal(size=(4, n_in, n_in))
+        got = collide(ops, stack)
+        for x, out in zip(stack, got):
+            want = sum(a @ x @ dagger(a) for a in ops)
+            assert np.max(np.abs(out - want)) < 1e-13
+            assert np.max(np.abs(collide(ops, x) - want)) < 1e-13
+        for out, traced in zip(got, trace_bond(got, d_s)):
+            want = partial_trace(out, (d_s, b.shape[2]), keep=(0,))
+            assert np.max(np.abs(traced - want)) < 1e-14
 
 
 def test_step_identity_unitary_preserves_system():

@@ -3,17 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpscollision import models
-from mpscollision.embedding import CollisionModel, initial_state, step, trajectory
+from mpscollision import embedding, models
+from mpscollision.embedding import CollisionModel, initial_state, kraus_operators, step, trajectory
 from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.master_equation import (
+    KERNEL_GUARD,
     Superoperator,
     build_kernel_table,
     evolve_gksl,
     memory_kernel,
     projection_P,
     projection_Q,
-    propagator_superop,
     second_order_kernel,
     single_collision_channel,
     solve_nz,
@@ -33,6 +33,7 @@ from mpscollision.mps import (
     stationary_bond_state,
     two_site_reduced_state,
 )
+from mpscollision.oracle import SizeGuardError
 
 from conftest import hermitian_basis, random_density, trace_distance
 
@@ -54,13 +55,25 @@ def complex_single_photon_model(g_tau=0.4, n_sites=8):
                           hamiltonian=inter.hamiltonian)
 
 
+def random_spin1_chain(rng, d_bond, g_tau=0.4):
+    """Homogeneous chain of one complex QR isometry, chi0 = I/D, heisenberg coupling."""
+    g = rng.normal(size=(3 * d_bond, d_bond)) + 1j * rng.normal(size=(3 * d_bond, d_bond))
+    q, _ = np.linalg.qr(g)
+    site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
+    env = MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
+    inter = models.interaction("heisenberg", g_tau)
+    return CollisionModel(env=env, unitary=inter.unitary, d_system=2, mode_dim=3,
+                          g_tau=g_tau, hamiltonian=inter.hamiltonian)
+
+
 def two_photon_model():
     return build_model(
         ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), g_tau=0.3)
 
 
 def reference_models(length=6, n_sites=8):
-    """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon.
+    """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon,
+    and a D = 16 random spin-1 chain.
 
     ``length`` sites of the decorrelated twin and ``n_sites`` of the complex
     single_photon chain are available to collide with.
@@ -74,6 +87,7 @@ def reference_models(length=6, n_sites=8):
         "two_photon": two_photon,
         "two_photon_decorrelated": decorrelated,
         "single_photon_complex": complex_single_photon_model(n_sites=n_sites),
+        "spin1_D16": random_spin1_chain(np.random.default_rng(16), 16),
     }
 
 
@@ -140,12 +154,10 @@ def test_superoperator_dimension_checks():
 
 def test_propagator_reproduces_step(rng):
     model = build_model(ModelSpec("aklt"), g_tau=0.5)
-    e = propagator_superop(model, 0)
+    e = Superoperator.from_kraus(kraus_operators(model, 0))
     assert e.is_trace_preserving()
     for _ in range(20):
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        from mpscollision.embedding import kraus_operators
-
         want = sum(a @ x @ dagger(a) for a in kraus_operators(model, 0))
         assert np.max(np.abs(e.apply(x) - want)) < 1e-12
     state = initial_state(model, models.named_initial_state("plus"))
@@ -154,7 +166,7 @@ def test_propagator_reproduces_step(rng):
 
 def test_propagator_identity_for_trivial_model():
     model = vacuum_product_model(0.0)
-    e = propagator_superop(model, 0)
+    e = Superoperator.from_kraus(kraus_operators(model, 0))
     assert np.max(np.abs(e.matrix - np.eye(4))) < 1e-13
 
 
@@ -318,9 +330,12 @@ def test_nz_uncorrelated_equals_channel_composition():
         assert np.max(np.abs(rho - nz[k + 1])) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["aklt", "two_photon_decorrelated", "single_photon_complex"])
+@pytest.mark.parametrize("name", ["aklt", "two_photon_decorrelated", "single_photon_complex",
+                                  "spin1_D16"])
 def test_nz_equals_embedding_as_maps(name):
     # Every operator-basis input E_ij, so the whole dynamical map is compared.
+    # At D = 16 the threads hold (d_S D)^2-sized operators, never a
+    # superoperator on them.
     k_max = 16
     model = reference_models(length=k_max, n_sites=k_max)[name]
     table = build_kernel_table(model, k_max)
@@ -338,20 +353,46 @@ def test_nz_equals_embedding_as_maps(name):
 
 
 @pytest.mark.parametrize("spec", [ModelSpec("aklt"), ModelSpec("single_photon", {"n_sites": 20})])
-def test_kernel_table_product_count(spec, monkeypatch):
-    # The table threads each start forward: O(K^2) superoperator products.
+def test_kernel_table_collide_count(spec, monkeypatch):
+    # Every live thread goes through one batched collide per step, and no
+    # superoperator is composed on the way.
     model = build_model(spec, g_tau=0.4)
-    products = []
-    matmul = Superoperator.__matmul__
+    collisions, products = [], []
+    collide, matmul = embedding.collide, Superoperator.__matmul__
 
-    def counted(self, other):
+    def counted_collide(ops, x):
+        collisions.append(1)
+        return collide(ops, x)
+
+    def counted_matmul(self, other):
         products.append(1)
         return matmul(self, other)
 
-    monkeypatch.setattr(Superoperator, "__matmul__", counted)
+    monkeypatch.setattr(embedding, "collide", counted_collide)
+    monkeypatch.setattr(Superoperator, "__matmul__", counted_matmul)
     k_max = 20
     build_kernel_table(model, k_max)
-    assert len(products) <= k_max * (k_max + 1) + 4 * k_max
+    assert len(collisions) == k_max
+    assert len(products) == 0
+    for k, m in ((0, 0), (7, 3), (19, 19)):
+        collisions.clear()
+        memory_kernel(model, k, m)
+        assert len(collisions) == m + 1
+
+
+def test_kernel_table_thread_stack_guard(monkeypatch):
+    # A D = 64 chain is refused before the first collision: the live thread
+    # stack, not the table, exceeds the guard.  At K = 22 it does so only
+    # with the m_eff = 3 Kraus operators collide broadcasts over counted.
+    def refuse(ops, x):
+        raise AssertionError("collide called before the guard")
+
+    monkeypatch.setattr(embedding, "collide", refuse)
+    model = random_spin1_chain(np.random.default_rng(5), 64)
+    k_max = 22
+    assert k_max * model.d_system ** 2 * (model.d_system * 64) ** 2 <= KERNEL_GUARD
+    with pytest.raises(SizeGuardError, match="thread stack"):
+        build_kernel_table(model, k_max)
 
 
 def test_solve_nz_zero_kernels_constant(rng):
@@ -368,14 +409,12 @@ def test_solve_nz_zero_kernels_constant(rng):
 
 # -- second-order kernel -----------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore:interaction Hamiltonian has operator norm")
 def test_second_order_zero_for_cluster():
     model = build_model(ModelSpec("cluster"), g_tau=0.6, fock_cutoff=5)
     for k, m in ((1, 1), (3, 1), (5, 3)):
         assert second_order_kernel(model, k, m).norm() < 1e-13
 
 
-@pytest.mark.filterwarnings("ignore:interaction Hamiltonian has operator norm")
 def test_second_order_zero_for_product_environment():
     model = vacuum_product_model(0.4)
     assert second_order_kernel(model, 3, 1).norm() < 1e-13
@@ -423,7 +462,6 @@ def test_second_order_matches_direct_correlator(rng):
         assert np.max(np.abs(kernel.apply(rho) - want)) < 1e-12
 
 
-@pytest.mark.filterwarnings("ignore:interaction Hamiltonian has operator norm")
 @pytest.mark.parametrize("name", ["aklt", "two_photon", "single_photon_complex"])
 def test_second_order_matches_basis_expansion(name):
     """The contraction equals the Hermitian-basis expansion of the interaction."""
@@ -470,12 +508,6 @@ def test_exact_kernel_decay_rate_small_coupling():
     norms = [memory_kernel(model, 6, m).norm() for m in range(1, 7)]
     for a, b in zip(norms, norms[1:]):
         assert abs(b / a - 1.0 / 3.0) < 0.05 * (1.0 / 3.0)  # within 5% of |lambda2|
-
-
-def test_second_order_warns_for_large_hamiltonian():
-    model = build_model(ModelSpec("cluster"), g_tau=0.3, fock_cutoff=5)
-    with pytest.warns(UserWarning):
-        second_order_kernel(model, 2, 1)
 
 
 # -- stroboscopic limit ---------------------------------------------------------
