@@ -26,6 +26,7 @@ from .master_equation import (
     Superoperator,
     build_kernel_table,
     evolve_gksl,
+    evolve_gksl_grid,
     memory_kernel,
     second_order_kernel,
     solve_nz,

@@ -20,12 +20,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from . import models
-from .embedding import CollisionModel, CutoffConvergenceError, cutoff_shift, observable_series, trajectory
+from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
 from .linalg import dagger, frobenius, hermitian_part
-from .master_equation import build_kernel_table, evolve_gksl, memory_kernel, second_order_kernel, solve_nz, stroboscopic_generator
+from .master_equation import build_kernel_table, evolve_gksl_grid, memory_kernel, second_order_kernel, solve_nz, stroboscopic_generator
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -193,6 +192,8 @@ def _build_model(cfg: dict) -> CollisionModel:
 def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
     if g_tau <= 0:
         return None
+    import scipy.linalg  # only custom interaction matrices need it; see evolve_gksl_grid
+
     h = 1j * scipy.linalg.logm(u) / g_tau
     return hermitian_part(h) if frobenius(h - dagger(h)) < 1e-8 else None
 
@@ -204,37 +205,47 @@ def _initial_matrix(cfg: dict) -> np.ndarray:
     return _parse_matrix(initial["matrix"], "initial_state.matrix")
 
 
-def _check_cluster_cutoff(cfg: dict, model: CollisionModel, rho0: np.ndarray) -> None:
-    """Abort photon-creating runs whose observables depend on the cutoff."""
-    if not isinstance(cfg["interaction"], str) or cfg["interaction"] != "cluster":
-        return
+def _embedding_model(cfg: dict, model: CollisionModel) -> CollisionModel:
+    """The model the embedding evolves: the decorrelated twin for ``decorrelated``."""
+    if cfg["method"] == "decorrelated":
+        return dataclasses.replace(model, env=decorrelate(model.env, length=cfg["k_max"]))
+    return model
+
+
+def _check_cluster_cutoff(cfg: dict, model: CollisionModel,
+                          rho0: np.ndarray) -> list[np.ndarray] | None:
+    """Abort photon-creating runs whose observables depend on the cutoff.
+
+    Returns the embedding trajectory at the configured cutoff, which is the
+    run's result for the ``embedding`` and ``decorrelated`` methods, or None
+    when the interaction creates no photons.
+    """
+    if cfg["interaction"] != "cluster":
+        return None
     tol = float(cfg["tolerances"].get("cutoff_shift", DEFAULT_CUTOFF_SHIFT_TOL))
     cutoff = model.mode_dim
-
-    def build(c):
-        m = models.build_model(cfg["spec"], cfg["g_tau"], interaction_name="cluster",
-                               fock_cutoff=c, tau=cfg["tau"])
-        if cfg["method"] == "decorrelated":
-            m = dataclasses.replace(m, env=decorrelate(m.env, length=cfg["k_max"]))
-        return m
-
+    wider = models.build_model(cfg["spec"], cfg["g_tau"], interaction_name="cluster",
+                               fock_cutoff=cutoff + 2, tau=cfg["tau"])
+    states, wide = (trajectory(_embedding_model(cfg, m), rho0, cfg["k_max"])
+                    for m in (model, wider))
     probe = models.named_observable("coherence")
-    shift = cutoff_shift(build, rho0, probe, cfg["k_max"], cutoff, cutoff + 2)
+    shift = float(np.max(np.abs(np.subtract(observable_series(states, probe),
+                                            observable_series(wide, probe)))))
     if shift > tol:
         raise CutoffConvergenceError(
             f"observables shift by {shift:.3e} (> {tol:.1e}) when the Fock cutoff "
             f"grows from {cutoff} to {cutoff + 2}; increase fock_cutoff"
         )
+    return states
 
 
-def _states_for_method(cfg: dict, model: CollisionModel, rho0: np.ndarray) -> list[np.ndarray]:
+def _states_for_method(cfg: dict, model: CollisionModel, rho0: np.ndarray,
+                       gated: list[np.ndarray] | None) -> list[np.ndarray]:
+    """States 0..k_max by the configured method; ``gated`` is the cutoff gate's trajectory."""
     method = cfg["method"]
     k_max = cfg["k_max"]
-    if method == "embedding":
-        return trajectory(model, rho0, k_max)
-    if method == "decorrelated":
-        dec = dataclasses.replace(model, env=decorrelate(model.env, length=k_max))
-        return trajectory(dec, rho0, k_max)
+    if method in ("embedding", "decorrelated"):
+        return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
     if method == "oracle":
         run = OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max)
         return brute_force_trajectory(run)
@@ -242,8 +253,7 @@ def _states_for_method(cfg: dict, model: CollisionModel, rho0: np.ndarray) -> li
         table = build_kernel_table(model, k_max)
         return solve_nz(table, rho0, k_max)
     if method == "gksl":
-        gen = stroboscopic_generator(model)
-        return [evolve_gksl(gen, rho0, k * model.tau) for k in range(k_max + 1)]
+        return evolve_gksl_grid(stroboscopic_generator(model), rho0, model.tau, k_max)
     raise ConfigError("method", f"unhandled method {method}")
 
 
@@ -278,9 +288,8 @@ def _run_columns(cfg: dict, gate: bool = True) -> tuple[list[str], list[list[flo
     """Build the model, evolve it by the configured method, evaluate observables."""
     model = _build_model(cfg)
     rho0 = _initial_matrix(cfg)
-    if gate:
-        _check_cluster_cutoff(cfg, model, rho0)
-    return _observable_columns(cfg, _states_for_method(cfg, model, rho0))
+    gated = _check_cluster_cutoff(cfg, model, rho0) if gate else None
+    return _observable_columns(cfg, _states_for_method(cfg, model, rho0, gated))
 
 
 def run_config(cfg: dict) -> str:
@@ -375,15 +384,11 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
         text = run_config(cfg)
         written.append(_write(out / "fig6b_exact.csv", text))
         model = _build_model(cfg)
-        rho0 = _initial_matrix(cfg)
-        gen = stroboscopic_generator(model)
+        states = evolve_gksl_grid(stroboscopic_generator(model), _initial_matrix(cfg),
+                                  model.tau / 10.0, 10 * base["k_max"])
         obs = models.named_observable("sigma_z")
-        rows = []
-        for j in range(10 * base["k_max"] + 1):
-            t = j * model.tau / 10.0
-            rho = evolve_gksl(gen, rho0, t)
-            rows.append([j / 10.0, (j / 10.0) * base["g_tau"],
-                         float(np.trace(rho @ obs).real)])
+        rows = [[j / 10.0, (j / 10.0) * base["g_tau"], float(np.trace(rho @ obs).real)]
+                for j, rho in enumerate(states)]
         written.append(_write(out / "fig6b_gksl.csv",
                               _format_csv(["k", "g_t", "sigma_z"], rows)))
     else:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import embedding as emb
 from .embedding import CollisionModel
@@ -55,6 +54,7 @@ __all__ = [
     "second_order_kernel",
     "stroboscopic_generator",
     "evolve_gksl",
+    "evolve_gksl_grid",
 ]
 
 KERNEL_GUARD = 2 ** 22
@@ -298,14 +298,15 @@ def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps.
 
     One batched ``collide`` of the live threads per step.  Raises
-    ``SizeGuardError`` before any work when the table, or the thread stack
-    times the m_eff Kraus operators ``collide`` broadcasts over, would hold
-    more than ``KERNEL_GUARD`` numbers.
+    ``SizeGuardError`` before any work when the table, or the working set of
+    the last step, would hold more than ``KERNEL_GUARD`` numbers.  That step
+    holds 2 m_eff + 2 thread stacks at once: the input, the previous step's
+    output and the two m_eff-fold products inside ``collide``.
     """
     d_s = model.d_system
     d_bond = max((max(model.env.site(k).shape[1:]) for k in range(k_max)), default=1)
     table = k_max * (k_max + 1) // 2 * d_s ** 4
-    stack = model.effective_mode_dim() * k_max * d_s ** 2 * (d_s * d_bond) ** 2
+    stack = (2 * model.effective_mode_dim() + 2) * k_max * d_s ** 2 * (d_s * d_bond) ** 2
     for what, size in (("kernel table", table), ("thread stack", stack)):
         if size > KERNEL_GUARD:
             raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
@@ -437,6 +438,21 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
 
 def evolve_gksl(generator: Superoperator, rho_s0: np.ndarray, t: float) -> np.ndarray:
     """rho(t) = exp(t L)[rho(0)] by superoperator matrix exponential."""
-    rho0 = np.asarray(rho_s0, dtype=complex)
-    propagator = scipy.linalg.expm(float(t) * generator.matrix)
-    return unvec(propagator @ vec(rho0), generator.out_dim)
+    return evolve_gksl_grid(generator, rho_s0, t, 1)[-1]
+
+
+def evolve_gksl_grid(generator: Superoperator, rho_s0: np.ndarray, dt: float,
+                     n_steps: int) -> list[np.ndarray]:
+    """rho(j dt) for j = 0..n_steps: one exp(dt L), then repeated mat-vecs."""
+    # The only scipy call besides the CLI's logm: importing it here keeps
+    # scipy.linalg (about half of a fresh process's start-up) off the
+    # package's import path.
+    import scipy.linalg
+
+    propagator = scipy.linalg.expm(float(dt) * generator.matrix)
+    v = vec(rho_s0)
+    states = [unvec(v, generator.out_dim)]
+    for _ in range(n_steps):
+        v = propagator @ v
+        states.append(unvec(v, generator.out_dim))
+    return states

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mpscollision import cli, embedding
 from mpscollision.cli import (
     ConfigError,
     PRESETS,
@@ -129,6 +133,27 @@ def test_run_cluster_cutoff_gate(tmp_path, capsys):
     assert main(["run", "--config", path]) == 0
 
 
+@pytest.mark.parametrize("method,column", [("embedding", 2), ("decorrelated", 3)])
+def test_run_cluster_gate_reuses_cutoff_trajectory(monkeypatch, method, column):
+    # The gate's trajectory at the configured cutoff is the run's result: two
+    # trajectories (cutoff and cutoff + 2), not a third repeat for the method.
+    calls = []
+    original = embedding.trajectory
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (embedding, cli):
+        monkeypatch.setattr(module, "trajectory", counted)
+    text = run_config(load_config({**PRESETS["fig5b"], "method": method}))
+    assert len(calls) == 2
+    # reproduce skips the gate; the gated run gives the same bytes.
+    golden = (GOLDEN / "fig5b_gtau03.csv").read_text().splitlines()
+    assert text.splitlines()[1:] == [
+        ",".join(line.split(",")[i] for i in (0, 1, column)) for line in golden[1:]]
+
+
 def test_run_oracle_guard_exit_code(tmp_path, capsys):
     doc = aklt_doc(method="oracle", k_max=14, n_sites=14)
     path = write_config(tmp_path, doc)
@@ -226,3 +251,37 @@ def test_kernel_subcommand_output():
     assert first[0] == "0" and first[2] == "nan"
     m1 = [float(x) for x in lines[2].split(",")]
     assert m1[1] > 0 and m1[2] > 0
+
+
+# -- fresh processes ---------------------------------------------------------------
+
+def run_cli_process(tmp_path, doc, *args):
+    """``python -X importtime -m mpscollision.cli`` on a config; returns (proc, imported modules)."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mpscollision.cli", *args,
+         "--config", write_config(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=120)
+    imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    return proc, imported
+
+
+def test_validate_process_imports_no_scipy(tmp_path):
+    # the package, the CLI module (run as __main__) and validation run on numpy alone
+    proc, imported = run_cli_process(tmp_path, aklt_doc(), "validate")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout == "ok\n"
+    assert {"numpy", "mpscollision", "mpscollision.master_equation"} <= imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_gksl_process_loads_scipy_and_matches_run_config(tmp_path):
+    doc = aklt_doc(method="gksl", g_tau=0.1, k_max=20, interaction="controlled",
+                   initial_state="plus", observables=["sigma_z", "sigma_x"])
+    proc, imported = run_cli_process(tmp_path, doc, "run")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert "scipy.linalg" in imported
+    assert proc.stdout == run_config(load_config(doc))

@@ -11,6 +11,7 @@ from mpscollision.master_equation import (
     Superoperator,
     build_kernel_table,
     evolve_gksl,
+    evolve_gksl_grid,
     memory_kernel,
     projection_P,
     projection_Q,
@@ -381,18 +382,22 @@ def test_kernel_table_collide_count(spec, monkeypatch):
 
 
 def test_kernel_table_thread_stack_guard(monkeypatch):
-    # A D = 64 chain is refused before the first collision: the live thread
-    # stack, not the table, exceeds the guard.  At K = 22 it does so only
-    # with the m_eff = 3 Kraus operators collide broadcasts over counted.
+    # A D = 64 chain: the last step's working set, 2 m_eff + 2 = 8 thread
+    # stacks (measured peak 8.1 stacks at K = 8), caps K at 8 long before the
+    # table does.  K = 9 is refused before the first collision; counting only
+    # the m_eff-fold products would have let it (and K = 21) through.
+    model = random_spin1_chain(np.random.default_rng(5), 64)
+    k_max = 8
+    assert len(build_kernel_table(model, k_max).entries) == k_max * (k_max + 1) // 2
+
     def refuse(ops, x):
         raise AssertionError("collide called before the guard")
 
     monkeypatch.setattr(embedding, "collide", refuse)
-    model = random_spin1_chain(np.random.default_rng(5), 64)
-    k_max = 22
-    assert k_max * model.d_system ** 2 * (model.d_system * 64) ** 2 <= KERNEL_GUARD
+    stack = (k_max + 1) * model.d_system ** 2 * (model.d_system * 64) ** 2
+    assert 3 * stack <= KERNEL_GUARD
     with pytest.raises(SizeGuardError, match="thread stack"):
-        build_kernel_table(model, k_max)
+        build_kernel_table(model, k_max + 1)
 
 
 def test_solve_nz_zero_kernels_constant(rng):
@@ -592,3 +597,16 @@ def test_evolve_gksl_properties(rng):
     a_then_b = evolve_gksl(gen, evolve_gksl(gen, rho, 0.4), 0.5)
     assert np.max(np.abs(ab - a_then_b)) < 1e-10
     assert abs(np.trace(evolve_gksl(gen, rho, 2.0)) - 1.0) < 1e-10
+
+
+def test_evolve_gksl_grid_matches_per_point():
+    # fig6b's GKSL curve: one exp(dt L) and repeated mat-vecs instead of an
+    # exponential per point.
+    model = build_model(ModelSpec("aklt"), g_tau=0.1, interaction_name="controlled")
+    gen = stroboscopic_generator(model)
+    rho0 = models.named_initial_state("plus")
+    dt = model.tau / 10.0
+    grid = evolve_gksl_grid(gen, rho0, dt, 200)
+    assert len(grid) == 201
+    for j, rho in enumerate(grid):
+        assert np.max(np.abs(rho - evolve_gksl(gen, rho0, j * dt))) < 1e-12
