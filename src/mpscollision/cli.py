@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run --config FILE`` — one experiment described by a JSON document;
 * ``reproduce FIG --out DIR`` — curve data for the four reference figures;
-* ``validate --config FILE`` — schema check only;
+* ``validate --config FILE`` — build the run a config describes, without evolving it;
 * ``kernel --config FILE --k K --m-max M`` — memory-kernel norms per delay.
 
 Exit codes: 0 success, 2 config error, 3 convergence or size-guard failure.
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
-from .linalg import dagger, frobenius, hermitian_part
+from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
 from .master_equation import build_kernel_table, evolve_gksl_grid, memory_kernel, second_order_kernel, solve_nz, stroboscopic_generator
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
@@ -56,13 +56,48 @@ def _require(cfg: dict, field: str, types, path: str = ""):
 
 def _parse_matrix(data, field: str) -> np.ndarray:
     try:
-        return _matrix_from_json(data)
+        m = _matrix_from_json(data)
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(field, f"not a valid [[re, im], ...] matrix: {exc}") from exc
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
+        raise ConfigError(field, f"expected a square matrix of finite numbers, got shape {m.shape}")
+    return m
+
+
+def _number(value, field: str, minimum: float, strict: bool = False) -> float:
+    """A finite JSON number above ``minimum`` (or at it, unless ``strict``)."""
+    if not isinstance(value, (int, float)) or not np.isfinite(value) or \
+            value < minimum or (strict and value == minimum):
+        bound = ">" if strict else ">="
+        raise ConfigError(field, f"must be a finite number {bound} {minimum}")
+    return float(value)
+
+
+def _built(field: str, build, *args):
+    """``build(*args)`` with the library's rejection of its inputs reported at ``field``.
+
+    Only constructors and step-0 evaluations go through here, never a size
+    guard, so no ``SizeGuardError`` (a ValueError) is turned into a config error.
+    """
+    try:
+        return build(*args)
+    except KeyError as exc:
+        raise ConfigError(field, f"missing {exc}") from exc
+    except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
+        raise ConfigError(field, str(exc)) from exc
 
 
 def load_config(doc: dict) -> dict:
-    """Validate a config document and normalize it to runtime objects."""
+    """Validate a config document and build the run it describes.
+
+    The result keeps the document's top-level fields and adds the built run:
+    ``model`` (the CollisionModel), ``generator`` (its stroboscopic GKSL
+    generator for ``method: gksl``, else None), ``initial_state`` (rho_S(0)),
+    ``observables`` ((name, matrix) pairs; the matrix is None for
+    depolarization) and ``tolerances["cutoff_shift"]`` (a float).  Every
+    config error surfaces here; only the size guards and the cutoff gate are
+    left to the run.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level document must be an object")
     model = _require(doc, "model", dict)
@@ -74,86 +109,79 @@ def load_config(doc: dict) -> dict:
         raise ConfigError("model.parameters", "expected an object")
     spec = ModelSpec(name, parameters)
 
-    g_tau = _require(doc, "g_tau", (int, float))
-    if g_tau < 0:
-        raise ConfigError("g_tau", "must be nonnegative")
+    g_tau = _number(_require(doc, "g_tau", (int, float)), "g_tau", 0.0)
     k_max = _require(doc, "k_max", int)
     if k_max < 1:
         raise ConfigError("k_max", "must be at least 1")
     tau = doc.get("tau")
-    if tau is not None and (not isinstance(tau, (int, float)) or tau <= 0):
-        raise ConfigError("tau", "must be a positive number")
+    if tau is not None:
+        tau = _number(tau, "tau", 0.0, strict=True)
 
     method = doc.get("method", "embedding")
     if method not in METHODS:
         raise ConfigError("method", f"expected one of {METHODS}")
+    fock_cutoff = doc.get("fock_cutoff")
+    if fock_cutoff is not None and (not isinstance(fock_cutoff, int) or fock_cutoff < 2):
+        raise ConfigError("fock_cutoff", "must be an integer >= 2")
 
     interaction = doc.get("interaction", models.DEFAULT_INTERACTION[name])
-    if isinstance(interaction, str):
-        if interaction not in models.INTERACTION_NAMES:
-            raise ConfigError("interaction", f"unknown interaction '{interaction}'")
-    elif isinstance(interaction, dict):
-        _parse_matrix(_require(interaction, "matrix", list, "interaction."),
-                      "interaction.matrix")
-        if "hamiltonian" in interaction:
-            _parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
-    else:
-        raise ConfigError("interaction", "expected a name or {matrix: ...}")
+    built = _build_model(spec, g_tau, tau, interaction, fock_cutoff)
 
     initial = doc.get("initial_state", "ground")
     if isinstance(initial, str):
-        try:
-            models.named_initial_state(initial)
-        except ValueError as exc:
-            raise ConfigError("initial_state", str(exc)) from exc
+        rho0 = _built("initial_state", models.named_initial_state, initial)
     elif isinstance(initial, dict):
-        _parse_matrix(_require(initial, "matrix", list, "initial_state."),
-                      "initial_state.matrix")
+        rho0 = _parse_matrix(_require(initial, "matrix", list, "initial_state."),
+                             "initial_state.matrix")
+        if rho0.shape != (built.d_system,) * 2:
+            raise ConfigError("initial_state.matrix", f"expected a {built.d_system}x"
+                              f"{built.d_system} matrix, got shape {rho0.shape}")
+        _built("initial_state.matrix", assert_density_matrix, rho0, 1e-10, "initial state")
     else:
         raise ConfigError("initial_state", "expected a name or {matrix: ...}")
 
     observables = doc.get("observables", _default_observables(name))
     if not isinstance(observables, list) or not observables:
         raise ConfigError("observables", "expected a nonempty list")
-    for j, obs in enumerate(observables):
-        if isinstance(obs, str):
-            if obs != "depolarization":
-                try:
-                    models.named_observable(obs)
-                except ValueError as exc:
-                    raise ConfigError(f"observables[{j}]", str(exc)) from exc
-        elif isinstance(obs, dict):
-            _require(obs, "name", str, f"observables[{j}].")
-            _parse_matrix(_require(obs, "matrix", list, f"observables[{j}]."),
-                          f"observables[{j}].matrix")
-        else:
-            raise ConfigError(f"observables[{j}]", "expected a name or {name, matrix}")
+    pairs = [_observable(obs, f"observables[{j}]", rho0) for j, obs in enumerate(observables)]
 
     n_sites = doc.get("n_sites", k_max)
     if not isinstance(n_sites, int) or n_sites < k_max:
         raise ConfigError("n_sites", "must be an integer >= k_max")
-    fock_cutoff = doc.get("fock_cutoff")
-    if fock_cutoff is not None and (not isinstance(fock_cutoff, int) or fock_cutoff < 2):
-        raise ConfigError("fock_cutoff", "must be an integer >= 2")
+    length = built.env.length
+    if length is not None:
+        if k_max > length:
+            raise ConfigError("k_max", f"exceeds the {length}-site environment")
+        if n_sites > length:
+            raise ConfigError("n_sites", f"environment has only {length} sites")
+    # The Markovian generator is small; building it here rejects every model
+    # the stroboscopic limit does not cover (inhomogeneous, no Hamiltonian,
+    # infinite correlation length, a generator that fails its trace check).
+    generator = _built("method", stroboscopic_generator, built) if method == "gksl" else None
+
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances", "expected an object")
+    cutoff_tol = _number(tolerances.get("cutoff_shift", DEFAULT_CUTOFF_SHIFT_TOL),
+                         "tolerances.cutoff_shift", 0.0)
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output", "expected a path string")
 
     return {
         "spec": spec,
-        "g_tau": float(g_tau),
-        "tau": None if tau is None else float(tau),
+        "g_tau": g_tau,
+        "tau": tau,
         "k_max": k_max,
         "method": method,
         "interaction": interaction,
-        "initial_state": initial,
-        "observables": observables,
+        "model": built,
+        "generator": generator,
+        "initial_state": rho0,
+        "observables": pairs,
         "n_sites": n_sites,
         "fock_cutoff": fock_cutoff,
-        "tolerances": tolerances,
+        "tolerances": {"cutoff_shift": cutoff_tol},
         "output": output,
     }
 
@@ -168,25 +196,38 @@ def _default_observables(model_name: str) -> list:
     }[model_name]
 
 
-def _build_model(cfg: dict) -> CollisionModel:
-    inter = cfg["interaction"]
-    if isinstance(inter, str):
-        return models.build_model(cfg["spec"], cfg["g_tau"], interaction_name=inter,
-                                  fock_cutoff=cfg["fock_cutoff"], tau=cfg["tau"])
-    env = models.environment_for(cfg["spec"])
-    u = _parse_matrix(inter["matrix"], "interaction.matrix")
-    if u.shape[0] % 2:
-        raise ConfigError("interaction.matrix", "dimension must be 2 * mode_dim")
-    mode_dim = u.shape[0] // 2
-    if "hamiltonian" in inter:
-        h = _parse_matrix(inter["hamiltonian"], "interaction.hamiltonian")
+def _build_model(spec: ModelSpec, g_tau: float, tau: float | None, interaction,
+                 fock_cutoff: int | None) -> CollisionModel:
+    """The run's CollisionModel from a named or an explicit interaction."""
+    env = _built("model.parameters", models.environment_for, spec)
+    h = None
+    if isinstance(interaction, str):
+        if interaction not in models.INTERACTION_NAMES:
+            raise ConfigError("interaction", f"unknown interaction '{interaction}'")
+        field, mode_dim = "interaction", None
+        if interaction == "cluster":  # the Fock cutoff, resolved as models.build_model does
+            field = "fock_cutoff" if fock_cutoff else "model.parameters.fock_cutoff"
+            mode_dim = fock_cutoff or spec.parameters.get("fock_cutoff", models.DEFAULT_FOCK_CUTOFF)
+            mode_dim = _built(field, int, mode_dim)
+        named = _built(field, models.interaction, interaction, g_tau, mode_dim)
+        u, h, mode_dim = named.unitary, named.hamiltonian, named.mode_dim
+    elif isinstance(interaction, dict):
+        field = "interaction.matrix"
+        u = _parse_matrix(_require(interaction, "matrix", list, "interaction."), field)
+        if u.shape[0] % 2:
+            raise ConfigError(field, "dimension must be 2 * mode_dim")
+        mode_dim = u.shape[0] // 2
+        if "hamiltonian" in interaction:
+            h = _parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
+            if h.shape != u.shape or frobenius(h - dagger(h)) > DEFAULT_TOL:
+                raise ConfigError("interaction.hamiltonian",
+                                  f"expected a Hermitian matrix of shape {u.shape}")
     else:
-        h = _hamiltonian_from_unitary(u, cfg["g_tau"])
-    try:
-        return CollisionModel(env=env, unitary=u, d_system=2, mode_dim=mode_dim,
-                              g_tau=cfg["g_tau"], tau=cfg["tau"], hamiltonian=h)
-    except ValueError as exc:
-        raise ConfigError("interaction.matrix", str(exc)) from exc
+        raise ConfigError("interaction", "expected a name or {matrix: ...}")
+    model = _built(field, CollisionModel, env, u, 2, mode_dim, g_tau, tau, h)
+    if isinstance(interaction, dict) and h is None:
+        model = dataclasses.replace(model, hamiltonian=_hamiltonian_from_unitary(u, g_tau))
+    return model
 
 
 def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
@@ -198,11 +239,29 @@ def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
     return hermitian_part(h) if frobenius(h - dagger(h)) < 1e-8 else None
 
 
-def _initial_matrix(cfg: dict) -> np.ndarray:
-    initial = cfg["initial_state"]
-    if isinstance(initial, str):
-        return models.named_initial_state(initial)
-    return _parse_matrix(initial["matrix"], "initial_state.matrix")
+def _observable(obs, field: str, rho0: np.ndarray) -> tuple[str, np.ndarray | None]:
+    """(name, matrix) of one observables entry; None stands for depolarization.
+
+    The entry is evaluated on rho_S(0) here, so whatever ``_column`` rejects
+    (non-Hermitian, wrong shape, depolarization of a maximally mixed state)
+    is a config error.
+    """
+    if isinstance(obs, str):
+        pair = (obs, None if obs == "depolarization"
+                else _built(field, models.named_observable, obs))
+    elif isinstance(obs, dict):
+        pair = (_require(obs, "name", str, f"{field}."),
+                _parse_matrix(_require(obs, "matrix", list, f"{field}."), f"{field}.matrix"))
+    else:
+        raise ConfigError(field, "expected a name or {name, matrix}")
+    _built(field, _column, pair[1], [rho0])
+    return pair
+
+
+def _column(matrix: np.ndarray | None, states: list[np.ndarray]) -> list[float]:
+    if matrix is None:
+        return models.depolarization_series(states)
+    return observable_series(states, matrix)
 
 
 def _embedding_model(cfg: dict, model: CollisionModel) -> CollisionModel:
@@ -212,8 +271,7 @@ def _embedding_model(cfg: dict, model: CollisionModel) -> CollisionModel:
     return model
 
 
-def _check_cluster_cutoff(cfg: dict, model: CollisionModel,
-                          rho0: np.ndarray) -> list[np.ndarray] | None:
+def _check_cluster_cutoff(cfg: dict) -> list[np.ndarray] | None:
     """Abort photon-creating runs whose observables depend on the cutoff.
 
     Returns the embedding trajectory at the configured cutoff, which is the
@@ -222,12 +280,12 @@ def _check_cluster_cutoff(cfg: dict, model: CollisionModel,
     """
     if cfg["interaction"] != "cluster":
         return None
-    tol = float(cfg["tolerances"].get("cutoff_shift", DEFAULT_CUTOFF_SHIFT_TOL))
-    cutoff = model.mode_dim
+    tol = cfg["tolerances"]["cutoff_shift"]
+    cutoff = cfg["model"].mode_dim
     wider = models.build_model(cfg["spec"], cfg["g_tau"], interaction_name="cluster",
                                fock_cutoff=cutoff + 2, tau=cfg["tau"])
-    states, wide = (trajectory(_embedding_model(cfg, m), rho0, cfg["k_max"])
-                    for m in (model, wider))
+    states, wide = (trajectory(_embedding_model(cfg, m), cfg["initial_state"], cfg["k_max"])
+                    for m in (cfg["model"], wider))
     probe = models.named_observable("coherence")
     shift = float(np.max(np.abs(np.subtract(observable_series(states, probe),
                                             observable_series(wide, probe)))))
@@ -239,38 +297,16 @@ def _check_cluster_cutoff(cfg: dict, model: CollisionModel,
     return states
 
 
-def _states_for_method(cfg: dict, model: CollisionModel, rho0: np.ndarray,
-                       gated: list[np.ndarray] | None) -> list[np.ndarray]:
+def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.ndarray]:
     """States 0..k_max by the configured method; ``gated`` is the cutoff gate's trajectory."""
-    method = cfg["method"]
-    k_max = cfg["k_max"]
-    if method in ("embedding", "decorrelated"):
-        return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
+    method, model, rho0, k_max = cfg["method"], cfg["model"], cfg["initial_state"], cfg["k_max"]
     if method == "oracle":
-        run = OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max)
-        return brute_force_trajectory(run)
+        return brute_force_trajectory(OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max))
     if method == "nz":
-        table = build_kernel_table(model, k_max)
-        return solve_nz(table, rho0, k_max)
+        return solve_nz(build_kernel_table(model, k_max), rho0, k_max)
     if method == "gksl":
-        return evolve_gksl_grid(stroboscopic_generator(model), rho0, model.tau, k_max)
-    raise ConfigError("method", f"unhandled method {method}")
-
-
-def _observable_columns(cfg: dict, states: list[np.ndarray]) -> tuple[list[str], list[list[float]]]:
-    names, columns = [], []
-    for obs in cfg["observables"]:
-        if obs == "depolarization":
-            names.append("depolarization")
-            columns.append(models.depolarization_series(states))
-        elif isinstance(obs, str):
-            names.append(obs)
-            columns.append(observable_series(states, models.named_observable(obs)))
-        else:
-            names.append(obs["name"])
-            matrix = _parse_matrix(obs["matrix"], "observables.matrix")
-            columns.append(observable_series(states, matrix))
-    return names, columns
+        return evolve_gksl_grid(cfg["generator"], rho0, model.tau, k_max)
+    return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
 
 
 def _format_csv(header: list[str], rows) -> str:
@@ -285,11 +321,10 @@ def _rows(g_tau: float, columns: list[list[float]]) -> list[list[float]]:
 
 
 def _run_columns(cfg: dict, gate: bool = True) -> tuple[list[str], list[list[float]]]:
-    """Build the model, evolve it by the configured method, evaluate observables."""
-    model = _build_model(cfg)
-    rho0 = _initial_matrix(cfg)
-    gated = _check_cluster_cutoff(cfg, model, rho0) if gate else None
-    return _observable_columns(cfg, _states_for_method(cfg, model, rho0, gated))
+    """Evolve the built model by the configured method, evaluate the observables."""
+    states = _states_for_method(cfg, _check_cluster_cutoff(cfg) if gate else None)
+    names, matrices = zip(*cfg["observables"])
+    return list(names), [_column(m, states) for m in matrices]
 
 
 def run_config(cfg: dict) -> str:
@@ -383,8 +418,8 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
         cfg = load_config(base)
         text = run_config(cfg)
         written.append(_write(out / "fig6b_exact.csv", text))
-        model = _build_model(cfg)
-        states = evolve_gksl_grid(stroboscopic_generator(model), _initial_matrix(cfg),
+        model = cfg["model"]
+        states = evolve_gksl_grid(stroboscopic_generator(model), cfg["initial_state"],
                                   model.tau / 10.0, 10 * base["k_max"])
         obs = models.named_observable("sigma_z")
         rows = [[j / 10.0, (j / 10.0) * base["g_tau"], float(np.trace(rho @ obs).real)]
@@ -404,7 +439,7 @@ def _write(path: Path, text: str) -> Path:
 # -- kernel norms -------------------------------------------------------------
 
 def kernel_norms(cfg: dict, k: int, m_max: int) -> str:
-    model = _build_model(cfg)
+    model = cfg["model"]
     rows = []
     for m in range(min(m_max, k) + 1):
         knorm = memory_kernel(model, k, m).norm()
@@ -442,7 +477,7 @@ def main(argv=None) -> int:
     p_rep.add_argument("figure", choices=FIGURES)
     p_rep.add_argument("--out", required=True)
 
-    p_val = sub.add_parser("validate", help="schema-check a config")
+    p_val = sub.add_parser("validate", help="check a config by building its run")
     p_val.add_argument("--config", required=True)
 
     p_ker = sub.add_parser("kernel", help="emit memory-kernel norms")
@@ -467,6 +502,12 @@ def main(argv=None) -> int:
             print("ok")
         elif args.command == "kernel":
             cfg = load_config(_load_file(args.config))
+            chain = cfg["model"].env.length
+            if args.k < 0 or (chain is not None and args.k >= chain):
+                p_ker.error("argument --k: must be >= 0" +
+                            ("" if chain is None else f" and below the chain length {chain}"))
+            if args.m_max < 0:
+                p_ker.error("argument --m-max: must be >= 0")
             sys.stdout.write(kernel_norms(cfg, args.k, args.m_max))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

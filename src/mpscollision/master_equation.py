@@ -257,13 +257,15 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
         if k in starts:
             threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
             live.append(k)
-        out = emb.collide(emb.kraus_operators(model, k), threads)
-        traced = emb.trace_bond(out, d_s)
+        # Only the live threads themselves enter the next collide: the step's
+        # input is released on return and Q advances the output in place.
+        threads = emb.collide(emb.kraus_operators(model, k), threads)
+        traced = emb.trace_bond(threads, d_s)
         mats = traced.transpose(0, 3, 2, 1).reshape(len(live), d2, d2)
         for s, mat in zip(live, mats):
             yield (k, k - s), Superoperator((mat - np.eye(d2) if s == k else mat) * rate, d_s, d_s)
         if k + 1 < k_max:
-            threads = out - kron(traced, ladder[k + 1].matrix)
+            threads -= kron(traced, ladder[k + 1].matrix)
 
 
 def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
@@ -300,13 +302,13 @@ def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     One batched ``collide`` of the live threads per step.  Raises
     ``SizeGuardError`` before any work when the table, or the working set of
     the last step, would hold more than ``KERNEL_GUARD`` numbers.  That step
-    holds 2 m_eff + 2 thread stacks at once: the input, the previous step's
-    output and the two m_eff-fold products inside ``collide``.
+    holds 2 m_eff + 1 thread stacks at once: the input and the two m_eff-fold
+    products inside ``collide``.
     """
     d_s = model.d_system
     d_bond = max((max(model.env.site(k).shape[1:]) for k in range(k_max)), default=1)
     table = k_max * (k_max + 1) // 2 * d_s ** 4
-    stack = (2 * model.effective_mode_dim() + 2) * k_max * d_s ** 2 * (d_s * d_bond) ** 2
+    stack = (2 * model.effective_mode_dim() + 1) * k_max * d_s ** 2 * (d_s * d_bond) ** 2
     for what, size in (("kernel table", table), ("thread stack", stack)):
         if size > KERNEL_GUARD:
             raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")

@@ -41,9 +41,10 @@ class OracleRun:
         env = self.model.env
         if env.length is not None and self.n_sites > env.length:
             raise ValueError(f"environment has only {env.length} sites")
+        # _pure_trajectory pads each collided site to the model's mode space.
         size = self.model.d_system * _bond_rank(env.chi0)
         for k in range(self.n_sites):
-            size *= env.phys_dim(k)
+            size *= max(env.phys_dim(k), self.model.effective_mode_dim(k) if k < self.k_max else 1)
         if size > STATE_GUARD:
             raise SizeGuardError(
                 f"state vector of {size} entries exceeds the {STATE_GUARD} guard"

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpscollision import cli, embedding
 from mpscollision.cli import (
@@ -47,6 +49,42 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+def matrix(rows):
+    """JSON [re, im] form of a real or complex nested list."""
+    return [[[complex(x).real, complex(x).imag] for x in row] for row in rows]
+
+
+def model_doc(name, parameters, **extra):
+    doc = {"model": {"name": name, "parameters": parameters}, "g_tau": 0.4, "k_max": 4}
+    doc.update(extra)
+    return doc
+
+
+NON_UNITARY = np.eye(6)
+NON_UNITARY[0, 0] = 2.0
+
+# Documents that pass the document-shape checks but that the built run
+# rejects: each is a config error at validate time, not a crash at run time.
+BUILT_RUN_ERRORS = [
+    (aklt_doc(initial_state={"matrix": matrix(np.eye(3) / 3)}), "initial_state.matrix"),
+    (aklt_doc(initial_state={"matrix": matrix(np.eye(2))}), "initial_state.matrix"),
+    (aklt_doc(initial_state="mixed"), "observables[0]"),
+    (aklt_doc(observables=[{"name": "up", "matrix": matrix([[0, 1], [0, 0]])}]),
+     "observables[0]"),
+    ({**PRESETS["fig5b"], "k_max": 4, "tolerances": {"cutoff_shift": "x"}},
+     "tolerances.cutoff_shift"),
+    (model_doc("two_photon", {}), "model.parameters"),
+    (model_doc("two_photon", {"tau_over_T1": -1, "tau_over_T2": 0.1}), "model.parameters"),
+    (model_doc("ghz", {"n_sites": "x"}), "model.parameters"),
+    (model_doc("single_photon", {"amplitudes": [0, 0]}), "model.parameters"),
+    (model_doc("ghz", {"n_sites": 4}, k_max=6), "k_max"),
+    (model_doc("single_photon", {"n_sites": 4}, k_max=6, method="nz"), "k_max"),
+    (model_doc("ghz", {"n_sites": 4}, method="gksl"), "method"),
+    (model_doc("ghz", {"n_sites": 4}, method="oracle", n_sites=6), "n_sites"),
+    (aklt_doc(interaction={"matrix": matrix(NON_UNITARY)}), "interaction.matrix"),
+]
+
+
 @pytest.mark.parametrize("doc,field", [
     ({"g_tau": 0.5, "k_max": 5}, "model"),
     ({"model": {"name": "nope"}, "g_tau": 0.5, "k_max": 5}, "model.name"),
@@ -59,11 +97,22 @@ def test_validate_ok(tmp_path, capsys):
     (aklt_doc(observables=[]), "observables"),
     (aklt_doc(observables=["nope"]), "observables[0]"),
     (aklt_doc(n_sites=3), "n_sites"),
+    *BUILT_RUN_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
         load_config(doc)
-    assert f"config.{field}" in str(err.value)
+    assert f"config.{field}:" in str(err.value)
+
+
+@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS)
+def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config.{field}:")
 
 
 def test_validate_exit_code(tmp_path, capsys):
@@ -71,6 +120,79 @@ def test_validate_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", path]) == 2
     assert "config.g_tau" in capsys.readouterr().err
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+# One field of a small valid document replaced by a valid or an invalid value
+# (MISSING deletes the field); every document must exit 2 at validate exactly
+# when it exits 2 at run.
+MISSING = object()
+PROPERTY_BASES = [
+    {"model": {"name": "aklt", "parameters": {}}, "g_tau": 0.5, "k_max": 3},
+    {"model": {"name": "ghz", "parameters": {"n_sites": 4}}, "g_tau": 0.4, "k_max": 3},
+    {"model": {"name": "two_photon", "parameters": {"tau_over_T1": 0.1, "tau_over_T2": 0.02}},
+     "g_tau": 0.3, "k_max": 3},
+]
+FIELD_POOLS = {
+    ("model", "name"): ["aklt", "ghz", "two_photon", "cluster", "single_photon", "nope", 3,
+                        MISSING],
+    ("model", "parameters"): [
+        {}, {"n_sites": 3}, {"n_sites": 1}, {"n_sites": 0}, {"n_sites": "x"}, {"n_sites": 2.5},
+        {"tau_over_T1": -1, "tau_over_T2": 0.1}, {"tau_over_T1": 0.1},
+        {"tau_over_T1": 0.1, "tau_over_T2": 1e-13}, {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9},
+        {"g_tau": 0.3, "g_T1": 0, "g_T2": 1}, {"amplitudes": [0, 0]},
+        {"amplitudes": [1, [0, 1], 0.5]}, {"amplitudes": [[1]]}, {"amplitudes": 3},
+        {"amplitudes": []}, {"fock_cutoff": 1}, {"fock_cutoff": "x"}, {"fock_cutoff": 3},
+        {"width": 0}, [], "x", None],
+    ("interaction",): [
+        "exchange", "cluster", "heisenberg", "controlled", "nope", {"matrix": matrix(np.eye(4))},
+        {"matrix": matrix(np.eye(6))}, {"matrix": matrix(NON_UNITARY)},
+        {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.zeros((6, 6)))},
+        {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.triu(np.ones((6, 6))))},
+        {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.eye(4))},
+        {"matrix": matrix(np.eye(5))}, {"matrix": []}, {"matrix": [[1]]}, {"matrix": "x"}, {}, 3,
+        None],
+    ("g_tau",): [0, 0.3, -0.1, "x", float("nan"), 1e9, True, None, MISSING],
+    ("k_max",): [0, 1, 4, 6, -1, 2.5, "x", None, MISSING],
+    ("tau",): [None, 0, -1, 0.5, "x", float("inf")],
+    ("method",): ["embedding", "decorrelated", "oracle", "nz", "gksl", "nope", 3],
+    ("initial_state",): [
+        "ground", "excited", "plus", "mixed", "nope", {"matrix": matrix(np.eye(2) / 2)},
+        {"matrix": matrix(np.eye(2))}, {"matrix": matrix(np.eye(3) / 3)},
+        {"matrix": matrix(np.full((2, 2), 0.5))}, {"matrix": matrix([[1.5, 0], [0, -0.5]])},
+        {"matrix": matrix([[0.5, 0.5], [0, 0.5]])}, {"matrix": "x"}, {}, 3, None],
+    ("observables",): [
+        [], ["depolarization"], ["sigma_x", "depolarization"], ["nope"],
+        [{"name": "p", "matrix": matrix([[1, 0], [0, 0]])}],
+        [{"name": "p", "matrix": matrix([[0, 1], [0, 0]])}],
+        [{"name": "p", "matrix": matrix(np.eye(3))}], [{"matrix": matrix(np.eye(2))}], [3],
+        "sigma_z", ["coherence", "excited_population", "sigma_y"], None],
+    ("n_sites",): [2, 3, 4, 6, "x", None],
+    ("fock_cutoff",): [1, 2, 3, 7, "x", None],
+    ("tolerances",): [{}, {"cutoff_shift": "x"}, {"cutoff_shift": 1e-3}, {"cutoff_shift": -1},
+                      {"cutoff_shift": 1.0}, [], None],
+}
+FIELD_CHANGES = [(path, value) for path, pool in FIELD_POOLS.items() for value in pool]
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(PROPERTY_BASES), method=st.sampled_from(cli.METHODS),
+       change=st.sampled_from(FIELD_CHANGES))
+def test_validate_rejects_exactly_what_run_rejects(tmp_path, base, method, change):
+    doc = copy.deepcopy({**base, "method": method})
+    (*parents, key), value = change
+    target = doc
+    for parent in parents:
+        target = target[parent]
+    if value is MISSING:
+        del target[key]
+    else:
+        target[key] = copy.deepcopy(value)
+    path = write_config(tmp_path, doc)
+    validated = main(["validate", "--config", path])
+    ran = main(["run", "--config", path])  # raising out of main fails the test
+    assert validated in (0, 2) and ran in (0, 2, 3)
+    assert (validated == 2) == (ran == 2)
 
 
 # -- run ---------------------------------------------------------------------------
@@ -159,6 +281,18 @@ def test_run_oracle_guard_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["run", "--config", path]) == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
+    # 12 collided sites padded to the Fock cutoff 9 exceed the guard; the
+    # state vector must never be built.
+    def refuse(run):
+        raise AssertionError("oracle ran past its size guard")
+
+    monkeypatch.setattr(cli, "brute_force_trajectory", refuse)
+    doc = {**PRESETS["fig5b"], "method": "oracle", "k_max": 12, "fock_cutoff": 9}
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
+    assert f"state vector of {2 * 9 ** 12} entries" in capsys.readouterr().err
 
 
 def test_run_nz_guard_exit_code(tmp_path, capsys):
@@ -251,6 +385,27 @@ def test_kernel_subcommand_output():
     assert first[0] == "0" and first[2] == "nan"
     m1 = [float(x) for x in lines[2].split(",")]
     assert m1[1] > 0 and m1[2] > 0
+
+
+@pytest.mark.parametrize("doc,args,argument", [
+    (model_doc("ghz", {"n_sites": 4}), ["--k", "10", "--m-max", "2"], "--k"),
+    (model_doc("ghz", {"n_sites": 4}), ["--k", "4", "--m-max", "2"], "--k"),
+    (aklt_doc(), ["--k", "-1", "--m-max", "2"], "--k"),
+    (aklt_doc(), ["--k", "3", "--m-max", "-1"], "--m-max"),
+])
+def test_kernel_subcommand_argument_errors(tmp_path, capsys, doc, args, argument):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--config", write_config(tmp_path, doc), *args])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {argument}: must be >= 0" in captured.err
+
+
+def test_kernel_subcommand_last_site_of_finite_chain(tmp_path, capsys):
+    path = write_config(tmp_path, model_doc("ghz", {"n_sites": 4}))
+    assert main(["kernel", "--config", path, "--k", "3", "--m-max", "5"]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 4
 
 
 # -- fresh processes ---------------------------------------------------------------

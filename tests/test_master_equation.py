@@ -382,12 +382,12 @@ def test_kernel_table_collide_count(spec, monkeypatch):
 
 
 def test_kernel_table_thread_stack_guard(monkeypatch):
-    # A D = 64 chain: the last step's working set, 2 m_eff + 2 = 8 thread
-    # stacks (measured peak 8.1 stacks at K = 8), caps K at 8 long before the
-    # table does.  K = 9 is refused before the first collision; counting only
-    # the m_eff-fold products would have let it (and K = 21) through.
+    # A D = 64 chain: the last step's working set, 2 m_eff + 1 = 7 thread
+    # stacks (tracemalloc peak 7.25 stacks at K = 8), caps K at 9 long before
+    # the table does.  K = 10 is refused before the first collision; counting
+    # only the m_eff-fold products would have let it (and K = 21) through.
     model = random_spin1_chain(np.random.default_rng(5), 64)
-    k_max = 8
+    k_max = 9
     assert len(build_kernel_table(model, k_max).entries) == k_max * (k_max + 1) // 2
 
     def refuse(ops, x):

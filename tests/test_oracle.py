@@ -82,6 +82,17 @@ def test_size_guard():
         OracleRun(model, np.eye(2) / 2, n_sites=4, k_max=5)
 
 
+def test_size_guard_counts_padded_sites():
+    # The cluster coupling pads each collided site from 2 levels to the Fock
+    # cutoff: 2 * 9**12 entries, where the physical dimensions give 2 * 2**12.
+    model = build_model(ModelSpec("cluster"), g_tau=0.3, fock_cutoff=9)
+    with pytest.raises(SizeGuardError, match=f"of {2 * 9 ** 12} entries"):
+        OracleRun(model, models.named_initial_state("ground"), n_sites=12, k_max=12)
+    # sites beyond k_max are never collided and keep their physical dimension
+    run = OracleRun(model, models.named_initial_state("ground"), n_sites=12, k_max=2)
+    assert run.k_max == 2
+
+
 def test_oracle_respects_finite_length():
     model = build_model(ModelSpec("ghz", {"n_sites": 4}), g_tau=0.3)
     with pytest.raises(ValueError):
