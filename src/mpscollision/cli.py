@@ -34,6 +34,10 @@ __all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "PRE
 METHODS = ("embedding", "oracle", "nz", "gksl", "decorrelated")
 FIGURES = ("fig5a", "fig5b", "fig6a", "fig6b")
 DEFAULT_CUTOFF_SHIFT_TOL = 1e-6
+CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "interaction",
+               "initial_state", "observables", "n_sites", "tolerances", "output")
+MODEL_KEYS = ("name", "parameters")
+TOLERANCE_KEYS = ("cutoff_shift",)
 
 
 class ConfigError(ValueError):
@@ -52,6 +56,13 @@ def _require(cfg: dict, field: str, types, path: str = ""):
     if not isinstance(value, types):
         raise ConfigError(full, f"expected {types}, got {type(value).__name__}")
     return value
+
+
+def _known_keys(cfg: dict, known: tuple, path: str = "") -> None:
+    """Reject the first key of ``cfg`` outside ``known``, so a typo is not a default."""
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}{key}", f"unknown key, expected one of {known}")
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:
@@ -100,7 +111,9 @@ def load_config(doc: dict) -> dict:
     """
     if not isinstance(doc, dict):
         raise ConfigError("", "top-level document must be an object")
+    _known_keys(doc, CONFIG_KEYS)
     model = _require(doc, "model", dict)
+    _known_keys(model, MODEL_KEYS, "model.")
     name = _require(model, "name", str, "model.")
     if name not in models.MODEL_NAMES:
         raise ConfigError("model.name", f"unknown model '{name}'")
@@ -162,6 +175,7 @@ def load_config(doc: dict) -> dict:
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("tolerances", "expected an object")
+    _known_keys(tolerances, TOLERANCE_KEYS, "tolerances.")
     cutoff_tol = _number(tolerances.get("cutoff_shift", DEFAULT_CUTOFF_SHIFT_TOL),
                          "tolerances.cutoff_shift", 0.0)
     output = doc.get("output")

@@ -149,17 +149,18 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     env = model.env
     b = env.site(k)
     dl, dr = b.shape[1], b.shape[2]
-    d_s = model.d_system
-    m_eff = model.effective_mode_dim(k)
-    u4 = model.effective_unitary(k).reshape(d_s, m_eff, d_s, m_eff)
+    d_s, m, anc = model.d_system, model.mode_dim, env.ancilla_dim
+    u4 = model.base_unitary(k).reshape(d_s, m, d_s, m)
     # Pad environment tensors with zero matrices for mode levels the chain
     # does not populate (photon-creating interactions enlarge the out space).
     # Mode levels are the slow part of the composite physical index, so the
-    # populated levels occupy a contiguous leading block.
-    bpad = np.zeros((m_eff, dl, dr), dtype=complex)
-    bpad[: b.shape[0]] = b
-    ops = np.einsum("sqtp,pab->qsbta", u4, bpad)
-    return ops.reshape(m_eff, d_s * dr, d_s * dl)
+    # populated levels occupy a contiguous leading block.  The unitary acts
+    # on the mode only: the purification ancilla c passes through unchanged,
+    # which is U (x) I_anc without forming it.
+    bpad = np.zeros((m, anc, dl, dr), dtype=complex)
+    bpad[: b.shape[0] // anc] = b.reshape(-1, anc, dl, dr)
+    ops = np.einsum("sqtp,pcab->qcsbta", u4, bpad)
+    return ops.reshape(m * anc, d_s * dr, d_s * dl)
 
 
 def collide(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -184,12 +185,19 @@ def initial_state(model: CollisionModel, rho_s0: np.ndarray) -> SystemBondState:
     return SystemBondState(0, matrix, model.d_system, model.env.chi0.shape[0])
 
 
-def step(model: CollisionModel, state: SystemBondState) -> SystemBondState:
-    """Advance the system-bond state through one collision."""
+def step(model: CollisionModel, state: SystemBondState,
+         ops: np.ndarray | None = None) -> SystemBondState:
+    """Advance the system-bond state through one collision.
+
+    ``ops`` is the collision's Kraus stack when the caller already holds it;
+    by default it is built here.
+    """
     k = state.step
     if model.env.length is not None and k >= model.env.length:
         raise IndexError(f"collision {k} beyond environment length {model.env.length}")
-    out = collide(kraus_operators(model, k), state.matrix)
+    if ops is None:
+        ops = kraus_operators(model, k)
+    out = collide(ops, state.matrix)
     return SystemBondState(k + 1, out, model.d_system, model.env.site(k).shape[2])
 
 
@@ -205,11 +213,21 @@ def bond_state_of(state: SystemBondState) -> BondState:
 
 
 def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """System density matrices after 0..k_max collisions."""
+    """System density matrices after 0..k_max collisions.
+
+    A Kraus stack serves every following collision with the same site tensor
+    and unitary objects, so a homogeneous chain builds one.
+    """
     state = initial_state(model, rho_s0)
     out = [system_state(state)]
-    for _ in range(k_max):
-        state = step(model, state)
+    site = u = ops = None
+    for k in range(k_max):
+        # Past the end of a finite chain ``step`` raises its IndexError.
+        if model.env.length is None or k < model.env.length:
+            if model.env.site(k) is not site or model.base_unitary(k) is not u:
+                site, u = model.env.site(k), model.base_unitary(k)
+                ops = kraus_operators(model, k)
+        state = step(model, state, ops)
         out.append(system_state(state))
     return out
 

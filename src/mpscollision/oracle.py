@@ -1,11 +1,11 @@
 """Brute-force reference dynamics on the full many-body Hilbert space.
 
 Deliberately simple and slow: contract the environment chain into an explicit
-state vector (purifying chi0 into a left ancilla and closing the open right
-bond with another ancilla), apply each collision unitary to the system plus
-one site, and partial-trace for the system state.  Shares no Kraus or
-propagator code with the embedding, so agreement between the two is a real
-two-sided check.
+state vector (purifying chi0 into a left ancilla; the rest of the chain traces
+out the open right bond, so each of its indices is a separate run), apply each
+collision unitary to the system plus one site, and partial-trace for the
+system state.  Shares no Kraus or propagator code with the embedding, so
+agreement between the two is a real two-sided check.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ class OracleRun:
         env = self.model.env
         if env.length is not None and self.n_sites > env.length:
             raise ValueError(f"environment has only {env.length} sites")
-        # _pure_trajectory pads each collided site to the model's mode space.
+        # One run's vector: (system, purified chi0, sites), each collided site
+        # padded to the model's mode space by _pure_trajectory.
         size = self.model.d_system * _bond_rank(env.chi0)
         for k in range(self.n_sites):
             size *= max(env.phys_dim(k), self.model.effective_mode_dim(k) if k < self.k_max else 1)
@@ -74,31 +75,33 @@ def _environment_state(env: MpsEnvironment, n_sites: int) -> np.ndarray:
 def brute_force_trajectory(run: OracleRun) -> list[np.ndarray]:
     """System density matrices after 0..k_max collisions, from first principles.
 
-    A mixed initial system state is split into eigenvector runs; each pure run
-    keeps the global state as a vector for the whole evolution.
+    A mixed initial system state is split into eigenvector runs and the open
+    right bond of the chain into one run per bond index (right-canonicality
+    makes the rest of the chain trace it out); each pure run keeps the global
+    state as a vector for the whole evolution.
     """
     rho = hermitian_part(run.rho_s0)
     w, v = np.linalg.eigh(rho)
+    env_state = _environment_state(run.model.env, run.n_sites)
     out = None
     for weight, vec in zip(w, v.T):
         if weight <= 1e-14:
             continue
-        states = _pure_trajectory(run, vec)
-        if out is None:
-            out = [weight * s for s in states]
-        else:
-            out = [acc + weight * s for acc, s in zip(out, states)]
+        for right in range(env_state.shape[-1]):
+            psi = np.tensordot(vec, env_state[..., right], axes=0)
+            states = _pure_trajectory(run, psi)
+            if out is None:
+                out = [weight * s for s in states]
+            else:
+                out = [acc + weight * s for acc, s in zip(out, states)]
     if out is None:
         raise ValueError("initial system state has no positive weight")
     return out
 
 
-def _pure_trajectory(run: OracleRun, system_vec: np.ndarray) -> list[np.ndarray]:
+def _pure_trajectory(run: OracleRun, psi: np.ndarray) -> list[np.ndarray]:
+    """Collide the pure global state psi; axes 0 system, 1 left ancilla, 2..n+1 sites."""
     model = run.model
-    env = model.env
-    psi = _environment_state(env, run.n_sites)
-    # Axes: 0 system, 1 left ancilla, 2..n+1 sites, n+2 right ancilla.
-    psi = np.tensordot(np.asarray(system_vec, dtype=complex), psi, axes=0)
     states = [_system_density(psi)]
     d_s = model.d_system
     for k in range(run.k_max):

@@ -84,6 +84,16 @@ BUILT_RUN_ERRORS = [
     (aklt_doc(interaction={"matrix": matrix(NON_UNITARY)}), "interaction.matrix"),
 ]
 
+# Misspelt keys are errors, not defaults.
+UNKNOWN_KEY_ERRORS = [
+    ({**PRESETS["fig5b"], "k_max": 4, "tolerances": {"cutoff_shfit": 1.0}},
+     "tolerances.cutoff_shfit"),
+    (aklt_doc(observable=["sigma_x"]), "observable"),
+    (aklt_doc(intial_state="plus"), "intial_state"),
+    ({"model": {"name": "aklt", "paramters": {}}, "g_tau": 0.5, "k_max": 4},
+     "model.paramters"),
+]
+
 
 @pytest.mark.parametrize("doc,field", [
     ({"g_tau": 0.5, "k_max": 5}, "model"),
@@ -98,6 +108,7 @@ BUILT_RUN_ERRORS = [
     (aklt_doc(observables=["nope"]), "observables[0]"),
     (aklt_doc(n_sites=3), "n_sites"),
     *BUILT_RUN_ERRORS,
+    *UNKNOWN_KEY_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -105,7 +116,7 @@ def test_validate_field_errors(doc, field):
     assert f"config.{field}:" in str(err.value)
 
 
-@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS)
+@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
@@ -169,7 +180,10 @@ FIELD_POOLS = {
     ("n_sites",): [2, 3, 4, 6, "x", None],
     ("fock_cutoff",): [1, 2, 3, 7, "x", None],
     ("tolerances",): [{}, {"cutoff_shift": "x"}, {"cutoff_shift": 1e-3}, {"cutoff_shift": -1},
-                      {"cutoff_shift": 1.0}, [], None],
+                      {"cutoff_shift": 1.0}, {"cutoff_shfit": 1.0}, [], None],
+    ("model", "paramters"): [{}],
+    ("observable",): [["sigma_x"]],
+    ("intial_state",): ["plus"],
 }
 FIELD_CHANGES = [(path, value) for path, pool in FIELD_POOLS.items() for value in pool]
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpscollision import models
+from mpscollision import embedding, models
 from mpscollision.embedding import (
     CollisionModel,
     SystemBondState,
@@ -20,7 +20,7 @@ from mpscollision.embedding import (
 )
 from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.models import ModelSpec, build_model
-from mpscollision.mps import BondState, decorrelate, evolve_bond_state
+from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_canonicalize
 from mpscollision.master_equation import single_collision_channel
 
 from conftest import random_density
@@ -92,6 +92,81 @@ def test_kraus_completeness_all_zoo():
             dim = ops[0].shape[1]
             comp = sum(dagger(a) @ a for a in ops)
             assert np.max(np.abs(comp - np.eye(dim))) < 1e-12, (name, k)
+
+
+def kron_kraus_reference(model, k):
+    """The Kraus stack through the ancilla-extended unitary kron(U, I_anc)."""
+    b = model.env.site(k)
+    dl, dr = b.shape[1], b.shape[2]
+    d_s, m_eff = model.d_system, model.effective_mode_dim(k)
+    u4 = kron(model.base_unitary(k), np.eye(model.env.ancilla_dim))
+    u4 = u4.reshape(d_s, m_eff, d_s, m_eff)
+    bpad = np.zeros((m_eff, dl, dr), dtype=complex)
+    bpad[: b.shape[0]] = b
+    ops = np.einsum("sqtp,pab->qsbta", u4, bpad)
+    return ops.reshape(m_eff, d_s * dr, d_s * dl)
+
+
+@pytest.mark.parametrize("name", ["aklt", "two_photon", "cluster"])
+def test_kraus_stack_matches_kron_reference_with_ancilla(name):
+    base = zoo_models()[name]
+    twin = dataclasses.replace(base, env=decorrelate(base.env, length=6))
+    assert twin.env.ancilla_dim in (2, 3)
+    for k in range(6):
+        ops = kraus_operators(twin, k)
+        assert np.array_equal(ops, kron_kraus_reference(twin, k))
+        comp = np.einsum("jba,jbc->ac", ops.conj(), ops)
+        assert np.max(np.abs(comp - np.eye(ops.shape[2]))) < 1e-12
+    # the undecorrelated chain (ancilla 1) goes through the same contraction
+    assert np.array_equal(kraus_operators(base, 0), kron_kraus_reference(base, 0))
+
+
+def random_inhomogeneous_model(rng, n_sites):
+    tensors = [rng.normal(size=(2, min(2 ** k, 4, 2 ** (n_sites - k)),
+                                min(2 ** (k + 1), 4, 2 ** (n_sites - k - 1))))
+               for k in range(n_sites)]
+    inter = models.interaction("exchange", 0.4, 2)
+    return CollisionModel(env=right_canonicalize(tensors), unitary=inter.unitary,
+                          d_system=2, mode_dim=2, g_tau=0.4)
+
+
+def channel_reuse_cases():
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
+    twin = dataclasses.replace(aklt, env=decorrelate(aklt.env))
+    assert twin.env.homogeneous and twin.env.ancilla_dim > 1
+    u_a, u_b = (models.interaction("heisenberg", gt).unitary for gt in (0.2, 0.5))
+    repeated = CollisionModel(env=aklt.env, unitary=(u_a, u_a, u_b, u_b, u_b, u_a, u_b),
+                              d_system=2, mode_dim=3, g_tau=0.3)
+    return [
+        pytest.param(aklt, 50, 1, id="aklt"),
+        pytest.param(twin, 50, 1, id="aklt_decorrelated"),
+        pytest.param(zoo_models()["ghz"], 8, 3, id="ghz"),   # first, bulk and last sites
+        pytest.param(random_inhomogeneous_model(np.random.default_rng(7), 6), 6, 6,
+                     id="inhomogeneous"),
+        pytest.param(repeated, 7, 4, id="repeated_unitaries"),   # runs a a | b b b | a | b
+    ]
+
+
+@pytest.mark.parametrize("model,k_max,builds", channel_reuse_cases())
+def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds):
+    rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+    reference, state = [], initial_state(model, rho0)
+    reference.append(system_state(state))
+    for _ in range(k_max):
+        state = step(model, state)   # builds the Kraus stack every step
+        reference.append(system_state(state))
+
+    calls = []
+
+    def counted(model, k):
+        calls.append(k)
+        return kraus_operators(model, k)
+
+    monkeypatch.setattr(embedding, "kraus_operators", counted)
+    states = trajectory(model, rho0, k_max)
+    assert len(calls) == builds
+    assert len(states) == k_max + 1
+    assert all(np.array_equal(a, b) for a, b in zip(states, reference))
 
 
 @pytest.mark.parametrize("name", ["single_photon_complex", "two_photon_decorrelated"])

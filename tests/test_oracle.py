@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpscollision import models
+from mpscollision import models, oracle
 from mpscollision.embedding import CollisionModel, trajectory
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -91,6 +91,24 @@ def test_size_guard_counts_padded_sites():
     # sites beyond k_max are never collided and keep their physical dimension
     run = OracleRun(model, models.named_initial_state("ground"), n_sites=12, k_max=2)
     assert run.k_max == 2
+
+
+@pytest.mark.parametrize("spec,g_tau,n_sites", [
+    (ModelSpec("aklt"), 0.5, 6),   # rank-2 chi0, open right bond 2
+    (ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), 0.3, 5),
+], ids=["aklt", "two_photon"])   # two_photon: padded sites, open right bond 3
+def test_size_guard_counts_the_largest_run_vector(monkeypatch, spec, g_tau, n_sites):
+    model = build_model(spec, g_tau=g_tau)
+    assert model.env.bond_dim(n_sites) > 1
+    rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+    sizes = []
+    density = oracle._system_density
+    monkeypatch.setattr(oracle, "_system_density",
+                        lambda psi: sizes.append(psi.size) or density(psi))
+    brute_force_trajectory(OracleRun(model, rho0, n_sites=n_sites, k_max=n_sites))
+    monkeypatch.setattr(oracle, "STATE_GUARD", 0)
+    with pytest.raises(SizeGuardError, match=f"of {max(sizes)} entries"):
+        OracleRun(model, rho0, n_sites=n_sites, k_max=n_sites)
 
 
 def test_oracle_respects_finite_length():
