@@ -34,6 +34,7 @@ __all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "PRE
 METHODS = ("embedding", "oracle", "nz", "gksl", "decorrelated")
 FIGURES = ("fig5a", "fig5b", "fig6a", "fig6b")
 DEFAULT_CUTOFF_SHIFT_TOL = 1e-6
+MAX_CHAIN_SITES = 2 ** 14
 CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "interaction",
                "initial_state", "observables", "n_sites", "tolerances", "output")
 MODEL_KEYS = ("name", "parameters")
@@ -84,6 +85,23 @@ def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     return float(value)
 
 
+def _check_chain_length(parameters: dict) -> None:
+    """Refuse a finite chain longer than ``MAX_CHAIN_SITES`` before it is built.
+
+    ``models.environment_for`` stores one site tensor per requested site, so
+    without this bound the document alone would set the cost of loading it.
+    Values that are not lengths are left to ``environment_for`` to reject.
+    """
+    for key, count in (("n_sites", int), ("amplitudes", len)):
+        try:
+            n = count(parameters[key])
+        except (KeyError, TypeError, ValueError, OverflowError):
+            continue
+        if n > MAX_CHAIN_SITES:
+            raise ConfigError(f"model.parameters.{key}",
+                              f"{n} sites exceed the {MAX_CHAIN_SITES}-site limit")
+
+
 def _built(field: str, build, *args):
     """``build(*args)`` with the library's rejection of its inputs reported at ``field``.
 
@@ -120,6 +138,7 @@ def load_config(doc: dict) -> dict:
     parameters = model.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("model.parameters", "expected an object")
+    _check_chain_length(parameters)
     spec = ModelSpec(name, parameters)
 
     g_tau = _number(_require(doc, "g_tau", (int, float)), "g_tau", 0.0)

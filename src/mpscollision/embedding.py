@@ -163,6 +163,21 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     return ops.reshape(m * anc, d_s * dr, d_s * dl)
 
 
+def _kraus_stacks(model: CollisionModel, ks: range):
+    """Yield the Kraus stack of each collision k in ``ks``.
+
+    A stack is rebuilt only when ``model.env.site(k)`` or
+    ``model.base_unitary(k)`` is a different object from the ones of the last
+    build, so a homogeneous chain builds one stack and GHZ three.
+    """
+    site = u = ops = None
+    for k in ks:
+        if model.env.site(k) is not site or model.base_unitary(k) is not u:
+            site, u = model.env.site(k), model.base_unitary(k)
+            ops = kraus_operators(model, k)
+        yield ops
+
+
 def collide(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in)."""
     return np.sum(ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3)
@@ -216,18 +231,15 @@ def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np
     """System density matrices after 0..k_max collisions.
 
     A Kraus stack serves every following collision with the same site tensor
-    and unitary objects, so a homogeneous chain builds one.
+    and unitary objects (``_kraus_stacks``), so a homogeneous chain builds one.
     """
     state = initial_state(model, rho_s0)
     out = [system_state(state)]
-    site = u = ops = None
-    for k in range(k_max):
+    length = model.env.length
+    stacks = _kraus_stacks(model, range(k_max if length is None else min(k_max, length)))
+    for _ in range(k_max):
         # Past the end of a finite chain ``step`` raises its IndexError.
-        if model.env.length is None or k < model.env.length:
-            if model.env.site(k) is not site or model.base_unitary(k) is not u:
-                site, u = model.env.site(k), model.base_unitary(k)
-                ops = kraus_operators(model, k)
-        state = step(model, state, ops)
+        state = step(model, state, next(stacks, None))
         out.append(system_state(state))
     return out
 

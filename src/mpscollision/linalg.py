@@ -8,6 +8,8 @@ dimensions explicitly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -28,8 +30,34 @@ DEFAULT_TOL = 1e-12
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply, first factor is the slow index."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product over the last two axes; first factor is the slow index.
+
+    Leading axes broadcast, so a stack of matrices times one matrix is a stack
+    of products.  Every entry is a single product, as in ``np.kron``, so the
+    bits agree with it on matrices.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)`` without its per-call path search.
+
+    numpy's greedy contraction order depends only on the subscripts and the
+    operand shapes, so it is searched once per (subscripts, shapes) and replayed: the same
+    pairwise contractions give the same bits.
+    """
+    path = _greedy_path(subscripts, tuple(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
+@functools.lru_cache(maxsize=1024)
+def _greedy_path(subscripts: str, shapes: tuple) -> tuple:
+    # einsum_path reads only the shapes, so zero-stride views stand in.
+    views = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *views, optimize="greedy")[0])
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

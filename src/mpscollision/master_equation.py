@@ -27,7 +27,7 @@ import numpy as np
 
 from . import embedding as emb
 from .embedding import CollisionModel
-from .linalg import DEFAULT_TOL, dagger, frobenius, kron
+from .linalg import DEFAULT_TOL, _einsum, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
@@ -211,7 +211,7 @@ def _collision_channel(u: np.ndarray, particles: np.ndarray) -> Superoperator:
     d_env = particles.shape[0]
     d_s = u.shape[0] // d_env
     u4 = u.reshape(d_s, d_env, d_s, d_env)
-    mat = np.einsum("setf,fg,aebg->asbt", u4, particles, u4.conj(), optimize=True)
+    mat = _einsum("setf,fg,aebg->asbt", u4, particles, u4.conj())
     return Superoperator(mat.reshape(d_s ** 2, d_s ** 2), d_s, d_s)
 
 
@@ -244,8 +244,9 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
 
     Thread s is the stack W_s[E] = E (x) chi_s over the system basis E in
     column-major order (the columns of a Superoperator matrix).  At step k
-    every live thread goes through one ``collide``; K_{k,k-s} is read off the
-    bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
+    every live thread goes through one ``collide`` with the step's Kraus stack,
+    built once per distinct channel as in ``trajectory``; K_{k,k-s} is read off
+    the bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
     """
     ladder = _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
@@ -253,13 +254,14 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
     basis = np.eye(d2, dtype=complex).reshape(d2, d_s, d_s).transpose(0, 2, 1)
     rate = 1.0 / model.tau
     live, threads = [], np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
-    for k in range(starts.start, k_max):
+    steps = range(starts.start, k_max)
+    for k, ops in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
             threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
             live.append(k)
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
-        threads = emb.collide(emb.kraus_operators(model, k), threads)
+        threads = emb.collide(ops, threads)
         traced = emb.trace_bond(threads, d_s)
         mats = traced.transpose(0, 3, 2, 1).reshape(len(live), d2, d2)
         for s, mat in zip(live, mats):
@@ -349,7 +351,7 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
     m = int(round(np.sqrt(corr.shape[0])))
     d_s = h.shape[0] // m
     h4 = h.reshape(d_s, m, d_s, m)
-    x = np.einsum("ijpq,sqtj,upvi->stuv", corr.reshape(m, m, m, m), h4, h4, optimize=True)
+    x = _einsum("ijpq,sqtj,upvi->stuv", corr.reshape(m, m, m, m), h4, h4)
     eye = np.eye(d_s, dtype=complex)
     ab = np.einsum("sttv->sv", x)
     ba = np.einsum("xtux->ut", x)

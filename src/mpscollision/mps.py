@@ -31,6 +31,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _einsum,
     assert_density_matrix,
     frobenius,
     hermitian_part,
@@ -242,7 +243,7 @@ def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
             f"bond state dim {chi.matrix.shape[0]} does not match site {chi.site} "
             f"left bond {b.shape[1]}"
         )
-    out = np.einsum("iab,ac,icd->bd", b, chi.matrix, b.conj(), optimize=True)
+    out = _einsum("iab,ac,icd->bd", b, chi.matrix, b.conj())
     return BondState(chi.site + 1, out)
 
 
@@ -251,7 +252,7 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     b = env.site(chi.site)
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
-    rho = np.einsum("iab,ac,jcb->ij", b, chi.matrix, b.conj(), optimize=True)
+    rho = _einsum("iab,ac,jcb->ij", b, chi.matrix, b.conj())
     return rho
 
 
@@ -268,12 +269,12 @@ def two_site_reduced_state(env: MpsEnvironment, site_a: int, site_b: int,
         raise ValueError(f"bond state is at site {chi.site}, expected {site_a}")
     ba = env.site(site_a)
     # Operator-valued bond object M[i, i'] = B[i]^T chi B[i']^*.
-    m = np.einsum("iab,ac,jcd->ijbd", ba, chi.matrix, ba.conj(), optimize=True)
+    m = _einsum("iab,ac,jcd->ijbd", ba, chi.matrix, ba.conj())
     for k in range(site_a + 1, site_b):
         bk = env.site(k)
-        m = np.einsum("kab,ijac,kcd->ijbd", bk, m, bk.conj(), optimize=True)
+        m = _einsum("kab,ijac,kcd->ijbd", bk, m, bk.conj())
     bb = env.site(site_b)
-    out = np.einsum("kab,ijac,lcb->ikjl", bb, m, bb.conj(), optimize=True)
+    out = _einsum("kab,ijac,lcb->ikjl", bb, m, bb.conj())
     da, db = ba.shape[0], bb.shape[0]
     return out.reshape(da * db, da * db)
 

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mpscollision import cli, embedding
+from mpscollision import cli, embedding, models
 from mpscollision.cli import (
+    MAX_CHAIN_SITES,
     ConfigError,
     PRESETS,
     kernel_norms,
@@ -126,6 +127,30 @@ def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, fiel
         assert captured.err.startswith(f"error: config.{field}:")
 
 
+@pytest.mark.parametrize("doc,field", [
+    (model_doc("ghz", {"n_sites": 10 ** 6}), "model.parameters.n_sites"),
+    (model_doc("ghz", {"n_sites": 1e6}), "model.parameters.n_sites"),
+    (model_doc("single_photon", {"n_sites": 10 ** 6}), "model.parameters.n_sites"),
+    (model_doc("single_photon", {"amplitudes": [1.0] * (MAX_CHAIN_SITES + 1)}),
+     "model.parameters.amplitudes"),
+])
+def test_chain_length_cap_exits_2_before_building(tmp_path, capsys, monkeypatch, doc, field):
+    built = []
+    environment_for = models.environment_for
+    monkeypatch.setattr(models, "environment_for", lambda spec: built.append(spec)
+                        or environment_for(spec))
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config.{field}:")
+    assert built == []
+    at_cap = model_doc("ghz", {"n_sites": MAX_CHAIN_SITES})
+    assert main(["validate", "--config", write_config(tmp_path, at_cap, "cap.json")]) == 0
+    assert len(built) == 1
+
+
 def test_validate_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"model": {"name": "aklt"}})
     assert main(["validate", "--config", path]) == 2
@@ -148,6 +173,7 @@ FIELD_POOLS = {
                         MISSING],
     ("model", "parameters"): [
         {}, {"n_sites": 3}, {"n_sites": 1}, {"n_sites": 0}, {"n_sites": "x"}, {"n_sites": 2.5},
+        {"n_sites": 10 ** 6},
         {"tau_over_T1": -1, "tau_over_T2": 0.1}, {"tau_over_T1": 0.1},
         {"tau_over_T1": 0.1, "tau_over_T2": 1e-13}, {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9},
         {"g_tau": 0.3, "g_T1": 0, "g_T2": 1}, {"amplitudes": [0, 0]},

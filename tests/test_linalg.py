@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mpscollision.linalg import (
+    _einsum,
     expm_hermitian_generator,
     kron,
     lq_factorize,
@@ -35,6 +36,65 @@ def test_kron_associativity_random(rng):
         left = kron(kron(a, b), c)
         right = kron(a, kron(b, c))
         assert np.max(np.abs(left - right)) < 1e-13
+
+
+def complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 2), (3, 3)), ((2, 3), (4, 1)), ((1, 5), (3, 2)),
+    ((4, 2, 2), (3, 3)),        # (d_S^2, d_S, d_S) (x) (D, D): a fresh thread stack
+    ((5, 4, 2, 2), (3, 3)),     # (L, d_S^2, d_S, d_S) (x) (D, D): the Q advance
+])
+def test_kron_equals_numpy_kron(rng, a_shape, b_shape):
+    a, b = complex_normal(rng, a_shape), complex_normal(rng, b_shape)
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    real = rng.normal(size=a_shape)
+    assert np.array_equal(kron(real, b), np.kron(real.astype(complex), b))
+    # A transposed view, as the thread basis is.
+    assert np.array_equal(kron(np.swapaxes(a, -1, -2), b), np.kron(np.swapaxes(a, -1, -2), b))
+
+
+# Subscripts of every contraction that goes through ``_einsum``, with operand
+# shapes for which numpy's greedy search picks different orders.
+BOND = "iab,ac,icd->bd"
+EINSUM_CASES = [
+    (BOND, [(3, 2, 2), (2, 2), (3, 2, 2)]),
+    (BOND, [(2, 3, 3), (3, 3), (2, 3, 3)]),
+    (BOND, [(5, 2, 2), (2, 2), (5, 2, 2)]),
+    (BOND, [(4, 1, 1), (1, 1), (4, 1, 1)]),
+    (BOND, [(2, 8, 16), (8, 8), (2, 8, 16)]),
+    ("iab,ac,jcb->ij", [(5, 2, 2), (2, 2), (5, 2, 2)]),
+    ("iab,ac,jcb->ij", [(4, 1, 1), (1, 1), (4, 1, 1)]),
+    ("iab,ac,jcd->ijbd", [(3, 2, 2), (2, 2), (3, 2, 2)]),
+    ("kab,ijac,kcd->ijbd", [(3, 2, 2), (3, 3, 2, 2), (3, 2, 2)]),
+    ("kab,ijac,lcb->ikjl", [(3, 2, 2), (3, 3, 2, 2), (3, 2, 2)]),
+    ("setf,fg,aebg->asbt", [(2, 9, 2, 9), (9, 9), (2, 9, 2, 9)]),
+    ("ijpq,sqtj,upvi->stuv", [(3, 3, 3, 3), (2, 3, 2, 3), (2, 3, 2, 3)]),
+    ("ijpq,sqtj,upvi->stuv", [(6, 6, 6, 6), (2, 6, 2, 6), (2, 6, 2, 6)]),
+]
+
+
+def test_einsum_cases_need_more_than_one_order():
+    # A single fixed contraction order cannot reproduce these cases.
+    paths = {np.einsum_path(eq, *(np.ones(s) for s in shapes), optimize="greedy")[0][1]
+             for eq, shapes in EINSUM_CASES if eq == BOND}
+    assert len(paths) > 1
+
+
+@pytest.mark.parametrize("eq,shapes", EINSUM_CASES)
+def test_einsum_helper_is_bit_identical(rng, monkeypatch, eq, shapes):
+    ops = [complex_normal(rng, s) for s in shapes]
+    want = np.einsum(eq, *ops, optimize=True)
+    assert np.array_equal(_einsum(eq, *ops), want)
+    # The path is searched once per (subscripts, shapes) and then replayed.
+    def no_search(*args, **kwargs):
+        raise AssertionError("path searched again")
+
+    monkeypatch.setattr(np, "einsum_path", no_search)
+    again = [complex_normal(rng, s) for s in shapes]
+    assert np.array_equal(_einsum(eq, *again), np.einsum(eq, *again, optimize=True))
 
 
 def test_partial_trace_product_state(rng):

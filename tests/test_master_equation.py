@@ -381,6 +381,35 @@ def test_kernel_table_collide_count(spec, monkeypatch):
         assert len(collisions) == m + 1
 
 
+@pytest.mark.parametrize("spec,builds", [
+    pytest.param(ModelSpec("aklt"), 1, id="aklt"),
+    pytest.param(ModelSpec("ghz", {"n_sites": 10}), 3, id="ghz"),   # first, bulk and last
+    pytest.param(ModelSpec("single_photon", {"n_sites": 10}), 10,
+                 id="inhomogeneous"),   # a distinct tensor per site
+])
+def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
+    model = build_model(spec, g_tau=0.4)
+    k_max = 10
+    # Reference: a fresh Kraus stack at every step, as without reuse.
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "_kraus_stacks",
+                      lambda model, ks: (kraus_operators(model, k) for k in ks))
+        reference = build_kernel_table(model, k_max)
+    calls = []
+
+    def counted(model, k):
+        calls.append(k)
+        return kraus_operators(model, k)
+
+    monkeypatch.setattr(embedding, "kraus_operators", counted)
+    table = build_kernel_table(model, k_max)
+    assert len(calls) == builds
+    assert table.entries.keys() == reference.entries.keys()
+    for (k, m), kernel in table.entries.items():
+        assert np.array_equal(kernel.matrix, reference.kernel(k, m).matrix)
+        assert np.array_equal(memory_kernel(model, k, m).matrix, kernel.matrix)
+
+
 def test_kernel_table_thread_stack_guard(monkeypatch):
     # A D = 64 chain: the last step's working set, 2 m_eff + 1 = 7 thread
     # stacks (tracemalloc peak 7.25 stacks at K = 8), caps K at 9 long before
