@@ -24,7 +24,8 @@ import numpy as np
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
-from .master_equation import build_kernel_table, evolve_gksl_grid, memory_kernel, second_order_kernel, solve_nz, stroboscopic_generator
+from .master_equation import (_kernel_threads, build_kernel_table, evolve_gksl_grid,
+                             second_order_kernel, solve_nz, stroboscopic_generator)
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -473,9 +474,13 @@ def _write(path: Path, text: str) -> Path:
 
 def kernel_norms(cfg: dict, k: int, m_max: int) -> str:
     model = cfg["model"]
+    m_max = min(m_max, k)
+    # One walk from the earliest start: its step-k row holds K_{k,m}, m = 0..m_max.
+    for row in _kernel_threads(model, range(k - m_max, k + 1), k + 1):
+        pass
     rows = []
-    for m in range(min(m_max, k) + 1):
-        knorm = memory_kernel(model, k, m).norm()
+    for m in range(m_max + 1):
+        knorm = frobenius(row[m])
         if m >= 1 and model.hamiltonian is not None:
             k2norm = second_order_kernel(model, k, m).norm()
         else:

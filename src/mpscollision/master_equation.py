@@ -240,7 +240,7 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 # -- exact memory kernel -----------------------------------------------------
 
 def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
-    """Yield ((k, k - s), K_{k,k-s}) for every start s in ``starts`` and s <= k < k_max.
+    """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
 
     Thread s is the stack W_s[E] = E (x) chi_s over the system basis E in
     column-major order (the columns of a Superoperator matrix).  At step k
@@ -252,20 +252,19 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
     d_s = model.d_system
     d2 = d_s ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, d_s, d_s).transpose(0, 2, 1)
-    rate = 1.0 / model.tau
-    live, threads = [], np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
+    threads = np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
     for k, ops in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
             threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
-            live.append(k)
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
         threads = emb.collide(ops, threads)
         traced = emb.trace_bond(threads, d_s)
-        mats = traced.transpose(0, 3, 2, 1).reshape(len(live), d2, d2)
-        for s, mat in zip(live, mats):
-            yield (k, k - s), Superoperator((mat - np.eye(d2) if s == k else mat) * rate, d_s, d_s)
+        mats = traced.transpose(0, 3, 2, 1).reshape(len(threads), d2, d2)[::-1]
+        if k in starts:
+            mats = np.concatenate([mats[:1] - np.eye(d2), mats[1:]])
+        yield mats * (1.0 / model.tau)
         if k + 1 < k_max:
             threads -= kron(traced, ladder[k + 1].matrix)
 
@@ -280,22 +279,22 @@ def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """
     if m < 0 or m > k:
         raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
-    return dict(_kernel_threads(model, range(k - m, k - m + 1), k + 1))[(k, m)]
+    *_, row = _kernel_threads(model, range(k - m, k - m + 1), k + 1)
+    return Superoperator(row[0], model.d_system, model.d_system)
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Memory kernels K_{km} for every step k < k_max and delay m <= k."""
+    """Memory kernels K_{km} for every step k < k_max and delay m <= k at packed[k(k+1)/2 + m]."""
 
     tau: float
     d_system: int
-    entries: dict
+    packed: np.ndarray = field(repr=False)
 
     def kernel(self, k: int, m: int) -> Superoperator:
-        try:
-            return self.entries[(k, m)]
-        except KeyError:
-            raise KeyError(f"kernel table has no entry for (k={k}, m={m})") from None
+        if not 0 <= m <= k or k * (k + 1) // 2 + m >= len(self.packed):
+            raise KeyError(f"kernel table has no entry for (k={k}, m={m})")
+        return Superoperator(self.packed[k * (k + 1) // 2 + m], self.d_system, self.d_system)
 
 
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
@@ -314,8 +313,10 @@ def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     for what, size in (("kernel table", table), ("thread stack", stack)):
         if size > KERNEL_GUARD:
             raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
-    entries = dict(_kernel_threads(model, range(k_max), k_max))
-    return KernelTable(model.tau, model.d_system, entries)
+    packed = np.empty((k_max * (k_max + 1) // 2, d_s ** 2, d_s ** 2), dtype=complex)
+    for k, row in enumerate(_kernel_threads(model, range(k_max), k_max)):
+        packed[k * (k + 1) // 2:][:k + 1] = row
+    return KernelTable(model.tau, d_s, packed)
 
 
 def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -324,14 +325,13 @@ def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndar
     rho((k+1) tau) = rho(k tau) + tau * sum_m K_{km}[rho((k-m) tau)].
     With exact kernels this reproduces the embedding trajectory.
     """
-    rho = np.asarray(rho_s0, dtype=complex)
-    states = [rho]
+    history = np.tile(vec(rho_s0), (k_max + 1, 1))
     for k in range(k_max):
-        increment = np.zeros_like(rho)
-        for m in range(k + 1):
-            increment += table.kernel(k, m).apply(states[k - m])
-        states.append(states[k] + table.tau * increment)
-    return states
+        row = table.packed[k * (k + 1) // 2:][:k + 1]
+        if len(row) <= k:
+            raise KeyError(f"kernel table has no entry for (k={k}, m={len(row)})")
+        history[k + 1] = history[k] + table.tau * (row @ history[k::-1, :, None]).sum(axis=0)[:, 0]
+    return [unvec(v, table.d_system).copy() for v in history]
 
 
 # -- second-order (correlation-function) kernel ------------------------------

@@ -20,6 +20,7 @@ from mpscollision.cli import (
     reproduce,
     run_config,
 )
+from mpscollision.master_equation import memory_kernel
 from mpscollision.models import aklt_exact_q, aklt_markov_q
 
 
@@ -425,6 +426,12 @@ def test_kernel_subcommand_output():
     assert first[0] == "0" and first[2] == "nan"
     m1 = [float(x) for x in lines[2].split(",")]
     assert m1[1] > 0 and m1[2] > 0
+    # The memory-kernel column comes from one walk over every start; each
+    # entry is the one-start memory_kernel's norm to the last bit.
+    for k, m_max in ((3, 3), (6, 3)):
+        column = [float(line.split(",")[1])
+                  for line in kernel_norms(cfg, k, m_max).strip().split("\n")[1:]]
+        assert column == [memory_kernel(cfg["model"], k, m).norm() for m in range(m_max + 1)]
 
 
 @pytest.mark.parametrize("doc,args,argument", [

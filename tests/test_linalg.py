@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mpscollision
 from mpscollision.linalg import (
+    _contraction_plan,
     _einsum,
     expm_hermitian_generator,
     kron,
@@ -88,13 +93,50 @@ def test_einsum_helper_is_bit_identical(rng, monkeypatch, eq, shapes):
     ops = [complex_normal(rng, s) for s in shapes]
     want = np.einsum(eq, *ops, optimize=True)
     assert np.array_equal(_einsum(eq, *ops), want)
-    # The path is searched once per (subscripts, shapes) and then replayed.
-    def no_search(*args, **kwargs):
-        raise AssertionError("path searched again")
-
-    monkeypatch.setattr(np, "einsum_path", no_search)
     again = [complex_normal(rng, s) for s in shapes]
-    assert np.array_equal(_einsum(eq, *again), np.einsum(eq, *again, optimize=True))
+    want = np.einsum(eq, *again, optimize=True)
+    steps, _ = _contraction_plan(eq, tuple(shapes))
+    if 1 in shapes[1]:
+        # numpy squeezes a size-1 bond with a copying einsum, so these run
+        # through np.einsum on the recorded path.
+        assert steps is None
+        return
+    # Compiled: the replay never enters np.einsum.
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called by a compiled contraction")
+
+    monkeypatch.setattr(np, "einsum", no_einsum)
+    assert np.array_equal(_einsum(eq, *again), want)
+
+
+def test_einsum_cases_cover_every_call_site():
+    # The bit-identity table above must list every subscript string that the
+    # package passes to ``_einsum``.
+    sources = Path(mpscollision.__file__).parent.glob("*.py")
+    used = {eq for path in sources
+            for eq in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())}
+    assert len(used) == 7
+    assert used <= {eq for eq, _ in EINSUM_CASES}
+
+
+# The package's subscripts, plus one with a batch index shared by every step.
+@pytest.mark.parametrize("eq", sorted({eq for eq, _ in EINSUM_CASES}) + ["zab,zbc,zcd->zda"])
+def test_einsum_plan_matches_numpy_on_random_shapes(rng, eq):
+    # Sizes 2..5 per label, signed zeros in every operand, real and complex
+    # middle operands: the replay must give numpy's bytes and layout.
+    inputs = eq.split("->")[0].split(",")
+    for trial in range(40):
+        size = {ix: int(rng.integers(2, 6)) for ix in set(eq) - set(",->")}
+        ops = []
+        for n, term in enumerate(inputs):
+            shape = tuple(size[ix] for ix in term)
+            x = rng.normal(size=shape) if n == 1 and trial % 4 == 0 else complex_normal(rng, shape)
+            x.reshape(-1)[::3] = -0.0
+            ops.append(x)
+        want = np.einsum(eq, *ops, optimize=True)
+        got = _einsum(eq, *ops)
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.tobytes() == want.tobytes()
 
 
 def test_partial_trace_product_state(rng):

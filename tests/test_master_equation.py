@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mpscollision import embedding, models
+from mpscollision import embedding, master_equation, models
 from mpscollision.embedding import CollisionModel, initial_state, kraus_operators, step, trajectory
 from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.master_equation import (
@@ -404,10 +404,12 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
     monkeypatch.setattr(embedding, "kraus_operators", counted)
     table = build_kernel_table(model, k_max)
     assert len(calls) == builds
-    assert table.entries.keys() == reference.entries.keys()
-    for (k, m), kernel in table.entries.items():
-        assert np.array_equal(kernel.matrix, reference.kernel(k, m).matrix)
-        assert np.array_equal(memory_kernel(model, k, m).matrix, kernel.matrix)
+    assert len(table.packed) == len(reference.packed) == k_max * (k_max + 1) // 2
+    for k in range(k_max):
+        for m in range(k + 1):
+            kernel = table.kernel(k, m)
+            assert np.array_equal(kernel.matrix, reference.kernel(k, m).matrix)
+            assert np.array_equal(memory_kernel(model, k, m).matrix, kernel.matrix)
 
 
 def test_kernel_table_thread_stack_guard(monkeypatch):
@@ -417,7 +419,7 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
     # only the m_eff-fold products would have let it (and K = 21) through.
     model = random_spin1_chain(np.random.default_rng(5), 64)
     k_max = 9
-    assert len(build_kernel_table(model, k_max).entries) == k_max * (k_max + 1) // 2
+    assert len(build_kernel_table(model, k_max).packed) == k_max * (k_max + 1) // 2
 
     def refuse(ops, x):
         raise AssertionError("collide called before the guard")
@@ -432,13 +434,56 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
 def test_solve_nz_zero_kernels_constant(rng):
     from mpscollision.master_equation import KernelTable
 
-    zero = Superoperator(np.zeros((4, 4)), 2, 2)
-    table = KernelTable(1.0, 2, {(k, m): zero for k in range(5) for m in range(k + 1)})
+    table = KernelTable(1.0, 2, np.zeros((5 * 6 // 2, 4, 4), dtype=complex))
     rho0 = random_density(rng, 2)
     for out in solve_nz(table, rho0, 5):
         assert np.max(np.abs(out - rho0)) < 1e-14
     with pytest.raises(KeyError):
         solve_nz(table, rho0, 6)
+    # Reads past the packed rows are refused, not truncated.
+    for k, m in ((5, 0), (4, 5), (0, -1), (-1, 0)):
+        with pytest.raises(KeyError, match=rf"no entry for \(k={k}, m={m}\)"):
+            table.kernel(k, m)
+
+
+def test_kernel_table_guard_counts_the_packed_array(monkeypatch):
+    # aklt at K = 60: the table term, K(K+1)/2 d_S^4 = 29280, outgrows the
+    # thread stack (26880), so a guard of exactly the packed array's size
+    # admits the table and one number less refuses it.
+    model = build_model(ModelSpec("aklt"), g_tau=0.4)
+    k_max = 60
+    table = build_kernel_table(model, k_max)
+    assert table.packed.shape == (k_max * (k_max + 1) // 2, 4, 4)
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", table.packed.size)
+    assert np.array_equal(build_kernel_table(model, k_max).packed, table.packed)
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", table.packed.size - 1)
+    with pytest.raises(SizeGuardError, match=f"kernel table of {table.packed.size} entries"):
+        build_kernel_table(model, k_max)
+
+
+@pytest.mark.parametrize("name", ["aklt", "ghz", "two_photon", "cluster"])
+def test_solve_nz_matches_per_entry_loop(name):
+    # The packed solver sums each step's m terms in ascending m, as this
+    # per-entry loop does, so the states agree bit for bit.
+    k_max = 20
+    model = {
+        "aklt": lambda: build_model(ModelSpec("aklt"), g_tau=0.5),
+        "ghz": lambda: build_model(ModelSpec("ghz", {"n_sites": k_max}), g_tau=0.4),
+        "two_photon": lambda: build_model(
+            ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), g_tau=0.3),
+        "cluster": lambda: build_model(ModelSpec("cluster"), g_tau=0.6, fock_cutoff=5),
+    }[name]()
+    table = build_kernel_table(model, k_max)
+    rho0 = models.named_initial_state("plus")
+    states = [rho0]
+    for k in range(k_max):
+        increment = np.zeros_like(rho0)
+        for m in range(k + 1):
+            increment += table.kernel(k, m).apply(states[k - m])
+        states.append(states[k] + table.tau * increment)
+    nz = solve_nz(table, rho0, k_max)
+    assert len(nz) == k_max + 1
+    assert all(np.array_equal(a, b) for a, b in zip(nz, states))
 
 
 # -- second-order kernel -----------------------------------------------------------
