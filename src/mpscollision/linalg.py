@@ -175,14 +175,22 @@ def expm_hermitian_generator(h: np.ndarray, theta: float, tol: float = DEFAULT_T
 def lq_factorize(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Rank-revealing LQ factorization, M = L @ Q with Q Q^dag = I.
 
-    Built on the SVD: L = U*s, Q = V^dag, keeping singular directions whose
-    relative weight exceeds ``tol``.  A zero matrix yields a zero L of rank 1
-    and an arbitrary orthonormal row, so downstream bond dimensions never
-    collapse to zero.
+    Singular directions whose relative weight exceeds ``tol`` are kept.  A
+    matrix with no more rows than columns is split through the QR of
+    M^dag = Q R, so M = R^dag Q^dag with the singular values of M on R; when
+    every one of them is kept, that is the result.  Otherwise, and for tall
+    matrices, the SVD truncates: L = U*s, Q = V^dag.  A zero matrix yields a
+    zero L of rank 1 and an arbitrary orthonormal row, so downstream bond
+    dimensions never collapse to zero.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("lq_factorize expects a matrix")
+    if 0 < m.shape[0] <= m.shape[1]:
+        q, r = np.linalg.qr(m.conj().T)
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[0] > 0.0 and s[-1] > tol * s[0]:
+            return r.conj().T, q.conj().T
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:
         l = np.zeros((m.shape[0], 1), dtype=complex)

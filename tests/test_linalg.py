@@ -62,7 +62,10 @@ def test_kron_equals_numpy_kron(rng, a_shape, b_shape):
 
 
 # Subscripts of every contraction that goes through ``_einsum``, with operand
-# shapes for which numpy's greedy search picks different orders.
+# shapes for which numpy's greedy search picks different orders.  The
+# three-operand "kab,ijac,kcd->ijbd" stays as a planner case only:
+# ``two_site_reduced_state`` runs it as the two pairwise steps listed last,
+# since at D = 3 the greedy search keeps it in one step that no plan replays.
 BOND = "iab,ac,icd->bd"
 EINSUM_CASES = [
     (BOND, [(3, 2, 2), (2, 2), (3, 2, 2)]),
@@ -78,6 +81,8 @@ EINSUM_CASES = [
     ("setf,fg,aebg->asbt", [(2, 9, 2, 9), (9, 9), (2, 9, 2, 9)]),
     ("ijpq,sqtj,upvi->stuv", [(3, 3, 3, 3), (2, 3, 2, 3), (2, 3, 2, 3)]),
     ("ijpq,sqtj,upvi->stuv", [(6, 6, 6, 6), (2, 6, 2, 6), (2, 6, 2, 6)]),
+    ("ijac,kcd->ijakd", [(2, 2, 3, 3), (2, 3, 3)]),
+    ("kab,ijakd->ijbd", [(2, 3, 3), (2, 2, 3, 2, 3)]),
 ]
 
 
@@ -115,7 +120,7 @@ def test_einsum_cases_cover_every_call_site():
     sources = Path(mpscollision.__file__).parent.glob("*.py")
     used = {eq for path in sources
             for eq in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())}
-    assert len(used) == 7
+    assert len(used) == 8
     assert used <= {eq for eq, _ in EINSUM_CASES}
 
 
@@ -231,6 +236,58 @@ def test_lq_rank_revealing(rng):
     row = rng.normal(size=(1, 6)) + 1j * rng.normal(size=(1, 6))
     l, q = lq_factorize(col @ row)
     assert q.shape[0] == 1
+
+
+def _lq_by_svd(m, tol=1e-12):
+    """The SVD split: the reference for the fallback branch of ``lq_factorize``."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    if s.size == 0 or s[0] <= 0.0:
+        q = np.zeros((1, m.shape[1]), dtype=complex)
+        q[0, 0] = 1.0
+        return np.zeros((m.shape[0], 1), dtype=complex), q
+    rank = max(int(np.sum(s > tol * s[0])), 1)
+    return u[:, :rank] * s[:rank], vh[:rank, :]
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (3, 5), (4, 4), (8, 16), (16, 32), (32, 64), (5, 40)])
+def test_lq_full_rank_wide_takes_qr(rng, shape):
+    m = complex_normal(rng, shape)
+    l, q = lq_factorize(m)
+    assert l.shape == (shape[0], shape[0]) and q.shape == shape
+    # L = R^dag from the QR of M^dag is exactly lower triangular; U*s is not.
+    assert np.array_equal(np.triu(l, 1), np.zeros_like(l))
+    assert np.linalg.norm(l @ q - m) < 1e-12
+    assert np.linalg.norm(q @ q.conj().T - np.eye(shape[0])) < 1e-12
+
+
+@pytest.mark.parametrize("smallest,rank", [(1e-14, 5), (1e-9, 6)])
+def test_lq_rank_rule_at_the_tolerance(rng, smallest, rank):
+    u, _ = np.linalg.qr(complex_normal(rng, (6, 6)))
+    v, _ = np.linalg.qr(complex_normal(rng, (10, 6)))
+    s = np.array([2.0, 1.0, 0.5, 0.3, 0.1, 2.0 * smallest])
+    m = (u * s) @ v.conj().T
+    assert int(np.sum(np.linalg.svd(m, compute_uv=False) > 1e-12 * s[0])) == rank
+    l, q = lq_factorize(m)
+    assert q.shape[0] == rank
+    assert np.linalg.norm(l @ q - m) < 1e-12
+    assert np.linalg.norm(q @ q.conj().T - np.eye(rank)) < 1e-12
+    if rank < 6:
+        # Truncated splits are the SVD's, unchanged.
+        want = _lq_by_svd(m)
+        assert np.array_equal(l, want[0]) and np.array_equal(q, want[1])
+    else:
+        assert np.array_equal(np.triu(l, 1), np.zeros_like(l))
+
+
+@pytest.mark.parametrize("m", [
+    np.arange(12.0).reshape(6, 2) + 1j,      # tall, full column rank
+    np.outer(np.arange(1.0, 6.0), [1.0, 2j, 3.0]),   # tall, rank 1
+    np.zeros((3, 4)), np.zeros((5, 2)), np.zeros((1, 1)),
+])
+def test_lq_tall_and_zero_follow_the_svd(m):
+    l, q = lq_factorize(m)
+    want_l, want_q = _lq_by_svd(np.asarray(m, dtype=complex))
+    assert np.array_equal(l, want_l) and np.array_equal(q, want_q)
 
 
 def test_hermitian_basis_orthonormal_complete():

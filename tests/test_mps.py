@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mpscollision import models
+from mpscollision import models, mps
 from mpscollision.linalg import kron, partial_trace
 from mpscollision.mps import (
     BondState,
@@ -130,6 +130,60 @@ def test_canonicalize_ghz_reduced_densities():
         marg = site_reduced_state(env, chi)
         assert np.max(np.abs(marg - np.eye(2) / 2)) < 1e-12
         chi = evolve_bond_state(env, chi)
+
+
+def _random_raw_mps(rng, n, d_max, d=2):
+    bonds = [min(d ** k, d_max, d ** (n - k)) for k in range(n + 1)]
+    return [rng.normal(size=(d, bonds[k], bonds[k + 1]))
+            + 1j * rng.normal(size=(d, bonds[k], bonds[k + 1])) for k in range(n)]
+
+
+@pytest.mark.parametrize("d_max", [8, 32])
+def test_canonicalize_wide_random_state(rng, d_max):
+    n = 12
+    raw = _random_raw_mps(rng, n, d_max)
+    env = right_canonicalize(raw)
+    assert check_right_canonical(env) < 1e-12
+    # State vector straight from the raw tensors, normalized.
+    psi = raw[0][:, 0, :]
+    for t in raw[1:]:
+        psi = np.tensordot(psi, t, axes=([psi.ndim - 1], [1]))
+    psi = psi.reshape(-1) / np.linalg.norm(psi)
+    # The full 2^12 projector would take 268 MB; prefixes of 6 and 10 sites
+    # (bond 32 open, and two future sites closed by right-canonicality) are
+    # the partial traces of the projector.
+    for k in (6, 10):
+        a = psi.reshape(2 ** k, 2 ** (n - k))
+        rho = reduced_density_prefix(env, k)
+        assert np.max(np.abs(rho - a @ a.conj().T)) < 1e-12
+
+
+def test_check_right_canonical_matches_einsum_gram(rng):
+    def by_einsum(env):
+        return max(np.linalg.norm(np.einsum("iab,icb->ac", t, t.conj()) - np.eye(t.shape[1]))
+                   for t in env.sites)
+
+    canonical = right_canonicalize(_random_raw_mps(rng, 12, 32))
+    for eps in (1e-12, 1e-10, 1e-9, 1e-3, 0.3):
+        sites = [t + eps * (rng.normal(size=t.shape) + 1j * rng.normal(size=t.shape))
+                 for t in canonical.sites]
+        env = MpsEnvironment(tuple(sites), canonical.chi0)
+        assert abs(check_right_canonical(env) - by_einsum(env)) < 1e-13
+
+
+def test_canonicalize_and_check_stay_off_einsum(rng, monkeypatch):
+    # Gauge fixing and the gauge check run on matmul and LAPACK only.
+    raw = _random_raw_mps(rng, 10, 16)
+
+    def no_einsum(*args, **kwargs):
+        raise AssertionError("np.einsum called on the canonicalize-and-check path")
+
+    monkeypatch.setattr(mps.np, "einsum", no_einsum)
+    env = right_canonicalize(raw)
+    env.validate()
+    k = max(j for j, t in enumerate(env.sites) if t.shape[1] == t.shape[2] == 16)
+    chi = evolve_bond_state(env, BondState(k, np.eye(16) / 16))
+    chi.validate()
 
 
 def test_canonicalize_zero_norm_raises():
@@ -271,6 +325,27 @@ def test_two_site_marginals_match():
     assert np.max(np.abs(left - site_reduced_state(env, chi))) < 1e-12
     chi_mid = evolve_bond_state(env, evolve_bond_state(env, chi))
     assert np.max(np.abs(right - site_reduced_state(env, chi_mid))) < 1e-12
+
+
+def test_two_site_matches_three_operand_contraction():
+    # Reference: the bond object carried through each skipped site in one
+    # three-operand einsum.
+    zoo = all_zoo()
+    for name in ("aklt", "two_photon", "cluster"):
+        env = zoo[name]
+        chi = evolve_bond_state(env, env.initial_bond_state())
+        b = env.site(1)
+        m0 = np.einsum("iab,ac,jcd->ijbd", b, chi.matrix, b.conj())
+        for sep in range(2, 11):
+            m = m0
+            for k in range(2, 1 + sep):
+                bk = env.site(k)
+                m = np.einsum("kab,ijac,kcd->ijbd", bk, m, bk.conj())
+            bb = env.site(1 + sep)
+            d = b.shape[0] * bb.shape[0]
+            want = np.einsum("kab,ijac,lcb->ikjl", bb, m, bb.conj()).reshape(d, d)
+            got = two_site_reduced_state(env, 1, 1 + sep, chi)
+            assert np.max(np.abs(got - want)) < 1e-12, (name, sep)
 
 
 def test_two_site_order_validation():
