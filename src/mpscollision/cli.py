@@ -24,8 +24,9 @@ import numpy as np
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
-from .master_equation import (_kernel_threads, build_kernel_table, evolve_gksl_grid,
-                             second_order_kernel, solve_nz, stroboscopic_generator)
+from .master_equation import (_bond_ladder, _guard_kernel_threads, _kernel_threads,
+                             _second_order_kernels, build_kernel_table, evolve_gksl_grid,
+                             solve_nz, stroboscopic_generator)
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -475,17 +476,17 @@ def _write(path: Path, text: str) -> Path:
 def kernel_norms(cfg: dict, k: int, m_max: int) -> str:
     model = cfg["model"]
     m_max = min(m_max, k)
-    # One walk from the earliest start: its step-k row holds K_{k,m}, m = 0..m_max.
-    for row in _kernel_threads(model, range(k - m_max, k + 1), k + 1):
+    starts = range(k - m_max, k + 1)
+    _guard_kernel_threads(model, starts, k + 1)
+    # One ladder for the walk from the earliest start (its step-k row holds K_{k,m}) and K2.
+    ladder = _bond_ladder(model.env, k)
+    for row in _kernel_threads(model, starts, k + 1, ladder):
         pass
-    rows = []
-    for m in range(m_max + 1):
-        knorm = frobenius(row[m])
-        if m >= 1 and model.hamiltonian is not None:
-            k2norm = second_order_kernel(model, k, m).norm()
-        else:
-            k2norm = float("nan")
-        rows.append([m, knorm, k2norm])
+    second = [float("nan")] * (m_max + 1)
+    if model.hamiltonian is not None:
+        second[1:] = [kernel.norm() for kernel in
+                      _second_order_kernels(model, k, range(1, m_max + 1), ladder)]
+    rows = [[m, frobenius(row[m]), second[m]] for m in range(m_max + 1)]
     return _format_csv(["m", "kernel_norm", "second_order_norm"], rows)
 
 

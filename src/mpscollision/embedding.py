@@ -11,7 +11,8 @@ chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
 
 ``collide`` and ``trace_bond`` are the one implementation of this map: ``step``
-applies them to one joint state, the memory kernels to a stack of them.
+applies them to one joint state, ``trajectory`` to a run of joint matrices
+traced in batches, the memory kernels to a stack of them.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ __all__ = [
     "observable_series",
     "cutoff_shift",
 ]
+
+
+_TRACE_BATCH_BYTES = 64 * 1024   # joint states held by ``trajectory`` for one bond trace
 
 
 class CutoffConvergenceError(RuntimeError):
@@ -164,23 +168,26 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
 
 
 def _kraus_stacks(model: CollisionModel, ks: range):
-    """Yield the Kraus stack of each collision k in ``ks``.
+    """Yield the Kraus stack and its adjoint stack of each collision k in ``ks``.
 
     A stack is rebuilt only when ``model.env.site(k)`` or
     ``model.base_unitary(k)`` is a different object from the ones of the last
     build, so a homogeneous chain builds one stack and GHZ three.
     """
-    site = u = ops = None
+    site = u = pair = None
     for k in ks:
         if model.env.site(k) is not site or model.base_unitary(k) is not u:
             site, u = model.env.site(k), model.base_unitary(k)
             ops = kraus_operators(model, k)
-        yield ops
+            pair = ops, ops.conj().transpose(0, 2, 1)
+        yield pair
 
 
-def collide(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in)."""
-    return np.sum(ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3)
+def collide(ops: np.ndarray, x: np.ndarray, ops_dag: np.ndarray | None = None) -> np.ndarray:
+    """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in); ``ops_dag`` = A^dag."""
+    if ops_dag is None:
+        ops_dag = ops.conj().transpose(0, 2, 1)
+    return np.add.reduce(ops @ x[..., None, :, :] @ ops_dag, axis=-3)
 
 
 def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
@@ -200,19 +207,12 @@ def initial_state(model: CollisionModel, rho_s0: np.ndarray) -> SystemBondState:
     return SystemBondState(0, matrix, model.d_system, model.env.chi0.shape[0])
 
 
-def step(model: CollisionModel, state: SystemBondState,
-         ops: np.ndarray | None = None) -> SystemBondState:
-    """Advance the system-bond state through one collision.
-
-    ``ops`` is the collision's Kraus stack when the caller already holds it;
-    by default it is built here.
-    """
+def step(model: CollisionModel, state: SystemBondState) -> SystemBondState:
+    """Advance the system-bond state through one collision."""
     k = state.step
     if model.env.length is not None and k >= model.env.length:
         raise IndexError(f"collision {k} beyond environment length {model.env.length}")
-    if ops is None:
-        ops = kraus_operators(model, k)
-    out = collide(ops, state.matrix)
+    out = collide(kraus_operators(model, k), state.matrix)
     return SystemBondState(k + 1, out, model.d_system, model.env.site(k).shape[2])
 
 
@@ -230,17 +230,24 @@ def bond_state_of(state: SystemBondState) -> BondState:
 def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
     """System density matrices after 0..k_max collisions.
 
-    A Kraus stack serves every following collision with the same site tensor
-    and unitary objects (``_kraus_stacks``), so a homogeneous chain builds one.
+    Bare joint matrices R(k) go through ``collide`` with each distinct
+    channel's Kraus and adjoint stacks built once (``_kraus_stacks``).  Runs of
+    equal shape are bond-traced by one ``trace_bond`` per ``_TRACE_BATCH_BYTES``
+    (a larger state alone).  A finite chain shorter than k_max raises ``step``'s
+    IndexError before the first collision.
     """
-    state = initial_state(model, rho_s0)
-    out = [system_state(state)]
     length = model.env.length
-    stacks = _kraus_stacks(model, range(k_max if length is None else min(k_max, length)))
-    for _ in range(k_max):
-        # Past the end of a finite chain ``step`` raises its IndexError.
-        state = step(model, state, next(stacks, None))
-        out.append(system_state(state))
+    if length is not None and k_max > length:
+        raise IndexError(f"collision {length} beyond environment length {length}")
+    r = initial_state(model, rho_s0).matrix
+    out, held = [], [r]
+    for ops, ops_dag in _kraus_stacks(model, range(k_max)):
+        r = collide(ops, r, ops_dag)
+        if r.shape != held[0].shape or (len(held) + 1) * r.nbytes > _TRACE_BATCH_BYTES:
+            out.extend(trace_bond(np.stack(held), model.d_system))
+            held = []
+        held.append(r)
+    out.extend(trace_bond(np.stack(held), model.d_system))
     return out
 
 

@@ -239,7 +239,20 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 # -- exact memory kernel -----------------------------------------------------
 
-def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
+def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, table: int = 0):
+    """Raise ``SizeGuardError`` if a table of ``table`` numbers or the last step of
+    ``_kernel_threads(model, starts, k_max)`` would hold more than ``KERNEL_GUARD``
+    numbers; that step holds 2 m_eff + 1 thread stacks (the input and the two
+    m_eff-fold products inside ``collide``)."""
+    d_s = model.d_system
+    d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
+    stack = (2 * model.effective_mode_dim() + 1) * len(starts) * d_s ** 2 * (d_s * d_bond) ** 2
+    for what, size in (("kernel table", table), ("thread stack", stack)):
+        if size > KERNEL_GUARD:
+            raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
+
+
+def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=None):
     """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
 
     Thread s is the stack W_s[E] = E (x) chi_s over the system basis E in
@@ -247,19 +260,20 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int):
     every live thread goes through one ``collide`` with the step's Kraus stack,
     built once per distinct channel as in ``trajectory``; K_{k,k-s} is read off
     the bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
+    ``ladder`` is the bond ladder to k_max - 1 when the caller already holds it.
     """
-    ladder = _bond_ladder(model.env, k_max - 1)
+    ladder = ladder or _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
     d2 = d_s ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, d_s, d_s).transpose(0, 2, 1)
     threads = np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
-    for k, ops in zip(steps, emb._kraus_stacks(model, steps)):
+    for k, (ops, ops_dag) in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
             threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
-        threads = emb.collide(ops, threads)
+        threads = emb.collide(ops, threads, ops_dag)
         traced = emb.trace_bond(threads, d_s)
         mats = traced.transpose(0, 3, 2, 1).reshape(len(threads), d2, d2)[::-1]
         if k in starts:
@@ -300,19 +314,11 @@ class KernelTable:
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps.
 
-    One batched ``collide`` of the live threads per step.  Raises
-    ``SizeGuardError`` before any work when the table, or the working set of
-    the last step, would hold more than ``KERNEL_GUARD`` numbers.  That step
-    holds 2 m_eff + 1 thread stacks at once: the input and the two m_eff-fold
-    products inside ``collide``.
+    One batched ``collide`` of the live threads per step, after
+    ``_guard_kernel_threads`` has checked the table and the working set.
     """
     d_s = model.d_system
-    d_bond = max((max(model.env.site(k).shape[1:]) for k in range(k_max)), default=1)
-    table = k_max * (k_max + 1) // 2 * d_s ** 4
-    stack = (2 * model.effective_mode_dim() + 1) * k_max * d_s ** 2 * (d_s * d_bond) ** 2
-    for what, size in (("kernel table", table), ("thread stack", stack)):
-        if size > KERNEL_GUARD:
-            raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
+    _guard_kernel_threads(model, range(k_max), k_max, k_max * (k_max + 1) // 2 * d_s ** 4)
     packed = np.empty((k_max * (k_max + 1) // 2, d_s ** 2, d_s ** 2), dtype=complex)
     for k, row in enumerate(_kernel_threads(model, range(k_max), k_max)):
         packed[k * (k + 1) // 2:][:k + 1] = row
@@ -367,6 +373,18 @@ def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
     return kron(model.hamiltonian, np.eye(model.env.ancilla_dim))
 
 
+def _second_order_kernels(model: CollisionModel, k: int, ms, ladder: list[BondState]):
+    """Yield ``second_order_kernel(model, k, m)`` for each m in ``ms`` off one bond ladder to k."""
+    h = _effective_hamiltonian(model)
+    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
+        raise ValueError("interaction Hamiltonian must be Hermitian")
+    late = _particle_state(model, (k,), ladder[k])
+    for m in ms:
+        early = _particle_state(model, (k - m,), ladder[k - m])
+        pair = _particle_state(model, (k - m, k), ladder[k - m])
+        yield _double_commutator(h, pair - kron(early, late)) * (-(model.g ** 2) * model.tau)
+
+
 def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """Leading (two-point correlation) contribution to K_{km}, m >= 1.
 
@@ -379,14 +397,7 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """
     if m < 1 or m > k:
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    h = _effective_hamiltonian(model)
-    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
-        raise ValueError("interaction Hamiltonian must be Hermitian")
-    ladder = _bond_ladder(model.env, k)
-    early = _particle_state(model, (k - m,), ladder[k - m])
-    late = _particle_state(model, (k,), ladder[k])
-    pair = _particle_state(model, (k - m, k), ladder[k - m])
-    return _double_commutator(h, pair - kron(early, late)) * (-(model.g ** 2) * model.tau)
+    return next(_second_order_kernels(model, k, (m,), _bond_ladder(model.env, k)))
 
 
 # -- stroboscopic (GKSL) limit ------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mpscollision import cli, embedding, models
+from mpscollision import cli, embedding, master_equation, models
 from mpscollision.cli import (
     MAX_CHAIN_SITES,
     ConfigError,
@@ -20,7 +20,7 @@ from mpscollision.cli import (
     reproduce,
     run_config,
 )
-from mpscollision.master_equation import memory_kernel
+from mpscollision.master_equation import memory_kernel, second_order_kernel
 from mpscollision.models import aklt_exact_q, aklt_markov_q
 
 
@@ -432,6 +432,38 @@ def test_kernel_subcommand_output():
         column = [float(line.split(",")[1])
                   for line in kernel_norms(cfg, k, m_max).strip().split("\n")[1:]]
         assert column == [memory_kernel(cfg["model"], k, m).norm() for m in range(m_max + 1)]
+
+
+def test_kernel_subcommand_walks_one_ladder(monkeypatch):
+    # Both columns of a scan share one bond ladder to k; the CSV is the one
+    # of a per-m second_order_kernel (each with its own ladder) to the byte.
+    cfg = load_config(aklt_doc(g_tau=0.3))
+    model, k, m_max = cfg["model"], 12, 9
+    want = cli._format_csv(["m", "kernel_norm", "second_order_norm"], [
+        [m, memory_kernel(model, k, m).norm(),
+         second_order_kernel(model, k, m).norm() if m else float("nan")]
+        for m in range(m_max + 1)])
+    calls = []
+    evolve = master_equation.evolve_bond_state
+
+    def counted(env, chi):
+        calls.append(1)
+        return evolve(env, chi)
+
+    monkeypatch.setattr(master_equation, "evolve_bond_state", counted)
+    assert kernel_norms(cfg, k, m_max) == want
+    assert len(calls) == k
+
+
+def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
+    # aklt at k = m_max = 59 holds 60 thread stacks of 7 * 4 * 4**2 numbers.
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", 1000)
+    monkeypatch.setattr(cli, "_bond_ladder", lambda *args: pytest.fail("work before the guard"))
+    path = write_config(tmp_path, aklt_doc())
+    assert main(["kernel", "--config", path, "--k", "59", "--m-max", "59"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "thread stack of 26880 entries exceeds the 1000 guard" in captured.err
 
 
 @pytest.mark.parametrize("doc,args,argument", [

@@ -246,10 +246,72 @@ def test_step_cptp_random_states(rng):
             assert lo > -1e-10, name
 
 
-def test_trajectory_beyond_finite_environment():
+def test_trajectory_beyond_finite_environment(monkeypatch):
     model = zoo_models()["ghz"]
-    with pytest.raises(IndexError):
+    calls = []
+    monkeypatch.setattr(embedding, "collide", lambda *args: calls.append(1))
+    with pytest.raises(IndexError, match="collision 8 beyond environment length 8"):
         trajectory(model, models.named_initial_state("ground"), 9)
+    assert calls == []   # refused before the first collision
+
+
+def bond_change_models():
+    """Finite chains whose bond dimension changes along the run."""
+    rng = np.random.default_rng(11)
+    n = 14
+    bonds = [min(2 ** k, 32, 2 ** (n - k)) for k in range(n + 1)]   # 1 -> 32 -> 1
+    tensors = [rng.normal(size=(2, bonds[k], bonds[k + 1]))
+               + 1j * rng.normal(size=(2, bonds[k], bonds[k + 1])) for k in range(n)]
+    wide = CollisionModel(env=right_canonicalize(tensors),
+                          unitary=models.interaction("exchange", 0.4, 2).unitary,
+                          d_system=2, mode_dim=2, g_tau=0.4)
+    assert max(b.shape[2] for b in wide.env.sites) == 32
+    return {
+        "ghz": build_model(ModelSpec("ghz", {"n_sites": 20}), g_tau=0.4),
+        "single_photon": build_model(ModelSpec("single_photon", {"n_sites": 20}), g_tau=0.4),
+        "random_1_32_1": wide,
+    }
+
+
+def parent_collide(ops, x, *_):
+    """The collision map with the adjoint stack and the sum formed inside every call."""
+    return np.sum(ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3)
+
+
+@pytest.mark.parametrize("budget", [None, 1024])
+@pytest.mark.parametrize("name", ["ghz", "single_photon", "random_1_32_1"])
+def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
+    model = bond_change_models()[name]
+    k_max = model.env.length
+    rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "collide", parent_collide)
+        state = initial_state(model, rho0)
+        reference = [system_state(state)]
+        for _ in range(k_max):
+            state = step(model, state)
+            reference.append(system_state(state))
+
+    if budget is not None:
+        monkeypatch.setattr(embedding, "_TRACE_BATCH_BYTES", budget)
+    batches = []
+
+    def recorded(x, d_system):
+        batches.append((len(x), x.nbytes))
+        return trace_bond(x, d_system)
+
+    def refuse(*args):
+        raise AssertionError("trajectory called step")
+
+    monkeypatch.setattr(embedding, "trace_bond", recorded)
+    monkeypatch.setattr(embedding, "step", refuse)
+    states = trajectory(model, rho0, k_max)
+    assert len(states) == k_max + 1
+    assert all(np.array_equal(a, b) for a, b in zip(states, reference))
+    assert sum(n for n, _ in batches) == k_max + 1
+    # Each batch fits the byte budget, unless it is one state larger than it.
+    assert all(size <= embedding._TRACE_BATCH_BYTES or n == 1 for n, size in batches)
+    assert len(batches) > 1
 
 
 def test_decorrelated_embedding_equals_channel_composition():

@@ -361,9 +361,9 @@ def test_kernel_table_collide_count(spec, monkeypatch):
     collisions, products = [], []
     collide, matmul = embedding.collide, Superoperator.__matmul__
 
-    def counted_collide(ops, x):
+    def counted_collide(ops, x, *adjoint):
         collisions.append(1)
-        return collide(ops, x)
+        return collide(ops, x, *adjoint)
 
     def counted_matmul(self, other):
         products.append(1)
@@ -390,10 +390,11 @@ def test_kernel_table_collide_count(spec, monkeypatch):
 def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
     model = build_model(spec, g_tau=0.4)
     k_max = 10
-    # Reference: a fresh Kraus stack at every step, as without reuse.
+    # Reference: a fresh Kraus stack at every step, as without reuse, and
+    # its adjoint formed inside every collide.
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "_kraus_stacks",
-                      lambda model, ks: (kraus_operators(model, k) for k in ks))
+                      lambda model, ks: ((kraus_operators(model, k), None) for k in ks))
         reference = build_kernel_table(model, k_max)
     calls = []
 
@@ -410,6 +411,21 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
             kernel = table.kernel(k, m)
             assert np.array_equal(kernel.matrix, reference.kernel(k, m).matrix)
             assert np.array_equal(memory_kernel(model, k, m).matrix, kernel.matrix)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec("aklt"),
+    ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}),
+    ModelSpec("cluster"),
+])
+def test_kernel_table_matches_per_call_adjoint(spec, monkeypatch):
+    # The adjoint stack formed once per channel and np.add.reduce give the
+    # bits of an adjoint and an np.sum formed inside every collide.
+    model = build_model(spec, g_tau=0.3, fock_cutoff=5 if spec.name == "cluster" else None)
+    table = build_kernel_table(model, 12)
+    monkeypatch.setattr(embedding, "collide", lambda ops, x, *_: np.sum(
+        ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3))
+    assert np.array_equal(table.packed, build_kernel_table(model, 12).packed)
 
 
 def test_kernel_table_thread_stack_guard(monkeypatch):
