@@ -24,9 +24,8 @@ import numpy as np
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
-from .master_equation import (_bond_ladder, _guard_kernel_threads, _kernel_threads,
-                             _second_order_kernels, build_kernel_table, evolve_gksl_grid,
-                             solve_nz, stroboscopic_generator)
+from .master_equation import (build_kernel_table, evolve_gksl_grid, kernel_scan, solve_nz,
+                             stroboscopic_generator)
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -411,58 +410,51 @@ PRESETS = {
     },
 }
 
-# Converged Fock cutoffs for the cluster figure (the 0.6 coupling leaks
-# higher into the Fock ladder; see the cutoff-shift gate).
-_FIG5B_CUTOFF = {0.3: 7, 0.6: 9}
+# (file name, preset) of each curve pair drawn correlated against uncorrelated; the cluster
+# cutoffs are converged ones, as the 0.6 coupling leaks higher into the Fock ladder.
+_VARIANT_RUNS = {
+    "fig5a": [("fig5a.csv", PRESETS["fig5a"])],
+    "fig5b": [(f"fig5b_gtau{tag}.csv", {**PRESETS["fig5b"], "g_tau": g_tau, "fock_cutoff": cutoff})
+              for tag, g_tau, cutoff in (("03", 0.3, 7), ("06", 0.6, 9))],
+}
 
 
-def _variant_rows(base: dict, methods: tuple) -> list[list[float]]:
-    """Rows k, g_t and the first observable of ``base`` under each method."""
+def _variant_rows(base: dict) -> list[list[float]]:
+    """Rows k, g_t and the first observable of ``base``, correlated and then uncorrelated."""
     columns = [_run_columns(load_config({**base, "method": method}), gate=False)[1][0]
-               for method in methods]
+               for method in ("embedding", "decorrelated")]
     return _rows(base["g_tau"], columns)
 
 
 def reproduce(figure: str, out_dir: str) -> list[Path]:
     """Emit the CSV data behind one of the reference figures."""
+    if figure not in FIGURES:
+        raise ConfigError("figure", f"unknown figure '{figure}', expected one of {FIGURES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    if figure == "fig5a":
-        rows = _variant_rows(PRESETS["fig5a"], ("embedding", "decorrelated"))
-        header = ["excited_population_correlated", "excited_population_uncorrelated"]
-        written.append(_write(out / "fig5a.csv", _format_csv(["k", "g_t"] + header, rows)))
-    elif figure == "fig5b":
-        for g_tau in (0.3, 0.6):
-            base = {**PRESETS["fig5b"], "g_tau": g_tau,
-                    "fock_cutoff": _FIG5B_CUTOFF[g_tau]}
-            rows = _variant_rows(base, ("embedding", "decorrelated"))
-            header = ["coherence_correlated", "coherence_uncorrelated"]
-            tag = str(g_tau).replace(".", "")
-            written.append(_write(out / f"fig5b_gtau{tag}.csv",
-                                  _format_csv(["k", "g_t"] + header, rows)))
-    elif figure == "fig6a":
+    for name, base in _VARIANT_RUNS.get(figure, []):
+        obs = base["observables"][0]
+        header = ["k", "g_t", f"{obs}_correlated", f"{obs}_uncorrelated"]
+        written.append(_write(out / name, _format_csv(header, _variant_rows(base))))
+    if figure == "fig6a":
         g_tau = PRESETS["fig6a"]["g_tau"]
-        rows = _variant_rows(PRESETS["fig6a"], ("embedding", "decorrelated"))
+        rows = _variant_rows(PRESETS["fig6a"])
         for k, row in enumerate(rows):
             row += [models.aklt_exact_q(k, g_tau), models.aklt_markov_q(k, g_tau)]
         header = ["q_exact", "q_uncorrelated", "q_exact_closed_form", "q_markov_closed_form"]
         written.append(_write(out / "fig6a.csv", _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig6b":
-        base = PRESETS["fig6b"]
-        cfg = load_config(base)
-        text = run_config(cfg)
-        written.append(_write(out / "fig6b_exact.csv", text))
+        cfg = load_config(PRESETS["fig6b"])
+        written.append(_write(out / "fig6b_exact.csv", run_config(cfg)))
         model = cfg["model"]
         states = evolve_gksl_grid(stroboscopic_generator(model), cfg["initial_state"],
-                                  model.tau / 10.0, 10 * base["k_max"])
+                                  model.tau / 10.0, 10 * cfg["k_max"])
         obs = models.named_observable("sigma_z")
-        rows = [[j / 10.0, (j / 10.0) * base["g_tau"], float(np.trace(rho @ obs).real)]
+        rows = [[j / 10.0, (j / 10.0) * cfg["g_tau"], float(np.trace(rho @ obs).real)]
                 for j, rho in enumerate(states)]
         written.append(_write(out / "fig6b_gksl.csv",
                               _format_csv(["k", "g_t", "sigma_z"], rows)))
-    else:
-        raise ConfigError("figure", f"unknown figure '{figure}', expected one of {FIGURES}")
     return written
 
 
@@ -474,19 +466,10 @@ def _write(path: Path, text: str) -> Path:
 # -- kernel norms -------------------------------------------------------------
 
 def kernel_norms(cfg: dict, k: int, m_max: int) -> str:
-    model = cfg["model"]
-    m_max = min(m_max, k)
-    starts = range(k - m_max, k + 1)
-    _guard_kernel_threads(model, starts, k + 1)
-    # One ladder for the walk from the earliest start (its step-k row holds K_{k,m}) and K2.
-    ladder = _bond_ladder(model.env, k)
-    for row in _kernel_threads(model, starts, k + 1, ladder):
-        pass
-    second = [float("nan")] * (m_max + 1)
-    if model.hamiltonian is not None:
-        second[1:] = [kernel.norm() for kernel in
-                      _second_order_kernels(model, k, range(1, m_max + 1), ladder)]
-    rows = [[m, frobenius(row[m]), second[m]] for m in range(m_max + 1)]
+    """CSV of the norms of K_{k,m} and of its second-order part per delay m (``kernel_scan``)."""
+    kernels, second = kernel_scan(cfg["model"], k, m_max)
+    rows = [[m, kernel.norm(), float("nan") if part is None else part.norm()]
+            for m, (kernel, part) in enumerate(zip(kernels, second))]
     return _format_csv(["m", "kernel_norm", "second_order_norm"], rows)
 
 

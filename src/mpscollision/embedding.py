@@ -135,11 +135,6 @@ class SystemBondState:
                 self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("system-bond matrix does not match declared dimensions")
 
-    def validate(self, tol: float = 1e-10) -> None:
-        from .linalg import assert_density_matrix
-
-        assert_density_matrix(self.matrix, tol, f"system-bond state at step {self.step}")
-
 
 def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     """Kraus operators of the k-th collision (0-based), stacked on axis 0.

@@ -10,9 +10,9 @@ system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
 through one ``collide`` per step: a table costs k_max batched collisions.
 
-The other superoperators are closed forms: collision channels are one einsum
-of the collision unitary with the particle state, the projections one
-einsum each.  The second-order kernel ties memory to the
+The one- and two-collision channels are the embedding's own dynamical maps:
+the same basis stack E (x) chi through ``collide`` and the bond trace, with
+no projection in between.  The second-order kernel ties memory to the
 environment's connected pair correlator C: it needs H only through
 X[s,t,u,v] = sum_ijpq C[i,j,p,q] H[s,q,t,j] H[u,p,v,i], which by completeness
 of any Hilbert-Schmidt-orthonormal mode basis {E_a} equals the expansion
@@ -44,12 +44,11 @@ __all__ = [
     "KernelTable",
     "vec",
     "unvec",
-    "projection_P",
-    "projection_Q",
     "single_collision_channel",
     "two_collision_channel",
     "memory_kernel",
     "build_kernel_table",
+    "kernel_scan",
     "solve_nz",
     "second_order_kernel",
     "stroboscopic_generator",
@@ -89,13 +88,6 @@ class Superoperator:
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
         return cls(np.eye(dim ** 2, dtype=complex), dim, dim)
-
-    @classmethod
-    def conjugation(cls, a: np.ndarray, b: np.ndarray) -> "Superoperator":
-        """X -> A X B^dag."""
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        return cls(kron(b.conj(), a), a.shape[1], a.shape[0])
 
     @classmethod
     def from_kraus(cls, ops) -> "Superoperator":
@@ -148,36 +140,12 @@ class Superoperator:
     def norm(self) -> float:
         return frobenius(self.matrix)
 
-    def trace_defect(self) -> float:
-        """How far tr(S[X]) is from tr(X) over a full operator basis."""
-        tr_out = vec(np.eye(self.out_dim)).conj() @ self.matrix
-        tr_in = vec(np.eye(self.in_dim)).conj()
-        return float(np.max(np.abs(tr_out - tr_in)))
-
-    def is_trace_preserving(self, tol: float = 1e-10) -> bool:
-        return self.trace_defect() <= tol
-
     def annihilates_trace(self, tol: float = 1e-10) -> bool:
         tr_out = vec(np.eye(self.out_dim)).conj() @ self.matrix
         return float(np.max(np.abs(tr_out))) <= tol
 
 
 # -- building blocks -------------------------------------------------------
-
-def projection_P(d_system: int, chi: BondState) -> Superoperator:
-    """R -> tr_bond[R] (x) chi_k; idempotent on system-bond operators."""
-    d_bond = chi.matrix.shape[0]
-    dim = d_system * d_bond
-    eye_s = np.eye(d_system, dtype=complex)
-    # Column-major vec: row (v, e, u, c) of the output, column (t, b, s, a).
-    mat = np.einsum("us,vt,ab,ce->veuctbsa", eye_s, eye_s, np.eye(d_bond), chi.matrix)
-    return Superoperator(mat.reshape(dim ** 2, dim ** 2), dim, dim)
-
-
-def projection_Q(d_system: int, chi: BondState) -> Superoperator:
-    dim = d_system * chi.matrix.shape[0]
-    return Superoperator.identity(dim) - projection_P(d_system, chi)
-
 
 def _bond_ladder(env: MpsEnvironment, k_max: int) -> list[BondState]:
     chis = [env.initial_bond_state()]
@@ -206,35 +174,39 @@ def _particle_state(model: CollisionModel, sites, chi: BondState) -> np.ndarray:
     return out.reshape(dim, dim)
 
 
-def _collision_channel(u: np.ndarray, particles: np.ndarray) -> Superoperator:
-    """rho -> tr_env[U (rho (x) particles) U^dag] for U on system (x) env."""
-    d_env = particles.shape[0]
-    d_s = u.shape[0] // d_env
-    u4 = u.reshape(d_s, d_env, d_s, d_env)
-    mat = _einsum("setf,fg,aebg->asbt", u4, particles, u4.conj())
-    return Superoperator(mat.reshape(d_s ** 2, d_s ** 2), d_s, d_s)
+def _basis_stack(d_s: int, chi: np.ndarray) -> np.ndarray:
+    """E (x) chi over the system basis E in column-major order (a Superoperator's columns)."""
+    return kron(np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s).transpose(0, 2, 1), chi)
+
+
+def _read_off(traced: np.ndarray) -> np.ndarray:
+    """Superoperator matrices (..., d_S^2, d_S^2) of bond-traced basis stacks."""
+    return np.swapaxes(traced, -1, -3).reshape(traced.shape[:-2] + (-1,))
+
+
+def _channels(model: CollisionModel, chi: BondState, n: int) -> list[Superoperator]:
+    """The embedding's maps rho -> tr_bond of 1..n collisions of rho (x) chi from ``chi.site``."""
+    d_s = model.d_system
+    x = _basis_stack(d_s, chi.matrix)
+    maps = []
+    for ops, ops_dag in emb._kraus_stacks(model, range(chi.site, chi.site + n)):
+        x = emb.collide(ops, x, ops_dag)
+        maps.append(Superoperator(_read_off(emb.trace_bond(x, d_s)), d_s, d_s))
+    return maps
 
 
 def single_collision_channel(model: CollisionModel, chi: BondState) -> Superoperator:
-    """Channel of one collision with the current particle's reduced state."""
-    return _collision_channel(model.effective_unitary(chi.site),
-                              _particle_state(model, (chi.site,), chi))
+    """Channel of one collision with the particle whose bond state is ``chi``."""
+    return _channels(model, chi, 1)[0]
 
 
 def two_collision_channel(model: CollisionModel, chi: BondState,
                           correlated: bool = True) -> Superoperator:
-    """Channel of two sequential collisions with the joint two-particle state."""
-    k = chi.site
+    """Channel of two sequential collisions from ``chi``, or the product of two single ones."""
     if not correlated:
         later = single_collision_channel(model, evolve_bond_state(model.env, chi))
         return later @ single_collision_channel(model, chi)
-    d_s = model.d_system
-    m_eff = model.effective_mode_dim(k)
-    u1 = model.effective_unitary(k).reshape(d_s, m_eff, d_s, m_eff)
-    u2 = model.effective_unitary(k + 1).reshape(d_s, m_eff, d_s, m_eff)
-    # U_{k+1} acts on the second particle after U_k acted on the first.
-    u21 = np.einsum("scxd,xatb->sactbd", u2, u1).reshape(d_s * m_eff ** 2, d_s * m_eff ** 2)
-    return _collision_channel(u21, _particle_state(model, (k, k + 1), chi))
+    return _channels(model, chi, 2)[1]
 
 
 # -- exact memory kernel -----------------------------------------------------
@@ -255,8 +227,7 @@ def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, tabl
 def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=None):
     """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
 
-    Thread s is the stack W_s[E] = E (x) chi_s over the system basis E in
-    column-major order (the columns of a Superoperator matrix).  At step k
+    Thread s is the basis stack W_s[E] = E (x) chi_s (``_basis_stack``).  At step k
     every live thread goes through one ``collide`` with the step's Kraus stack,
     built once per distinct channel as in ``trajectory``; K_{k,k-s} is read off
     the bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
@@ -265,17 +236,16 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=Non
     ladder = ladder or _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
     d2 = d_s ** 2
-    basis = np.eye(d2, dtype=complex).reshape(d2, d_s, d_s).transpose(0, 2, 1)
     threads = np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
     for k, (ops, ops_dag) in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
-            threads = np.concatenate([threads, kron(basis, ladder[k].matrix)[None]])
+            threads = np.concatenate([threads, _basis_stack(d_s, ladder[k].matrix)[None]])
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
         threads = emb.collide(ops, threads, ops_dag)
         traced = emb.trace_bond(threads, d_s)
-        mats = traced.transpose(0, 3, 2, 1).reshape(len(threads), d2, d2)[::-1]
+        mats = _read_off(traced)[::-1]
         if k in starts:
             mats = np.concatenate([mats[:1] - np.eye(d2), mats[1:]])
         yield mats * (1.0 / model.tau)
@@ -400,6 +370,22 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     return next(_second_order_kernels(model, k, (m,), _bond_ladder(model.env, k)))
 
 
+def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superoperator], list]:
+    """Lists of K_{k,m} and of its second-order part (None at m = 0 or with no Hamiltonian) for
+    m = 0..min(m_max, k), off one bond ladder to k; the thread-stack guard runs before any work."""
+    m_max = min(m_max, k)
+    starts = range(k - m_max, k + 1)
+    _guard_kernel_threads(model, starts, k + 1)
+    ladder = _bond_ladder(model.env, k)
+    # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
+    for row in _kernel_threads(model, starts, k + 1, ladder):
+        pass
+    second = [None] * (m_max + 1)
+    if model.hamiltonian is not None:
+        second[1:] = _second_order_kernels(model, k, range(1, m_max + 1), ladder)
+    return [Superoperator(x, model.d_system, model.d_system) for x in row], second
+
+
 # -- stroboscopic (GKSL) limit ------------------------------------------------
 
 def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") -> Superoperator:
@@ -421,8 +407,7 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
         raise ValueError("stroboscopic limit needs a homogeneous interaction")
     h = _effective_hamiltonian(model)
 
-    spectrum = transfer_spectrum(model.env)  # raises for infinite correlation length
-    lam = spectrum.lambda2
+    lam = transfer_spectrum(model.env).lambda2  # raises for infinite correlation length
     chi_star = stationary_bond_state(model.env)
     d_s = model.d_system
     g2tau = model.g ** 2 * model.tau

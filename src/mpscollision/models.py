@@ -27,7 +27,7 @@ __all__ = [
     "Interaction",
     "two_photon_env", "cluster_env", "aklt_env", "ghz_env", "single_photon_env",
     "annihilation", "spin1_matrices",
-    "interaction", "interaction_unitaries",
+    "interaction",
     "aklt_exact_q", "aklt_markov_q", "aklt_pair_state",
     "named_initial_state", "named_observable",
     "depolarization_series",
@@ -245,16 +245,6 @@ def interaction(name: str, g_tau: float, mode_dim: int | None = None) -> Interac
         raise ValueError(f"unknown interaction '{name}', expected one of {INTERACTION_NAMES}")
     u = expm_hermitian_generator(h, g_tau)
     return Interaction(name, u, h, mode_dim)
-
-
-def interaction_unitaries(g_tau: float, mode_dim: int = DEFAULT_FOCK_CUTOFF) -> dict:
-    """The four case-study unitaries; ``mode_dim`` applies to the photon couplings."""
-    return {
-        "exchange": interaction("exchange", g_tau, mode_dim).unitary,
-        "cluster": interaction("cluster", g_tau, mode_dim).unitary,
-        "heisenberg": interaction("heisenberg", g_tau).unitary,
-        "controlled": interaction("controlled", g_tau).unitary,
-    }
 
 
 def environment_for(spec: ModelSpec) -> MpsEnvironment:

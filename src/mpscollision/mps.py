@@ -56,6 +56,8 @@ __all__ = [
     "decorrelate",
     "environment_to_dict",
     "environment_from_dict",
+    "environment_to_json",
+    "environment_from_json",
 ]
 
 PREFIX_GUARD = 2 ** 14
@@ -343,12 +345,10 @@ def _bulk_tensor(env: MpsEnvironment) -> np.ndarray:
 @dataclass(frozen=True)
 class TransferSpectrum:
     lambda2: complex
-    correlation_length: float
-    sign: int
 
 
 def transfer_spectrum(env: MpsEnvironment, tol: float = 1e-10) -> TransferSpectrum:
-    """Subleading transfer eigenvalue, correlation length and its sign.
+    """Subleading eigenvalue of the transfer matrix (0 when there is none or it vanishes).
 
     Raises :class:`InfiniteCorrelationLengthError` when the second eigenvalue
     sits on the unit circle (degenerate fixed point, e.g. a GHZ chain).
@@ -360,7 +360,7 @@ def transfer_spectrum(env: MpsEnvironment, tol: float = 1e-10) -> TransferSpectr
     if abs(eigs[0] - 1.0) > tol:
         raise ValueError(f"leading transfer eigenvalue {eigs[0]:.12g} is not 1")
     if len(eigs) == 1:
-        return TransferSpectrum(0.0, 0.0, 1)
+        return TransferSpectrum(0.0)
     lam2 = complex(eigs[1])
     if abs(lam2) >= 1.0 - tol:
         raise InfiniteCorrelationLengthError(
@@ -368,16 +368,14 @@ def transfer_spectrum(env: MpsEnvironment, tol: float = 1e-10) -> TransferSpectr
             "correlation length is infinite"
         )
     if abs(lam2) <= tol:
-        return TransferSpectrum(0.0, 0.0, 1)
+        return TransferSpectrum(0.0)
     if abs(lam2.imag) > 1e-8 * max(abs(lam2), 1.0):
         warnings.warn(
-            "complex subleading transfer eigenvalue; using its modulus and the "
-            "sign of its real part",
+            "complex subleading transfer eigenvalue; stroboscopic_generator's scalar "
+            "GKSL tail weight, built from it, is complex",
             stacklevel=2,
         )
-    l_corr = -1.0 / np.log(abs(lam2))
-    sign = 1 if lam2.real >= 0 else -1
-    return TransferSpectrum(lam2, float(l_corr), sign)
+    return TransferSpectrum(lam2)
 
 
 def stationary_bond_state(env: MpsEnvironment, tol: float = 1e-10) -> BondState:

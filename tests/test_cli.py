@@ -458,7 +458,8 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
     # aklt at k = m_max = 59 holds 60 thread stacks of 7 * 4 * 4**2 numbers.
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 1000)
-    monkeypatch.setattr(cli, "_bond_ladder", lambda *args: pytest.fail("work before the guard"))
+    monkeypatch.setattr(master_equation, "_bond_ladder",
+                        lambda *args: pytest.fail("work before the guard"))
     path = write_config(tmp_path, aklt_doc())
     assert main(["kernel", "--config", path, "--k", "59", "--m-max", "59"]) == 3
     captured = capsys.readouterr()

@@ -120,7 +120,7 @@ def test_einsum_cases_cover_every_call_site():
     sources = Path(mpscollision.__file__).parent.glob("*.py")
     used = {eq for path in sources
             for eq in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())}
-    assert len(used) == 8
+    assert len(used) == 7
     assert used <= {eq for eq, _ in EINSUM_CASES}
 
 

@@ -399,14 +399,11 @@ def test_prefix_marginals_equal_chained_site_states():
 def test_transfer_spectrum_aklt():
     ts = transfer_spectrum(models.aklt_env())
     assert abs(ts.lambda2 - (-1.0 / 3.0)) < 1e-12
-    assert abs(ts.correlation_length - 1.0 / np.log(3.0)) < 1e-12
-    assert ts.sign == -1
 
 
 def test_transfer_spectrum_cluster_zero():
     ts = transfer_spectrum(models.cluster_env())
     assert abs(ts.lambda2) < 1e-12
-    assert ts.correlation_length == 0.0
 
 
 def test_transfer_spectrum_ghz_infinite():
