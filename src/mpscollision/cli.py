@@ -55,7 +55,8 @@ def _require(cfg: dict, field: str, types, path: str = ""):
     if field not in cfg:
         raise ConfigError(full, "missing required field")
     value = cfg[field]
-    if not isinstance(value, types):
+    # bool subclasses int, but no field takes a JSON true/false.
+    if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(full, f"expected {types}, got {type(value).__name__}")
     return value
 
@@ -77,10 +78,15 @@ def _parse_matrix(data, field: str) -> np.ndarray:
     return m
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is a JSON integer (bool subclasses int, true and false are not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     """A finite JSON number above ``minimum`` (or at it, unless ``strict``)."""
-    if not isinstance(value, (int, float)) or not np.isfinite(value) or \
-            value < minimum or (strict and value == minimum):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+            not np.isfinite(value) or value < minimum or (strict and value == minimum):
         bound = ">" if strict else ">="
         raise ConfigError(field, f"must be a finite number {bound} {minimum}")
     return float(value)
@@ -154,7 +160,7 @@ def load_config(doc: dict) -> dict:
     if method not in METHODS:
         raise ConfigError("method", f"expected one of {METHODS}")
     fock_cutoff = doc.get("fock_cutoff")
-    if fock_cutoff is not None and (not isinstance(fock_cutoff, int) or fock_cutoff < 2):
+    if fock_cutoff is not None and (not _integer(fock_cutoff) or fock_cutoff < 2):
         raise ConfigError("fock_cutoff", "must be an integer >= 2")
 
     interaction = doc.get("interaction", models.DEFAULT_INTERACTION[name])
@@ -179,7 +185,7 @@ def load_config(doc: dict) -> dict:
     pairs = [_observable(obs, f"observables[{j}]", rho0) for j, obs in enumerate(observables)]
 
     n_sites = doc.get("n_sites", k_max)
-    if not isinstance(n_sites, int) or n_sites < k_max:
+    if not _integer(n_sites) or n_sites < k_max:
         raise ConfigError("n_sites", "must be an integer >= k_max")
     length = built.env.length
     if length is not None:

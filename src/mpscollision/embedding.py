@@ -246,8 +246,7 @@ def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np
     return out
 
 
-def observable_series(states: list[np.ndarray], observable: np.ndarray,
-                      tol: float = 1e-10) -> list[float]:
+def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:
     """tr(rho O) per step for Hermitian O; complains about imaginary residue."""
     observable = np.asarray(observable, dtype=complex)
     if frobenius(observable - dagger(observable)) > DEFAULT_TOL:
@@ -255,7 +254,7 @@ def observable_series(states: list[np.ndarray], observable: np.ndarray,
     values = []
     for j, rho in enumerate(states):
         val = complex(np.trace(rho @ observable))
-        if abs(val.imag) > tol:
+        if abs(val.imag) > 1e-10:
             raise ValueError(f"expectation at step {j} has imaginary part {val.imag:.3e}")
         values.append(val.real)
     return values

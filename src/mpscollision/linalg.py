@@ -8,9 +8,6 @@ dimensions explicitly.
 
 from __future__ import annotations
 
-import functools
-import math
-
 import numpy as np
 
 __all__ = [
@@ -41,69 +38,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
-
-
-def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *operands, optimize=True)``, compiled once per (subscripts, shapes).
-
-    numpy contracts along its greedy path one pair at a time, each pair as
-    transpose -> reshape -> ``matmul`` -> reshape -> transpose, and every step
-    depends only on the subscripts and the operand shapes.  The first call
-    records the steps as a plan; later calls replay them without entering
-    ``np.einsum``, and the same ``matmul`` calls on the same layouts give the
-    same bits.  A contraction with a step the plan does not mirror (a size-1
-    axis, a sum or diagonal within one operand, an outer product, three
-    operands at once) runs through ``np.einsum`` on the recorded path.
-    """
-    steps, path = _contraction_plan(subscripts, tuple(op.shape for op in operands))
-    if steps is None:
-        return np.einsum(subscripts, *operands, optimize=path)
-    ops = list(operands)
-    for i, j, perm_a, shape_a, perm_b, shape_b, shape_ab, perm_ab in steps:
-        a = ops.pop(i).transpose(perm_a).reshape(shape_a)
-        b = ops.pop(j).transpose(perm_b).reshape(shape_b)
-        ops.append(np.matmul(a, b).reshape(shape_ab).transpose(perm_ab))
-    return ops[0]
-
-
-@functools.lru_cache(maxsize=1024)
-def _contraction_plan(subscripts: str, shapes: tuple) -> tuple:
-    """(steps, path): numpy's greedy path and its pairwise matmul steps, or steps None."""
-    # einsum_path reads only the shapes, so zero-stride views stand in.
-    views = [np.broadcast_to(0.0, shape) for shape in shapes]
-    path = tuple(np.einsum_path(subscripts, *views, optimize="greedy")[0])
-    inputs, output = subscripts.split("->")
-    terms = inputs.split(",")
-    size = {ix: d for term, shape in zip(terms, shapes) for ix, d in zip(term, shape)}
-    # numpy squeezes size-1 axes and takes diagonals with a copying einsum.
-    if 1 in size.values() or any(len(set(term)) < len(term) for term in terms):
-        return None, path
-    steps = []
-    for n, pair in enumerate(path[1:]):
-        if len(pair) != 2:
-            return None, path
-        i, j = sorted(pair, reverse=True)
-        a, b = terms.pop(i), terms.pop(j)
-        if n == len(path) - 2:
-            out = output
-        else:
-            # Kept indices, ordered by (size, label) as numpy orders them.
-            kept = set(a + b) & set(output).union(*terms)
-            out = "".join(sorted(kept, key=lambda ix: (size[ix], ix)))
-        bat = [ix for ix in a if ix in b and ix in out]
-        con = [ix for ix in a if ix in b and ix not in out]
-        a_keep = [ix for ix in a if ix not in b]
-        b_keep = [ix for ix in b if ix not in a]
-        if not con or not set(a_keep + b_keep) <= set(out):
-            return None, path
-        groups = [(bat, a_keep, con), (bat, con, b_keep)] if bat else [(a_keep, con), (con, b_keep)]
-        fused = [tuple(math.prod(size[ix] for ix in g) for g in grp) for grp in groups]
-        produced = bat + a_keep + b_keep
-        steps.append((i, j, tuple(map(a.index, bat + a_keep + con)), fused[0],
-                      tuple(map(b.index, bat + con + b_keep)), fused[1],
-                      tuple(size[ix] for ix in produced), tuple(map(produced.index, out))))
-        terms.append(out)
-    return tuple(steps), path
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import embedding as emb
 from .embedding import CollisionModel
-from .linalg import DEFAULT_TOL, _einsum, dagger, frobenius, kron
+from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
@@ -319,15 +319,17 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
     on the later particle, B on the earlier one, and the average is taken
     against ``corr`` (earlier particle first).  Every term is bilinear in
     (A, B), so the average only needs
-    X[s,t,u,v] = <A_st B_uv> = sum_ijpq corr[i,j,p,q] h[s,q,t,j] h[u,p,v,i]:
-    one contraction, where the Hermitian-basis expansion
+    X[s,t,u,v] = <A_st B_uv> = sum_ijpq corr[i,j,p,q] h[s,q,t,j] h[u,p,v,i],
+    the matrix product X = H2^T C2^T H2 with H2[(j,q),(s,t)] = h[s,q,t,j] and
+    C2[(i,p),(j,q)] = corr[i,j,p,q].  The Hermitian-basis expansion
     sum_ab tr[(E_b (x) E_a) corr] S_a (x) S_b with S_a = tr_particle[h (I (x) E_a)]
     gives the same X by completeness of the basis.
     """
     m = int(round(np.sqrt(corr.shape[0])))
     d_s = h.shape[0] // m
-    h4 = h.reshape(d_s, m, d_s, m)
-    x = _einsum("ijpq,sqtj,upvi->stuv", corr.reshape(m, m, m, m), h4, h4)
+    h2 = h.reshape(d_s, m, d_s, m).transpose(3, 1, 0, 2).reshape(m * m, d_s * d_s)
+    c2 = corr.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
+    x = (h2.T @ c2.T @ h2).reshape(d_s, d_s, d_s, d_s)
     eye = np.eye(d_s, dtype=complex)
     ab = np.einsum("sttv->sv", x)
     ba = np.einsum("xtux->ut", x)
@@ -361,7 +363,7 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     -g^2 tau times the double commutator of the interaction generator at the
     latest and at the (m steps earlier) collision, averaged over the
     connected pair correlator C = rho_{k-m,k} - rho_{k-m} (x) rho_k.  The
-    average is one tensor contraction of C with two copies of H (see
+    average is one matrix product of C with two copies of H (see
     ``_double_commutator``); it equals the expansion of H in any
     Hilbert-Schmidt-orthonormal mode basis weighted by tr[(E_b (x) E_a) C].
     """

@@ -111,6 +111,13 @@ UNKNOWN_KEY_ERRORS = [
     (aklt_doc(n_sites=3), "n_sites"),
     *BUILT_RUN_ERRORS,
     *UNKNOWN_KEY_ERRORS,
+    # JSON true/false are not numbers, though bool subclasses int.
+    (aklt_doc(k_max=True), "k_max"),
+    (aklt_doc(g_tau=True), "g_tau"),
+    (aklt_doc(tau=True), "tau"),
+    (aklt_doc(k_max=1, n_sites=True), "n_sites"),
+    ({**PRESETS["fig5b"], "k_max": 4, "tolerances": {"cutoff_shift": False}},
+     "tolerances.cutoff_shift"),
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -190,8 +197,8 @@ FIELD_POOLS = {
         {"matrix": matrix(np.eye(5))}, {"matrix": []}, {"matrix": [[1]]}, {"matrix": "x"}, {}, 3,
         None],
     ("g_tau",): [0, 0.3, -0.1, "x", float("nan"), 1e9, True, None, MISSING],
-    ("k_max",): [0, 1, 4, 6, -1, 2.5, "x", None, MISSING],
-    ("tau",): [None, 0, -1, 0.5, "x", float("inf")],
+    ("k_max",): [0, 1, 4, 6, -1, 2.5, "x", True, False, None, MISSING],
+    ("tau",): [None, 0, -1, 0.5, "x", float("inf"), True, False],
     ("method",): ["embedding", "decorrelated", "oracle", "nz", "gksl", "nope", 3],
     ("initial_state",): [
         "ground", "excited", "plus", "mixed", "nope", {"matrix": matrix(np.eye(2) / 2)},
@@ -204,10 +211,11 @@ FIELD_POOLS = {
         [{"name": "p", "matrix": matrix([[0, 1], [0, 0]])}],
         [{"name": "p", "matrix": matrix(np.eye(3))}], [{"matrix": matrix(np.eye(2))}], [3],
         "sigma_z", ["coherence", "excited_population", "sigma_y"], None],
-    ("n_sites",): [2, 3, 4, 6, "x", None],
+    ("n_sites",): [2, 3, 4, 6, "x", True, False, None],
     ("fock_cutoff",): [1, 2, 3, 7, "x", None],
     ("tolerances",): [{}, {"cutoff_shift": "x"}, {"cutoff_shift": 1e-3}, {"cutoff_shift": -1},
-                      {"cutoff_shift": 1.0}, {"cutoff_shfit": 1.0}, [], None],
+                      {"cutoff_shift": 1.0}, {"cutoff_shfit": 1.0}, {"cutoff_shift": False},
+                      [], None, True, False],
     ("model", "paramters"): [{}],
     ("observable",): [["sigma_x"]],
     ("intial_state",): ["plus"],

@@ -1,13 +1,7 @@
-import re
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import mpscollision
 from mpscollision.linalg import (
-    _contraction_plan,
-    _einsum,
     expm_hermitian_generator,
     kron,
     lq_factorize,
@@ -59,89 +53,6 @@ def test_kron_equals_numpy_kron(rng, a_shape, b_shape):
     assert np.array_equal(kron(real, b), np.kron(real.astype(complex), b))
     # A transposed view, as the thread basis is.
     assert np.array_equal(kron(np.swapaxes(a, -1, -2), b), np.kron(np.swapaxes(a, -1, -2), b))
-
-
-# Subscripts of every contraction that goes through ``_einsum``, with operand
-# shapes for which numpy's greedy search picks different orders.  The
-# three-operand "kab,ijac,kcd->ijbd" stays as a planner case only:
-# ``two_site_reduced_state`` runs it as the two pairwise steps listed last,
-# since at D = 3 the greedy search keeps it in one step that no plan replays.
-BOND = "iab,ac,icd->bd"
-EINSUM_CASES = [
-    (BOND, [(3, 2, 2), (2, 2), (3, 2, 2)]),
-    (BOND, [(2, 3, 3), (3, 3), (2, 3, 3)]),
-    (BOND, [(5, 2, 2), (2, 2), (5, 2, 2)]),
-    (BOND, [(4, 1, 1), (1, 1), (4, 1, 1)]),
-    (BOND, [(2, 8, 16), (8, 8), (2, 8, 16)]),
-    ("iab,ac,jcb->ij", [(5, 2, 2), (2, 2), (5, 2, 2)]),
-    ("iab,ac,jcb->ij", [(4, 1, 1), (1, 1), (4, 1, 1)]),
-    ("iab,ac,jcd->ijbd", [(3, 2, 2), (2, 2), (3, 2, 2)]),
-    ("kab,ijac,kcd->ijbd", [(3, 2, 2), (3, 3, 2, 2), (3, 2, 2)]),
-    ("kab,ijac,lcb->ikjl", [(3, 2, 2), (3, 3, 2, 2), (3, 2, 2)]),
-    ("setf,fg,aebg->asbt", [(2, 9, 2, 9), (9, 9), (2, 9, 2, 9)]),
-    ("ijpq,sqtj,upvi->stuv", [(3, 3, 3, 3), (2, 3, 2, 3), (2, 3, 2, 3)]),
-    ("ijpq,sqtj,upvi->stuv", [(6, 6, 6, 6), (2, 6, 2, 6), (2, 6, 2, 6)]),
-    ("ijac,kcd->ijakd", [(2, 2, 3, 3), (2, 3, 3)]),
-    ("kab,ijakd->ijbd", [(2, 3, 3), (2, 2, 3, 2, 3)]),
-]
-
-
-def test_einsum_cases_need_more_than_one_order():
-    # A single fixed contraction order cannot reproduce these cases.
-    paths = {np.einsum_path(eq, *(np.ones(s) for s in shapes), optimize="greedy")[0][1]
-             for eq, shapes in EINSUM_CASES if eq == BOND}
-    assert len(paths) > 1
-
-
-@pytest.mark.parametrize("eq,shapes", EINSUM_CASES)
-def test_einsum_helper_is_bit_identical(rng, monkeypatch, eq, shapes):
-    ops = [complex_normal(rng, s) for s in shapes]
-    want = np.einsum(eq, *ops, optimize=True)
-    assert np.array_equal(_einsum(eq, *ops), want)
-    again = [complex_normal(rng, s) for s in shapes]
-    want = np.einsum(eq, *again, optimize=True)
-    steps, _ = _contraction_plan(eq, tuple(shapes))
-    if 1 in shapes[1]:
-        # numpy squeezes a size-1 bond with a copying einsum, so these run
-        # through np.einsum on the recorded path.
-        assert steps is None
-        return
-    # Compiled: the replay never enters np.einsum.
-    def no_einsum(*args, **kwargs):
-        raise AssertionError("np.einsum called by a compiled contraction")
-
-    monkeypatch.setattr(np, "einsum", no_einsum)
-    assert np.array_equal(_einsum(eq, *again), want)
-
-
-def test_einsum_cases_cover_every_call_site():
-    # The bit-identity table above must list every subscript string that the
-    # package passes to ``_einsum``.
-    sources = Path(mpscollision.__file__).parent.glob("*.py")
-    used = {eq for path in sources
-            for eq in re.findall(r'_einsum\(\s*"([^"]+)"', path.read_text())}
-    assert len(used) == 7
-    assert used <= {eq for eq, _ in EINSUM_CASES}
-
-
-# The package's subscripts, plus one with a batch index shared by every step.
-@pytest.mark.parametrize("eq", sorted({eq for eq, _ in EINSUM_CASES}) + ["zab,zbc,zcd->zda"])
-def test_einsum_plan_matches_numpy_on_random_shapes(rng, eq):
-    # Sizes 2..5 per label, signed zeros in every operand, real and complex
-    # middle operands: the replay must give numpy's bytes and layout.
-    inputs = eq.split("->")[0].split(",")
-    for trial in range(40):
-        size = {ix: int(rng.integers(2, 6)) for ix in set(eq) - set(",->")}
-        ops = []
-        for n, term in enumerate(inputs):
-            shape = tuple(size[ix] for ix in term)
-            x = rng.normal(size=shape) if n == 1 and trial % 4 == 0 else complex_normal(rng, shape)
-            x.reshape(-1)[::3] = -0.0
-            ops.append(x)
-        want = np.einsum(eq, *ops, optimize=True)
-        got = _einsum(eq, *ops)
-        assert got.shape == want.shape and got.strides == want.strides
-        assert got.tobytes() == want.tobytes()
 
 
 def test_partial_trace_product_state(rng):

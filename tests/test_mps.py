@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpscollision import models, mps
-from mpscollision.linalg import kron, partial_trace
+from mpscollision.linalg import assert_density_matrix, kron, partial_trace
 from mpscollision.mps import (
     BondState,
     InfiniteCorrelationLengthError,
@@ -172,8 +172,10 @@ def test_check_right_canonical_matches_einsum_gram(rng):
 
 
 def test_canonicalize_and_check_stay_off_einsum(rng, monkeypatch):
-    # Gauge fixing and the gauge check run on matmul and LAPACK only.
+    # Gauge fixing, the gauge check and the bond readouts run on matmul and
+    # LAPACK only, bond-1 and rectangular GHZ sites included.
     raw = _random_raw_mps(rng, 10, 16)
+    ghz = models.ghz_env(6)
 
     def no_einsum(*args, **kwargs):
         raise AssertionError("np.einsum called on the canonicalize-and-check path")
@@ -183,7 +185,12 @@ def test_canonicalize_and_check_stay_off_einsum(rng, monkeypatch):
     env.validate()
     k = max(j for j, t in enumerate(env.sites) if t.shape[1] == t.shape[2] == 16)
     chi = evolve_bond_state(env, BondState(k, np.eye(16) / 16))
-    chi.validate()
+    assert_density_matrix(chi.matrix, 1e-10)
+    chi = ghz.initial_bond_state()
+    for k in range(5):
+        assert_density_matrix(site_reduced_state(ghz, chi), 1e-12)
+        assert_density_matrix(two_site_reduced_state(ghz, k, 5, chi), 1e-12)
+        chi = evolve_bond_state(ghz, chi)
 
 
 def test_canonicalize_zero_norm_raises():
@@ -231,6 +238,19 @@ def test_bond_trace_preserved_100_steps():
             assert abs(np.trace(chi.matrix) - 1.0) < 1e-12, name
             lo = np.linalg.eigvalsh(0.5 * (chi.matrix + chi.matrix.conj().T))[0]
             assert lo > -1e-12, name
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 1, 1), (2, 1, 2), (2, 2, 1),
+                                   (5, 2, 4), (2, 16, 16)])
+def test_bond_step_and_marginal_match_einsum(rng, shape):
+    # One operator and a (2, 3) stack of them, bond-1 and rectangular sites included.
+    b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    x = rng.normal(size=(2, 3) + (shape[1],) * 2) + 1j * rng.normal(size=(2, 3) + (shape[1],) * 2)
+    for xs in (x, x[1, 2]):
+        for got, want in ((mps._bond_step(b, xs), np.einsum("iab,...ac,icd->...bd", b, xs, b.conj())),
+                          (mps._marginal(b, xs), np.einsum("iab,...ac,jcb->...ij", b, xs, b.conj()))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_bond_dimension_mismatch_raises():
@@ -327,16 +347,21 @@ def test_two_site_marginals_match():
     assert np.max(np.abs(right - site_reduced_state(env, chi_mid))) < 1e-12
 
 
-def test_two_site_matches_three_operand_contraction():
+def test_two_site_matches_three_operand_contraction(rng):
     # Reference: the bond object carried through each skipped site in one
-    # three-operand einsum.
+    # three-operand einsum.  GHZ and single-photon chains have bond-1 and
+    # rectangular sites; the random chain has complex tensors.
     zoo = all_zoo()
-    for name in ("aklt", "two_photon", "cluster"):
-        env = zoo[name]
+    envs = {name: zoo[name] for name in ("aklt", "two_photon", "cluster")}
+    envs["ghz"] = models.ghz_env(6)
+    envs["single_photon"] = zoo["single_photon"]
+    envs["random"] = right_canonicalize(_random_raw_mps(rng, 10, 8))
+    for name, env in envs.items():
+        n = 12 if env.length is None else env.length
         chi = evolve_bond_state(env, env.initial_bond_state())
         b = env.site(1)
         m0 = np.einsum("iab,ac,jcd->ijbd", b, chi.matrix, b.conj())
-        for sep in range(2, 11):
+        for sep in range(1, n - 1):
             m = m0
             for k in range(2, 1 + sep):
                 bk = env.site(k)
@@ -424,7 +449,7 @@ def test_stationary_bond_state_is_fixed_point_complex(rng, d_bond):
     site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
     env = MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
     chi = stationary_bond_state(env)
-    chi.validate()
+    assert_density_matrix(chi.matrix, 1e-10)
     assert np.linalg.norm(evolve_bond_state(env, chi).matrix - chi.matrix) < 1e-12
 
 
