@@ -7,7 +7,7 @@ Subcommands:
 * ``validate --config FILE`` — build the run a config describes, without evolving it;
 * ``kernel --config FILE --k K --m-max M`` — memory-kernel norms per delay.
 
-Exit codes: 0 success, 2 config error, 3 convergence or size-guard failure.
+Exit codes: 0 success, 2 config error, 3 convergence, size-guard or state-gate failure.
 All outputs are deterministic for a fixed config.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -40,6 +41,13 @@ CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "inter
                "initial_state", "observables", "n_sites", "tolerances", "output")
 MODEL_KEYS = ("name", "parameters")
 TOLERANCE_KEYS = ("cutoff_shift",)
+_STATE_TOL = 1e-10   # trace and Hermiticity defect of a GKSL state, as the benchmark checks
+_INTEGER_PARAMETERS = ("n_sites", "fock_cutoff")
+_NUMBER_PARAMETERS = ("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2", "width")
+
+
+class _StateGateError(RuntimeError):
+    """A run's states are not finite, unit-trace and Hermitian (exit 3)."""
 
 
 class ConfigError(ValueError):
@@ -83,21 +91,32 @@ def _integer(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite JSON number (true and false are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # a JSON integer beyond the float range
+        return False
+
+
 def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     """A finite JSON number above ``minimum`` (or at it, unless ``strict``)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-            not np.isfinite(value) or value < minimum or (strict and value == minimum):
+    if not _finite(value) or value < minimum or (strict and value == minimum):
         bound = ">" if strict else ">="
         raise ConfigError(field, f"must be a finite number {bound} {minimum}")
     return float(value)
 
 
-def _check_chain_length(parameters: dict) -> None:
-    """Refuse a finite chain longer than ``MAX_CHAIN_SITES`` before it is built.
+def _check_parameters(parameters: dict) -> None:
+    """Refuse, before the model is built, a finite chain longer than
+    ``MAX_CHAIN_SITES`` and parameters ``models.environment_for`` would coerce.
 
-    ``models.environment_for`` stores one site tensor per requested site, so
-    without this bound the document alone would set the cost of loading it.
-    Values that are not lengths are left to ``environment_for`` to reject.
+    ``environment_for`` stores one site tensor per requested site, so without
+    the length bound the document alone would set the cost of loading it.  It
+    reads parameters with ``float``/``int``/``complex``, which would run true
+    as 1 and n_sites 2.5 as 2; their ranges are left to it.
     """
     for key, count in (("n_sites", int), ("amplitudes", len)):
         try:
@@ -107,6 +126,17 @@ def _check_chain_length(parameters: dict) -> None:
         if n > MAX_CHAIN_SITES:
             raise ConfigError(f"model.parameters.{key}",
                               f"{n} sites exceed the {MAX_CHAIN_SITES}-site limit")
+    for key, value in parameters.items():
+        if key in _INTEGER_PARAMETERS and not _integer(value):
+            raise ConfigError("model.parameters", f"{key} must be an integer, got {value!r}")
+        if key in _NUMBER_PARAMETERS and not _finite(value):
+            raise ConfigError("model.parameters", f"{key} must be a finite number, got {value!r}")
+        if key == "amplitudes" and isinstance(value, list):
+            for j, amp in enumerate(value):
+                pair = isinstance(amp, list) and len(amp) == 2 and all(map(_finite, amp))
+                if not (pair or _finite(amp)):
+                    raise ConfigError("model.parameters", f"amplitudes[{j}] must be a finite "
+                                      f"number or [re, im], got {amp!r}")
 
 
 def _built(field: str, build, *args):
@@ -145,7 +175,7 @@ def load_config(doc: dict) -> dict:
     parameters = model.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("model.parameters", "expected an object")
-    _check_chain_length(parameters)
+    _check_parameters(parameters)
     spec = ModelSpec(name, parameters)
 
     g_tau = _number(_require(doc, "g_tau", (int, float)), "g_tau", 0.0)
@@ -345,8 +375,29 @@ def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.nda
     if method == "nz":
         return solve_nz(build_kernel_table(model, k_max), rho0, k_max)
     if method == "gksl":
-        return evolve_gksl_grid(cfg["generator"], rho0, model.tau, k_max)
+        return _gksl_states(cfg["generator"], rho0, model.tau, k_max)
     return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
+
+
+def _gksl_states(generator, rho0: np.ndarray, tau: float, k_max: int) -> list[np.ndarray]:
+    """GKSL states 0..k_max, refused when one is not finite, unit-trace and Hermitian.
+
+    The stroboscopic generator is only a gτ -> 0 approximation: far outside it
+    exp(τL) overflows to inf and nan, which would otherwise be written with
+    exit 0.  Overflow warnings are silenced because this gate reports them.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = evolve_gksl_grid(generator, rho0, tau, k_max)
+        rho = np.asarray(states)
+        defect = np.maximum(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0),
+                            np.linalg.norm(rho - rho.conj().transpose(0, 2, 1), axis=(1, 2)))
+    bad = np.flatnonzero(~(defect <= _STATE_TOL))
+    if bad.size:
+        raise _StateGateError(
+            f"gksl state at step {bad[0]} has a trace/Hermiticity defect of {defect[bad[0]]:.3e} "
+            f"(> {_STATE_TOL:.0e}); the generator does not hold at this coupling"
+        )
+    return states
 
 
 def _format_csv(header: list[str], rows) -> str:
@@ -540,7 +591,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CutoffConvergenceError, SizeGuardError) as exc:
+    except (CutoffConvergenceError, SizeGuardError, _StateGateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -182,7 +182,11 @@ def collide(ops: np.ndarray, x: np.ndarray, ops_dag: np.ndarray | None = None) -
     """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in); ``ops_dag`` = A^dag."""
     if ops_dag is None:
         ops_dag = ops.conj().transpose(0, 2, 1)
-    return np.add.reduce(ops @ x[..., None, :, :] @ ops_dag, axis=-3)
+    m, n_out, n_in = ops.shape
+    rows = ops.reshape(m * n_out, n_in) @ x   # one GEMM per X, all j
+    rows = rows.reshape(-1, m, n_out, n_in).swapaxes(0, 1).reshape(m, -1, n_in)   # regroup by j
+    rows = rows @ ops_dag   # one GEMM per j, all X; rebinding frees the regrouped copy
+    return np.add.reduce(rows, axis=0).reshape(x.shape[:-2] + (n_out, n_out))
 
 
 def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:

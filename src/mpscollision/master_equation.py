@@ -214,8 +214,9 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, table: int = 0):
     """Raise ``SizeGuardError`` if a table of ``table`` numbers or the last step of
     ``_kernel_threads(model, starts, k_max)`` would hold more than ``KERNEL_GUARD``
-    numbers; that step holds 2 m_eff + 1 thread stacks (the input and the two
-    m_eff-fold products inside ``collide``)."""
+    numbers; that step holds 2 m_eff + 1 thread stacks (the input and, inside
+    ``collide``, two m_eff-fold temporaries at a time: the row products and
+    their copy regrouped by Kraus index, then that copy and the right products)."""
     d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
     stack = (2 * model.effective_mode_dim() + 1) * len(starts) * d_s ** 2 * (d_s * d_bond) ** 2

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,57 @@ def test_chain_length_cap_exits_2_before_building(tmp_path, capsys, monkeypatch,
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("doc,message", [
+    (model_doc("two_photon", {"tau_over_T1": True, "tau_over_T2": 0.1}),
+     "tau_over_T1 must be a finite number, got True"),
+    (model_doc("two_photon", {"g_tau": True, "g_T1": 2.3, "g_T2": 59.9}),
+     "g_tau must be a finite number, got True"),
+    (model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": "0.1"}),
+     "tau_over_T2 must be a finite number, got '0.1'"),
+    (model_doc("ghz", {"n_sites": 2.5}, k_max=2), "n_sites must be an integer, got 2.5"),
+    (model_doc("ghz", {"n_sites": True}, k_max=1), "n_sites must be an integer, got True"),
+    (model_doc("single_photon", {"n_sites": 4, "width": False}),
+     "width must be a finite number, got False"),
+    (model_doc("single_photon", {"amplitudes": [0.5, True]}),
+     "amplitudes[1] must be a finite number or [re, im], got True"),
+    (model_doc("single_photon", {"amplitudes": [[1, 0, 2], 0.5]}),
+     "amplitudes[0] must be a finite number or [re, im], got [1, 0, 2]"),
+    (model_doc("single_photon", {"amplitudes": [1, [0, False]]}),
+     "amplitudes[1] must be a finite number or [re, im], got [0, False]"),
+    (model_doc("cluster", {"fock_cutoff": 7.5}, interaction="cluster"),
+     "fock_cutoff must be an integer, got 7.5"),
+])
+def test_model_parameters_are_not_coerced(tmp_path, capsys, doc, message):
+    # environment_for reads parameters with float/int/complex, which would run
+    # true as 1 and 2.5 sites as 2; both commands refuse them instead.
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config.model.parameters: {message}\n"
+
+
+def test_integers_beyond_float_range_exit_2(tmp_path, capsys):
+    # JSON integers have no size limit; one past the float range is refused,
+    # not a TypeError out of the finiteness check.
+    huge = 10 ** 400
+    for doc, start in ((aklt_doc(g_tau=huge), "error: config.g_tau: must be a finite number"),
+                       (model_doc("two_photon", {"tau_over_T1": huge, "tau_over_T2": 0.1}),
+                        "error: config.model.parameters: tau_over_T1 must be a finite number")):
+        path = write_config(tmp_path, doc)
+        for command in ("validate", "run"):
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err.startswith(start)
+
+
+def test_model_parameters_accept_numbers_and_pairs():
+    for doc in (model_doc("two_photon", {"tau_over_T1": 1, "tau_over_T2": 0.1}),
+                model_doc("single_photon", {"amplitudes": [1, [0, 1], 0.5]}, k_max=3),
+                model_doc("single_photon", {"n_sites": 6, "width": 2})):
+        load_config(doc)
+
+
 def test_validate_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"model": {"name": "aklt"}})
     assert main(["validate", "--config", path]) == 2
@@ -187,7 +239,10 @@ FIELD_POOLS = {
         {"g_tau": 0.3, "g_T1": 0, "g_T2": 1}, {"amplitudes": [0, 0]},
         {"amplitudes": [1, [0, 1], 0.5]}, {"amplitudes": [[1]]}, {"amplitudes": 3},
         {"amplitudes": []}, {"fock_cutoff": 1}, {"fock_cutoff": "x"}, {"fock_cutoff": 3},
-        {"width": 0}, [], "x", None],
+        {"width": 0}, [], "x", None,
+        {"tau_over_T1": True, "tau_over_T2": 0.1}, {"g_tau": True, "g_T1": 2.3, "g_T2": 59.9},
+        {"n_sites": True}, {"n_sites": False}, {"width": True}, {"fock_cutoff": True},
+        {"amplitudes": [True, 0.5]}],
     ("interaction",): [
         "exchange", "cluster", "heisenberg", "controlled", "nope", {"matrix": matrix(np.eye(4))},
         {"matrix": matrix(np.eye(6))}, {"matrix": matrix(NON_UNITARY)},
@@ -290,6 +345,37 @@ def test_run_custom_matrix_interaction_and_state():
     header, rows = parse_csv(run_config(load_config(doc)))
     assert header[2] == "proj_g"
     assert np.max(np.abs(rows[:, 2] - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("g_tau,value", [(50, "inf"), (1e9, "nan")])
+def test_run_gksl_refuses_non_finite_states(tmp_path, capsys, g_tau, value):
+    # Far outside gτ -> 0 the generator's exponential overflows; the run exits
+    # 3 naming the first bad step instead of writing inf/nan with exit 0.
+    path = write_config(tmp_path, aklt_doc(method="gksl", g_tau=g_tau, k_max=3))
+    assert main(["validate", "--config", path]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "ok\n"
+    assert captured.err == ("error: gksl state at step 1 has a trace/Hermiticity defect of "
+                            f"{value} (> 1e-10); the generator does not hold at this coupling\n")
+
+
+def test_run_gksl_gate_measures_trace_and_hermiticity(tmp_path, capsys, monkeypatch):
+    # A finite state off unit trace or off Hermiticity by more than 1e-10 is refused.
+    doc = aklt_doc(method="gksl", g_tau=0.1, k_max=4, interaction="controlled")
+    states = cli.evolve_gksl_grid(load_config(doc)["generator"], np.diag([1.0, 0.0]),
+                                  0.1, 4)
+    path = write_config(tmp_path, doc)
+    for k, bad, defect in ((2, np.diag([0.0, 1e-9]), "1.000e-09"),   # trace
+                           (3, np.array([[0.0, 1e-9], [0.0, 0.0]]), "1.414e-09")):   # ||X - X^dag||
+        rigged = [rho + bad * (j == k) for j, rho in enumerate(states)]
+        monkeypatch.setattr(cli, "evolve_gksl_grid", lambda *args, rigged=rigged: rigged)
+        assert main(["run", "--config", path]) == 3
+        assert f"step {k} has a trace/Hermiticity defect of {defect}" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "evolve_gksl_grid", lambda *args: states)
+    assert main(["run", "--config", path]) == 0
 
 
 def test_run_cluster_cutoff_gate(tmp_path, capsys):

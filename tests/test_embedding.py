@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -312,6 +313,61 @@ def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
     # Each batch fits the byte budget, unless it is one state larger than it.
     assert all(size <= embedding._TRACE_BATCH_BYTES or n == 1 for n, size in batches)
     assert len(batches) > 1
+
+
+def kraus_stack_cases():
+    """Each distinct Kraus stack of the bond-changing chains, cluster (m_eff = 5) and two_photon."""
+    zoo = zoo_models()
+    chains = dict(bond_change_models(), cluster=zoo["cluster"], two_photon=zoo["two_photon"])
+    for name, model in chains.items():
+        shapes = set()
+        for k in range(model.env.length or 1):
+            ops = kraus_operators(model, k)
+            if ops.shape not in shapes:
+                shapes.add(ops.shape)
+                yield name, ops
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (3, 4)], ids=["one", "stack4", "stack3x4"])
+def test_stacked_collide_equals_per_pair_products(lead):
+    # Rows stacked into one GEMM per operator and one per Kraus index give the
+    # bits of one GEMM per (operator, Kraus index) pair, element by element.
+    rng = np.random.default_rng(7)
+    seen = set()
+    for name, ops in kraus_stack_cases():
+        n_in = ops.shape[2]
+        x = rng.normal(size=lead + (n_in, n_in)) + 1j * rng.normal(size=lead + (n_in, n_in))
+        got, want = collide(ops, x), parent_collide(ops, x)
+        assert got.shape == want.shape == lead + (ops.shape[1],) * 2, (name, ops.shape)
+        assert np.array_equal(got, want), (name, ops.shape)
+        assert np.array_equal(collide(ops, x, ops.conj().transpose(0, 2, 1)), want)
+        seen.add((ops.shape[0], ops.shape[1] == ops.shape[2]))
+    assert {(5, True), (3, True), (2, True), (2, False)} <= seen
+
+
+@pytest.mark.parametrize("name", ["cluster", "two_photon", "random_1_32_1"])
+def test_collide_peak_memory_is_two_products(name):
+    # _guard_kernel_threads budgets 2 m_eff thread stacks beyond collide's
+    # input: the row products and their copy regrouped by Kraus index, or the
+    # regrouped copy and the right products, never all three.
+    model = dict(bond_change_models(), **zoo_models())[name]
+    k = 7 if name == "random_1_32_1" else 0   # a square 32 x 32 bond
+    ops = kraus_operators(model, k)
+    m, n_out, n_in = ops.shape
+    assert n_out == n_in
+    x = np.ones((max(4, 2 ** 16 // (16 * n_in ** 2)), n_in, n_in), dtype=complex)   # >= 64 KiB
+    ops_dag = ops.conj().transpose(0, 2, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = collide(ops, x, ops_dag)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == x.nbytes
+    headers = 4096   # ndarray objects, shapes and strides, not thread entries
+    assert 2 * m * x.nbytes <= peak <= 2 * m * x.nbytes + headers, peak / x.nbytes
 
 
 def test_decorrelated_embedding_equals_channel_composition():
