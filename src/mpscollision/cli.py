@@ -25,8 +25,8 @@ import numpy as np
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
-from .master_equation import (build_kernel_table, evolve_gksl_grid, kernel_scan, solve_nz,
-                             stroboscopic_generator)
+from .master_equation import (_maps_residuals, build_kernel_table, evolve_gksl_grid, kernel_scan,
+                              solve_nz, stroboscopic_generator)
 from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
@@ -42,12 +42,14 @@ CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "inter
 MODEL_KEYS = ("name", "parameters")
 TOLERANCE_KEYS = ("cutoff_shift",)
 _STATE_TOL = 1e-10   # trace and Hermiticity defect of a GKSL state, as the benchmark checks
+_MAPS_TOL = 1e-12    # maps residual of an NZ kernel table
 _INTEGER_PARAMETERS = ("n_sites", "fock_cutoff")
 _NUMBER_PARAMETERS = ("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2", "width")
 
 
 class _StateGateError(RuntimeError):
-    """A run's states are not finite, unit-trace and Hermitian (exit 3)."""
+    """A run's states are not finite, unit-trace and Hermitian, or its NZ kernel table
+    misses the embedding's maps (exit 3)."""
 
 
 class ConfigError(ValueError):
@@ -175,6 +177,7 @@ def load_config(doc: dict) -> dict:
     parameters = model.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("model.parameters", "expected an object")
+    _known_keys(parameters, models.MODEL_PARAMETERS[name], "model.parameters.")
     _check_parameters(parameters)
     spec = ModelSpec(name, parameters)
 
@@ -373,10 +376,29 @@ def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.nda
     if method == "oracle":
         return brute_force_trajectory(OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max))
     if method == "nz":
-        return solve_nz(build_kernel_table(model, k_max), rho0, k_max)
+        return _nz_states(model, rho0, k_max)
     if method == "gksl":
         return _gksl_states(cfg["generator"], rho0, model.tau, k_max)
     return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
+
+
+def _nz_states(model: CollisionModel, rho0: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """NZ states 0..k_max, refused when the kernel table misses the embedding's maps.
+
+    The gate is the maps-level residual ||E_{k+1} - E_k - tau sum_m K_{k,m} E_{k-m}||
+    (Frobenius, ``master_equation._maps_residuals``) at every step k, against the exact
+    maps E_k; exact kernels leave only roundoff.  The states are not touched.
+    """
+    table = build_kernel_table(model, k_max)
+    residuals = _maps_residuals(model, table, k_max)
+    bad = np.flatnonzero(~(residuals <= _MAPS_TOL))
+    if bad.size:
+        k = int(bad[0])
+        raise _StateGateError(
+            f"nz maps residual at step {k} is {residuals[k]:.3e} (> {_MAPS_TOL:.0e}); the "
+            f"kernel table does not reproduce the embedding's map E_{k + 1}"
+        )
+    return solve_nz(table, rho0, k_max)
 
 
 def _gksl_states(generator, rho0: np.ndarray, tau: float, k_max: int) -> list[np.ndarray]:

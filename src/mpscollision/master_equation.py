@@ -9,6 +9,12 @@ same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
 system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
 through one ``collide`` per step: a table costs k_max batched collisions.
+On a stationary chain (homogeneous, one unitary, chi_0 a bitwise fixed point
+of the bond step) every thread repeats the first, so K_{k,m} = K_m, and the
+kernels are deconvolved from the embedding's maps E_1..E_K instead: K
+collisions of one basis stack plus O(K^2) products of d_S^2 x d_S^2 matrices.
+The same maps certify any table through the residual of the recursion
+E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
 
 The one- and two-collision channels are the embedding's own dynamical maps:
 the same basis stack E (x) chi through ``collide`` and the bond trace, with
@@ -21,6 +27,7 @@ sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +38,7 @@ from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
+    _bond_step,
     evolve_bond_state,
     site_reduced_state,
     stationary_bond_state,
@@ -148,9 +156,14 @@ class Superoperator:
 # -- building blocks -------------------------------------------------------
 
 def _bond_ladder(env: MpsEnvironment, k_max: int) -> list[BondState]:
+    """Bond states chi_0..chi_{k_max}.  On a homogeneous chain the walk stops at the first
+    rung bitwise equal to the one before it: every later step would repeat its bits."""
     chis = [env.initial_bond_state()]
-    for _ in range(k_max):
+    for k in range(1, k_max + 1):
         chis.append(evolve_bond_state(env, chis[-1]))
+        if env.homogeneous and np.array_equal(chis[-1].matrix, chis[-2].matrix):
+            chis += [BondState(j, chis[-1].matrix) for j in range(k + 1, k_max + 1)]
+            break
     return chis
 
 
@@ -184,20 +197,27 @@ def _read_off(traced: np.ndarray) -> np.ndarray:
     return np.swapaxes(traced, -1, -3).reshape(traced.shape[:-2] + (-1,))
 
 
-def _channels(model: CollisionModel, chi: BondState, n: int) -> list[Superoperator]:
-    """The embedding's maps rho -> tr_bond of 1..n collisions of rho (x) chi from ``chi.site``."""
+def _channels(model: CollisionModel, chi: BondState, n: int) -> np.ndarray:
+    """Matrices (n, d_S^2, d_S^2) of the embedding's maps rho -> tr_bond of 1..n collisions
+    of rho (x) chi from ``chi.site``."""
     d_s = model.d_system
     x = _basis_stack(d_s, chi.matrix)
-    maps = []
-    for ops, ops_dag in emb._kraus_stacks(model, range(chi.site, chi.site + n)):
+    maps = np.empty((n, d_s ** 2, d_s ** 2), dtype=complex)
+    for j, (ops, ops_dag) in enumerate(emb._kraus_stacks(model, range(chi.site, chi.site + n))):
         x = emb.collide(ops, x, ops_dag)
-        maps.append(Superoperator(_read_off(emb.trace_bond(x, d_s)), d_s, d_s))
+        maps[j] = _read_off(emb.trace_bond(x, d_s))
     return maps
+
+
+def _map_stack(model: CollisionModel, n: int) -> np.ndarray:
+    """E_0 = Id and the maps E_1..E_n from chi_0 (``_channels``), shape (n + 1, d_S^2, d_S^2)."""
+    eye = np.eye(model.d_system ** 2, dtype=complex)
+    return np.concatenate([eye[None], _channels(model, model.env.initial_bond_state(), n)])
 
 
 def single_collision_channel(model: CollisionModel, chi: BondState) -> Superoperator:
     """Channel of one collision with the particle whose bond state is ``chi``."""
-    return _channels(model, chi, 1)[0]
+    return Superoperator(_channels(model, chi, 1)[0], model.d_system, model.d_system)
 
 
 def two_collision_channel(model: CollisionModel, chi: BondState,
@@ -206,7 +226,7 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
     if not correlated:
         later = single_collision_channel(model, evolve_bond_state(model.env, chi))
         return later @ single_collision_channel(model, chi)
-    return _channels(model, chi, 2)[1]
+    return Superoperator(_channels(model, chi, 2)[1], model.d_system, model.d_system)
 
 
 # -- exact memory kernel -----------------------------------------------------
@@ -254,6 +274,31 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=Non
             threads -= kron(traced, ladder[k + 1].matrix)
 
 
+def _stationary(model: CollisionModel) -> bool:
+    """Whether every collision repeats the first: a homogeneous chain, one unitary, and chi_0
+    a bitwise fixed point of the bond step.  Then K_{k,m} = K_m for every k."""
+    env = model.env
+    return (env.homogeneous and not isinstance(model.unitary, tuple)
+            and np.array_equal(_bond_step(env.sites[0], env.chi0), env.chi0))
+
+
+def _stationary_kernels(model: CollisionModel, n: int) -> np.ndarray:
+    """K_0..K_{n-1} of a ``_stationary`` chain, deconvolved from its maps E_1..E_n.
+
+    The master equation on the maps reads E_{k+1} = E_k + tau sum_{m<=k} K_m E_{k-m}
+    (E_0 = Id), so K_k = (E_{k+1} - E_k)/tau - sum_{m<k} K_m E_{k-m}: the transfer tensors
+    of Cerrillo and Cao (PRL 112, 110401, 2014).  n collisions of one basis stack, then one
+    batched product of d_S^2 matrices per k.  K_m depends on E_1..E_{m+1} alone, so every
+    n > m gives it the same bits.
+    """
+    maps = _map_stack(model, n)
+    rates = np.diff(maps, axis=0) * (1.0 / model.tau)
+    kernels = np.empty_like(rates)
+    for k in range(n):
+        kernels[k] = rates[k] - (kernels[:k] @ maps[k:0:-1]).sum(axis=0)
+    return kernels
+
+
 def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """Exact discrete memory kernel K_{km} on system operators (0-based k).
 
@@ -264,6 +309,8 @@ def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """
     if m < 0 or m > k:
         raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
+    if _stationary(model):
+        return Superoperator(_stationary_kernels(model, m + 1)[m], model.d_system, model.d_system)
     *_, row = _kernel_threads(model, range(k - m, k - m + 1), k + 1)
     return Superoperator(row[0], model.d_system, model.d_system)
 
@@ -285,15 +332,33 @@ class KernelTable:
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps.
 
-    One batched ``collide`` of the live threads per step, after
-    ``_guard_kernel_threads`` has checked the table and the working set.
+    After ``_guard_kernel_threads`` has checked the table and the working set:
+    on a ``_stationary`` chain row k is K_0..K_k (``_stationary_kernels``), else one
+    batched ``collide`` of the live threads per step.
     """
     d_s = model.d_system
     _guard_kernel_threads(model, range(k_max), k_max, k_max * (k_max + 1) // 2 * d_s ** 4)
     packed = np.empty((k_max * (k_max + 1) // 2, d_s ** 2, d_s ** 2), dtype=complex)
-    for k, row in enumerate(_kernel_threads(model, range(k_max), k_max)):
+    if _stationary(model):
+        kernels = _stationary_kernels(model, k_max)
+        rows = (kernels[:k + 1] for k in range(k_max))
+    else:
+        rows = _kernel_threads(model, range(k_max), k_max)
+    for k, row in enumerate(rows):
         packed[k * (k + 1) // 2:][:k + 1] = row
     return KernelTable(model.tau, d_s, packed)
+
+
+def _maps_residuals(model: CollisionModel, table: KernelTable, k_max: int) -> np.ndarray:
+    """||E_{k+1} - E_k - tau sum_m K_{k,m} E_{k-m}|| for k < k_max: how far the table's
+    recursion misses the embedding's maps E_0 = Id, E_1..E_{k_max} (``_map_stack``)."""
+    maps = _map_stack(model, k_max)
+    residuals = np.empty(k_max)
+    for k in range(k_max):
+        row = table.packed[k * (k + 1) // 2:][:k + 1]
+        step = table.tau * (row @ maps[k::-1]).sum(axis=0)
+        residuals[k] = frobenius(maps[k + 1] - maps[k] - step)
+    return residuals
 
 
 def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -380,9 +445,12 @@ def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superop
     starts = range(k - m_max, k + 1)
     _guard_kernel_threads(model, starts, k + 1)
     ladder = _bond_ladder(model.env, k)
-    # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
-    for row in _kernel_threads(model, starts, k + 1, ladder):
-        pass
+    if _stationary(model):
+        row = _stationary_kernels(model, m_max + 1)
+    else:
+        # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
+        for row in _kernel_threads(model, starts, k + 1, ladder):
+            pass
     second = [None] * (m_max + 1)
     if model.hamiltonian is not None:
         second[1:] = _second_order_kernels(model, k, range(1, m_max + 1), ladder)
@@ -411,6 +479,9 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     h = _effective_hamiltonian(model)
 
     lam = transfer_spectrum(model.env).lambda2  # raises for infinite correlation length
+    if abs(lam.imag) > 1e-8 * max(abs(lam), 1.0):
+        warnings.warn("complex subleading transfer eigenvalue; the scalar GKSL tail weight "
+                      "built from it is complex", stacklevel=2)
     chi_star = stationary_bond_state(model.env)
     d_s = model.d_system
     g2tau = model.g ** 2 * model.tau

@@ -32,7 +32,7 @@ __all__ = [
     "named_initial_state", "named_observable",
     "depolarization_series",
     "build_model", "environment_for",
-    "MODEL_NAMES", "INTERACTION_NAMES", "DEFAULT_INTERACTION",
+    "MODEL_NAMES", "MODEL_PARAMETERS", "INTERACTION_NAMES", "DEFAULT_INTERACTION",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,6 +40,14 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 MODEL_NAMES = ("two_photon", "cluster", "aklt", "ghz", "single_photon")
+# The parameters environment_for reads per model, and build_model's fock_cutoff.
+MODEL_PARAMETERS = {
+    "two_photon": ("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2", "fock_cutoff"),
+    "cluster": ("fock_cutoff",),
+    "aklt": ("fock_cutoff",),
+    "ghz": ("n_sites", "fock_cutoff"),
+    "single_photon": ("amplitudes", "n_sites", "width", "fock_cutoff"),
+}
 INTERACTION_NAMES = ("exchange", "cluster", "heisenberg", "controlled")
 
 # Case-study pairing of environment and interaction.

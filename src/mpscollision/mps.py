@@ -24,7 +24,6 @@ couple only to the leading mode factor.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,12 +377,6 @@ def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
         )
     if abs(lam2) <= 1e-10:
         return TransferSpectrum(0.0)
-    if abs(lam2.imag) > 1e-8 * max(abs(lam2), 1.0):
-        warnings.warn(
-            "complex subleading transfer eigenvalue; stroboscopic_generator's scalar "
-            "GKSL tail weight, built from it, is complex",
-            stacklevel=2,
-        )
     return TransferSpectrum(lam2)
 
 

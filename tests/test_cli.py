@@ -191,6 +191,28 @@ def test_model_parameters_are_not_coerced(tmp_path, capsys, doc, message):
         assert captured.err == f"error: config.model.parameters: {message}\n"
 
 
+@pytest.mark.parametrize("doc,key", [
+    (model_doc("single_photon", {"n_sites": 6, "widht": 1}, k_max=3), "widht"),
+    (model_doc("aklt", {"n_sites": 6}), "n_sites"),
+    (model_doc("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9, "g_t2": 1}), "g_t2"),
+])
+def test_unread_model_parameters_exit_2(tmp_path, capsys, doc, key):
+    # A parameter the model does not read is a misspelling, not a default.
+    path = write_config(tmp_path, doc)
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config.model.parameters.{key}: unknown key")
+
+
+def test_every_model_accepts_fock_cutoff():
+    for name, parameters in (("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1}),
+                             ("cluster", {}), ("aklt", {}), ("ghz", {"n_sites": 4}),
+                             ("single_photon", {"width": 2})):
+        load_config(model_doc(name, {**parameters, "fock_cutoff": 3}))
+
+
 def test_integers_beyond_float_range_exit_2(tmp_path, capsys):
     # JSON integers have no size limit; one past the float range is refused,
     # not a TypeError out of the finiteness check.
@@ -242,7 +264,7 @@ FIELD_POOLS = {
         {"width": 0}, [], "x", None,
         {"tau_over_T1": True, "tau_over_T2": 0.1}, {"g_tau": True, "g_T1": 2.3, "g_T2": 59.9},
         {"n_sites": True}, {"n_sites": False}, {"width": True}, {"fock_cutoff": True},
-        {"amplitudes": [True, 0.5]}],
+        {"amplitudes": [True, 0.5]}, {"widht": 1}, {"n_sites": 6, "widht": 1}],
     ("interaction",): [
         "exchange", "cluster", "heisenberg", "controlled", "nope", {"matrix": matrix(np.eye(4))},
         {"matrix": matrix(np.eye(6))}, {"matrix": matrix(NON_UNITARY)},
@@ -345,6 +367,35 @@ def test_run_custom_matrix_interaction_and_state():
     header, rows = parse_csv(run_config(load_config(doc)))
     assert header[2] == "proj_g"
     assert np.max(np.abs(rows[:, 2] - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("doc", [
+    aklt_doc(method="nz", k_max=6),
+    model_doc("two_photon", {"tau_over_T1": 0.4, "tau_over_T2": 0.05}, method="nz", k_max=6),
+])
+def test_run_nz_maps_gate(tmp_path, capsys, monkeypatch, doc):
+    # Every nz run checks its kernel table against the embedding's maps; the
+    # CSV is the ungated one, and one corrupted entry K_{4,2} exits 3 at step 4.
+    cfg = load_config(doc)
+    path = write_config(tmp_path, doc)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_nz_states", lambda model, rho0, k_max: master_equation.solve_nz(
+            master_equation.build_kernel_table(model, k_max), rho0, k_max))
+        ungated = run_config(cfg)
+    assert main(["run", "--config", path]) == 0
+    assert capsys.readouterr().out == ungated
+    table = master_equation.build_kernel_table(cfg["model"], 6)
+    packed = table.packed.copy()
+    packed[4 * 5 // 2 + 2, 0, 0] += 1e-9
+    corrupted = master_equation.KernelTable(table.tau, table.d_system, packed)
+    residuals = master_equation._maps_residuals(cfg["model"], corrupted, 6)
+    assert np.max(residuals[:4]) <= 1e-14 < 1e-12 < residuals[4]
+    monkeypatch.setattr(cli, "build_kernel_table", lambda model, k_max: corrupted)
+    assert main(["run", "--config", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: nz maps residual at step 4 is {residuals[4]:.3e} (> 1e-12); "
+                            "the kernel table does not reproduce the embedding's map E_5\n")
 
 
 @pytest.mark.parametrize("g_tau,value", [(50, "inf"), (1e9, "nan")])
@@ -529,24 +580,30 @@ def test_kernel_subcommand_output():
 
 
 def test_kernel_subcommand_walks_one_ladder(monkeypatch):
-    # Both columns of a scan share one bond ladder to k; the CSV is the one
-    # of a per-m second_order_kernel (each with its own ladder) to the byte.
-    cfg = load_config(aklt_doc(g_tau=0.3))
-    model, k, m_max = cfg["model"], 12, 9
-    want = cli._format_csv(["m", "kernel_norm", "second_order_norm"], [
-        [m, memory_kernel(model, k, m).norm(),
-         second_order_kernel(model, k, m).norm() if m else float("nan")]
-        for m in range(m_max + 1)])
-    calls = []
+    # Both columns of a scan share one bond ladder to k, which stops at a
+    # fixed point: aklt's chi_0 = I/2 is one after a single step, two_photon
+    # has none within k.  The CSV is the one of a per-m second_order_kernel
+    # (each with its own ladder) to the byte.
+    k, m_max = 12, 9
     evolve = master_equation.evolve_bond_state
+    for doc, steps in ((aklt_doc(g_tau=0.3), 1),
+                       (model_doc("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), k)):
+        cfg = load_config(doc)
+        model = cfg["model"]
+        want = cli._format_csv(["m", "kernel_norm", "second_order_norm"], [
+            [m, memory_kernel(model, k, m).norm(),
+             second_order_kernel(model, k, m).norm() if m else float("nan")]
+            for m in range(m_max + 1)])
+        calls = []
 
-    def counted(env, chi):
-        calls.append(1)
-        return evolve(env, chi)
+        def counted(env, chi):
+            calls.append(1)
+            return evolve(env, chi)
 
-    monkeypatch.setattr(master_equation, "evolve_bond_state", counted)
-    assert kernel_norms(cfg, k, m_max) == want
-    assert len(calls) == k
+        with monkeypatch.context() as patch:
+            patch.setattr(master_equation, "evolve_bond_state", counted)
+            assert kernel_norms(cfg, k, m_max) == want
+        assert len(calls) == steps
 
 
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):

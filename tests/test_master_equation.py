@@ -309,6 +309,79 @@ def test_nz_equals_embedding_as_maps(name):
             assert np.array_equal(memory_kernel(model, k, m).matrix, table.kernel(k, m).matrix)
 
 
+@pytest.mark.parametrize("interaction", ["heisenberg", "controlled"])
+@pytest.mark.parametrize("g_tau", [0.1, 0.6])
+def test_stationary_table_matches_threads(interaction, g_tau):
+    # aklt's chi_0 = I/2 is a fixed point of the bond step, so the table is
+    # deconvolved from the maps; the threads compute the same kernels.
+    model = build_model(ModelSpec("aklt"), g_tau=g_tau, interaction_name=interaction)
+    assert master_equation._stationary(model)
+    k_max = 60
+    fast = build_kernel_table(model, k_max).packed
+    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max)))
+    assert np.max(np.abs(fast - threads)) <= 1e-13 * np.max(np.abs(threads))
+
+
+def test_stationary_nz_equals_embedding_as_maps_at_long_horizon():
+    k_max = 300
+    model = build_model(ModelSpec("aklt"), g_tau=0.5)
+    table = build_kernel_table(model, k_max)
+    for e_ij in np.eye(4, dtype=complex).reshape(4, 2, 2):
+        nz = solve_nz(table, e_ij, k_max)
+        embed = trajectory(model, e_ij, k_max)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,stationary", [
+    ("aklt", True),
+    ("cluster", False),
+    ("two_photon", False),
+    ("random_D4", False),   # chi_0 = I/4 is not the fixed point of a random isometry
+])
+def test_kernel_route(name, stationary, monkeypatch):
+    model = {
+        "aklt": lambda: build_model(ModelSpec("aklt"), g_tau=0.4),
+        "cluster": lambda: build_model(ModelSpec("cluster"), g_tau=0.4, fock_cutoff=5),
+        "two_photon": two_photon_model,
+        "random_D4": lambda: random_spin1_chain(np.random.default_rng(4), 4),
+    }[name]()
+    assert master_equation._stationary(model) is stationary
+    k_max = 8
+    table = build_kernel_table(model, k_max)
+    unused = "_kernel_threads" if stationary else "_stationary_kernels"
+    monkeypatch.setattr(master_equation, unused, lambda *args: pytest.fail(f"{unused} called"))
+    assert np.array_equal(build_kernel_table(model, k_max).packed, table.packed)
+    kernels, _ = master_equation.kernel_scan(model, k_max - 1, k_max - 1)
+    for m, kernel in enumerate(kernels):
+        assert np.array_equal(kernel.matrix, table.kernel(k_max - 1, m).matrix)
+        assert np.array_equal(memory_kernel(model, k_max - 1, m).matrix, kernel.matrix)
+
+
+def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
+    # B_i = |0><i| sends every unit-trace chi to |0><0|: from chi_0 = I/2 the
+    # ladder repeats chi_1 from then on, so two steps give all of its rungs.
+    site = np.zeros((2, 2, 2), dtype=complex)
+    site[0, 0, 0] = site[1, 1, 0] = 1.0
+    env = MpsEnvironment((site,), np.eye(2) / 2, homogeneous=True)
+    walk = [env.initial_bond_state()]
+    for _ in range(10):
+        walk.append(evolve_bond_state(env, walk[-1]))
+    calls = []
+
+    def counted(env, chi):
+        calls.append(chi.site)
+        return evolve_bond_state(env, chi)
+
+    monkeypatch.setattr(master_equation, "evolve_bond_state", counted)
+    ladder = master_equation._bond_ladder(env, 10)
+    assert calls == [0, 1]
+    assert [chi.site for chi in ladder] == list(range(11))
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(ladder, walk))
+    calls.clear()
+    assert len(master_equation._bond_ladder(models.aklt_env(), 10)) == 11
+    assert calls == [0]
+
+
 @pytest.mark.parametrize("spec", [ModelSpec("aklt"), ModelSpec("single_photon", {"n_sites": 20})])
 def test_kernel_table_collide_count(spec, monkeypatch):
     # Every live thread goes through one batched collide per step, and no
@@ -595,6 +668,13 @@ def test_stroboscopic_generator_preserves_hermiticity(two_site, rng):
         for x in hermitian_basis(model.d_system) + [random_hermitian(rng, model.d_system)]:
             out = gen.apply(x)
             assert frobenius(out - dagger(out)) * model.tau <= 1e-12 * frobenius(x)
+
+
+def test_stroboscopic_generator_warns_on_complex_lambda2():
+    # The scalar tail weight (1 + lambda2) / (1 - lambda2) is complex here.
+    model = random_spin1_chain(np.random.default_rng(3), 4, g_tau=0.1)
+    with pytest.warns(UserWarning, match="complex subleading transfer eigenvalue"):
+        stroboscopic_generator(model)
 
 
 def test_stroboscopic_norm_vanishes_for_heisenberg():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -451,6 +452,19 @@ def test_stationary_bond_state_is_fixed_point_complex(rng, d_bond):
     chi = stationary_bond_state(env)
     assert_density_matrix(chi.matrix, 1e-10)
     assert np.linalg.norm(evolve_bond_state(env, chi).matrix - chi.matrix) < 1e-12
+
+
+def test_transfer_spectrum_of_complex_isometry_does_not_warn():
+    # A complex subleading eigenvalue is a property of the chain, not a defect;
+    # only the GKSL tail weight built from it warns (stroboscopic_generator).
+    rng = np.random.default_rng(3)
+    g = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
+    site = np.linalg.qr(g)[0].conj().T.reshape(4, 3, 4).transpose(1, 0, 2)
+    env = MpsEnvironment((site,), np.eye(4) / 4, homogeneous=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = transfer_spectrum(env).lambda2
+    assert abs(lam.imag) > 0.1
 
 
 # -- decorrelation ---------------------------------------------------------------
