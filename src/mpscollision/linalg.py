@@ -112,18 +112,28 @@ def lq_factorize(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, n
     Singular directions whose relative weight exceeds ``tol`` are kept.  A
     matrix with no more rows than columns is split through the QR of
     M^dag = Q R, so M = R^dag Q^dag with the singular values of M on R; when
-    every one of them is kept, that is the result.  Otherwise, and for tall
-    matrices, the SVD truncates: L = U*s, Q = V^dag.  A zero matrix yields a
-    zero L of rank 1 and an arbitrary orthonormal row, so downstream bond
-    dimensions never collapse to zero.
+    every one of them is kept, that is the result.  Since s_max <= ||R||_F and
+    1/s_min <= ||R^-1||_F, ``tol * ||R||_F * ||R^-1||_F < 1/2`` keeps them all
+    (the factor 2 covers rounding in the computed inverse) at the cost of one
+    inverse; only when that bound fails do the singular values of R decide,
+    so the split is the one the SVD rule alone would give.  Otherwise, and for
+    tall matrices, the SVD truncates: L = U*s, Q = V^dag.  A zero matrix
+    yields a zero L of rank 1 and an arbitrary orthonormal row, so downstream
+    bond dimensions never collapse to zero.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError("lq_factorize expects a matrix")
     if 0 < m.shape[0] <= m.shape[1]:
         q, r = np.linalg.qr(m.conj().T)
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[0] > 0.0 and s[-1] > tol * s[0]:
+        try:
+            full = tol * frobenius(r) * frobenius(np.linalg.inv(r)) < 0.5
+        except np.linalg.LinAlgError:   # exactly singular
+            full = False
+        if not full:
+            s = np.linalg.svd(r, compute_uv=False)
+            full = s[0] > 0.0 and s[-1] > tol * s[0]
+        if full:
             return r.conj().T, q.conj().T
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] <= 0.0:

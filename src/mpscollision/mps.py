@@ -326,10 +326,12 @@ def reduced_density_prefix(env: MpsEnvironment, k: int) -> np.ndarray:
 
 
 def transfer_matrix(env: MpsEnvironment) -> np.ndarray:
-    """Matrix of the bond free-evolution channel on row-major vec(chi).
+    """Complex matrix of the bond free-evolution channel on row-major vec(chi).
 
-    For a finite chain, requires a well-defined repeated bulk tensor (all
-    square interior tensors equal).
+    The reference form: :func:`stationary_bond_state` takes its fixed point
+    from it, and :func:`transfer_spectrum` uses the same map in real
+    coordinates.  For a finite chain, requires a well-defined repeated bulk
+    tensor (all square interior tensors equal).
     """
     bulk = _bulk_tensor(env)
     return np.einsum("iab,icd->bdac", bulk, bulk.conj()).reshape(
@@ -358,18 +360,30 @@ class TransferSpectrum:
 def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
     """Subleading eigenvalue of the transfer matrix (0 when there is none or it vanishes).
 
+    The map X -> sum_i B_i^T X B_i^* keeps X Hermitian, so in orthonormal
+    Hermitian coordinates it is a real D^2 x D^2 matrix with the spectrum of
+    the complex :func:`transfer_matrix` T.  The coordinates are x = Re X + Im X
+    (symmetric part Re X, antisymmetric part Im X; x[a,b] and x[b,a] are
+    orthogonal mixes of sqrt2 Re X[a,b] and sqrt2 Im X[a,b]), where the map
+    reads R[(b,d),(a,c)] = Re T[(b,d),(a,c)] - Im T[(d,b),(a,c)].  A real
+    eigensolver returns complex eigenvalues in exact conjugate pairs; of such
+    a pair lambda2 is the member with Im lambda2 > 0.
+
     Raises :class:`InfiniteCorrelationLengthError` when the second eigenvalue
     sits on the unit circle (degenerate fixed point, e.g. a GHZ chain).
     """
-    t = transfer_matrix(env)
-    eigs = np.linalg.eigvals(t)
-    order = np.argsort(-np.abs(eigs))
-    eigs = eigs[order]
+    b = _bulk_tensor(env)
+    d, n, _ = b.shape
+    g = b.reshape(d, n * n)
+    t = np.dot(g.T, g.conj()).reshape(n, n, n, n)   # t[a, b, c, d] = T[(b, d), (a, c)]
+    r = np.subtract(t.real.transpose(1, 3, 0, 2), t.imag.transpose(3, 1, 0, 2), order="C")
+    eigs = np.linalg.eigvals(r.reshape(n * n, n * n)).tolist()
+    eigs.sort(key=abs, reverse=True)
     if abs(eigs[0] - 1.0) > 1e-10:
         raise ValueError(f"leading transfer eigenvalue {eigs[0]:.12g} is not 1")
     if len(eigs) == 1:
         return TransferSpectrum(0.0)
-    lam2 = complex(eigs[1])
+    lam2 = complex(eigs[1].real, abs(eigs[1].imag))
     if abs(lam2) >= 1.0 - 1e-10:
         raise InfiniteCorrelationLengthError(
             f"second transfer eigenvalue {lam2:.6g} lies on the unit circle; "
@@ -381,7 +395,13 @@ def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
 
 
 def stationary_bond_state(env: MpsEnvironment) -> BondState:
-    """Fixed point of the bond free evolution, normalized to unit trace."""
+    """Fixed point of the bond free evolution, normalized to unit trace.
+
+    The eigenvector of :func:`transfer_matrix` comes back with an arbitrary
+    phase (LAPACK makes its largest entry real, which for a fixed point with
+    tied entries can be i times a positive matrix), so it is turned by
+    |tr|/tr before its Hermitian part is taken.
+    """
     t = transfer_matrix(env)
     eigs, vecs = np.linalg.eig(t)
     idx = int(np.argmin(np.abs(eigs - 1.0)))
@@ -389,12 +409,10 @@ def stationary_bond_state(env: MpsEnvironment) -> BondState:
         raise ValueError("transfer matrix has no eigenvalue 1")
     d = int(round(np.sqrt(t.shape[0])))
     chi = vecs[:, idx].reshape(d, d)
-    chi = hermitian_part(chi)
-    tr = np.trace(chi).real
+    tr = complex(np.trace(chi))
     if abs(tr) < 1e-10:
         raise ValueError("stationary bond candidate has zero trace")
-    chi = chi / tr
-    return BondState(0, chi)
+    return BondState(0, hermitian_part(chi * (abs(tr) / tr)) / abs(tr))
 
 
 def decorrelate(env: MpsEnvironment, length: int | None = None,

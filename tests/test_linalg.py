@@ -201,6 +201,60 @@ def test_lq_tall_and_zero_follow_the_svd(m):
     assert np.array_equal(l, want_l) and np.array_equal(q, want_q)
 
 
+def _lq_by_qr_rule(m, tol=1e-12):
+    """The split the singular values of R alone decide: QR when all pass, else the SVD's."""
+    m = np.asarray(m, dtype=complex)
+    if 0 < m.shape[0] <= m.shape[1]:
+        q, r = np.linalg.qr(m.conj().T)
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[0] > 0.0 and s[-1] > tol * s[0]:
+            return r.conj().T, q.conj().T
+    return _lq_by_svd(m, tol)
+
+
+def _with_singular_values(rng, rows, cols, s):
+    u, _ = np.linalg.qr(complex_normal(rng, (rows, rows)))
+    v, _ = np.linalg.qr(complex_normal(rng, (cols, rows)))
+    return (u * s) @ v.conj().T
+
+
+def _lq_cases(rng):
+    """Full-rank wide, near the bound (cond 1e9..1e11) and rank-deficient inputs.
+
+    At cond 8e11 the norm bound fails while every singular value still passes
+    the rule, so the singular values of R decide and the QR split stands.
+    """
+    cases = [complex_normal(rng, shape) for shape in [(1, 2), (3, 5), (8, 16), (16, 32), (32, 64)]]
+    for rows, cond in [(8, 1e9), (16, 1e10), (32, 1e11), (32, 3e11), (32, 8e11), (16, 1e13)]:
+        cases.append(_with_singular_values(rng, rows, 2 * rows, np.geomspace(1.0, 1.0 / cond, rows)))
+    cases.append(_with_singular_values(rng, 6, 10, np.array([2.0, 1.0, 0.5, 0.3, 0.1, 0.0])))
+    cases.append(np.vstack([complex_normal(rng, (3, 8)), np.zeros((1, 8))]))   # R exactly singular
+    return cases
+
+
+def test_lq_matches_the_svd_rule_bitwise(rng):
+    for m in _lq_cases(rng):
+        l, q = lq_factorize(m)
+        want_l, want_q = _lq_by_qr_rule(m)
+        assert np.array_equal(l, want_l) and np.array_equal(q, want_q), m.shape
+
+
+def test_lq_full_rank_wide_makes_no_svd(monkeypatch, rng):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for shape in [(1, 2), (3, 5), (4, 4), (8, 16), (16, 32), (32, 64), (5, 40)]:
+        lq_factorize(complex_normal(rng, shape))
+    assert calls == []
+    lq_factorize(_with_singular_values(rng, 8, 16, np.geomspace(1.0, 1e-14, 8)))
+    assert calls == [(8, 8), (8, 16)]   # the rule on R, then the truncating SVD
+
+
 def test_hermitian_basis_orthonormal_complete():
     for dim in (2, 3):
         basis = hermitian_basis(dim)

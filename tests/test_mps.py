@@ -20,6 +20,7 @@ from mpscollision.mps import (
     right_canonicalize_mixture,
     site_reduced_state,
     stationary_bond_state,
+    transfer_matrix,
     transfer_spectrum,
     two_site_reduced_state,
 )
@@ -442,29 +443,88 @@ def test_stationary_bond_state_aklt():
     assert np.max(np.abs(chi.matrix - np.eye(2) / 2)) < 1e-12
 
 
+def _complex_isometry_env(rng, d_bond, d_phys=3):
+    """Homogeneous chain whose site tensor is a random complex QR isometry, chi0 = I/D."""
+    g = (rng.normal(size=(d_phys * d_bond, d_bond))
+         + 1j * rng.normal(size=(d_phys * d_bond, d_bond)))
+    site = np.linalg.qr(g)[0].conj().T.reshape(d_bond, d_phys, d_bond).transpose(1, 0, 2)
+    return MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
+
+
 @pytest.mark.parametrize("d_bond", [2, 3, 4])
 def test_stationary_bond_state_is_fixed_point_complex(rng, d_bond):
     # Complex site tensors: the fixed point is not its own transpose.
-    g = rng.normal(size=(3 * d_bond, d_bond)) + 1j * rng.normal(size=(3 * d_bond, d_bond))
-    q, _ = np.linalg.qr(g)
-    site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
-    env = MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
+    env = _complex_isometry_env(rng, d_bond)
     chi = stationary_bond_state(env)
     assert_density_matrix(chi.matrix, 1e-10)
     assert np.linalg.norm(evolve_bond_state(env, chi).matrix - chi.matrix) < 1e-12
 
 
+def test_stationary_bond_state_of_reset_chain_with_tied_entries():
+    # B_i = |i> psi^T maps every X to tr(X) psi psi^dag.  All four entries of
+    # psi psi^dag have modulus 1/2, so LAPACK may hand back i psi psi^dag, whose
+    # Hermitian part is zero unless the eigenvector's phase is removed first.
+    psi = np.array([1.0, 1j]) / np.sqrt(2.0)
+    site = np.stack([np.outer(np.eye(2)[i], psi) for i in range(2)])
+    env = MpsEnvironment((site,), np.eye(2) / 2, homogeneous=True)
+    env.validate()
+    chi = stationary_bond_state(env)
+    assert np.linalg.norm(chi.matrix - np.outer(psi, psi.conj())) < 1e-12
+
+
+def _eigvals_input(monkeypatch, env):
+    """The one matrix transfer_spectrum hands to np.linalg.eigvals, and its result."""
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        seen.append(np.array(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    spectrum = transfer_spectrum(env)
+    monkeypatch.undo()
+    assert len(seen) == 1
+    return seen[0], spectrum
+
+
+def _same_spectrum(a, b, tol):
+    dist = np.abs(a[:, None] - b[None, :])
+    return a.shape == b.shape and max(dist.min(axis=0).max(), dist.min(axis=1).max()) < tol
+
+
+@pytest.mark.parametrize("d_bond", range(2, 13))
+def test_transfer_spectrum_is_real_basis_spectrum_of_complex_isometry(monkeypatch, rng, d_bond):
+    env = _complex_isometry_env(rng, d_bond, d_phys=2 + d_bond % 2)
+    real, spectrum = _eigvals_input(monkeypatch, env)
+    assert real.dtype == np.float64 and real.shape == (d_bond ** 2, d_bond ** 2)
+    want = np.linalg.eigvals(transfer_matrix(env))
+    assert _same_spectrum(np.linalg.eigvals(real), want, 1e-12)
+    # lambda2 is a dense complex eigenvalue, not the unit one.
+    assert np.min(np.abs(want - spectrum.lambda2)) < 1e-12
+    assert abs(spectrum.lambda2 - 1.0) > 1e-6 and spectrum.lambda2.imag >= 0.0
+
+
+@pytest.mark.parametrize("make_env", [models.aklt_env, models.cluster_env])
+def test_transfer_spectrum_real_basis_on_named_chains(monkeypatch, make_env):
+    # lambda2 itself (-1/3 and 0) is pinned by the tests above.
+    env = make_env()
+    real, _ = _eigvals_input(monkeypatch, env)
+    assert real.dtype == np.float64
+    assert _same_spectrum(np.linalg.eigvals(real), np.linalg.eigvals(transfer_matrix(env)), 1e-12)
+
+
 def test_transfer_spectrum_of_complex_isometry_does_not_warn():
     # A complex subleading eigenvalue is a property of the chain, not a defect;
     # only the GKSL tail weight built from it warns (stroboscopic_generator).
-    rng = np.random.default_rng(3)
-    g = rng.normal(size=(12, 4)) + 1j * rng.normal(size=(12, 4))
-    site = np.linalg.qr(g)[0].conj().T.reshape(4, 3, 4).transpose(1, 0, 2)
-    env = MpsEnvironment((site,), np.eye(4) / 4, homogeneous=True)
+    env = _complex_isometry_env(np.random.default_rng(3), 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lam = transfer_spectrum(env).lambda2
-    assert abs(lam.imag) > 0.1
+    # Of the conjugate pair, the member with positive imaginary part.
+    assert lam.imag > 0.1
+    want = np.linalg.eigvals(transfer_matrix(env))
+    assert np.min(np.abs(want - lam)) < 1e-12 and np.min(np.abs(want - lam.conjugate())) < 1e-12
 
 
 # -- decorrelation ---------------------------------------------------------------
