@@ -12,12 +12,9 @@ the full Hilbert space validates all of them on small instances.
 from .embedding import (
     CollisionModel,
     CutoffConvergenceError,
-    SystemBondState,
     cutoff_shift,
     kraus_operators,
     observable_series,
-    step,
-    system_state,
     trajectory,
 )
 from .linalg import expm_hermitian_generator, kron, lq_factorize, partial_trace

@@ -31,7 +31,8 @@ from .models import ModelSpec
 from .mps import decorrelate, _matrix_from_json
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
 
-__all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "PRESETS"]
+__all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "kernel_norms",
+           "PRESETS"]
 
 METHODS = ("embedding", "oracle", "nz", "gksl", "decorrelated")
 FIGURES = ("fig5a", "fig5b", "fig6a", "fig6b")

@@ -10,38 +10,34 @@ The recurrence ``R(k) = sum_j A_j R(k-1) A_j^dag`` with ``R(0) = rho_S (x)
 chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
 
-``collide`` and ``trace_bond`` are the one implementation of this map: ``step``
-applies them to one joint state, ``trajectory`` to a run of joint matrices
-traced in batches, the memory kernels to a stack of them.
+``collide`` and ``trace_bond`` are the one implementation of this map, and
+``_traced_walk`` the one walk along the chain: ``trajectory`` runs it from
+R(0), the embedding's dynamical maps from a basis stack E (x) chi, both
+traced in batches; the memory-kernel threads collide a stack per step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frobenius, kron, partial_trace
-from .mps import BondState, MpsEnvironment
+from .linalg import DEFAULT_TOL, dagger, frobenius, kron
+from .mps import MpsEnvironment
 
 __all__ = [
     "CollisionModel",
-    "SystemBondState",
     "CutoffConvergenceError",
     "kraus_operators",
     "collide",
     "trace_bond",
-    "initial_state",
-    "step",
-    "system_state",
-    "bond_state_of",
     "trajectory",
     "observable_series",
     "cutoff_shift",
 ]
 
 
-_TRACE_BATCH_BYTES = 64 * 1024   # joint states held by ``trajectory`` for one bond trace
+_TRACE_BATCH_BYTES = 64 * 1024   # joint states held by ``_traced_walk`` for one bond trace
 
 
 class CutoffConvergenceError(RuntimeError):
@@ -120,22 +116,6 @@ class CollisionModel:
         return self.mode_dim * self.env.ancilla_dim
 
 
-@dataclass(frozen=True)
-class SystemBondState:
-    """Joint density matrix on system (x) bond#step."""
-
-    step: int
-    matrix: np.ndarray = field(repr=False)
-    d_system: int = 0
-    bond_dim: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        if self.d_system * self.bond_dim != self.matrix.shape[0] or \
-                self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("system-bond matrix does not match declared dimensions")
-
-
 def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     """Kraus operators of the k-th collision (0-based), stacked on axis 0.
 
@@ -196,58 +176,36 @@ def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
     return np.einsum("...sata->...st", x)
 
 
-def initial_state(model: CollisionModel, rho_s0: np.ndarray) -> SystemBondState:
-    """R(0) = rho_S(0) (x) chi0."""
+def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
+    """Yield tr_bond of ``r`` and of its image after each collision k in ``ks``.
+
+    ``r`` is one joint matrix or a stack of them; it goes through ``collide`` with
+    each distinct channel's Kraus and adjoint stacks built once (``_kraus_stacks``).
+    Runs of equal shape are bond-traced by one ``trace_bond`` per
+    ``_TRACE_BATCH_BYTES`` (a larger state alone).
+    """
+    held = [r]
+    for ops, ops_dag in _kraus_stacks(model, ks):
+        r = collide(ops, r, ops_dag)
+        if r.shape != held[0].shape or (len(held) + 1) * r.nbytes > _TRACE_BATCH_BYTES:
+            yield from trace_bond(np.stack(held), model.d_system)
+            held = []
+        held.append(r)
+    yield from trace_bond(np.stack(held), model.d_system)
+
+
+def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
+    """System density matrices after 0..k_max collisions: one ``_traced_walk`` from
+    R(0) = rho_S(0) (x) chi0.  A chain shorter than k_max (IndexError) or a rho_S(0) of
+    the wrong shape (ValueError) is refused before the first collision."""
+    length = model.env.length
+    if length is not None and k_max > length:
+        raise IndexError(f"collision {length} beyond environment length {length}")
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     if rho_s0.shape != (model.d_system, model.d_system):
         raise ValueError(f"system state shape {rho_s0.shape}, expected "
                          f"({model.d_system}, {model.d_system})")
-    matrix = kron(rho_s0, model.env.chi0)
-    return SystemBondState(0, matrix, model.d_system, model.env.chi0.shape[0])
-
-
-def step(model: CollisionModel, state: SystemBondState) -> SystemBondState:
-    """Advance the system-bond state through one collision."""
-    k = state.step
-    if model.env.length is not None and k >= model.env.length:
-        raise IndexError(f"collision {k} beyond environment length {model.env.length}")
-    out = collide(kraus_operators(model, k), state.matrix)
-    return SystemBondState(k + 1, out, model.d_system, model.env.site(k).shape[2])
-
-
-def system_state(state: SystemBondState) -> np.ndarray:
-    """rho_S = tr_bond R."""
-    return trace_bond(state.matrix, state.d_system)
-
-
-def bond_state_of(state: SystemBondState) -> BondState:
-    """Bond marginal of the joint state (a proper BondState on embedding states)."""
-    chi = partial_trace(state.matrix, (state.d_system, state.bond_dim), keep=(1,))
-    return BondState(state.step, chi)
-
-
-def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
-    """System density matrices after 0..k_max collisions.
-
-    Bare joint matrices R(k) go through ``collide`` with each distinct
-    channel's Kraus and adjoint stacks built once (``_kraus_stacks``).  Runs of
-    equal shape are bond-traced by one ``trace_bond`` per ``_TRACE_BATCH_BYTES``
-    (a larger state alone).  A finite chain shorter than k_max raises ``step``'s
-    IndexError before the first collision.
-    """
-    length = model.env.length
-    if length is not None and k_max > length:
-        raise IndexError(f"collision {length} beyond environment length {length}")
-    r = initial_state(model, rho_s0).matrix
-    out, held = [], [r]
-    for ops, ops_dag in _kraus_stacks(model, range(k_max)):
-        r = collide(ops, r, ops_dag)
-        if r.shape != held[0].shape or (len(held) + 1) * r.nbytes > _TRACE_BATCH_BYTES:
-            out.extend(trace_bond(np.stack(held), model.d_system))
-            held = []
-        held.append(r)
-    out.extend(trace_bond(np.stack(held), model.d_system))
-    return out
+    return list(_traced_walk(model, kron(rho_s0, model.env.chi0), range(k_max)))
 
 
 def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:

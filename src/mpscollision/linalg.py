@@ -91,7 +91,7 @@ def partial_trace(matrix: np.ndarray, dims, keep) -> np.ndarray:
     return tensor.reshape(kept_dim, kept_dim)
 
 
-def expm_hermitian_generator(h: np.ndarray, theta: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+def expm_hermitian_generator(h: np.ndarray, theta: float) -> np.ndarray:
     """Unitary exp(-i*theta*h) for Hermitian ``h`` via eigendecomposition.
 
     The eigendecomposition route keeps the result unitary to roundoff, which
@@ -99,8 +99,8 @@ def expm_hermitian_generator(h: np.ndarray, theta: float, tol: float = DEFAULT_T
     """
     h = np.asarray(h, dtype=complex)
     res = frobenius(h - dagger(h))
-    if res > tol:
-        raise ValueError(f"generator is not Hermitian (residual {res:.3e} > {tol:.1e})")
+    if res > DEFAULT_TOL:
+        raise ValueError(f"generator is not Hermitian (residual {res:.3e} > {DEFAULT_TOL:.1e})")
     w, v = np.linalg.eigh(hermitian_part(h))
     phases = np.exp(-1j * theta * w)
     return (v * phases) @ dagger(v)

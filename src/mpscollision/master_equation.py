@@ -17,9 +17,9 @@ The same maps certify any table through the residual of the recursion
 E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
 
 The one- and two-collision channels are the embedding's own dynamical maps:
-the same basis stack E (x) chi through ``collide`` and the bond trace, with
-no projection in between.  The second-order kernel ties memory to the
-environment's connected pair correlator C: it needs H only through
+the same basis stack E (x) chi through the embedding's batched walk
+(``_traced_walk``), with no projection in between.  The second-order kernel
+ties memory to the environment's connected pair correlator C: it needs H only through
 X[s,t,u,v] = sum_ijpq C[i,j,p,q] H[s,q,t,j] H[u,p,v,i], which by completeness
 of any Hilbert-Schmidt-orthonormal mode basis {E_a} equals the expansion
 sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
@@ -148,9 +148,9 @@ class Superoperator:
     def norm(self) -> float:
         return frobenius(self.matrix)
 
-    def annihilates_trace(self, tol: float = 1e-10) -> bool:
+    def annihilates_trace(self) -> bool:
         tr_out = vec(np.eye(self.out_dim)).conj() @ self.matrix
-        return float(np.max(np.abs(tr_out))) <= tol
+        return float(np.max(np.abs(tr_out))) <= 1e-10
 
 
 # -- building blocks -------------------------------------------------------
@@ -199,14 +199,10 @@ def _read_off(traced: np.ndarray) -> np.ndarray:
 
 def _channels(model: CollisionModel, chi: BondState, n: int) -> np.ndarray:
     """Matrices (n, d_S^2, d_S^2) of the embedding's maps rho -> tr_bond of 1..n collisions
-    of rho (x) chi from ``chi.site``."""
-    d_s = model.d_system
-    x = _basis_stack(d_s, chi.matrix)
-    maps = np.empty((n, d_s ** 2, d_s ** 2), dtype=complex)
-    for j, (ops, ops_dag) in enumerate(emb._kraus_stacks(model, range(chi.site, chi.site + n))):
-        x = emb.collide(ops, x, ops_dag)
-        maps[j] = _read_off(emb.trace_bond(x, d_s))
-    return maps
+    of rho (x) chi from ``chi.site``: the basis stack through one ``_traced_walk``."""
+    x = _basis_stack(model.d_system, chi.matrix)
+    traced = emb._traced_walk(model, x, range(chi.site, chi.site + n))
+    return _read_off(np.stack(list(traced)))[1:]
 
 
 def _map_stack(model: CollisionModel, n: int) -> np.ndarray:
@@ -236,10 +232,12 @@ def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, tabl
     ``_kernel_threads(model, starts, k_max)`` would hold more than ``KERNEL_GUARD``
     numbers; that step holds 2 m_eff + 1 thread stacks (the input and, inside
     ``collide``, two m_eff-fold temporaries at a time: the row products and
-    their copy regrouped by Kraus index, then that copy and the right products)."""
+    their copy regrouped by Kraus index, then that copy and the right products).
+    A ``_stationary`` chain walks one thread, the basis stack of its maps."""
     d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
-    stack = (2 * model.effective_mode_dim() + 1) * len(starts) * d_s ** 2 * (d_s * d_bond) ** 2
+    threads = 1 if _stationary(model) else len(starts)
+    stack = (2 * model.effective_mode_dim() + 1) * threads * d_s ** 2 * (d_s * d_bond) ** 2
     for what, size in (("kernel table", table), ("thread stack", stack)):
         if size > KERNEL_GUARD:
             raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")

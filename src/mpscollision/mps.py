@@ -129,10 +129,10 @@ class MpsEnvironment:
     def initial_bond_state(self) -> "BondState":
         return BondState(0, self.chi0)
 
-    def validate(self, tol: float = 1e-10) -> None:
-        assert_density_matrix(self.chi0, max(tol, DEFAULT_TOL), "chi0")
+    def validate(self) -> None:
+        assert_density_matrix(self.chi0, what="chi0")
         res = check_right_canonical(self)
-        if res > tol:
+        if res > 1e-10:
             raise ValueError(f"environment is not right-canonical (residual {res:.3e})")
 
 
@@ -166,12 +166,12 @@ def _as_site_tensor(t) -> np.ndarray:
     return arr
 
 
-def right_canonicalize(tensors, tol: float = DEFAULT_TOL) -> MpsEnvironment:
+def right_canonicalize(tensors) -> MpsEnvironment:
     """Bring an arbitrary-gauge pure MPS to right-canonical form.
 
     ``tensors`` is a sequence of ``(d, Dl, Dr)`` arrays with outer bond
     dimensions 1.  Sweeps right to left with rank-revealing LQ splits,
-    truncating singular directions below ``tol`` relative weight.  The overall
+    truncating singular directions below ``DEFAULT_TOL`` relative weight.  The overall
     norm (and global phase) is absorbed, so the result represents the
     normalized state; a zero-norm input raises ValueError.
     """
@@ -181,22 +181,22 @@ def right_canonicalize(tensors, tol: float = DEFAULT_TOL) -> MpsEnvironment:
     for k in range(len(work) - 1, 0, -1):
         d, dl, dr = work[k].shape
         m = work[k].transpose(1, 0, 2).reshape(dl, d * dr)
-        l, q = lq_factorize(m, tol)
+        l, q = lq_factorize(m)
         rank = q.shape[0]
         work[k] = q.reshape(rank, d, dr).transpose(1, 0, 2)
         work[k - 1] = work[k - 1] @ l
     # Leftover weight on the first site is the state norm.
     d, dl, dr = work[0].shape
     m = work[0].transpose(1, 0, 2).reshape(dl, d * dr)
-    l, q = lq_factorize(m, tol)
+    l, q = lq_factorize(m)
     norm = abs(l[0, 0])
-    if norm <= tol:
+    if norm <= DEFAULT_TOL:
         raise ValueError("cannot canonicalize a zero-norm state")
     work[0] = q.reshape(q.shape[0], d, dr).transpose(1, 0, 2)
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
-def right_canonicalize_mixture(branches, tol: float = DEFAULT_TOL) -> MpsEnvironment:
+def right_canonicalize_mixture(branches) -> MpsEnvironment:
     """Environment for a mixture of pure MPSs via the direct-sum construction.
 
     ``branches`` is a sequence of ``(weight, tensors)`` pairs.  Each branch is
@@ -207,7 +207,7 @@ def right_canonicalize_mixture(branches, tol: float = DEFAULT_TOL) -> MpsEnviron
     if np.any(weights < 0) or weights.sum() <= 0:
         raise ValueError("mixture weights must be nonnegative with positive sum")
     weights = weights / weights.sum()
-    envs = [right_canonicalize(tensors, tol) for _, tensors in branches]
+    envs = [right_canonicalize(tensors) for _, tensors in branches]
     lengths = {len(e.sites) for e in envs}
     if len(lengths) != 1:
         raise ValueError("all mixture branches must have the same length")
@@ -292,10 +292,10 @@ def two_site_reduced_state(env: MpsEnvironment, site_a: int, site_b: int,
     return out.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
-def _purify_bond(chi0: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _purify_bond(chi0: np.ndarray) -> np.ndarray:
     """Matrix W with W^T W^* = chi0, rows indexing a rank-sized ancilla."""
     w_eig, v = np.linalg.eigh(hermitian_part(chi0))
-    keep = w_eig > tol * max(w_eig.max(), 1.0)
+    keep = w_eig > DEFAULT_TOL * max(w_eig.max(), 1.0)
     if not np.any(keep):
         raise ValueError("chi0 has no positive weight")
     return (np.sqrt(w_eig[keep])[:, None] * v[:, keep].T).astype(complex)
@@ -415,8 +415,7 @@ def stationary_bond_state(env: MpsEnvironment) -> BondState:
     return BondState(0, hermitian_part(chi * (abs(tr) / tr)) / abs(tr))
 
 
-def decorrelate(env: MpsEnvironment, length: int | None = None,
-                tol: float = DEFAULT_TOL) -> MpsEnvironment:
+def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironment:
     """Product environment with the same single-particle marginals.
 
     Each particle's (generally mixed) marginal is purified into a per-site
@@ -455,7 +454,7 @@ def decorrelate(env: MpsEnvironment, length: int | None = None,
         marginals.append(rho)
         chi = evolve_bond_state(env, chi)
 
-    purified = [_purify_bond(rho, tol).T for rho in marginals]
+    purified = [_purify_bond(rho).T for rho in marginals]
     anc = max(p.shape[1] for p in purified)
     sites = []
     for p in purified:

@@ -607,15 +607,18 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
 
 
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
-    # aklt at k = m_max = 59 holds 60 thread stacks of 7 * 4 * 4**2 numbers.
-    monkeypatch.setattr(master_equation, "KERNEL_GUARD", 1000)
+    # At k = m_max = 59 two_photon (D = 3) holds 60 thread stacks of
+    # 7 * 4 * 6**2 numbers; aklt, a stationary chain, walks one of 7 * 4 * 4**2.
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", 400)
     monkeypatch.setattr(master_equation, "_bond_ladder",
                         lambda *args: pytest.fail("work before the guard"))
-    path = write_config(tmp_path, aklt_doc())
-    assert main(["kernel", "--config", path, "--k", "59", "--m-max", "59"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "thread stack of 26880 entries exceeds the 1000 guard" in captured.err
+    two_photon = model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1})
+    for doc, entries in ((two_photon, 60480), (aklt_doc(), 448)):
+        path = write_config(tmp_path, doc)
+        assert main(["kernel", "--config", path, "--k", "59", "--m-max", "59"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"thread stack of {entries} entries exceeds the 400 guard" in captured.err
 
 
 @pytest.mark.parametrize("doc,args,argument", [

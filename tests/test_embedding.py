@@ -7,14 +7,9 @@ import pytest
 from mpscollision import embedding, models
 from mpscollision.embedding import (
     CollisionModel,
-    SystemBondState,
     cutoff_shift,
-    initial_state,
     kraus_operators,
     observable_series,
-    step,
-    system_state,
-    bond_state_of,
     collide,
     trace_bond,
     trajectory,
@@ -122,6 +117,17 @@ def test_kraus_stack_matches_kron_reference_with_ancilla(name):
     assert np.array_equal(kraus_operators(base, 0), kron_kraus_reference(base, 0))
 
 
+def stepwise_reference(model, rho0, k_max):
+    """tr_bond R(k) for k = 0..k_max, one ``embedding.collide`` per collision with the
+    Kraus stack built every step."""
+    r = kron(np.asarray(rho0, dtype=complex), model.env.chi0)
+    reference = [trace_bond(r, model.d_system)]
+    for k in range(k_max):
+        r = embedding.collide(kraus_operators(model, k), r)
+        reference.append(trace_bond(r, model.d_system))
+    return reference
+
+
 def random_inhomogeneous_model(rng, n_sites):
     tensors = [rng.normal(size=(2, min(2 ** k, 4, 2 ** (n_sites - k)),
                                 min(2 ** (k + 1), 4, 2 ** (n_sites - k - 1))))
@@ -151,11 +157,7 @@ def channel_reuse_cases():
 @pytest.mark.parametrize("model,k_max,builds", channel_reuse_cases())
 def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds):
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
-    reference, state = [], initial_state(model, rho0)
-    reference.append(system_state(state))
-    for _ in range(k_max):
-        state = step(model, state)   # builds the Kraus stack every step
-        reference.append(system_state(state))
+    reference = stepwise_reference(model, rho0, k_max)
 
     calls = []
 
@@ -194,20 +196,20 @@ def test_step_identity_unitary_preserves_system():
     env = models.aklt_env()
     model = CollisionModel(env=env, unitary=np.eye(6), d_system=2, mode_dim=3, g_tau=0.0)
     rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
-    state = initial_state(model, rho0)
-    state = step(model, state)
-    assert np.max(np.abs(system_state(state) - rho0)) < 1e-14
+    r = collide(kraus_operators(model, 0), kron(rho0, env.chi0))
+    assert np.max(np.abs(trace_bond(r, 2) - rho0)) < 1e-14
 
 
 def test_step_bond_marginal_is_free_evolution():
     env = models.two_photon_env(0.25, 0.04)
     model = CollisionModel(env=env, unitary=np.eye(6), d_system=2, mode_dim=3, g_tau=0.0)
-    state = initial_state(model, np.eye(2) / 2)
+    r = kron(np.eye(2) / 2, env.chi0)
     chi = env.initial_bond_state()
-    for _ in range(4):
-        state = step(model, state)
+    for k in range(4):
+        r = collide(kraus_operators(model, k), r)
         chi = evolve_bond_state(env, chi)
-        assert np.max(np.abs(bond_state_of(state).matrix - chi.matrix)) < 1e-13
+        bond = partial_trace(r, (2, env.site(k).shape[2]), keep=(1,))
+        assert np.max(np.abs(bond - chi.matrix)) < 1e-13
 
 
 def test_single_collision_matches_oracle():
@@ -217,7 +219,7 @@ def test_single_collision_matches_oracle():
     rho0 = models.named_initial_state("ground")
     run = OracleRun(model, rho0, n_sites=4, k_max=1)
     want = brute_force_trajectory(run)[1]
-    got = system_state(step(model, initial_state(model, rho0)))
+    got = trace_bond(collide(kraus_operators(model, 0), kron(rho0, model.env.chi0)), 2)
     assert np.max(np.abs(got[1, 1] - want[1, 1])) < 1e-12
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -225,8 +227,8 @@ def test_single_collision_matches_oracle():
 def test_system_state_product_case(rng):
     model = zoo_models()["aklt"]
     rho = random_density(rng, 2)
-    state = initial_state(model, rho)
-    assert np.max(np.abs(system_state(state) - rho)) < 1e-14
+    (state,) = trajectory(model, rho, 0)
+    assert np.max(np.abs(state - rho)) < 1e-14
 
 
 def test_trajectory_zero_coupling_constant(rng):
@@ -241,9 +243,9 @@ def test_step_cptp_random_states(rng):
         bond = model.env.chi0.shape[0]
         for _ in range(50):
             rho = random_density(rng, model.d_system * bond)
-            state = step(model, SystemBondState(0, rho, model.d_system, bond))
-            assert abs(np.trace(state.matrix) - 1.0) < 1e-12, name
-            lo = np.linalg.eigvalsh(0.5 * (state.matrix + dagger(state.matrix)))[0]
+            out = collide(kraus_operators(model, 0), rho)
+            assert abs(np.trace(out) - 1.0) < 1e-12, name
+            lo = np.linalg.eigvalsh(0.5 * (out + dagger(out)))[0]
             assert lo > -1e-10, name
 
 
@@ -253,6 +255,15 @@ def test_trajectory_beyond_finite_environment(monkeypatch):
     monkeypatch.setattr(embedding, "collide", lambda *args: calls.append(1))
     with pytest.raises(IndexError, match="collision 8 beyond environment length 8"):
         trajectory(model, models.named_initial_state("ground"), 9)
+    assert calls == []   # refused before the first collision
+
+
+def test_trajectory_rejects_a_wrong_shape_state(monkeypatch):
+    model = zoo_models()["aklt"]
+    calls = []
+    monkeypatch.setattr(embedding, "collide", lambda *args: calls.append(1))
+    with pytest.raises(ValueError, match=r"system state shape \(3, 3\), expected \(2, 2\)"):
+        trajectory(model, np.eye(3) / 3, 4)
     assert calls == []   # refused before the first collision
 
 
@@ -287,11 +298,7 @@ def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "collide", parent_collide)
-        state = initial_state(model, rho0)
-        reference = [system_state(state)]
-        for _ in range(k_max):
-            state = step(model, state)
-            reference.append(system_state(state))
+        reference = stepwise_reference(model, rho0, k_max)
 
     if budget is not None:
         monkeypatch.setattr(embedding, "_TRACE_BATCH_BYTES", budget)
@@ -301,11 +308,7 @@ def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
         batches.append((len(x), x.nbytes))
         return trace_bond(x, d_system)
 
-    def refuse(*args):
-        raise AssertionError("trajectory called step")
-
     monkeypatch.setattr(embedding, "trace_bond", recorded)
-    monkeypatch.setattr(embedding, "step", refuse)
     states = trajectory(model, rho0, k_max)
     assert len(states) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))

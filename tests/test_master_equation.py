@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mpscollision import embedding, master_equation, models
-from mpscollision.embedding import CollisionModel, initial_state, kraus_operators, step, trajectory
+from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
 from mpscollision.linalg import dagger, frobenius, kron, partial_trace
 from mpscollision.master_equation import (
     KERNEL_GUARD,
@@ -159,8 +159,8 @@ def test_propagator_reproduces_step(rng):
         x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         want = sum(a @ x @ dagger(a) for a in kraus_operators(model, 0))
         assert np.max(np.abs(e.apply(x) - want)) < 1e-12
-    state = initial_state(model, models.named_initial_state("plus"))
-    assert np.max(np.abs(e.apply(state.matrix) - step(model, state).matrix)) < 1e-12
+    r = kron(models.named_initial_state("plus"), model.env.chi0)
+    assert np.max(np.abs(e.apply(r) - collide(kraus_operators(model, 0), r))) < 1e-12
 
 
 def test_propagator_identity_for_trivial_model():
@@ -476,6 +476,63 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
         build_kernel_table(model, k_max + 1)
 
 
+def stationary_wide_aklt():
+    """aklt's site tensors (x) I_8 with chi_0 = I/16: a D = 16 chain ``_stationary`` accepts."""
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.4)
+    site = np.stack([kron(b, np.eye(8)) for b in aklt.env.sites[0]])
+    return dataclasses.replace(aklt, env=MpsEnvironment((site,), np.eye(16) / 16,
+                                                        homogeneous=True))
+
+
+def test_kernel_guard_counts_one_thread_on_a_stationary_chain():
+    # The maps walk one basis stack, (2 m_eff + 1) d_S^2 (d_S D)^2 = 28672
+    # numbers at D = 16; K threads of it would pass the guard only to K = 146.
+    model = stationary_wide_aklt()
+    assert master_equation._stationary(model)
+    k_max = 150
+    table = build_kernel_table(model, k_max)
+    assert len(table.packed) == k_max * (k_max + 1) // 2
+    assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
+    kernels, _ = master_equation.kernel_scan(dataclasses.replace(model, hamiltonian=None),
+                                             k_max - 1, k_max - 1)
+    for m, kernel in enumerate(kernels):
+        assert np.array_equal(kernel.matrix, table.kernel(k_max - 1, m).matrix)
+
+
+@pytest.mark.parametrize("name,n", [("aklt", 40), ("two_photon", 40),
+                                    ("single_photon_complex", 8), ("random_D8", 40)])
+def test_map_stack_traces_the_walk_in_batches(name, n, monkeypatch):
+    # The maps E_1..E_n are the bond traces of one walk of the basis stack,
+    # bit for bit those of a collide and a trace_bond per step, with one
+    # trace_bond per 64 KiB of a run of equal shape.
+    if name == "random_D8":
+        model = random_spin1_chain(np.random.default_rng(8), 8)
+    else:
+        model = reference_models()[name]
+    d_s = model.d_system
+    x = master_equation._basis_stack(d_s, model.env.chi0)
+    reference, shapes = [np.eye(d_s ** 2)], [x.shape]
+    for k in range(n):
+        x = collide(kraus_operators(model, k), x)
+        reference.append(master_equation._read_off(trace_bond(x, d_s)))
+        shapes.append(x.shape)
+    calls = []
+
+    def counted(x, d_system):
+        calls.append(x.nbytes)
+        return trace_bond(x, d_system)
+
+    monkeypatch.setattr(embedding, "trace_bond", counted)
+    maps = master_equation._map_stack(model, n)
+    assert np.array_equal(maps, np.array(reference))
+    largest = max(16 * np.prod(shape) for shape in shapes)
+    bound = -(-(n + 1) * largest // embedding._TRACE_BATCH_BYTES) + 1
+    changes = sum(a != b for a, b in zip(shapes, shapes[1:]))   # each starts a batch
+    assert len(calls) <= bound + changes
+    if name == "aklt":
+        assert len(calls) == 1
+
+
 def test_solve_nz_zero_kernels_constant(rng):
     from mpscollision.master_equation import KernelTable
 
@@ -493,7 +550,7 @@ def test_solve_nz_zero_kernels_constant(rng):
 
 def test_kernel_table_guard_counts_the_packed_array(monkeypatch):
     # aklt at K = 60: the table term, K(K+1)/2 d_S^4 = 29280, outgrows the
-    # thread stack (26880), so a guard of exactly the packed array's size
+    # thread stack (448 on this stationary chain), so a guard of exactly the packed array's size
     # admits the table and one number less refuses it.
     model = build_model(ModelSpec("aklt"), g_tau=0.4)
     k_max = 60
@@ -649,7 +706,7 @@ def test_stroboscopic_generator_annihilates_trace():
     for name, kwargs in (("heisenberg", {}), ("controlled", {})):
         model = build_model(ModelSpec("aklt"), g_tau=0.1, interaction_name=name)
         gen = stroboscopic_generator(model, **kwargs)
-        assert gen.annihilates_trace(1e-10)
+        assert gen.annihilates_trace()
 
 
 @pytest.mark.parametrize("two_site", ["correlated", "product"])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -14,6 +15,17 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(mpscollision.__path_
 def test_every_listed_name_resolves(name):
     module = importlib.import_module(f"mpscollision.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_public_definition_is_listed(name):
+    # A public function or class a module defines is either its API, listed in
+    # __all__, or an orphan a deletion left behind.
+    module = importlib.import_module(f"mpscollision.{name}")
+    defined = {n for n, obj in vars(module).items()
+               if not n.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__}
+    assert sorted(defined - set(module.__all__)) == []
 
 
 def test_package_reexports_are_listed_in_their_modules():
