@@ -24,7 +24,6 @@ from .master_equation import (
     build_kernel_table,
     evolve_gksl,
     evolve_gksl_grid,
-    memory_kernel,
     second_order_kernel,
     solve_nz,
     stroboscopic_generator,

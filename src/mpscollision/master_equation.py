@@ -54,7 +54,6 @@ __all__ = [
     "unvec",
     "single_collision_channel",
     "two_collision_channel",
-    "memory_kernel",
     "build_kernel_table",
     "kernel_scan",
     "solve_nz",
@@ -297,54 +296,50 @@ def _stationary_kernels(model: CollisionModel, n: int) -> np.ndarray:
     return kernels
 
 
-def memory_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
-    """Exact discrete memory kernel K_{km} on system operators (0-based k).
-
-    m = 0 is the local term (latest collision relative to the free-evolved
-    bond); m >= 1 threads m complementary projections between collisions,
-    which isolates exactly the correlation-carried part of the dynamics.
-    Scaled by 1/tau so the kernels are rates.
-    """
-    if m < 0 or m > k:
-        raise ValueError(f"need 0 <= m <= k, got m={m}, k={k}")
+def _kernel_rows(model: CollisionModel, starts: range, k_max: int, ladder=None):
+    """Rows K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s, for each
+    step k from ``starts.start`` to k_max - 1: off the maps on a ``_stationary`` chain
+    (K_{k,m} = K_m, ``_stationary_kernels``), else off the threads (``_kernel_threads``)."""
     if _stationary(model):
-        return Superoperator(_stationary_kernels(model, m + 1)[m], model.d_system, model.d_system)
-    *_, row = _kernel_threads(model, range(k - m, k - m + 1), k + 1)
-    return Superoperator(row[0], model.d_system, model.d_system)
+        kernels = _stationary_kernels(model, k_max - starts.start)
+        return (kernels[:j + 1] for j in range(k_max - starts.start))
+    return _kernel_threads(model, starts, k_max, ladder)
 
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Memory kernels K_{km} for every step k < k_max and delay m <= k at packed[k(k+1)/2 + m]."""
+    """Memory kernels K_{km} for every step k < k_max and delay m <= k, packed row after row."""
 
     tau: float
     d_system: int
     packed: np.ndarray = field(repr=False)
 
-    def kernel(self, k: int, m: int) -> Superoperator:
-        if not 0 <= m <= k or k * (k + 1) // 2 + m >= len(self.packed):
+    @staticmethod
+    def _length(k_max: int) -> int:
+        """Packed entries of a table to k_max steps."""
+        return k_max * (k_max + 1) // 2
+
+    def _row(self, k: int, m: int) -> np.ndarray:
+        """View of K_{k,0..m}; a KeyError names (k, m) when the table lacks it."""
+        start = self._length(k)
+        if not 0 <= m <= k or start + m >= len(self.packed):
             raise KeyError(f"kernel table has no entry for (k={k}, m={m})")
-        return Superoperator(self.packed[k * (k + 1) // 2 + m], self.d_system, self.d_system)
+        return self.packed[start:start + m + 1]
+
+    def kernel(self, k: int, m: int) -> Superoperator:
+        return Superoperator(self._row(k, m)[m], self.d_system, self.d_system)
 
 
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
-    """All kernels needed to integrate the master equation to k_max steps.
-
-    After ``_guard_kernel_threads`` has checked the table and the working set:
-    on a ``_stationary`` chain row k is K_0..K_k (``_stationary_kernels``), else one
-    batched ``collide`` of the live threads per step.
-    """
+    """All kernels needed to integrate the master equation to k_max steps, row by row from
+    ``_kernel_rows`` once ``_guard_kernel_threads`` has checked the table and the working set."""
     d_s = model.d_system
-    _guard_kernel_threads(model, range(k_max), k_max, k_max * (k_max + 1) // 2 * d_s ** 4)
-    packed = np.empty((k_max * (k_max + 1) // 2, d_s ** 2, d_s ** 2), dtype=complex)
-    if _stationary(model):
-        kernels = _stationary_kernels(model, k_max)
-        rows = (kernels[:k + 1] for k in range(k_max))
-    else:
-        rows = _kernel_threads(model, range(k_max), k_max)
-    for k, row in enumerate(rows):
-        packed[k * (k + 1) // 2:][:k + 1] = row
-    return KernelTable(model.tau, d_s, packed)
+    length = KernelTable._length(k_max)
+    _guard_kernel_threads(model, range(k_max), k_max, length * d_s ** 4)
+    table = KernelTable(model.tau, d_s, np.empty((length, d_s ** 2, d_s ** 2), dtype=complex))
+    for k, row in enumerate(_kernel_rows(model, range(k_max), k_max)):
+        table._row(k, k)[:] = row
+    return table
 
 
 def _maps_residuals(model: CollisionModel, table: KernelTable, k_max: int) -> np.ndarray:
@@ -353,8 +348,7 @@ def _maps_residuals(model: CollisionModel, table: KernelTable, k_max: int) -> np
     maps = _map_stack(model, k_max)
     residuals = np.empty(k_max)
     for k in range(k_max):
-        row = table.packed[k * (k + 1) // 2:][:k + 1]
-        step = table.tau * (row @ maps[k::-1]).sum(axis=0)
+        step = table.tau * (table._row(k, k) @ maps[k::-1]).sum(axis=0)
         residuals[k] = frobenius(maps[k + 1] - maps[k] - step)
     return residuals
 
@@ -367,9 +361,7 @@ def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndar
     """
     history = np.tile(vec(rho_s0), (k_max + 1, 1))
     for k in range(k_max):
-        row = table.packed[k * (k + 1) // 2:][:k + 1]
-        if len(row) <= k:
-            raise KeyError(f"kernel table has no entry for (k={k}, m={len(row)})")
+        row = table._row(k, k)
         history[k + 1] = history[k] + table.tau * (row @ history[k::-1, :, None]).sum(axis=0)[:, 0]
     return [unvec(v, table.d_system).copy() for v in history]
 
@@ -439,16 +431,15 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
 def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superoperator], list]:
     """Lists of K_{k,m} and of its second-order part (None at m = 0 or with no Hamiltonian) for
     m = 0..min(m_max, k), off one bond ladder to k; the thread-stack guard runs before any work."""
+    if k < 0 or m_max < 0:
+        raise ValueError(f"need k >= 0 and m_max >= 0, got k={k}, m_max={m_max}")
     m_max = min(m_max, k)
     starts = range(k - m_max, k + 1)
     _guard_kernel_threads(model, starts, k + 1)
     ladder = _bond_ladder(model.env, k)
-    if _stationary(model):
-        row = _stationary_kernels(model, m_max + 1)
-    else:
-        # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
-        for row in _kernel_threads(model, starts, k + 1, ladder):
-            pass
+    # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
+    for row in _kernel_rows(model, starts, k + 1, ladder):
+        pass
     second = [None] * (m_max + 1)
     if model.hamiltonian is not None:
         second[1:] = _second_order_kernels(model, k, range(1, m_max + 1), ladder)
@@ -501,9 +492,11 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
         weight = 0.5 * (1.0 + lam) / (1.0 - lam)
     else:
         weight = 1.0 / (1.0 - lam)
-    generator = local + g2tau * weight * k1 + g2tau * adh2
-
-    if not generator.annihilates_trace():
+    tail, mean_field = g2tau * weight * k1, g2tau * adh2
+    generator = local + tail + mean_field
+    # Roundoff in L grows with each summed term, so the trace defect is judged at their scale.
+    defect = np.max(np.abs(np.trace(generator.matrix.reshape(d_s, d_s, -1))))
+    if defect > 1e-10 * max(1.0 / model.tau, tail.norm(), mean_field.norm()):
         raise ValueError("assembled generator does not annihilate the trace")
     return generator
 

@@ -48,7 +48,6 @@ __all__ = [
     "site_reduced_state",
     "two_site_reduced_state",
     "reduced_density_prefix",
-    "transfer_matrix",
     "transfer_spectrum",
     "stationary_bond_state",
     "decorrelate",
@@ -325,20 +324,6 @@ def reduced_density_prefix(env: MpsEnvironment, k: int) -> np.ndarray:
     return rho.reshape(total, total)
 
 
-def transfer_matrix(env: MpsEnvironment) -> np.ndarray:
-    """Complex matrix of the bond free-evolution channel on row-major vec(chi).
-
-    The reference form: :func:`stationary_bond_state` takes its fixed point
-    from it, and :func:`transfer_spectrum` uses the same map in real
-    coordinates.  For a finite chain, requires a well-defined repeated bulk
-    tensor (all square interior tensors equal).
-    """
-    bulk = _bulk_tensor(env)
-    return np.einsum("iab,icd->bdac", bulk, bulk.conj()).reshape(
-        bulk.shape[2] ** 2, bulk.shape[1] ** 2
-    )
-
-
 def _bulk_tensor(env: MpsEnvironment) -> np.ndarray:
     if env.homogeneous:
         return env.sites[0]
@@ -357,27 +342,35 @@ class TransferSpectrum:
     lambda2: complex
 
 
-def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
-    """Subleading eigenvalue of the transfer matrix (0 when there is none or it vanishes).
+def _real_transfer_matrix(env: MpsEnvironment) -> np.ndarray:
+    """The bond map X -> sum_i B_i^T X B_i^* as a real D^2 x D^2 matrix on Hermitian X.
 
-    The map X -> sum_i B_i^T X B_i^* keeps X Hermitian, so in orthonormal
-    Hermitian coordinates it is a real D^2 x D^2 matrix with the spectrum of
-    the complex :func:`transfer_matrix` T.  The coordinates are x = Re X + Im X
-    (symmetric part Re X, antisymmetric part Im X; x[a,b] and x[b,a] are
-    orthogonal mixes of sqrt2 Re X[a,b] and sqrt2 Im X[a,b]), where the map
-    reads R[(b,d),(a,c)] = Re T[(b,d),(a,c)] - Im T[(d,b),(a,c)].  A real
-    eigensolver returns complex eigenvalues in exact conjugate pairs; of such
-    a pair lambda2 is the member with Im lambda2 > 0.
-
-    Raises :class:`InfiniteCorrelationLengthError` when the second eigenvalue
-    sits on the unit circle (degenerate fixed point, e.g. a GHZ chain).
+    The map keeps X Hermitian, so it acts on the orthonormal coordinates
+    x = Re X + Im X (symmetric part Re X, antisymmetric part Im X; x[a,b] and
+    x[b,a] are orthogonal mixes of sqrt2 Re X[a,b] and sqrt2 Im X[a,b]) as
+    R[(b,d),(a,c)] = Re T[(b,d),(a,c)] - Im T[(d,b),(a,c)], with T its complex
+    matrix on row-major vec(X).  R has the spectrum of T.  For a finite chain,
+    requires a well-defined repeated bulk tensor (all square interior tensors equal).
     """
     b = _bulk_tensor(env)
     d, n, _ = b.shape
     g = b.reshape(d, n * n)
     t = np.dot(g.T, g.conj()).reshape(n, n, n, n)   # t[a, b, c, d] = T[(b, d), (a, c)]
     r = np.subtract(t.real.transpose(1, 3, 0, 2), t.imag.transpose(3, 1, 0, 2), order="C")
-    eigs = np.linalg.eigvals(r.reshape(n * n, n * n)).tolist()
+    return r.reshape(n * n, n * n)
+
+
+def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
+    """Subleading eigenvalue of the transfer matrix (0 when there is none or it vanishes).
+
+    One real eigensolve of :func:`_real_transfer_matrix`, which returns complex
+    eigenvalues in exact conjugate pairs; of such a pair lambda2 is the member
+    with Im lambda2 > 0.
+
+    Raises :class:`InfiniteCorrelationLengthError` when the second eigenvalue
+    sits on the unit circle (degenerate fixed point, e.g. a GHZ chain).
+    """
+    eigs = np.linalg.eigvals(_real_transfer_matrix(env)).tolist()
     eigs.sort(key=abs, reverse=True)
     if abs(eigs[0] - 1.0) > 1e-10:
         raise ValueError(f"leading transfer eigenvalue {eigs[0]:.12g} is not 1")
@@ -397,22 +390,20 @@ def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
 def stationary_bond_state(env: MpsEnvironment) -> BondState:
     """Fixed point of the bond free evolution, normalized to unit trace.
 
-    The eigenvector of :func:`transfer_matrix` comes back with an arbitrary
-    phase (LAPACK makes its largest entry real, which for a fixed point with
-    tied entries can be i times a positive matrix), so it is turned by
-    |tr|/tr before its Hermitian part is taken.
+    The eigenvector x at 1 of :func:`_real_transfer_matrix` is real, so the
+    fixed point X = sym(x) + i antisym(x) is Hermitian for any sign or scale
+    of x, and dividing by its trace normalizes it.
     """
-    t = transfer_matrix(env)
-    eigs, vecs = np.linalg.eig(t)
+    eigs, vecs = np.linalg.eig(_real_transfer_matrix(env))
     idx = int(np.argmin(np.abs(eigs - 1.0)))
     if abs(eigs[idx] - 1.0) > 1e-10:
         raise ValueError("transfer matrix has no eigenvalue 1")
-    d = int(round(np.sqrt(t.shape[0])))
-    chi = vecs[:, idx].reshape(d, d)
-    tr = complex(np.trace(chi))
+    d = int(round(np.sqrt(len(eigs))))
+    x = vecs[:, idx].real.reshape(d, d)
+    tr = float(np.trace(x))
     if abs(tr) < 1e-10:
         raise ValueError("stationary bond candidate has zero trace")
-    return BondState(0, hermitian_part(chi * (abs(tr) / tr)) / abs(tr))
+    return BondState(0, (0.5 * (x + x.T) + 0.5j * (x - x.T)) / tr)
 
 
 def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironment:

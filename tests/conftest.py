@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from mpscollision.mps import _bulk_tensor
+
 
 @pytest.fixture
 def rng():
@@ -47,3 +49,16 @@ def hermitian_basis(dim: int) -> list[np.ndarray]:
         diag /= np.sqrt(a * (a + 1))
         basis.append(np.diag(diag))
     return basis
+
+
+def transfer_matrix(env) -> np.ndarray:
+    """Complex matrix of the bond free-evolution channel on row-major vec(chi).
+
+    The dense reference for ``mps.transfer_spectrum`` and
+    ``mps.stationary_bond_state``, which diagonalize the same map in real
+    Hermitian coordinates.
+    """
+    bulk = _bulk_tensor(env)
+    return np.einsum("iab,icd->bdac", bulk, bulk.conj()).reshape(
+        bulk.shape[2] ** 2, bulk.shape[1] ** 2
+    )

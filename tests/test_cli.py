@@ -21,7 +21,7 @@ from mpscollision.cli import (
     reproduce,
     run_config,
 )
-from mpscollision.master_equation import memory_kernel, second_order_kernel
+from mpscollision.master_equation import build_kernel_table, second_order_kernel
 from mpscollision.models import aklt_exact_q, aklt_markov_q
 
 
@@ -50,6 +50,15 @@ def test_validate_ok(tmp_path, capsys):
     path = write_config(tmp_path, aklt_doc())
     assert main(["validate", "--config", path]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("interaction", ["heisenberg", "controlled"])
+@pytest.mark.parametrize("g_tau", [1e6, 1e9, 1e12])
+def test_validate_gksl_far_from_the_limit(tmp_path, interaction, g_tau):
+    # The generator's trace check scales with its terms (about g^2 tau here),
+    # so its roundoff is no config error at any coupling.
+    doc = aklt_doc(method="gksl", g_tau=g_tau, k_max=3, interaction=interaction)
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
 
 
 def matrix(rows):
@@ -571,12 +580,12 @@ def test_kernel_subcommand_output():
     assert first[0] == "0" and first[2] == "nan"
     m1 = [float(x) for x in lines[2].split(",")]
     assert m1[1] > 0 and m1[2] > 0
-    # The memory-kernel column comes from one walk over every start; each
-    # entry is the one-start memory_kernel's norm to the last bit.
+    # The memory-kernel column is row k of the kernel table to the last bit.
     for k, m_max in ((3, 3), (6, 3)):
         column = [float(line.split(",")[1])
                   for line in kernel_norms(cfg, k, m_max).strip().split("\n")[1:]]
-        assert column == [memory_kernel(cfg["model"], k, m).norm() for m in range(m_max + 1)]
+        table = build_kernel_table(cfg["model"], k + 1)
+        assert column == [table.kernel(k, m).norm() for m in range(m_max + 1)]
 
 
 def test_kernel_subcommand_walks_one_ladder(monkeypatch):
@@ -590,8 +599,9 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
                        (model_doc("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), k)):
         cfg = load_config(doc)
         model = cfg["model"]
+        table = build_kernel_table(model, k + 1)
         want = cli._format_csv(["m", "kernel_norm", "second_order_norm"], [
-            [m, memory_kernel(model, k, m).norm(),
+            [m, table.kernel(k, m).norm(),
              second_order_kernel(model, k, m).norm() if m else float("nan")]
             for m in range(m_max + 1)])
         calls = []

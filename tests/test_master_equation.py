@@ -12,7 +12,7 @@ from mpscollision.master_equation import (
     build_kernel_table,
     evolve_gksl,
     evolve_gksl_grid,
-    memory_kernel,
+    kernel_scan,
     second_order_kernel,
     single_collision_channel,
     solve_nz,
@@ -30,6 +30,7 @@ from mpscollision.mps import (
     evolve_bond_state,
     site_reduced_state,
     stationary_bond_state,
+    transfer_spectrum,
     two_site_reduced_state,
 )
 from mpscollision.oracle import SizeGuardError
@@ -210,23 +211,32 @@ def test_closed_forms_match_defining_maps(name):
 # -- memory kernel ----------------------------------------------------------------
 
 def test_kernel_zero_for_uncorrelated_environment():
-    model = vacuum_product_model(0.4)
+    table = build_kernel_table(vacuum_product_model(0.4), 5)
     for k, m in ((1, 1), (3, 1), (4, 2)):
-        assert memory_kernel(model, k, m).norm() < 1e-13
+        assert table.kernel(k, m).norm() < 1e-13
 
 
 def test_kernel_zero_at_zero_coupling():
     model = build_model(ModelSpec("aklt"), g_tau=0.0)
-    for m in range(4):
-        assert memory_kernel(model, 3, m).norm() < 1e-13
+    kernels, _ = kernel_scan(model, 3, 3)
+    assert len(kernels) == 4
+    for kernel in kernels:
+        assert kernel.norm() < 1e-13
 
 
 def test_kernel_index_validation():
     model = build_model(ModelSpec("aklt"), g_tau=0.3)
     with pytest.raises(ValueError):
-        memory_kernel(model, 2, 3)
-    with pytest.raises(ValueError):
         second_order_kernel(model, 2, 0)
+
+
+@pytest.mark.parametrize("name", ["aklt", "two_photon"])   # the maps route and the threads
+def test_kernel_scan_rejects_negative_arguments(name):
+    model = build_model(ModelSpec("aklt"), g_tau=0.3) if name == "aklt" else two_photon_model()
+    assert master_equation._stationary(model) is (name == "aklt")
+    for k, m_max in ((-1, 2), (3, -1), (-1, -1)):
+        with pytest.raises(ValueError, match=rf"got k={k}, m_max={m_max}"):
+            kernel_scan(model, k, m_max)
 
 
 def test_nz_reproduces_embedding_aklt():
@@ -304,9 +314,12 @@ def test_nz_equals_embedding_as_maps(name):
             nz = solve_nz(table, e_ij, k_max)
             embed = trajectory(model, e_ij, k_max)
             assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) < 1e-12
+    # One walk to each step k: the scan's row equals the table's.
+    silent = dataclasses.replace(model, hamiltonian=None)
     for k in range(k_max):
-        for m in range(k + 1):
-            assert np.array_equal(memory_kernel(model, k, m).matrix, table.kernel(k, m).matrix)
+        kernels, _ = kernel_scan(silent, k, k)
+        for m, kernel in enumerate(kernels):
+            assert np.array_equal(kernel.matrix, table.kernel(k, m).matrix)
 
 
 @pytest.mark.parametrize("interaction", ["heisenberg", "controlled"])
@@ -354,7 +367,6 @@ def test_kernel_route(name, stationary, monkeypatch):
     kernels, _ = master_equation.kernel_scan(model, k_max - 1, k_max - 1)
     for m, kernel in enumerate(kernels):
         assert np.array_equal(kernel.matrix, table.kernel(k_max - 1, m).matrix)
-        assert np.array_equal(memory_kernel(model, k_max - 1, m).matrix, kernel.matrix)
 
 
 def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
@@ -404,9 +416,10 @@ def test_kernel_table_collide_count(spec, monkeypatch):
     build_kernel_table(model, k_max)
     assert len(collisions) == k_max
     assert len(products) == 0
+    # A scan of K_{k,0..m} walks the m + 1 steps from its earliest start.
     for k, m in ((0, 0), (7, 3), (19, 19)):
         collisions.clear()
-        memory_kernel(model, k, m)
+        kernel_scan(model, k, m)
         assert len(collisions) == m + 1
 
 
@@ -436,10 +449,11 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
     assert len(calls) == builds
     assert len(table.packed) == len(reference.packed) == k_max * (k_max + 1) // 2
     for k in range(k_max):
+        kernels, _ = kernel_scan(model, k, k)
         for m in range(k + 1):
             kernel = table.kernel(k, m)
             assert np.array_equal(kernel.matrix, reference.kernel(k, m).matrix)
-            assert np.array_equal(memory_kernel(model, k, m).matrix, kernel.matrix)
+            assert np.array_equal(kernels[m].matrix, kernel.matrix)
 
 
 @pytest.mark.parametrize("spec", [
@@ -678,15 +692,15 @@ def test_exact_kernel_approaches_second_order():
     residuals = {}
     for gt in (0.2, 0.1):
         model = build_model(ModelSpec("aklt"), g_tau=gt)
-        diff = memory_kernel(model, 3, 1) - second_order_kernel(model, 3, 1)
-        residuals[gt] = diff.norm()
+        kernels, second = kernel_scan(model, 3, 1)
+        residuals[gt] = (kernels[1] - second[1]).norm()
     ratio = residuals[0.2] / residuals[0.1]
     assert 6.0 <= ratio <= 10.0
 
 
 def test_exact_kernel_decay_rate_small_coupling():
     model = build_model(ModelSpec("aklt"), g_tau=0.1)
-    norms = [memory_kernel(model, 6, m).norm() for m in range(1, 7)]
+    norms = [kernel.norm() for kernel in kernel_scan(model, 6, 6)[0][1:]]
     for a, b in zip(norms, norms[1:]):
         assert abs(b / a - 1.0 / 3.0) < 0.05 * (1.0 / 3.0)  # within 5% of |lambda2|
 
@@ -707,6 +721,38 @@ def test_stroboscopic_generator_annihilates_trace():
         model = build_model(ModelSpec("aklt"), g_tau=0.1, interaction_name=name)
         gen = stroboscopic_generator(model, **kwargs)
         assert gen.annihilates_trace()
+
+
+@pytest.mark.parametrize("g_tau", [0.2, 1e9])
+def test_stroboscopic_generator_trace_check_at_its_own_scale(g_tau, monkeypatch):
+    # The trace defect is judged against the largest of the summed terms,
+    # 1/tau, ||g^2 tau w K_1|| and ||g^2 tau [<H>,[<H>,.]]||: at g_tau = 1e9
+    # roundoff alone is 6e-8 absolute, and a planted defect of 1e-8 of that
+    # scale is still refused.
+    model = build_model(ModelSpec("aklt"), g_tau=g_tau, interaction_name="controlled")
+    terms = []
+    double_commutator = master_equation._double_commutator
+    monkeypatch.setattr(master_equation, "_double_commutator",
+                        lambda h, c: terms.append(double_commutator(h, c)) or terms[-1])
+    stroboscopic_generator(model)
+    mean_field, k1 = terms[0], -terms[1]
+    lam = transfer_spectrum(model.env).lambda2
+    g2tau = model.g ** 2 * model.tau
+    scale = max(1.0 / model.tau, (g2tau * 0.5 * (1 + lam) / (1 - lam) * k1).norm(),
+                (g2tau * mean_field).norm())
+    two_collision = master_equation.two_collision_channel
+    for planted, refused in ((1e-12, False), (1e-8, True)):
+        # A map that adds x[0, 0] to the trace: (Phi - Id)/(2 tau) carries it into L.
+        leak = np.zeros((4, 4), dtype=complex)
+        leak[0, 0] = 2.0 * model.tau * planted * scale
+        monkeypatch.setattr(master_equation, "two_collision_channel",
+                            lambda *args, leak=leak, **kwargs: two_collision(*args, **kwargs)
+                            + Superoperator(leak, 2, 2))
+        if refused:
+            with pytest.raises(ValueError, match="does not annihilate the trace"):
+                stroboscopic_generator(model)
+        else:
+            stroboscopic_generator(model)
 
 
 @pytest.mark.parametrize("two_site", ["correlated", "product"])

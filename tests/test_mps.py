@@ -20,10 +20,11 @@ from mpscollision.mps import (
     right_canonicalize_mixture,
     site_reduced_state,
     stationary_bond_state,
-    transfer_matrix,
     transfer_spectrum,
     two_site_reduced_state,
 )
+
+from conftest import transfer_matrix
 
 
 def all_zoo():
@@ -439,8 +440,10 @@ def test_transfer_spectrum_ghz_infinite():
 
 
 def test_stationary_bond_state_aklt():
+    # The real eigenvector at 1 has equal diagonal entries, so dividing by
+    # its trace gives I/2 to the last bit.
     chi = stationary_bond_state(models.aklt_env())
-    assert np.max(np.abs(chi.matrix - np.eye(2) / 2)) < 1e-12
+    assert np.array_equal(chi.matrix, np.eye(2) / 2)
 
 
 def _complex_isometry_env(rng, d_bond, d_phys=3):
@@ -462,14 +465,54 @@ def test_stationary_bond_state_is_fixed_point_complex(rng, d_bond):
 
 def test_stationary_bond_state_of_reset_chain_with_tied_entries():
     # B_i = |i> psi^T maps every X to tr(X) psi psi^dag.  All four entries of
-    # psi psi^dag have modulus 1/2, so LAPACK may hand back i psi psi^dag, whose
-    # Hermitian part is zero unless the eigenvector's phase is removed first.
+    # psi psi^dag have modulus 1/2: a complex eigensolver may hand back
+    # i psi psi^dag, while the real eigenvector carries only a sign and a
+    # scale, which the trace removes.
     psi = np.array([1.0, 1j]) / np.sqrt(2.0)
     site = np.stack([np.outer(np.eye(2)[i], psi) for i in range(2)])
     env = MpsEnvironment((site,), np.eye(2) / 2, homogeneous=True)
     env.validate()
     chi = stationary_bond_state(env)
     assert np.linalg.norm(chi.matrix - np.outer(psi, psi.conj())) < 1e-12
+
+
+def _dense_fixed_point(env):
+    """Eigenvector at 1 of the complex reference transfer matrix, divided by its trace."""
+    eigs, vecs = np.linalg.eig(transfer_matrix(env))
+    d = int(round(np.sqrt(len(eigs))))
+    x = vecs[:, np.argmin(np.abs(eigs - 1.0))].reshape(d, d)
+    return x / np.trace(x)
+
+
+@pytest.mark.parametrize("name", ["two_photon", "cluster"] + [f"isometry_D{d}"
+                                                              for d in range(2, 17)])
+def test_stationary_bond_state_matches_dense_reference(name):
+    if name.startswith("isometry"):
+        d_bond = int(name.removeprefix("isometry_D"))
+        env = _complex_isometry_env(np.random.default_rng(d_bond), d_bond, 2 + d_bond % 2)
+    else:
+        env = all_zoo()[name]
+    chi = stationary_bond_state(env).matrix
+    assert np.array_equal(chi, chi.conj().T) and np.trace(chi).real == pytest.approx(1.0)
+    assert np.max(np.abs(mps._bond_step(mps._bulk_tensor(env), chi) - chi)) <= 1e-14
+    assert np.max(np.abs(chi - _dense_fixed_point(env))) <= 1e-13
+
+
+@pytest.mark.parametrize("make_env", [models.aklt_env, models.cluster_env,
+                                      lambda: _complex_isometry_env(np.random.default_rng(9), 6)])
+def test_lambda2_and_fixed_point_diagonalize_one_matrix(monkeypatch, make_env):
+    # transfer_spectrum's eigvals and stationary_bond_state's eig see the same
+    # real D^2 x D^2 matrix, bit for bit.
+    env = make_env()
+    seen = []
+    for name in ("eig", "eigvals"):
+        solver = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, solver=solver: seen.append(np.array(a)) or solver(a))
+    transfer_spectrum(env)
+    stationary_bond_state(env)
+    assert len(seen) == 2 and seen[0].dtype == np.float64
+    assert np.array_equal(seen[0], seen[1])
 
 
 def _eigvals_input(monkeypatch, env):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +40,28 @@ def test_package_reexports_are_listed_in_their_modules():
             unlisted += [f"{node.module}.{a.name}" for a in node.names
                          if a.name not in module.__all__]
     assert unlisted == []
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # The benchmark's tracer wraps every public function of the layer modules
+    # and a few Superoperator methods by name; a deleted name it still expects
+    # breaks every traced run, which only this test sees.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    namespaces = [mpscollision] + [importlib.import_module(f"mpscollision.{short}")
+                                   for short in tracing.LAYERS]
+    superop = importlib.import_module("mpscollision.master_equation").Superoperator
+    before = [dict(vars(ns)) for ns in namespaces] + [dict(vars(superop))]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = {(owner, attr) for owner, attr, _ in tracer._restore}
+        assert {(superop, attr) for attr, *_ in tracing.SUPEROPERATOR_METHODS} <= wrapped
+        assert all(hasattr(getattr(owner, attr), "__wrapped__") for owner, attr in wrapped)
+    finally:
+        tracer.uninstall()
+    after = [dict(vars(ns)) for ns in namespaces] + [dict(vars(superop))]
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        assert [name for name in old if old[name] is not new[name]] == []
