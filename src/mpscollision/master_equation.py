@@ -10,11 +10,10 @@ system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
 through one ``collide`` per step: a table costs k_max batched collisions.
 On a stationary chain (homogeneous, one unitary, chi_0 a bitwise fixed point
-of the bond step) every thread repeats the first, so K_{k,m} = K_m, and the
-kernels are deconvolved from the embedding's maps E_1..E_K instead: K
-collisions of one basis stack plus O(K^2) products of d_S^2 x d_S^2 matrices.
-The same maps certify any table through the residual of the recursion
-E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
+of the bond step) every thread repeats the first, so K_{k,m} = K_m and the
+single projected thread s = 0 gives the whole table in K collisions.  The
+embedding's unprojected maps E_1..E_K certify any table through the residual
+of the recursion E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
 
 The one- and two-collision channels are the embedding's own dynamical maps:
 the same basis stack E (x) chi through the embedding's batched walk
@@ -147,10 +146,6 @@ class Superoperator:
     def norm(self) -> float:
         return frobenius(self.matrix)
 
-    def annihilates_trace(self) -> bool:
-        tr_out = vec(np.eye(self.out_dim)).conj() @ self.matrix
-        return float(np.max(np.abs(tr_out))) <= 1e-10
-
 
 # -- building blocks -------------------------------------------------------
 
@@ -232,7 +227,7 @@ def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, tabl
     numbers; that step holds 2 m_eff + 1 thread stacks (the input and, inside
     ``collide``, two m_eff-fold temporaries at a time: the row products and
     their copy regrouped by Kraus index, then that copy and the right products).
-    A ``_stationary`` chain walks one thread, the basis stack of its maps."""
+    A ``_stationary`` chain walks its single thread."""
     d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
     threads = 1 if _stationary(model) else len(starts)
@@ -279,30 +274,15 @@ def _stationary(model: CollisionModel) -> bool:
             and np.array_equal(_bond_step(env.sites[0], env.chi0), env.chi0))
 
 
-def _stationary_kernels(model: CollisionModel, n: int) -> np.ndarray:
-    """K_0..K_{n-1} of a ``_stationary`` chain, deconvolved from its maps E_1..E_n.
-
-    The master equation on the maps reads E_{k+1} = E_k + tau sum_{m<=k} K_m E_{k-m}
-    (E_0 = Id), so K_k = (E_{k+1} - E_k)/tau - sum_{m<k} K_m E_{k-m}: the transfer tensors
-    of Cerrillo and Cao (PRL 112, 110401, 2014).  n collisions of one basis stack, then one
-    batched product of d_S^2 matrices per k.  K_m depends on E_1..E_{m+1} alone, so every
-    n > m gives it the same bits.
-    """
-    maps = _map_stack(model, n)
-    rates = np.diff(maps, axis=0) * (1.0 / model.tau)
-    kernels = np.empty_like(rates)
-    for k in range(n):
-        kernels[k] = rates[k] - (kernels[:k] @ maps[k:0:-1]).sum(axis=0)
-    return kernels
-
-
 def _kernel_rows(model: CollisionModel, starts: range, k_max: int, ladder=None):
     """Rows K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s, for each
-    step k from ``starts.start`` to k_max - 1: off the maps on a ``_stationary`` chain
-    (K_{k,m} = K_m, ``_stationary_kernels``), else off the threads (``_kernel_threads``)."""
+    step k from ``starts.start`` to k_max - 1, off the threads (``_kernel_threads``).  On a
+    ``_stationary`` chain K_{k,m} = K_m, so its single thread s = 0 gives them all: its step
+    j output is K_j, and row j is its first j + 1 outputs."""
     if _stationary(model):
-        kernels = _stationary_kernels(model, k_max - starts.start)
-        return (kernels[:j + 1] for j in range(k_max - starts.start))
+        kernels = np.array([kernel for (kernel,) in
+                            _kernel_threads(model, range(1), k_max - starts.start, ladder)])
+        return (kernels[:j + 1] for j in range(len(kernels)))
     return _kernel_threads(model, starts, k_max, ladder)
 
 

@@ -407,6 +407,25 @@ def test_run_nz_maps_gate(tmp_path, capsys, monkeypatch, doc):
                             "the kernel table does not reproduce the embedding's map E_5\n")
 
 
+def test_nz_maps_gate_is_independent_of_the_table(monkeypatch):
+    # aklt's table comes off one projected thread, the gate's maps off the
+    # unprojected walk: maps bent by 1e-9 after the first collision leave the
+    # table as it is and are refused at step 0.  One nz run builds the maps once.
+    cfg = load_config(aklt_doc(g_tau=0.4))
+    map_stack, calls = master_equation._map_stack, []
+
+    def bent(model, n):
+        calls.append(n)
+        maps = map_stack(model, n)
+        maps[1:, 0, 0] += 1e-9
+        return maps
+
+    monkeypatch.setattr(master_equation, "_map_stack", bent)
+    with pytest.raises(cli._StateGateError, match=r"at step 0 is 1\.000e-09 "):
+        cli._nz_states(cfg["model"], cfg["initial_state"], 30)
+    assert calls == [30]
+
+
 @pytest.mark.parametrize("g_tau,value", [(50, "inf"), (1e9, "nan")])
 def test_run_gksl_refuses_non_finite_states(tmp_path, capsys, g_tau, value):
     # Far outside gτ -> 0 the generator's exponential overflows; the run exits
