@@ -12,7 +12,6 @@ the full Hilbert space validates all of them on small instances.
 from .embedding import (
     CollisionModel,
     CutoffConvergenceError,
-    cutoff_shift,
     kraus_operators,
     observable_series,
     trajectory,
@@ -49,9 +48,7 @@ from .mps import (
     evolve_bond_state,
     environment_from_json,
     environment_to_json,
-    reduced_density_prefix,
     right_canonicalize,
-    right_canonicalize_mixture,
     site_reduced_state,
     transfer_spectrum,
     two_site_reduced_state,

@@ -33,7 +33,6 @@ __all__ = [
     "trace_bond",
     "trajectory",
     "observable_series",
-    "cutoff_shift",
 ]
 
 
@@ -196,8 +195,11 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
 
 def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
     """System density matrices after 0..k_max collisions: one ``_traced_walk`` from
-    R(0) = rho_S(0) (x) chi0.  A chain shorter than k_max (IndexError) or a rho_S(0) of
-    the wrong shape (ValueError) is refused before the first collision."""
+    R(0) = rho_S(0) (x) chi0.  A negative k_max or a rho_S(0) of the wrong shape
+    (ValueError), or a chain shorter than k_max (IndexError), is refused before the first
+    collision."""
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     length = model.env.length
     if length is not None and k_max > length:
         raise IndexError(f"collision {length} beyond environment length {length}")
@@ -221,16 +223,3 @@ def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[
         values.append(val.real)
     return values
 
-
-def cutoff_shift(build_model, rho_s0: np.ndarray, observable: np.ndarray,
-                 k_max: int, cutoff_a: int, cutoff_b: int) -> float:
-    """Largest observable change between two Fock cutoffs.
-
-    ``build_model(cutoff)`` must return the CollisionModel at that cutoff.
-    Used to certify convergence for photon-creating interactions.
-    """
-    series = []
-    for cutoff in (cutoff_a, cutoff_b):
-        model = build_model(cutoff)
-        series.append(observable_series(trajectory(model, rho_s0, k_max), observable))
-    return float(np.max(np.abs(np.array(series[0]) - np.array(series[1]))))

@@ -313,6 +313,8 @@ class KernelTable:
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
     """All kernels needed to integrate the master equation to k_max steps, row by row from
     ``_kernel_rows`` once ``_guard_kernel_threads`` has checked the table and the working set."""
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     d_s = model.d_system
     length = KernelTable._length(k_max)
     _guard_kernel_threads(model, range(k_max), k_max, length * d_s ** 4)
@@ -339,6 +341,8 @@ def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndar
     rho((k+1) tau) = rho(k tau) + tau * sum_m K_{km}[rho((k-m) tau)].
     With exact kernels this reproduces the embedding trajectory.
     """
+    if k_max < 0:
+        raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     history = np.tile(vec(rho_s0), (k_max + 1, 1))
     for k in range(k_max):
         row = table._row(k, k)
@@ -489,6 +493,8 @@ def evolve_gksl(generator: Superoperator, rho_s0: np.ndarray, t: float) -> np.nd
 def evolve_gksl_grid(generator: Superoperator, rho_s0: np.ndarray, dt: float,
                      n_steps: int) -> list[np.ndarray]:
     """rho(j dt) for j = 0..n_steps: one exp(dt L), then repeated mat-vecs."""
+    if n_steps < 0:
+        raise ValueError(f"need n_steps >= 0, got n_steps={n_steps}")
     # The only scipy call besides the CLI's logm: importing it here keeps
     # scipy.linalg (about half of a fresh process's start-up) off the
     # package's import path.

@@ -14,11 +14,11 @@ Index conventions used throughout:
 * reduced densities of sites ``1..k`` contract ``chi0`` with the tensor
   chain on the left and close the right bond with an identity line.
 
-Mixtures of pure MPSs are represented by direct sums of the branch tensors
-with ``chi0 = diag(weights)``.  A site's physical index may carry a trailing
-purification ancilla of dimension ``ancilla_dim`` (used by :func:`decorrelate`
-to encode mixed single-site marginals as pure product states); interactions
-couple only to the leading mode factor.
+``chi0`` may be any density matrix on the first bond, pure or mixed (AKLT's
+is I/2).  A site's physical index may carry a trailing purification ancilla
+of dimension ``ancilla_dim`` (used by :func:`decorrelate` to encode mixed
+single-site marginals as pure product states); interactions couple only to
+the leading mode factor.
 """
 
 from __future__ import annotations
@@ -43,11 +43,9 @@ __all__ = [
     "InfiniteCorrelationLengthError",
     "check_right_canonical",
     "right_canonicalize",
-    "right_canonicalize_mixture",
     "evolve_bond_state",
     "site_reduced_state",
     "two_site_reduced_state",
-    "reduced_density_prefix",
     "transfer_spectrum",
     "stationary_bond_state",
     "decorrelate",
@@ -56,8 +54,6 @@ __all__ = [
     "environment_to_json",
     "environment_from_json",
 ]
-
-PREFIX_GUARD = 2 ** 14
 
 
 class InfiniteCorrelationLengthError(ValueError):
@@ -118,12 +114,6 @@ class MpsEnvironment:
     def mode_dim(self, k: int = 0) -> int:
         """Physical dimension seen by interactions (ancilla factored out)."""
         return self.phys_dim(k) // self.ancilla_dim
-
-    def bond_dim(self, k: int) -> int:
-        """Dimension of bond #k (0 = before the first site)."""
-        if k == 0:
-            return self.chi0.shape[0]
-        return self.site(k - 1).shape[2]
 
     def initial_bond_state(self) -> "BondState":
         return BondState(0, self.chi0)
@@ -195,42 +185,6 @@ def right_canonicalize(tensors) -> MpsEnvironment:
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
-def right_canonicalize_mixture(branches) -> MpsEnvironment:
-    """Environment for a mixture of pure MPSs via the direct-sum construction.
-
-    ``branches`` is a sequence of ``(weight, tensors)`` pairs.  Each branch is
-    canonicalized separately, the site tensors are assembled block-diagonally
-    and ``chi0 = diag(weights)`` (weights normalized to unit sum).
-    """
-    weights = np.array([float(w) for w, _ in branches])
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise ValueError("mixture weights must be nonnegative with positive sum")
-    weights = weights / weights.sum()
-    envs = [right_canonicalize(tensors) for _, tensors in branches]
-    lengths = {len(e.sites) for e in envs}
-    if len(lengths) != 1:
-        raise ValueError("all mixture branches must have the same length")
-    dims = {e.phys_dim(0) for e in envs}
-    if len(dims) != 1:
-        raise ValueError("all mixture branches must share the physical dimension")
-    n = lengths.pop()
-    d = dims.pop()
-    sites = []
-    for k in range(n):
-        parts = [e.site(k) for e in envs]
-        dl = sum(p.shape[1] for p in parts)
-        dr = sum(p.shape[2] for p in parts)
-        block = np.zeros((d, dl, dr), dtype=complex)
-        ol = orow = 0
-        for p in parts:
-            block[:, orow:orow + p.shape[1], ol:ol + p.shape[2]] = p
-            orow += p.shape[1]
-            ol += p.shape[2]
-        sites.append(block)
-    chi0 = np.diag(weights).astype(complex)
-    return MpsEnvironment(tuple(sites), chi0)
-
-
 def _bond_step(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_i B[i]^T X B[i]^* for one bond operator X or a stack (..., D_l, D_l)."""
     d, dl, dr = b.shape
@@ -298,30 +252,6 @@ def _purify_bond(chi0: np.ndarray) -> np.ndarray:
     if not np.any(keep):
         raise ValueError("chi0 has no positive weight")
     return (np.sqrt(w_eig[keep])[:, None] * v[:, keep].T).astype(complex)
-
-
-def reduced_density_prefix(env: MpsEnvironment, k: int) -> np.ndarray:
-    """Exact reduced density matrix of the first ``k`` sites.
-
-    Future sites enter only through the identity line guaranteed by
-    right-canonicality; the past enters through chi0.  Guarded against
-    exponential blow-up at ``prod(d) > 2**14``.
-    """
-    if k < 1:
-        raise ValueError("need at least one site")
-    if env.length is not None and k > env.length:
-        raise ValueError(f"chain has only {env.length} sites")
-    dims = [env.phys_dim(j) for j in range(k)]
-    total = int(np.prod(dims))
-    if total > PREFIX_GUARD:
-        raise ValueError(f"prefix dimension {total} exceeds guard {PREFIX_GUARD}")
-    t = _purify_bond(env.chi0)  # (anc, D0)
-    for j in range(k):
-        # (anc, i_1..i_{j-1}, D) x (d, Dl, Dr) over D=Dl -> (anc, i_1..i_j, Dr)
-        t = np.tensordot(t, env.site(j), axes=([t.ndim - 1], [1]))
-    # t has shape (anc, d_1, ..., d_k, D_k); contract ancilla and open bond.
-    rho = np.tensordot(t, t.conj(), axes=([0, t.ndim - 1], [0, t.ndim - 1]))
-    return rho.reshape(total, total)
 
 
 def _bulk_tensor(env: MpsEnvironment) -> np.ndarray:
@@ -419,6 +349,8 @@ def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironmen
     homogeneous; otherwise the marginals are site dependent and ``length``
     (defaulting to the chain length) bounds the output chain.
     """
+    if length is not None and length < 1:
+        raise ValueError(f"need length >= 1, got length={length}")
     chi = env.initial_bond_state()
     if env.homogeneous:
         stationary = frobenius(evolve_bond_state(env, chi).matrix - chi.matrix) <= 1e-12
@@ -463,8 +395,19 @@ def _matrix_to_json(m: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _entry(re, im) -> complex:
+    """One [re, im] pair of JSON numbers; true/false and integers past the float range are
+    refused, not read as 1/0 or raised as OverflowError."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"matrix entry [{re!r}, {im!r}] is not a pair of numbers")
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise ValueError("matrix entry beyond the float range") from None
+
+
 def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+    return np.array([[_entry(re, im) for re, im in row] for row in data], dtype=complex)
 
 
 def environment_to_dict(env: MpsEnvironment) -> dict:
@@ -487,8 +430,13 @@ def environment_from_dict(doc: dict) -> MpsEnvironment:
             np.stack([_matrix_from_json(m) for m in site]) for site in doc["sites"]
         )
         chi0 = _matrix_from_json(doc["chi0"])
-        homogeneous = bool(doc.get("homogeneous", False))
-        ancilla_dim = int(doc.get("ancilla_dim", 1))
+        homogeneous = doc.get("homogeneous", False)
+        ancilla_dim = doc.get("ancilla_dim", 1)
+        # bool subclasses int: only JSON true/false is a flag, only a JSON integer a dimension.
+        if not isinstance(homogeneous, bool):
+            raise TypeError(f"homogeneous must be true or false, got {homogeneous!r}")
+        if isinstance(ancilla_dim, bool) or not isinstance(ancilla_dim, int):
+            raise TypeError(f"ancilla_dim must be an integer, got {ancilla_dim!r}")
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed environment document: {exc}") from exc
     env = MpsEnvironment(sites, chi0, homogeneous=homogeneous, ancilla_dim=ancilla_dim)

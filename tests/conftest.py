@@ -62,3 +62,34 @@ def transfer_matrix(env) -> np.ndarray:
     return np.einsum("iab,icd->bdac", bulk, bulk.conj()).reshape(
         bulk.shape[2] ** 2, bulk.shape[1] ** 2
     )
+
+
+PREFIX_GUARD = 2 ** 14
+
+
+def reduced_density_prefix(env, k: int) -> np.ndarray:
+    """Exact reduced density matrix of the first ``k`` sites.
+
+    The dense reference for the library's site and pair readouts.  chi0 is
+    purified by its own eigendecomposition into W with W^T W^* = chi0, the
+    past enters through W, and future sites only through the identity line
+    of right-canonicality.  Guarded against exponential blow-up at
+    ``prod(d) > PREFIX_GUARD``.
+    """
+    if k < 1:
+        raise ValueError("need at least one site")
+    if env.length is not None and k > env.length:
+        raise ValueError(f"chain has only {env.length} sites")
+    dims = [env.phys_dim(j) for j in range(k)]
+    total = int(np.prod(dims))
+    if total > PREFIX_GUARD:
+        raise ValueError(f"prefix dimension {total} exceeds guard {PREFIX_GUARD}")
+    w, v = np.linalg.eigh(0.5 * (env.chi0 + env.chi0.conj().T))
+    keep = w > 1e-12 * max(w.max(), 1.0)
+    t = np.sqrt(w[keep])[:, None] * v[:, keep].T   # (anc, D0)
+    for j in range(k):
+        # (anc, i_1..i_{j-1}, D) x (d, Dl, Dr) over D=Dl -> (anc, i_1..i_j, Dr)
+        t = np.tensordot(t, env.site(j), axes=([t.ndim - 1], [1]))
+    # t has shape (anc, d_1, ..., d_k, D_k); contract ancilla and open bond.
+    rho = np.tensordot(t, t.conj(), axes=([0, t.ndim - 1], [0, t.ndim - 1]))
+    return rho.reshape(total, total)

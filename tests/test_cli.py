@@ -106,6 +106,14 @@ UNKNOWN_KEY_ERRORS = [
      "model.paramters"),
 ]
 
+# Matrix entries are JSON numbers: true/false are not 1/0, nor is 10**400 a crash.
+MATRIX_ENTRY_ERRORS = [
+    (aklt_doc(initial_state={"matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]}),
+     "initial_state.matrix"),
+    (aklt_doc(initial_state={"matrix": [[[10 ** 400, 0], [0, 0]], [[0, 0], [0, 0]]]}),
+     "initial_state.matrix"),
+]
+
 
 @pytest.mark.parametrize("doc,field", [
     ({"g_tau": 0.5, "k_max": 5}, "model"),
@@ -128,6 +136,7 @@ UNKNOWN_KEY_ERRORS = [
     (aklt_doc(k_max=1, n_sites=True), "n_sites"),
     ({**PRESETS["fig5b"], "k_max": 4, "tolerances": {"cutoff_shift": False}},
      "tolerances.cutoff_shift"),
+    *MATRIX_ENTRY_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -135,7 +144,7 @@ def test_validate_field_errors(doc, field):
     assert f"config.{field}:" in str(err.value)
 
 
-@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS)
+@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):

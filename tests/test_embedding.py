@@ -7,7 +7,6 @@ import pytest
 from mpscollision import embedding, models
 from mpscollision.embedding import (
     CollisionModel,
-    cutoff_shift,
     kraus_operators,
     observable_series,
     collide,
@@ -462,16 +461,3 @@ def test_observable_series_basics():
     assert abs(pops[0]) < 1e-14
     with pytest.raises(ValueError):
         observable_series(states, np.array([[0, 1], [0, 0]]))
-
-
-def test_cutoff_shift_detects_unconverged_cutoff():
-    rho0 = models.named_initial_state("ground")
-    obs = models.named_observable("coherence")
-
-    def build(cutoff):
-        return build_model(ModelSpec("cluster"), g_tau=0.6, fock_cutoff=cutoff)
-
-    small = cutoff_shift(build, rho0, obs, 10, 9, 11)
-    big = cutoff_shift(build, rho0, obs, 10, 3, 5)
-    assert small < 1e-6
-    assert big > 1e-3

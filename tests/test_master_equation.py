@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mpscollision import embedding, master_equation, models
+from mpscollision import embedding, master_equation, models, mps
 from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
 from mpscollision.linalg import dagger, frobenius, kron, partial_trace
 from mpscollision.master_equation import (
@@ -400,6 +401,36 @@ def test_kernel_routes_at_zero_steps(name, rng):
     kernels, _ = kernel_scan(model, 0, 0)
     assert len(kernels) == 1
     assert np.array_equal(kernels[0].matrix, build_kernel_table(model, 1).kernel(0, 0).matrix)
+
+
+NEGATIVE_HORIZONS = {
+    "trajectory": (lambda aklt, table, gen, rho: trajectory(aklt, rho, -2), "k_max"),
+    "build_kernel_table": (lambda aklt, table, gen, rho: build_kernel_table(aklt, -1), "k_max"),
+    "solve_nz": (lambda aklt, table, gen, rho: solve_nz(table, rho, -1), "k_max"),
+    "evolve_gksl_grid": (lambda aklt, table, gen, rho: evolve_gksl_grid(gen, rho, 0.1, n_steps=-1),
+                         "n_steps"),
+    "decorrelate": (lambda aklt, table, gen, rho: decorrelate(models.ghz_env(4), length=0),
+                    "length"),
+}
+
+
+@pytest.mark.parametrize("case", NEGATIVE_HORIZONS)
+def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
+    # Unchecked, these return [rho_0], an empty table, [] and [rho_0], or fail with
+    # "max() arg is an empty sequence"; each is a ValueError naming the argument,
+    # raised before any collision, bond step or exponential.
+    call, argument = NEGATIVE_HORIZONS[case]
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
+    args = (aklt, build_kernel_table(aklt, 2), stroboscopic_generator(aklt), np.eye(2) / 2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the horizon was checked")
+
+    for owner, name in ((embedding, "collide"), (mps, "_bond_step"),
+                        (master_equation, "_bond_step"), (scipy.linalg, "expm")):
+        monkeypatch.setattr(owner, name, no_work)
+    with pytest.raises(ValueError, match=f"need {argument} >= "):
+        call(*args)
 
 
 def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):

@@ -18,11 +18,12 @@ from mpscollision.models import (
 )
 from mpscollision.mps import (
     check_right_canonical,
-    reduced_density_prefix,
     site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
 )
+
+from conftest import reduced_density_prefix
 
 
 def test_all_environments_canonical():

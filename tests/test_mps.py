@@ -15,16 +15,14 @@ from mpscollision.mps import (
     environment_from_json,
     environment_to_json,
     evolve_bond_state,
-    reduced_density_prefix,
     right_canonicalize,
-    right_canonicalize_mixture,
     site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
     two_site_reduced_state,
 )
 
-from conftest import transfer_matrix
+from conftest import reduced_density_prefix, transfer_matrix
 
 
 def all_zoo():
@@ -200,19 +198,6 @@ def test_canonicalize_zero_norm_raises():
     raw = [np.zeros((2, 1, 2)), np.zeros((2, 2, 1))]
     with pytest.raises(ValueError):
         right_canonicalize(raw)
-
-
-def test_mixture_direct_sum():
-    n = 4
-    branch_a = list(models.ghz_env(n).sites)
-    branch_b = list(models.single_photon_env(np.ones(n) / 2.0).sites)
-    env = right_canonicalize_mixture([(0.25, branch_a), (0.75, branch_b)])
-    assert check_right_canonical(env) < 1e-12
-    assert np.allclose(env.chi0, np.diag([0.25, 0.75]))
-    rho = reduced_density_prefix(env, n)
-    ref = 0.25 * reduced_density_prefix(models.ghz_env(n), n) + \
-        0.75 * reduced_density_prefix(models.single_photon_env(np.ones(n) / 2.0), n)
-    assert np.max(np.abs(rho - ref)) < 1e-12
 
 
 # -- bond evolution and reduced states ----------------------------------------
@@ -647,6 +632,17 @@ def test_environment_json_rejects_malformed():
     doc["chi0"] = [[[1.0, 0.0], [0.0, 0.0]]]  # wrong shape
     with pytest.raises(ValueError):
         environment_from_json(json.dumps(doc))
+    # Fields are not coerced: a one-site chain with "homogeneous": "false" is
+    # not unbounded, ancilla_dim 1.9 or true is not 1, a true entry is not 1.
+    one_site = json.loads(environment_to_json(
+        MpsEnvironment((np.array([1.0, 0.0]).reshape(2, 1, 1),), np.eye(1))))
+    environment_from_json(json.dumps(one_site))
+    bad = [{"homogeneous": flag} for flag in ("false", 0.5, 0, None)]
+    bad += [{"ancilla_dim": dim} for dim in (1.9, 1.0, True, "1")]
+    bad += [{"chi0": [[[True, 0]]]}, {"chi0": [[[1, False]]]}, {"chi0": [[[10 ** 400, 0]]]}]
+    for fields in bad:
+        with pytest.raises(ValueError):
+            environment_from_json(json.dumps({**one_site, **fields}))
 
 
 def test_environment_json_validates_canonical_form():

@@ -99,7 +99,7 @@ def test_size_guard_counts_padded_sites():
 ], ids=["aklt", "two_photon"])   # two_photon: padded sites, open right bond 3
 def test_size_guard_counts_the_largest_run_vector(monkeypatch, spec, g_tau, n_sites):
     model = build_model(spec, g_tau=g_tau)
-    assert model.env.bond_dim(n_sites) > 1
+    assert model.env.site(n_sites - 1).shape[2] > 1
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
     sizes = []
     density = oracle._system_density

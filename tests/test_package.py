@@ -65,3 +65,45 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
     for old, new in zip(before, after):
         assert old.keys() == new.keys()
         assert [name for name in old if old[name] is not new[name]] == []
+
+
+def _benchmark_reads():
+    """``(file, module, attr, keywords)`` of every ``module.attr`` the benchmark reads off a
+    module it imports by ``from mpscollision import ...``; ``keywords`` are the keyword
+    arguments when the read is a call."""
+    reads = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "mpscollision"
+                    for alias in node.names}
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in imported):
+                call = calls.get(id(node))
+                keywords = [k.arg for k in call.keywords if k.arg] if call else []
+                reads.append((path.name, imported[node.value.id], node.attr, keywords))
+    return reads
+
+
+def test_benchmark_api_resolves():
+    # The benchmark is frozen between its own changes; a deleted or renamed name
+    # it reads, or a keyword it passes that the callee lost, would surface only
+    # as a failed benchmark run.
+    reads = _benchmark_reads()
+    assert {("traced_cli.py", "cli", "main"),
+            ("workloads.py", "embedding", "trajectory")} <= {r[:3] for r in reads}
+    missing, unknown = [], []
+    for where, short, attr, keywords in reads:
+        module = importlib.import_module(f"mpscollision.{short}")
+        if not hasattr(module, attr):
+            missing.append(f"{where}: {short}.{attr}")
+            continue
+        if keywords:
+            params = inspect.signature(getattr(module, attr)).parameters
+            if not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                unknown += [f"{where}: {short}.{attr}({k}=)" for k in keywords
+                            if k not in params]
+    assert missing == []
+    assert unknown == []
