@@ -9,9 +9,9 @@ same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
 system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
 through one ``collide`` per step: a table costs k_max batched collisions.
-On a stationary chain (homogeneous, one unitary, chi_0 a bitwise fixed point
-of the bond step) every thread repeats the first, so K_{k,m} = K_m and the
-single projected thread s = 0 gives the whole table in K collisions.  The
+Once a chain of one channel holds its bond state fixed to roundoff, at the onset
+s*, every later thread repeats thread s*: threads s0..s* give the transient
+rows, and K_{k,m} = K_{s*+m,m} for k - m >= s* is read off thread s*.  The
 embedding's unprojected maps E_1..E_K certify any table through the residual
 of the recursion E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
 
@@ -149,14 +149,20 @@ class Superoperator:
 
 # -- building blocks -------------------------------------------------------
 
+def _fixed(chi: np.ndarray, image: np.ndarray) -> bool:
+    """Whether the bond step moves the unit-trace ``chi`` to ``image`` by roundoff alone.  A
+    geometric approach at ratio r stops tol r / (1 - r) short of chi*: hence max-abs 1e-15."""
+    return bool(np.abs(image - chi).max() <= 1e-15)
+
+
 def _bond_ladder(env: MpsEnvironment, k_max: int) -> list[BondState]:
     """Bond states chi_0..chi_{k_max}.  On a homogeneous chain the walk stops at the first
-    rung bitwise equal to the one before it: every later step would repeat its bits."""
+    rung that is ``_fixed`` and repeats that rung's matrix from then on."""
     chis = [env.initial_bond_state()]
     for k in range(1, k_max + 1):
         chis.append(evolve_bond_state(env, chis[-1]))
-        if env.homogeneous and np.array_equal(chis[-1].matrix, chis[-2].matrix):
-            chis += [BondState(j, chis[-1].matrix) for j in range(k + 1, k_max + 1)]
+        if env.homogeneous and _fixed(chis[-2].matrix, chis[-1].matrix):
+            chis[-1:] = [BondState(j, chis[-2].matrix) for j in range(k, k_max + 1)]
             break
     return chis
 
@@ -227,10 +233,10 @@ def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, tabl
     numbers; that step holds 2 m_eff + 1 thread stacks (the input and, inside
     ``collide``, two m_eff-fold temporaries at a time: the row products and
     their copy regrouped by Kraus index, then that copy and the right products).
-    A ``_stationary`` chain walks its single thread."""
-    d_s = model.d_system
+    A chain whose ``_onset`` is chi_0 (one bond step, no ladder) walks one thread."""
+    chi0, d_s = model.env.chi0, model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
-    threads = 1 if _stationary(model) else len(starts)
+    threads = 1 if _onset(model, [chi0, _bond_step(model.env.sites[0], chi0)]) == 0 else len(starts)
     stack = (2 * model.effective_mode_dim() + 1) * threads * d_s ** 2 * (d_s * d_bond) ** 2
     for what, size in (("kernel table", table), ("thread stack", stack)):
         if size > KERNEL_GUARD:
@@ -240,11 +246,11 @@ def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, tabl
 def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=None):
     """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
 
-    Thread s is the basis stack W_s[E] = E (x) chi_s (``_basis_stack``).  At step k
-    every live thread goes through one ``collide`` with the step's Kraus stack,
-    built once per distinct channel as in ``trajectory``; K_{k,k-s} is read off
-    the bond trace, and Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1} advances them.
-    ``ladder`` is the bond ladder to k_max - 1 when the caller already holds it.
+    Thread s, the basis stack W_s[E] = E (x) chi_s (``_basis_stack``), enters the stack
+    first: newest first is ascending m.  At step k every live thread goes through one
+    ``collide`` with the step's Kraus stack, built once per distinct channel as in
+    ``trajectory``; K_{k,k-s} is read off the bond trace, and Q_{k+1} X = X - tr_bond(X)
+    (x) chi_{k+1} advances them.  ``ladder`` is the ladder to k_max - 1 if the caller has it.
     """
     ladder = ladder or _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
@@ -253,37 +259,41 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=Non
     steps = range(starts.start, k_max)
     for k, (ops, ops_dag) in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
-            threads = np.concatenate([threads, _basis_stack(d_s, ladder[k].matrix)[None]])
+            threads = np.concatenate([_basis_stack(d_s, ladder[k].matrix)[None], threads])
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
         threads = emb.collide(ops, threads, ops_dag)
         traced = emb.trace_bond(threads, d_s)
-        mats = _read_off(traced)[::-1]
-        if k in starts:
-            mats = np.concatenate([mats[:1] - np.eye(d2), mats[1:]])
-        yield mats * (1.0 / model.tau)
         if k + 1 < k_max:
             threads -= kron(traced, ladder[k + 1].matrix)
+        mats = _read_off(traced)
+        if k in starts:
+            mats[0] -= np.eye(d2)
+        mats *= 1.0 / model.tau
+        yield mats
 
 
-def _stationary(model: CollisionModel) -> bool:
-    """Whether every collision repeats the first: a homogeneous chain, one unitary, and chi_0
-    a bitwise fixed point of the bond step.  Then K_{k,m} = K_m for every k."""
-    env = model.env
-    return (env.homogeneous and not isinstance(model.unitary, tuple)
-            and np.array_equal(_bond_step(env.sites[0], env.chi0), env.chi0))
+def _onset(model: CollisionModel, chis: list[np.ndarray]) -> int:
+    """Index of the first bond state in ``chis`` ``_fixed`` against the next on a chain of one
+    channel (homogeneous, one unitary), from which every thread repeats; else the last."""
+    repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
+    fixed = (s for s in range(len(chis) - 1) if repeats and _fixed(chis[s], chis[s + 1]))
+    return next(fixed, len(chis) - 1)
 
 
 def _kernel_rows(model: CollisionModel, starts: range, k_max: int, ladder=None):
-    """Rows K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s, for each
-    step k from ``starts.start`` to k_max - 1, off the threads (``_kernel_threads``).  On a
-    ``_stationary`` chain K_{k,m} = K_m, so its single thread s = 0 gives them all: its step
-    j output is K_j, and row j is its first j + 1 outputs."""
-    if _stationary(model):
-        kernels = np.array([kernel for (kernel,) in
-                            _kernel_threads(model, range(1), k_max - starts.start, ladder)])
-        return (kernels[:j + 1] for j in range(len(kernels)))
-    return _kernel_threads(model, starts, k_max, ladder)
+    """Rows K_{k,k-s} over the starts s in ``starts`` by ascending m = k - s, for steps k from
+    s0 = ``starts.start`` to k_max - 1; each a view, valid until the next.  Threads s0..s*
+    (s* the ``_onset``, at least s0) give them: as K_{k,m} = K_{s*+m,m} for k - m >= s*, row
+    k >= s* is thread s*'s first k - s* outputs, then the live threads'."""
+    ladder = ladder or _bond_ladder(model.env, k_max - 1)
+    onset = max(starts.start, _onset(model, [chi.matrix for chi in ladder]))
+    threads = _kernel_threads(model, range(starts.start, onset + 1), k_max, ladder)
+    row = np.empty((k_max - starts.start,) + (model.d_system ** 2,) * 2, dtype=complex)
+    for k, mats in enumerate(threads, starts.start):
+        j = max(k - onset, 0)   # slots below j keep thread s*'s outputs K_{s*+m,m}
+        row[j:j + len(mats)] = mats
+        yield row[:j + len(mats)]
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ class MpsEnvironment:
     def validate(self) -> None:
         assert_density_matrix(self.chi0, what="chi0")
         res = check_right_canonical(self)
-        if res > 1e-10:
+        if not res <= 1e-10:   # a NaN residual fails too
             raise ValueError(f"environment is not right-canonical (residual {res:.3e})")
 
 
@@ -140,12 +140,12 @@ class BondState:
 
 
 def check_right_canonical(env: MpsEnvironment) -> float:
-    """Largest Frobenius deviation of sum_i B[i] B[i]^dag from the identity."""
+    """Largest Frobenius deviation of sum_i B[i] B[i]^dag from the identity; NaN if any is."""
     worst = 0.0
     for t in env.sites:
         f = t.transpose(1, 0, 2).reshape(t.shape[1], t.shape[0] * t.shape[2])
-        worst = max(worst, frobenius(f @ f.conj().T - np.eye(t.shape[1])))
-    return worst
+        worst = np.maximum(worst, frobenius(f @ f.conj().T - np.eye(t.shape[1])))   # keeps a NaN
+    return float(worst)
 
 
 def _as_site_tensor(t) -> np.ndarray:

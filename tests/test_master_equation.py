@@ -72,6 +72,18 @@ def two_photon_model():
         ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), g_tau=0.3)
 
 
+def onset(model, k_max):
+    """The onset s* of a kernel table to k_max steps: the first thread every later one repeats."""
+    ladder = master_equation._bond_ladder(model.env, k_max - 1)
+    return master_equation._onset(model, [chi.matrix for chi in ladder])
+
+
+def with_stationary_chi0(model):
+    """``model`` with chi_0 = ``stationary_bond_state``: a fixed point to roundoff, not bitwise."""
+    env = dataclasses.replace(model.env, chi0=stationary_bond_state(model.env).matrix)
+    return dataclasses.replace(model, env=env)
+
+
 def reference_models(length=6, n_sites=8):
     """aklt, two_photon and its decorrelated twin (ancilla > 1), complex single_photon,
     and a D = 16 random spin-1 chain.
@@ -233,10 +245,10 @@ def test_kernel_index_validation():
         second_order_kernel(model, 2, 0)
 
 
-@pytest.mark.parametrize("name", ["aklt", "two_photon"])   # the maps route and the threads
+@pytest.mark.parametrize("name", ["aklt", "two_photon"])   # one thread and all threads
 def test_kernel_scan_rejects_negative_arguments(name):
     model = build_model(ModelSpec("aklt"), g_tau=0.3) if name == "aklt" else two_photon_model()
-    assert master_equation._stationary(model) is (name == "aklt")
+    assert onset(model, 8) == (0 if name == "aklt" else 7)
     for k, m_max in ((-1, 2), (3, -1), (-1, -1)):
         with pytest.raises(ValueError, match=rf"got k={k}, m_max={m_max}"):
             kernel_scan(model, k, m_max)
@@ -331,8 +343,8 @@ def test_stationary_table_matches_threads(interaction, g_tau):
     # aklt's chi_0 = I/2 is a fixed point of the bond step, so the table is
     # read off the single thread s = 0; every thread computes the same bits.
     model = build_model(ModelSpec("aklt"), g_tau=g_tau, interaction_name=interaction)
-    assert master_equation._stationary(model)
     k_max = 60
+    assert onset(model, k_max) == 0
     fast = build_kernel_table(model, k_max).packed
     threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max)))
     assert np.array_equal(fast, threads)
@@ -358,18 +370,19 @@ def kernel_route_model(name):
 
 
 @pytest.mark.parametrize("name,stationary", [
-    ("aklt", True),
-    ("cluster", False),
+    ("aklt", True),         # chi_0 = I/2 is the fixed point: s* = 0
+    ("cluster", False),     # chi_1 = I/2 is, to 5.6e-17 at every later step: s* = 1
     ("two_photon", False),
     ("random_D4", False),   # chi_0 = I/4 is not the fixed point of a random isometry
 ])
 def test_kernel_route(name, stationary, monkeypatch):
-    # A stationary chain walks the single thread s = 0 at every step; any
-    # other chain starts one more live thread per step.  Counted on the
-    # leading (thread) axis of every stack that collide receives.
+    # The walk starts one more live thread per step up to the onset s*, then
+    # walks those alone: thread s* gives every later start's kernels.  Counted
+    # on the leading (thread) axis of every stack that collide receives.
     model = kernel_route_model(name)
-    assert master_equation._stationary(model) is stationary
     k_max = 8
+    s_star = 0 if stationary else {"cluster": 1}.get(name, k_max - 1)
+    assert onset(model, k_max) == s_star
     threads = []
     collide = embedding.collide
 
@@ -378,7 +391,7 @@ def test_kernel_route(name, stationary, monkeypatch):
         return collide(ops, x, *adjoint)
 
     monkeypatch.setattr(embedding, "collide", counted)
-    want = [1] * k_max if stationary else list(range(1, k_max + 1))
+    want = [min(k, s_star) + 1 for k in range(k_max)]
     table = build_kernel_table(model, k_max)
     assert threads == want
     threads.clear()
@@ -401,6 +414,57 @@ def test_kernel_routes_at_zero_steps(name, rng):
     kernels, _ = kernel_scan(model, 0, 0)
     assert len(kernels) == 1
     assert np.array_equal(kernels[0].matrix, build_kernel_table(model, 1).kernel(0, 0).matrix)
+
+
+def test_cluster_table_from_its_onset():
+    # cluster's ladder reaches chi* = I/2 after one collision and then flips by
+    # 5.6e-17 at every step, never bitwise still: threads 0 and 1 give the table.
+    model = kernel_route_model("cluster")
+    k_max = 400
+    assert onset(model, k_max) == 1
+    table = build_kernel_table(model, k_max)
+    assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
+    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max)))
+    assert np.max(np.abs(table.packed - threads)) <= 1e-14
+
+
+@pytest.mark.parametrize("d_bond", [4, 8])
+def test_stationary_chi0_walks_one_thread(d_bond, monkeypatch):
+    # stationary_bond_state is a fixed point of the bond step to roundoff, not
+    # bitwise; the onset is 0 all the same, and every collide takes one thread.
+    model = with_stationary_chi0(random_spin1_chain(np.random.default_rng(d_bond), d_bond))
+    chi0 = model.env.initial_bond_state()
+    assert not np.array_equal(evolve_bond_state(model.env, chi0).matrix, chi0.matrix)
+    k_max = 150
+    assert onset(model, k_max) == 0
+    threads = []
+    collide = embedding.collide
+
+    def counted(ops, x, *adjoint):
+        threads.append(x.shape[0])
+        return collide(ops, x, *adjoint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "collide", counted)
+        table = build_kernel_table(model, k_max)
+    assert threads == [1] * k_max
+    assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
+
+
+@pytest.mark.parametrize("name,k_max,s_star", [
+    ("two_photon", 300, 299),   # ratio ~0.99 per step: no rung is fixed by K = 300
+    ("random_D4", 150, 56),     # from chi_0 = I/4 to a rung within 1e-15 of the next
+])
+def test_nz_equals_embedding_as_maps_on_a_geometric_approach(name, k_max, s_star):
+    # The fixed-point predicate stops a geometric approach short of chi*; the
+    # kernels read off that rung still give the embedding's maps to roundoff.
+    model = kernel_route_model(name)
+    assert onset(model, k_max) == s_star
+    table = build_kernel_table(model, k_max)
+    for e_ij in np.eye(4, dtype=complex).reshape(4, 2, 2):
+        nz = solve_nz(table, e_ij, k_max)
+        embed = trajectory(model, e_ij, k_max)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) <= 1e-12
 
 
 NEGATIVE_HORIZONS = {
@@ -555,7 +619,7 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
 
 
 def stationary_wide_aklt():
-    """aklt's site tensors (x) I_8 with chi_0 = I/16: a D = 16 chain ``_stationary`` accepts."""
+    """aklt's site tensors (x) I_8 with chi_0 = I/16: a D = 16 chain with its onset at 0."""
     aklt = build_model(ModelSpec("aklt"), g_tau=0.4)
     site = np.stack([kron(b, np.eye(8)) for b in aklt.env.sites[0]])
     return dataclasses.replace(aklt, env=MpsEnvironment((site,), np.eye(16) / 16,
@@ -566,8 +630,8 @@ def test_kernel_guard_counts_one_thread_on_a_stationary_chain():
     # The single thread walks one basis stack, (2 m_eff + 1) d_S^2 (d_S D)^2 = 28672
     # numbers at D = 16; K threads of it would pass the guard only to K = 146.
     model = stationary_wide_aklt()
-    assert master_equation._stationary(model)
     k_max = 150
+    assert onset(model, k_max) == 0
     table = build_kernel_table(model, k_max)
     assert len(table.packed) == k_max * (k_max + 1) // 2
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12

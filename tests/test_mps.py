@@ -645,6 +645,20 @@ def test_environment_json_rejects_malformed():
             environment_from_json(json.dumps({**one_site, **fields}))
 
 
+def test_environment_json_refuses_a_nan_site_entry():
+    # max(worst, nan) keeps worst, so folding residuals that way let a NaN site
+    # entry (Python's json reads the literal) through the canonical check.
+    aklt = models.aklt_env()
+    site = aklt.sites[0].copy()
+    site[1, 0, 1] = np.nan
+    env = MpsEnvironment((site,), aklt.chi0, homogeneous=True)
+    assert np.isnan(check_right_canonical(env))
+    text = environment_to_json(env)
+    assert "NaN" in text
+    with pytest.raises(ValueError, match="not right-canonical"):
+        environment_from_json(text)
+
+
 def test_environment_json_validates_canonical_form():
     env = models.cluster_env()
     doc = json.loads(environment_to_json(env))
