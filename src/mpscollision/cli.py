@@ -307,7 +307,7 @@ def _build_model(spec: ModelSpec, g_tau: float, tau: float | None, interaction,
 def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
     if g_tau <= 0:
         return None
-    import scipy.linalg  # only custom interaction matrices need it; see evolve_gksl_grid
+    import scipy.linalg  # only custom interaction matrices need it: off the import path
 
     h = 1j * scipy.linalg.logm(u) / g_tau
     return hermitian_part(h) if frobenius(h - dagger(h)) < 1e-8 else None

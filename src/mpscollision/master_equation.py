@@ -26,8 +26,10 @@ sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +65,10 @@ __all__ = [
 ]
 
 KERNEL_GUARD = 2 ** 22
+# exp(x A) for ||x A||_1 <= 1 by its Taylor series: the first term left out is 1/19! ~ 8e-18.
+_TAYLOR_DEGREE = 18
+_INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 1)])
+_TAYLOR_ORDERS = np.arange(_TAYLOR_DEGREE + 1)
 
 
 def vec(x: np.ndarray) -> np.ndarray:
@@ -145,6 +151,35 @@ class Superoperator:
     # -- diagnostics --------------------------------------------------------
     def norm(self) -> float:
         return frobenius(self.matrix)
+
+    # -- exponential ----------------------------------------------------------
+    @cached_property
+    def _taylor(self) -> tuple[float, np.ndarray]:
+        """||M||_1 and the powers (M / ||M||_1)^j, j = 0..18, stacked as rows."""
+        norm = float(np.linalg.norm(self.matrix, 1))
+        a = self.matrix / (norm or 1.0)
+        powers = np.empty((_TAYLOR_DEGREE + 1, *a.shape), dtype=complex)
+        powers[0] = np.eye(a.shape[0])
+        for j in range(1, _TAYLOR_DEGREE + 1):
+            np.matmul(powers[j - 1], a, out=powers[j])
+        return norm, powers.reshape(_TAYLOR_DEGREE + 1, -1)
+
+    def _exp(self, t: float) -> np.ndarray:
+        """Matrix of exp(t M): scaling and squaring around a degree-18 Taylor series.
+
+        With x = t ||M||_1 scaled by 2^-s, s = ceil(log2 |x|) when |x| > 1,
+        the series is one product of its coefficients with the stacked powers,
+        then s squarings.  A nan or inf x gives s = 0 and a non-finite matrix.
+        """
+        norm, powers = self._taylor
+        x = t * norm
+        mantissa, exponent = math.frexp(abs(x))   # |x| = mantissa 2^exponent, mantissa in [1/2, 1)
+        s = exponent - (mantissa == 0.5) if abs(x) > 1.0 else 0
+        coefficients = math.ldexp(x, -s) ** _TAYLOR_ORDERS * _INV_FACTORIALS
+        e = (coefficients @ powers).reshape(self.matrix.shape)
+        for _ in range(s):
+            e = e @ e
+        return e
 
 
 # -- building blocks -------------------------------------------------------
@@ -496,21 +531,24 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
 
 
 def evolve_gksl(generator: Superoperator, rho_s0: np.ndarray, t: float) -> np.ndarray:
-    """rho(t) = exp(t L)[rho(0)] by superoperator matrix exponential."""
+    """rho(t) = exp(t L)[rho(0)] by superoperator matrix exponential.
+
+    The generator's Taylor powers are prepared on the first call and reused by
+    every later one: each is one coefficient product plus a few squarings.
+    """
     return evolve_gksl_grid(generator, rho_s0, t, 1)[-1]
 
 
 def evolve_gksl_grid(generator: Superoperator, rho_s0: np.ndarray, dt: float,
                      n_steps: int) -> list[np.ndarray]:
-    """rho(j dt) for j = 0..n_steps: one exp(dt L), then repeated mat-vecs."""
+    """rho(j dt) for j = 0..n_steps: one exp(dt L), then repeated mat-vecs.
+
+    exp(dt L) comes from the generator's cached Taylor powers, numpy only.  A
+    nan or inf in L or dt, or an overflow, gives non-finite states, not an error.
+    """
     if n_steps < 0:
         raise ValueError(f"need n_steps >= 0, got n_steps={n_steps}")
-    # The only scipy call besides the CLI's logm: importing it here keeps
-    # scipy.linalg (about half of a fresh process's start-up) off the
-    # package's import path.
-    import scipy.linalg
-
-    propagator = scipy.linalg.expm(float(dt) * generator.matrix)
+    propagator = generator._exp(float(dt))
     v = vec(rho_s0)
     states = [unvec(v, generator.out_dim)]
     for _ in range(n_steps):

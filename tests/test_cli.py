@@ -683,13 +683,14 @@ def test_kernel_subcommand_last_site_of_finite_chain(tmp_path, capsys):
 # -- fresh processes ---------------------------------------------------------------
 
 def run_cli_process(tmp_path, doc, *args):
-    """``python -X importtime -m mpscollision.cli`` on a config; returns (proc, imported modules)."""
+    """``python -X importtime -m mpscollision.cli`` on a config (none when ``doc`` is None);
+    returns (proc, imported modules)."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "mpscollision.cli", *args,
-         "--config", write_config(tmp_path, doc)],
+         *(() if doc is None else ("--config", write_config(tmp_path, doc)))],
         capture_output=True, text=True, env=env, timeout=120)
     imported = {line.split("|")[-1].strip() for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
@@ -705,10 +706,16 @@ def test_validate_process_imports_no_scipy(tmp_path):
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
 
 
-def test_gksl_process_loads_scipy_and_matches_run_config(tmp_path):
+def test_gksl_processes_import_no_scipy_and_match_run_config(tmp_path):
+    # GKSL exponentials are numpy only: neither a gksl run nor fig6b's curve loads scipy.
     doc = aklt_doc(method="gksl", g_tau=0.1, k_max=20, interaction="controlled",
                    initial_state="plus", observables=["sigma_z", "sigma_x"])
     proc, imported = run_cli_process(tmp_path, doc, "run")
     assert proc.returncode == 0, proc.stderr[-500:]
-    assert "scipy.linalg" in imported
+    assert "mpscollision.master_equation" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
     assert proc.stdout == run_config(load_config(doc))
+    proc, imported = run_cli_process(tmp_path, None, "reproduce", "fig6b", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert (tmp_path / "fig6b_gksl.csv").is_file()
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]

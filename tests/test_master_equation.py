@@ -482,7 +482,7 @@ NEGATIVE_HORIZONS = {
 def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
     # Unchecked, these return [rho_0], an empty table, [] and [rho_0], or fail with
     # "max() arg is an empty sequence"; each is a ValueError naming the argument,
-    # raised before any collision, bond step or exponential.
+    # raised before any collision, bond step, or preparation or use of an exponential.
     call, argument = NEGATIVE_HORIZONS[case]
     aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
     args = (aklt, build_kernel_table(aklt, 2), stroboscopic_generator(aklt), np.eye(2) / 2)
@@ -490,9 +490,11 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the horizon was checked")
 
-    for owner, name in ((embedding, "collide"), (mps, "_bond_step"),
-                        (master_equation, "_bond_step"), (scipy.linalg, "expm")):
-        monkeypatch.setattr(owner, name, no_work)
+    for owner, name, stub in ((embedding, "collide", no_work), (mps, "_bond_step", no_work),
+                              (master_equation, "_bond_step", no_work),
+                              (Superoperator, "_taylor", property(no_work)),
+                              (Superoperator, "_exp", no_work)):
+        monkeypatch.setattr(owner, name, stub)
     with pytest.raises(ValueError, match=f"need {argument} >= "):
         call(*args)
 
@@ -987,3 +989,83 @@ def test_evolve_gksl_grid_matches_per_point():
     assert len(grid) == 201
     for j, rho in enumerate(grid):
         assert np.max(np.abs(rho - evolve_gksl(gen, rho0, j * dt))) < 1e-12
+
+
+def gksl_model(env_name, interaction, g_tau):
+    """A GKSL chain at g^2 tau = 0.1, the Markov scaling of fig. 6b."""
+    params = {"g_tau": g_tau, "g_T1": 2.3, "g_T2": 59.9} if env_name == "two_photon" else {}
+    return build_model(ModelSpec(env_name, params), g_tau=g_tau, interaction_name=interaction,
+                       tau=g_tau ** 2 / 0.1)
+
+
+@pytest.mark.parametrize("two_site", ["correlated", "product"])
+@pytest.mark.parametrize("env_name,interaction", [("aklt", "heisenberg"), ("aklt", "controlled"),
+                                                  ("two_photon", None)])
+def test_gksl_exponential_matches_scipy_on_stroboscopic_generators(env_name, interaction,
+                                                                   two_site):
+    for g_tau in (0.05, 0.1, 0.2, 0.3):
+        model = gksl_model(env_name, interaction, g_tau)
+        gen = stroboscopic_generator(model, two_site=two_site)
+        for k in range(61):
+            t = k * model.tau
+            assert np.max(np.abs(gen._exp(t) - scipy.linalg.expm(t * gen.matrix))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gksl_exponential_matches_scipy_on_random_matrices(d):
+    # Gaussian 4x4 and 9x9 matrices are non-normal; t spans |t| ||A||_1 below and above 1.
+    rng = np.random.default_rng(40 + d)
+    for _ in range(20):
+        a = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        gen = Superoperator(a, d, d)
+        for t in (0.01, -0.07, 0.3, 1.0, -2.5):
+            want = scipy.linalg.expm(t * a)
+            assert np.linalg.norm(gen._exp(t) - want, 1) <= 1e-12 * np.linalg.norm(want, 1)
+
+
+def test_gksl_exponential_identities_are_exact(rng):
+    gen = stroboscopic_generator(gksl_model("aklt", "controlled", 0.1))
+    rho = random_density(rng, 2)
+    assert np.array_equal(gen._exp(0.0), np.eye(4))
+    assert np.array_equal(evolve_gksl(gen, rho, 0.0), rho)
+    zero = Superoperator(np.zeros((4, 4)), 2, 2)
+    for t in (0.0, 3.7, -1e300):
+        assert np.array_equal(zero._exp(t), np.eye(4))
+    assert np.array_equal(evolve_gksl(zero, rho, 3.7), rho)
+
+
+def test_gksl_exponential_powers_belong_to_their_generator():
+    gen = stroboscopic_generator(gksl_model("aklt", "heisenberg", 0.2))
+    first = gen._exp(0.3)
+    norm, powers = gen._taylor
+    assert gen._taylor[1] is powers   # prepared once
+    doubled = gen * 2.0
+    assert "_taylor" not in vars(doubled)
+    assert doubled._taylor[0] == pytest.approx(2.0 * norm, rel=1e-15)
+    assert np.max(np.abs(doubled._exp(0.15) - first)) <= 1e-14
+    assert np.max(np.abs(doubled._exp(0.3) - scipy.linalg.expm(0.6 * gen.matrix))) <= 1e-14
+
+
+def with_entry(gen, value):
+    matrix = gen.matrix.copy()
+    matrix[1, 2] = value
+    return Superoperator(matrix, gen.in_dim, gen.out_dim)
+
+
+@pytest.mark.parametrize("case", ["nan_entry", "inf_entry", "nan_t", "inf_t", "minus_inf_t",
+                                  "t_norm_overflows", "squarings_overflow"])
+def test_gksl_exponential_of_non_finite_input_is_non_finite(case):
+    # ceil(log2(|t| ||L||_1)) raises OverflowError at inf and ValueError at nan;
+    # like scipy's expm, the exponential returns non-finite states instead.
+    gen = stroboscopic_generator(gksl_model("aklt", "controlled", 0.1))
+    gen, dt = {"nan_entry": (with_entry(gen, np.nan), 0.1),
+               "inf_entry": (with_entry(gen, np.inf), 0.1),
+               "nan_t": (gen, np.nan),
+               "inf_t": (gen, np.inf),
+               "minus_inf_t": (gen, -np.inf),
+               "t_norm_overflows": (gen * 1e10, 1e300),
+               "squarings_overflow": (-gen, 1e6)}[case]
+    with np.errstate(all="ignore"):
+        states = evolve_gksl_grid(gen, np.diag([1.0, 0.0]), dt, 2)
+    assert np.array_equal(states[0], np.diag([1.0, 0.0]))
+    assert not np.isfinite(states[1]).all()
