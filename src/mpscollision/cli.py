@@ -24,7 +24,7 @@ import numpy as np
 
 from . import models
 from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
-from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius, hermitian_part
+from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
 from .master_equation import (_maps_residuals, build_kernel_table, evolve_gksl_grid, kernel_scan,
                               solve_nz, stroboscopic_generator)
 from .models import ModelSpec
@@ -307,10 +307,10 @@ def _build_model(spec: ModelSpec, g_tau: float, tau: float | None, interaction,
 def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
     if g_tau <= 0:
         return None
-    import scipy.linalg  # only custom interaction matrices need it: off the import path
-
-    h = 1j * scipy.linalg.logm(u) / g_tau
-    return hermitian_part(h) if frobenius(h - dagger(h)) < 1e-8 else None
+    w, v = np.linalg.eig(u)  # u is normal: QR keeps each column in its own eigenspace
+    q = np.linalg.qr(v)[0]
+    theta = np.where(np.abs(w + 1) <= DEFAULT_TOL, np.pi, np.angle(w))  # -1 takes +pi
+    return (q * (-theta / g_tau)) @ dagger(q)
 
 
 def _observable(obs, field: str, rho0: np.ndarray) -> tuple[str, np.ndarray | None]:
@@ -356,8 +356,7 @@ def _check_cluster_cutoff(cfg: dict) -> list[np.ndarray] | None:
         return None
     tol = cfg["tolerances"]["cutoff_shift"]
     cutoff = cfg["model"].mode_dim
-    wider = models.build_model(cfg["spec"], cfg["g_tau"], interaction_name="cluster",
-                               fock_cutoff=cutoff + 2, tau=cfg["tau"])
+    wider = _build_model(cfg["spec"], cfg["g_tau"], cfg["tau"], "cluster", cutoff + 2)
     states, wide = (trajectory(_embedding_model(cfg, m), cfg["initial_state"], cfg["k_max"])
                     for m in (cfg["model"], wider))
     probe = models.named_observable("coherence")

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg  # test-only reference for the matrix logarithm and exponential
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpscollision import cli, embedding, master_equation, models
@@ -74,6 +75,29 @@ def model_doc(name, parameters, **extra):
 
 NON_UNITARY = np.eye(6)
 NON_UNITARY[0, 0] = 2.0
+
+
+def unitary(basis, phases):
+    """basis diag(e^{i phases}) basis^dagger."""
+    return (basis * np.exp(1j * np.asarray(phases))) @ basis.conj().T
+
+
+_R = np.arange(6)
+# F diag(1, e^i, e^i, -1, -1, -1) F^dagger with F the 6-point DFT: a threefold
+# eigenvalue -1, where the principal matrix logarithm is not defined.
+DFT_UNITARY = unitary(np.exp(2j * np.pi * np.outer(_R, _R) / 6) / np.sqrt(6),
+                      [0, 1, 1, np.pi, np.pi, np.pi])
+
+
+def seeded_minus_one_unitary():
+    """The 1363rd draw of a seeded stream: eigenphases (2.5, 0, pi, 2.5, pi, 1) in a
+    random basis, so a twofold eigenvalue -1."""
+    rng = np.random.default_rng(1)
+    for _ in range(1363):
+        q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        phases = rng.choice([0.0, np.pi, 1.0, -1.0, 2.5], size=6)
+    return unitary(q, phases)
+
 
 # Documents that pass the document-shape checks but that the built run
 # rejects: each is a config error at validate time, not a crash at run time.
@@ -290,7 +314,7 @@ FIELD_POOLS = {
         {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.triu(np.ones((6, 6))))},
         {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.eye(4))},
         {"matrix": matrix(np.eye(5))}, {"matrix": []}, {"matrix": [[1]]}, {"matrix": "x"}, {}, 3,
-        None],
+        None, {"matrix": matrix(DFT_UNITARY)}],
     ("g_tau",): [0, 0.3, -0.1, "x", float("nan"), 1e9, True, None, MISSING],
     ("k_max",): [0, 1, 4, 6, -1, 2.5, "x", True, False, None, MISSING],
     ("tau",): [None, 0, -1, 0.5, "x", float("inf"), True, False],
@@ -385,6 +409,58 @@ def test_run_custom_matrix_interaction_and_state():
     header, rows = parse_csv(run_config(load_config(doc)))
     assert header[2] == "proj_g"
     assert np.max(np.abs(rows[:, 2] - 0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("u", [seeded_minus_one_unitary(), DFT_UNITARY], ids=["seeded", "dft"])
+@pytest.mark.parametrize("method", cli.METHODS)
+def test_custom_unitary_with_eigenvalue_minus_one_runs(tmp_path, capsys, u, method):
+    # No principal logarithm exists at the eigenvalue -1; H comes from U's own
+    # eigenbasis with the phase +pi there, so every method, gksl included,
+    # validates and runs.
+    path = write_config(tmp_path, model_doc("aklt", {}, method=method,
+                                            interaction={"matrix": matrix(u)}))
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0  # raising out of main fails the test
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", models.INTERACTION_NAMES)
+@pytest.mark.parametrize("g_tau", [0.05, 0.3, 1.0])
+def test_hamiltonian_from_unitary_of_named_interactions(name, g_tau):
+    named = models.interaction(name, g_tau)
+    h = cli._hamiltonian_from_unitary(named.unitary, g_tau)
+    assert np.max(np.abs(h - named.hamiltonian)) <= 1e-13
+    assert np.max(np.abs(h - 1j * scipy.linalg.logm(named.unitary) / g_tau)) <= 1e-13
+
+
+def test_hamiltonian_from_unitary_is_the_principal_logarithm():
+    # Generic spectra, and spectra with clusters split by 0 to 1e-9, none at -1.
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        q = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+        if trial % 2:
+            phases = rng.uniform(-3.0, 3.0, size=6)
+        else:
+            phases = (rng.choice([0.0, 1.0, -1.0, 2.5], size=6)
+                      + rng.choice([0.0, 1e-12, 1e-9], size=6))
+        u = unitary(q, phases)
+        h = cli._hamiltonian_from_unitary(u, 0.4)
+        assert np.max(np.abs(h - 1j * scipy.linalg.logm(u) / 0.4)) <= 1e-13
+
+
+@pytest.mark.parametrize("u,principal", [
+    (-np.eye(6), True), (np.eye(6)[[1, 0, 3, 2, 5, 4]], True), (DFT_UNITARY, False),
+    (seeded_minus_one_unitary(), False)], ids=["minus_identity", "permutation", "dft", "seeded"])
+@pytest.mark.parametrize("g_tau", [0.05, 0.4, 1.0])
+def test_hamiltonian_from_unitary_at_eigenvalue_minus_one(u, principal, g_tau):
+    # Repeated eigenvalues -1 and +1: H is Hermitian and generates U.  Where the
+    # principal logarithm exists (``principal``) it takes +pi at -1, and so does H.
+    h = cli._hamiltonian_from_unitary(u, g_tau)
+    assert np.max(np.abs(h - h.conj().T)) <= 1e-14
+    assert np.max(np.abs(scipy.linalg.expm(-1j * g_tau * h) - u)) <= 1e-13
+    if principal:
+        assert np.max(np.abs(h - 1j * scipy.linalg.logm(u) / g_tau)) <= 1e-13
+    assert cli._hamiltonian_from_unitary(u, 0.0) is None
 
 
 @pytest.mark.parametrize("doc", [
@@ -718,4 +794,17 @@ def test_gksl_processes_import_no_scipy_and_match_run_config(tmp_path):
     proc, imported = run_cli_process(tmp_path, None, "reproduce", "fig6b", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr[-500:]
     assert (tmp_path / "fig6b_gksl.csv").is_file()
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_custom_matrix_processes_import_no_scipy(tmp_path):
+    # A custom interaction given without its Hamiltonian recovers H on numpy alone.
+    doc = aklt_doc(method="gksl", g_tau=0.1, k_max=5, observables=["sigma_z"],
+                   interaction={"matrix": matrix(models.interaction("controlled", 0.1).unitary)})
+    proc, imported = run_cli_process(tmp_path, doc, "run")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+    assert proc.stdout == run_config(load_config(doc))
+    proc, imported = run_cli_process(tmp_path, doc, "kernel", "--k", "2", "--m-max", "3")
+    assert proc.returncode == 0, proc.stderr[-500:]
     assert not [name for name in imported if name.split(".")[0] == "scipy"]

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +41,24 @@ def test_package_reexports_are_listed_in_their_modules():
             unlisted += [f"{node.module}.{a.name}" for a in node.names
                          if a.name not in module.__all__]
     assert unlisted == []
+
+
+def test_package_runs_on_numpy_alone():
+    # scipy is a test reference only: no module imports it, and the runtime
+    # dependencies name numpy alone.
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(mpscollision.__file__).resolve().parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert [(f, m) for f, m in imported if m.split(".")[0] == "scipy"] == []
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
+    assert names == ["numpy"]
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
