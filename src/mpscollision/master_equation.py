@@ -39,7 +39,6 @@ from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
-    _bond_step,
     evolve_bond_state,
     site_reduced_state,
     stationary_bond_state,
@@ -190,16 +189,23 @@ def _fixed(chi: np.ndarray, image: np.ndarray) -> bool:
     return bool(np.abs(image - chi).max() <= 1e-15)
 
 
-def _bond_ladder(env: MpsEnvironment, k_max: int) -> list[BondState]:
-    """Bond states chi_0..chi_{k_max}.  On a homogeneous chain the walk stops at the first
-    rung that is ``_fixed`` and repeats that rung's matrix from then on."""
-    chis = [env.initial_bond_state()]
-    for k in range(1, k_max + 1):
-        chis.append(evolve_bond_state(env, chis[-1]))
-        if env.homogeneous and _fixed(chis[-2].matrix, chis[-1].matrix):
-            chis[-1:] = [BondState(j, chis[-2].matrix) for j in range(k, k_max + 1)]
+def _bond_ladder(model: CollisionModel, k_max: int) -> list[BondState]:
+    """Bond states chi_0..chi_{s*}, s* <= k_max.  On a chain of one channel (homogeneous, one
+    unitary) the walk stops at the onset s*, the first rung ``_fixed`` against the next, from
+    which every thread repeats; else s* = k_max.  Rung k >= s* is chi_{s*} (``_rung``)."""
+    repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
+    chis = [model.env.initial_bond_state()]
+    while chis[-1].site < k_max:
+        chi = evolve_bond_state(model.env, chis[-1])
+        if repeats and _fixed(chis[-1].matrix, chi.matrix):
             break
+        chis.append(chi)
     return chis
+
+
+def _rung(ladder: list[BondState], k: int) -> BondState:
+    """Bond state chi_k off a ``_bond_ladder`` that reaches k or stops at its onset."""
+    return BondState(k, ladder[min(k, len(ladder) - 1)].matrix)
 
 
 def _particle_state(model: CollisionModel, sites, chi: BondState) -> np.ndarray:
@@ -262,45 +268,48 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 # -- exact memory kernel -----------------------------------------------------
 
-def _guard_kernel_threads(model: CollisionModel, starts: range, k_max: int, table: int = 0):
-    """Raise ``SizeGuardError`` if a table of ``table`` numbers or the last step of
-    ``_kernel_threads(model, starts, k_max)`` would hold more than ``KERNEL_GUARD``
-    numbers; that step holds 2 m_eff + 1 thread stacks (the input and, inside
-    ``collide``, two m_eff-fold temporaries at a time: the row products and
-    their copy regrouped by Kraus index, then that copy and the right products).
-    A chain whose ``_onset`` is chi_0 (one bond step, no ladder) walks one thread."""
-    chi0, d_s = model.env.chi0, model.d_system
-    d_bond = max((max(model.env.site(j).shape[1:]) for j in range(starts.start, k_max)), default=1)
-    threads = 1 if _onset(model, [chi0, _bond_step(model.env.sites[0], chi0)]) == 0 else len(starts)
+def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
+                          table: int = 0) -> list[BondState]:
+    """The ``_bond_ladder`` to k_max - 1 for ``_kernel_rows`` from s0, or ``SizeGuardError`` if a
+    table of ``table`` numbers (checked before any bond step) or that walk's last step would
+    hold more than ``KERNEL_GUARD`` numbers.  The step holds 2 m_eff + 1 stacks of the threads
+    s0..max(s0, s*) (the input and, inside ``collide``, two m_eff-fold temporaries at a time:
+    the row products and their copy regrouped by Kraus index, then that copy and the right
+    products)."""
+    if table > KERNEL_GUARD:
+        raise SizeGuardError(f"kernel table of {table} entries exceeds the {KERNEL_GUARD} guard")
+    d_s = model.d_system
+    d_bond = max((max(model.env.site(j).shape[1:]) for j in range(s0, k_max)), default=1)
+    ladder = _bond_ladder(model, k_max - 1)
+    threads = max(s0, len(ladder) - 1) - s0 + 1
     stack = (2 * model.effective_mode_dim() + 1) * threads * d_s ** 2 * (d_s * d_bond) ** 2
-    for what, size in (("kernel table", table), ("thread stack", stack)):
-        if size > KERNEL_GUARD:
-            raise SizeGuardError(f"{what} of {size} entries exceeds the {KERNEL_GUARD} guard")
+    if stack > KERNEL_GUARD:
+        raise SizeGuardError(f"thread stack of {stack} entries exceeds the {KERNEL_GUARD} guard")
+    return ladder
 
 
-def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=None):
+def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: list[BondState]):
     """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
 
     Thread s, the basis stack W_s[E] = E (x) chi_s (``_basis_stack``), enters the stack
     first: newest first is ascending m.  At step k every live thread goes through one
     ``collide`` with the step's Kraus stack, built once per distinct channel as in
     ``trajectory``; K_{k,k-s} is read off the bond trace, and Q_{k+1} X = X - tr_bond(X)
-    (x) chi_{k+1} advances them.  ``ladder`` is the ladder to k_max - 1 if the caller has it.
+    (x) chi_{k+1} advances them.  ``ladder`` is the ``_bond_ladder`` to k_max - 1.
     """
-    ladder = ladder or _bond_ladder(model.env, k_max - 1)
     d_s = model.d_system
     d2 = d_s ** 2
-    threads = np.zeros((0, d2) + (d_s * ladder[starts.start].matrix.shape[0],) * 2)
+    threads = np.zeros((0, d2) + (d_s * _rung(ladder, starts.start).matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
     for k, (ops, ops_dag) in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
-            threads = np.concatenate([_basis_stack(d_s, ladder[k].matrix)[None], threads])
+            threads = np.concatenate([_basis_stack(d_s, _rung(ladder, k).matrix)[None], threads])
         # Only the live threads themselves enter the next collide: the step's
         # input is released on return and Q advances the output in place.
         threads = emb.collide(ops, threads, ops_dag)
         traced = emb.trace_bond(threads, d_s)
         if k + 1 < k_max:
-            threads -= kron(traced, ladder[k + 1].matrix)
+            threads -= kron(traced, _rung(ladder, k + 1).matrix)
         mats = _read_off(traced)
         if k in starts:
             mats[0] -= np.eye(d2)
@@ -308,24 +317,15 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder=Non
         yield mats
 
 
-def _onset(model: CollisionModel, chis: list[np.ndarray]) -> int:
-    """Index of the first bond state in ``chis`` ``_fixed`` against the next on a chain of one
-    channel (homogeneous, one unitary), from which every thread repeats; else the last."""
-    repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
-    fixed = (s for s in range(len(chis) - 1) if repeats and _fixed(chis[s], chis[s + 1]))
-    return next(fixed, len(chis) - 1)
-
-
-def _kernel_rows(model: CollisionModel, starts: range, k_max: int, ladder=None):
-    """Rows K_{k,k-s} over the starts s in ``starts`` by ascending m = k - s, for steps k from
-    s0 = ``starts.start`` to k_max - 1; each a view, valid until the next.  Threads s0..s*
-    (s* the ``_onset``, at least s0) give them: as K_{k,m} = K_{s*+m,m} for k - m >= s*, row
+def _kernel_rows(model: CollisionModel, s0: int, k_max: int, ladder: list[BondState]):
+    """Rows K_{k,k-s} over the starts s = s0..k by ascending m = k - s, for steps k from s0 to
+    k_max - 1; each a view, valid until the next.  Threads s0..max(s0, s*), s* the onset of the
+    ``_bond_ladder`` to k_max - 1, give them: as K_{k,m} = K_{s*+m,m} for k - m >= s*, row
     k >= s* is thread s*'s first k - s* outputs, then the live threads'."""
-    ladder = ladder or _bond_ladder(model.env, k_max - 1)
-    onset = max(starts.start, _onset(model, [chi.matrix for chi in ladder]))
-    threads = _kernel_threads(model, range(starts.start, onset + 1), k_max, ladder)
-    row = np.empty((k_max - starts.start,) + (model.d_system ** 2,) * 2, dtype=complex)
-    for k, mats in enumerate(threads, starts.start):
+    onset = max(s0, len(ladder) - 1)
+    threads = _kernel_threads(model, range(s0, onset + 1), k_max, ladder)
+    row = np.empty((k_max - s0,) + (model.d_system ** 2,) * 2, dtype=complex)
+    for k, mats in enumerate(threads, s0):
         j = max(k - onset, 0)   # slots below j keep thread s*'s outputs K_{s*+m,m}
         row[j:j + len(mats)] = mats
         yield row[:j + len(mats)]
@@ -362,9 +362,9 @@ def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
         raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     d_s = model.d_system
     length = KernelTable._length(k_max)
-    _guard_kernel_threads(model, range(k_max), k_max, length * d_s ** 4)
+    ladder = _guard_kernel_threads(model, 0, k_max, length * d_s ** 4)
     table = KernelTable(model.tau, d_s, np.empty((length, d_s ** 2, d_s ** 2), dtype=complex))
-    for k, row in enumerate(_kernel_rows(model, range(k_max), k_max)):
+    for k, row in enumerate(_kernel_rows(model, 0, k_max, ladder)):
         table._row(k, k)[:] = row
     return table
 
@@ -435,10 +435,10 @@ def _second_order_kernels(model: CollisionModel, k: int, ms, ladder: list[BondSt
     h = _effective_hamiltonian(model)
     if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
         raise ValueError("interaction Hamiltonian must be Hermitian")
-    late = _particle_state(model, (k,), ladder[k])
+    late = _particle_state(model, (k,), _rung(ladder, k))
     for m in ms:
-        early = _particle_state(model, (k - m,), ladder[k - m])
-        pair = _particle_state(model, (k - m, k), ladder[k - m])
+        early = _particle_state(model, (k - m,), _rung(ladder, k - m))
+        pair = _particle_state(model, (k - m, k), _rung(ladder, k - m))
         yield _double_commutator(h, pair - kron(early, late)) * (-(model.g ** 2) * model.tau)
 
 
@@ -454,20 +454,18 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     """
     if m < 1 or m > k:
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    return next(_second_order_kernels(model, k, (m,), _bond_ladder(model.env, k)))
+    return next(_second_order_kernels(model, k, (m,), _bond_ladder(model, k)))
 
 
 def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superoperator], list]:
     """Lists of K_{k,m} and of its second-order part (None at m = 0 or with no Hamiltonian) for
-    m = 0..min(m_max, k), off one bond ladder to k; the thread-stack guard runs before any work."""
+    m = 0..min(m_max, k), off the one bond ladder to k that the guard walks before any collision."""
     if k < 0 or m_max < 0:
         raise ValueError(f"need k >= 0 and m_max >= 0, got k={k}, m_max={m_max}")
     m_max = min(m_max, k)
-    starts = range(k - m_max, k + 1)
-    _guard_kernel_threads(model, starts, k + 1)
-    ladder = _bond_ladder(model.env, k)
+    ladder = _guard_kernel_threads(model, k - m_max, k + 1)
     # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
-    for row in _kernel_rows(model, starts, k + 1, ladder):
+    for row in _kernel_rows(model, k - m_max, k + 1, ladder):
         pass
     second = [None] * (m_max + 1)
     if model.hamiltonian is not None:

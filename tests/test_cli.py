@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg  # test-only reference for the matrix logarithm and exponential
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mpscollision import cli, embedding, master_equation, models
+from mpscollision import cli, embedding, master_equation, models, mps
 from mpscollision.cli import (
     MAX_CHAIN_SITES,
     ConfigError,
@@ -594,10 +594,12 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
     assert f"state vector of {2 * 9 ** 12} entries" in capsys.readouterr().err
 
 
-def test_run_nz_guard_exit_code(tmp_path, capsys):
+def test_run_nz_guard_exit_code(tmp_path, capsys, monkeypatch):
+    # The table term, K(K+1)/2 d_S^4 = 5126400 numbers, refuses it before any bond step.
+    monkeypatch.setattr(mps, "_bond_step", lambda *args: pytest.fail("bond step before the guard"))
     path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
     assert main(["run", "--config", path]) == 3
-    assert "guard" in capsys.readouterr().err
+    assert "kernel table of 5126400 entries exceeds" in capsys.readouterr().err
 
 
 # -- presets and reproduce -----------------------------------------------------------
@@ -721,11 +723,11 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
 
 
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
-    # At k = m_max = 59 two_photon (D = 3) holds 60 thread stacks of
-    # 7 * 4 * 6**2 numbers; aklt, a stationary chain, walks one of 7 * 4 * 4**2.
+    # At k = m_max = 59 two_photon (D = 3, no onset by rung 59) holds 60 thread
+    # stacks of 7 * 4 * 6**2 numbers; aklt, onset 0, walks one of 7 * 4 * 4**2.
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 400)
-    monkeypatch.setattr(master_equation, "_bond_ladder",
-                        lambda *args: pytest.fail("work before the guard"))
+    monkeypatch.setattr(embedding, "collide",
+                        lambda *args: pytest.fail("collision before the guard"))
     two_photon = model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1})
     for doc, entries in ((two_photon, 60480), (aklt_doc(), 448)):
         path = write_config(tmp_path, doc)

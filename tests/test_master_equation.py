@@ -74,8 +74,7 @@ def two_photon_model():
 
 def onset(model, k_max):
     """The onset s* of a kernel table to k_max steps: the first thread every later one repeats."""
-    ladder = master_equation._bond_ladder(model.env, k_max - 1)
-    return master_equation._onset(model, [chi.matrix for chi in ladder])
+    return len(master_equation._bond_ladder(model, k_max - 1)) - 1
 
 
 def with_stationary_chi0(model):
@@ -346,7 +345,9 @@ def test_stationary_table_matches_threads(interaction, g_tau):
     k_max = 60
     assert onset(model, k_max) == 0
     fast = build_kernel_table(model, k_max).packed
-    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max)))
+    ladder = master_equation._bond_ladder(model, k_max - 1)
+    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max,
+                                                                  ladder)))
     assert np.array_equal(fast, threads)
 
 
@@ -424,7 +425,9 @@ def test_cluster_table_from_its_onset():
     assert onset(model, k_max) == 1
     table = build_kernel_table(model, k_max)
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
-    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max)))
+    ladder = master_equation._bond_ladder(model, k_max - 1)
+    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max,
+                                                                  ladder)))
     assert np.max(np.abs(table.packed - threads)) <= 1e-14
 
 
@@ -491,7 +494,6 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
         raise AssertionError("work started before the horizon was checked")
 
     for owner, name, stub in ((embedding, "collide", no_work), (mps, "_bond_step", no_work),
-                              (master_equation, "_bond_step", no_work),
                               (Superoperator, "_taylor", property(no_work)),
                               (Superoperator, "_exp", no_work)):
         monkeypatch.setattr(owner, name, stub)
@@ -501,10 +503,12 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
 
 def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
     # B_i = |0><i| sends every unit-trace chi to |0><0|: from chi_0 = I/2 the
-    # ladder repeats chi_1 from then on, so two steps give all of its rungs.
+    # ladder stops at chi_1, fixed against chi_2, and stores chi_0 and chi_1
+    # alone; every later rung reads chi_1, bit for bit the step-by-step walk's.
     site = np.zeros((2, 2, 2), dtype=complex)
     site[0, 0, 0] = site[1, 1, 0] = 1.0
     env = MpsEnvironment((site,), np.eye(2) / 2, homogeneous=True)
+    model = CollisionModel(env=env, unitary=np.eye(4), d_system=2, mode_dim=2, g_tau=0.1)
     walk = [env.initial_bond_state()]
     for _ in range(10):
         walk.append(evolve_bond_state(env, walk[-1]))
@@ -515,13 +519,21 @@ def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
         return evolve_bond_state(env, chi)
 
     monkeypatch.setattr(master_equation, "evolve_bond_state", counted)
-    ladder = master_equation._bond_ladder(env, 10)
+    ladder = master_equation._bond_ladder(model, 10)
     assert calls == [0, 1]
-    assert [chi.site for chi in ladder] == list(range(11))
-    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(ladder, walk))
+    assert [chi.site for chi in ladder] == [0, 1]
+    for k, chi in enumerate(walk):
+        rung = master_equation._rung(ladder, k)
+        assert rung.site == k and np.array_equal(rung.matrix, chi.matrix)
+    # aklt's chi_0 = I/2 is the onset: one rung for any horizon, and a scan far
+    # out gives the bits of one near the start.
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
     calls.clear()
-    assert len(master_equation._bond_ladder(models.aklt_env(), 10)) == 11
+    assert len(master_equation._bond_ladder(aklt, 10 ** 6)) == 1
     assert calls == [0]
+    far, near = kernel_scan(aklt, 10 ** 6, 2), kernel_scan(aklt, 10, 2)
+    for a, b in zip(far[0] + far[1][1:], near[0] + near[1][1:]):
+        assert np.array_equal(a.matrix, b.matrix)
 
 
 @pytest.mark.parametrize("spec", [ModelSpec("aklt"), ModelSpec("single_photon", {"n_sites": 20})])
@@ -641,6 +653,28 @@ def test_kernel_guard_counts_one_thread_on_a_stationary_chain():
                                              k_max - 1, k_max - 1)
     for m, kernel in enumerate(kernels):
         assert np.array_equal(kernel.matrix, table.kernel(k_max - 1, m).matrix)
+
+
+def test_kernel_guard_counts_the_onset_threads(monkeypatch):
+    # random_D4 reaches its onset at s* = 56 of K = 150: the walk holds threads
+    # 0..56, (2 m_eff + 1) 57 d_S^2 (d_S D)^2 = 102144 numbers, within a guard of
+    # the packed table's 181200; counting all 150 starts (268800) would refuse it.
+    model = kernel_route_model("random_D4")
+    k_max = 150
+    assert onset(model, k_max) == 56
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", k_max * (k_max + 1) // 2 * 16)
+    threads = []
+    collide = embedding.collide
+
+    def counted(ops, x, *adjoint):
+        threads.append(x.shape[0])
+        return collide(ops, x, *adjoint)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(embedding, "collide", counted)
+        table = build_kernel_table(model, k_max)
+    assert threads == [min(k, 56) + 1 for k in range(k_max)]
+    assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
 
 
 @pytest.mark.parametrize("name,n", [("aklt", 40), ("two_photon", 40),
