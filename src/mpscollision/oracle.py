@@ -5,7 +5,8 @@ state vector (purifying chi0 into a left ancilla; the rest of the chain traces
 out the open right bond, so each of its indices is a separate run), apply each
 collision unitary to the system plus one site, and partial-trace for the
 system state.  Shares no Kraus or propagator code with the embedding, so
-agreement between the two is a real two-sided check.
+agreement between the two is a real two-sided check.  A run holds the
+environment tensor and at most two run vectors; the size guard counts both.
 """
 
 from __future__ import annotations
@@ -36,20 +37,28 @@ class OracleRun:
 
     def __post_init__(self):
         object.__setattr__(self, "rho_s0", np.asarray(self.rho_s0, dtype=complex))
+        d_s = self.model.d_system
+        if self.k_max < 0 or self.n_sites < 0:
+            raise ValueError(f"need k_max, n_sites >= 0, got {self.k_max}, {self.n_sites}")
+        if self.rho_s0.shape != (d_s, d_s):
+            raise ValueError(f"system state shape {self.rho_s0.shape}, expected ({d_s}, {d_s})")
         if self.k_max > self.n_sites:
             raise ValueError("cannot collide more times than there are sites")
         env = self.model.env
         if env.length is not None and self.n_sites > env.length:
             raise ValueError(f"environment has only {env.length} sites")
         # One run's vector: (system, purified chi0, sites), each collided site
-        # padded to the model's mode space by _pure_trajectory.
-        size = self.model.d_system * _bond_rank(env.chi0)
+        # padded to the model's mode space by _pure_trajectory; the environment
+        # tensor (purified chi0, sites, open right bond) lives through every run.
+        rank = _bond_rank(env.chi0)
+        size, env_size, right = d_s * rank, rank, env.chi0.shape[0]
         for k in range(self.n_sites):
             size *= max(env.phys_dim(k), self.model.effective_mode_dim(k) if k < self.k_max else 1)
-        if size > STATE_GUARD:
-            raise SizeGuardError(
-                f"state vector of {size} entries exceeds the {STATE_GUARD} guard"
-            )
+            env_size *= env.phys_dim(k)
+            right = env.site(k).shape[2]
+        for what, entries in (("state vector", size), ("environment tensor", env_size * right)):
+            if entries > STATE_GUARD:
+                raise SizeGuardError(f"{what} of {entries} entries exceeds the {STATE_GUARD} guard")
 
 
 def _bond_rank(chi0: np.ndarray, tol: float = 1e-12) -> int:
@@ -88,8 +97,7 @@ def brute_force_trajectory(run: OracleRun) -> list[np.ndarray]:
         if weight <= 1e-14:
             continue
         for right in range(env_state.shape[-1]):
-            psi = np.tensordot(vec, env_state[..., right], axes=0)
-            states = _pure_trajectory(run, psi)
+            states = _pure_trajectory(run, vec, env_state[..., right])
             if out is None:
                 out = [weight * s for s in states]
             else:
@@ -99,30 +107,31 @@ def brute_force_trajectory(run: OracleRun) -> list[np.ndarray]:
     return out
 
 
-def _pure_trajectory(run: OracleRun, psi: np.ndarray) -> list[np.ndarray]:
-    """Collide the pure global state psi; axes 0 system, 1 left ancilla, 2..n+1 sites."""
+def _pure_trajectory(run: OracleRun, vec: np.ndarray, env_run: np.ndarray) -> list[np.ndarray]:
+    """Collide psi = vec (x) env_run; axes 0 system, 1 left ancilla, 2..n+1 sites.
+
+    Only this frame holds psi.  Each collision copies it once, padded, with
+    (system, site k) leading, so at most two run vectors are alive: that copy
+    and the GEMM output, whose system-leading rows also give rho_S.
+    """
     model = run.model
+    psi = np.multiply.outer(vec, env_run)
     states = [_system_density(psi)]
     d_s = model.d_system
     for k in range(run.k_max):
-        site_axis = 2 + k
-        d_here = psi.shape[site_axis]
-        m_eff = model.effective_mode_dim(k)
-        if m_eff > d_here:
-            pad = [(0, 0)] * psi.ndim
-            pad[site_axis] = (0, m_eff - d_here)
-            psi = np.pad(psi, pad)
-        # Gather (system, site k) into one leading index; the composite
-        # ordering matches the kron layout of the collision unitary.
-        moved = np.moveaxis(psi, site_axis, 1)
-        shape = moved.shape
-        flat = moved.reshape(d_s * m_eff, -1)
-        flat = model.effective_unitary(k) @ flat
-        psi = np.moveaxis(flat.reshape(shape), 1, site_axis)
-        states.append(_system_density(psi))
+        moved = np.moveaxis(psi, 2 + k, 1)
+        # (system, site k) rows in the kron layout of the collision unitary.
+        flat = np.zeros((d_s, model.effective_mode_dim(k)) + moved.shape[2:], dtype=complex)
+        flat[:, : moved.shape[1]] = moved
+        del psi, moved
+        shape = flat.shape
+        flat = (model.effective_unitary(k) @ flat.reshape(d_s * shape[1], -1)).reshape(shape)
+        states.append(_system_density(flat))
+        psi = np.moveaxis(flat, 1, 2 + k)
     return states
 
 
 def _system_density(psi: np.ndarray) -> np.ndarray:
-    rest = list(range(1, psi.ndim))
-    return np.tensordot(psi, psi.conj(), axes=(rest, rest))
+    """rho_S = F F^dag for F the (system, rest) matrix of a system-leading run state."""
+    f = psi.reshape(len(psi), -1)
+    return f @ f.conj().T

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mpscollision import models, oracle
 from mpscollision.embedding import CollisionModel, trajectory
+from mpscollision.mps import MpsEnvironment
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.oracle import OracleRun, SizeGuardError, brute_force_trajectory
 
@@ -109,6 +112,71 @@ def test_size_guard_counts_the_largest_run_vector(monkeypatch, spec, g_tau, n_si
     monkeypatch.setattr(oracle, "STATE_GUARD", 0)
     with pytest.raises(SizeGuardError, match=f"of {max(sizes)} entries"):
         OracleRun(model, rho0, n_sites=n_sites, k_max=n_sites)
+
+
+def test_size_guard_counts_the_environment_tensor(monkeypatch):
+    # A D = 8 qubit chain with pure chi0 at n = 6: each run vector holds
+    # 2 * 2**6 = 128 entries, but the environment tensor (purified chi0, sites,
+    # open right bond) that lives through every run holds 2**6 * 8 = 512.
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 8)) + 1j * rng.normal(size=(16, 8)))
+    site = q.conj().T.reshape(8, 2, 8).transpose(1, 0, 2)
+    chi0 = np.zeros((8, 8), dtype=complex)
+    chi0[0, 0] = 1.0
+    inter = models.interaction("exchange", 0.5, 2)
+    model = CollisionModel(env=MpsEnvironment((site,), chi0, homogeneous=True),
+                           unitary=inter.unitary, d_system=2, mode_dim=2, g_tau=0.5,
+                           hamiltonian=inter.hamiltonian)
+    rho0 = models.named_initial_state("ground")
+    monkeypatch.setattr(oracle, "STATE_GUARD", 512)
+    OracleRun(model, rho0, n_sites=6, k_max=6)
+    monkeypatch.setattr(oracle, "STATE_GUARD", 256)
+    with pytest.raises(SizeGuardError, match="environment tensor of 512 entries"):
+        OracleRun(model, rho0, n_sites=6, k_max=6)
+
+
+@pytest.mark.parametrize("rho0,n_sites,k_max,message", [
+    (np.eye(2) / 2, -2, -3, "k_max, n_sites >= 0"),
+    (np.eye(2) / 2, 2, -1, "k_max, n_sites >= 0"),
+    (np.eye(3) / 3, 2, 2, r"shape \(3, 3\), expected \(2, 2\)"),
+], ids=["negative_both", "negative_k_max", "rho_3x3"])
+def test_oracle_refuses_bad_runs_before_any_contraction(monkeypatch, rho0, n_sites, k_max,
+                                                        message):
+    def contract(*args):
+        raise AssertionError("the oracle contracted before refusing the run")
+
+    model = build_model(ModelSpec("aklt"), g_tau=0.4)
+    monkeypatch.setattr(oracle, "_environment_state", contract)
+    with pytest.raises(ValueError, match=message):
+        brute_force_trajectory(OracleRun(model, rho0, n_sites=n_sites, k_max=k_max))
+
+
+@pytest.mark.parametrize("spec,g_tau,fock_cutoff,n_sites", [
+    (ModelSpec("aklt"), 0.5, None, 8),
+    (ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), 0.3, None, 9),
+    (ModelSpec("cluster"), 0.3, 3, 9),
+], ids=["aklt", "two_photon", "cluster"])
+def test_oracle_holds_the_environment_and_two_run_vectors(monkeypatch, spec, g_tau,
+                                                          fock_cutoff, n_sites):
+    model = build_model(spec, g_tau=g_tau, fock_cutoff=fock_cutoff)
+    rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+    run = OracleRun(model, rho0, n_sites=n_sites, k_max=n_sites)
+    sizes = []
+    density = oracle._system_density
+    monkeypatch.setattr(oracle, "_system_density",
+                        lambda psi: sizes.append(psi.size) or density(psi))
+    brute_force_trajectory(run)
+    run_vector = 16 * max(sizes)
+    env_tensor = oracle._environment_state(model.env, n_sites).nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        brute_force_trajectory(run)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= env_tensor + 2 * run_vector + 64 * 1024, peak / run_vector
 
 
 def test_oracle_respects_finite_length():
