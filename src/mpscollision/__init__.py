@@ -46,8 +46,6 @@ from .mps import (
     check_right_canonical,
     decorrelate,
     evolve_bond_state,
-    environment_from_json,
-    environment_to_json,
     right_canonicalize,
     site_reduced_state,
     transfer_spectrum,

@@ -28,7 +28,7 @@ from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
 from .master_equation import (_maps_residuals, build_kernel_table, evolve_gksl_grid, kernel_scan,
                               solve_nz, stroboscopic_generator)
 from .models import ModelSpec
-from .mps import decorrelate, _matrix_from_json
+from .mps import decorrelate
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
 
 __all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "kernel_norms",
@@ -77,6 +77,21 @@ def _known_keys(cfg: dict, known: tuple, path: str = "") -> None:
     for key in cfg:
         if key not in known:
             raise ConfigError(f"{path}{key}", f"unknown key, expected one of {known}")
+
+
+def _entry(re, im) -> complex:
+    """One [re, im] pair of JSON numbers; true/false and integers past the float range are
+    refused, not read as 1/0 or raised as OverflowError."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError(f"matrix entry [{re!r}, {im!r}] is not a pair of numbers")
+    try:
+        return complex(re, im)
+    except OverflowError:
+        raise ValueError("matrix entry beyond the float range") from None
+
+
+def _matrix_from_json(data) -> np.ndarray:
+    return np.array([[_entry(re, im) for re, im in row] for row in data], dtype=complex)
 
 
 def _parse_matrix(data, field: str) -> np.ndarray:

@@ -94,12 +94,16 @@ class CollisionModel:
     def g(self) -> float:
         return self.g_tau / self.tau
 
+    def _shortfall(self, k_max: int) -> str | None:
+        """Why the chain or the per-step unitary tuple has fewer than k_max collisions, or None."""
+        if self.env.length is not None and k_max > self.env.length:
+            return f"collision {self.env.length} beyond environment length {self.env.length}"
+        if isinstance(self.unitary, tuple) and k_max > len(self.unitary):
+            return f"no unitary for step {len(self.unitary)}"
+        return None
+
     def base_unitary(self, k: int) -> np.ndarray:
-        if isinstance(self.unitary, tuple):
-            if k >= len(self.unitary):
-                raise IndexError(f"no unitary for step {k}")
-            return self.unitary[k]
-        return self.unitary
+        return self.unitary[k] if isinstance(self.unitary, tuple) else self.unitary
 
     def effective_unitary(self, k: int) -> np.ndarray:
         """Collision unitary on system (x) (mode (x) purification ancilla)."""
@@ -196,13 +200,12 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
 def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
     """System density matrices after 0..k_max collisions: one ``_traced_walk`` from
     R(0) = rho_S(0) (x) chi0.  A negative k_max or a rho_S(0) of the wrong shape
-    (ValueError), or a chain shorter than k_max (IndexError), is refused before the first
-    collision."""
+    (ValueError), or a chain or per-step unitary tuple shorter than k_max (IndexError), is
+    refused before the first collision."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got k_max={k_max}")
-    length = model.env.length
-    if length is not None and k_max > length:
-        raise IndexError(f"collision {length} beyond environment length {length}")
+    if why := model._shortfall(k_max):
+        raise IndexError(why)
     rho_s0 = np.asarray(rho_s0, dtype=complex)
     if rho_s0.shape != (model.d_system, model.d_system):
         raise ValueError(f"system state shape {rho_s0.shape}, expected "

@@ -270,14 +270,16 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
                           table: int = 0) -> list[BondState]:
-    """The ``_bond_ladder`` to k_max - 1 for ``_kernel_rows`` from s0, or ``SizeGuardError`` if a
-    table of ``table`` numbers (checked before any bond step) or that walk's last step would
-    hold more than ``KERNEL_GUARD`` numbers.  The step holds 2 m_eff + 1 stacks of the threads
-    s0..max(s0, s*) (the input and, inside ``collide``, two m_eff-fold temporaries at a time:
-    the row products and their copy regrouped by Kraus index, then that copy and the right
-    products)."""
+    """The ``_bond_ladder`` to k_max - 1 for ``_kernel_rows`` from s0.  Before any bond step it
+    refuses a table of ``table`` numbers past ``KERNEL_GUARD`` (``SizeGuardError``), then a chain
+    or unitary tuple short of k_max (IndexError); after the walk, a last step past the guard.  The
+    step holds 2 m_eff + 1 stacks of the threads s0..max(s0, s*) (the input and, inside
+    ``collide``, two m_eff-fold temporaries at a time: the row products and their copy regrouped
+    by Kraus index, then that copy and the right products)."""
     if table > KERNEL_GUARD:
         raise SizeGuardError(f"kernel table of {table} entries exceeds the {KERNEL_GUARD} guard")
+    if why := model._shortfall(k_max):
+        raise IndexError(why)
     d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(s0, k_max)), default=1)
     ladder = _bond_ladder(model, k_max - 1)

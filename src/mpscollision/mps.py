@@ -23,7 +23,6 @@ the leading mode factor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,10 +48,6 @@ __all__ = [
     "transfer_spectrum",
     "stationary_bond_state",
     "decorrelate",
-    "environment_to_dict",
-    "environment_from_dict",
-    "environment_to_json",
-    "environment_from_json",
 ]
 
 
@@ -390,63 +385,3 @@ def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironmen
     return MpsEnvironment(tuple(sites), chi0, homogeneous=homogeneous,
                           ancilla_dim=anc)
 
-
-def _matrix_to_json(m: np.ndarray):
-    return [[[float(x.real), float(x.imag)] for x in row] for row in np.asarray(m, dtype=complex)]
-
-
-def _entry(re, im) -> complex:
-    """One [re, im] pair of JSON numbers; true/false and integers past the float range are
-    refused, not read as 1/0 or raised as OverflowError."""
-    if isinstance(re, bool) or isinstance(im, bool):
-        raise TypeError(f"matrix entry [{re!r}, {im!r}] is not a pair of numbers")
-    try:
-        return complex(re, im)
-    except OverflowError:
-        raise ValueError("matrix entry beyond the float range") from None
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[_entry(re, im) for re, im in row] for row in data], dtype=complex)
-
-
-def environment_to_dict(env: MpsEnvironment) -> dict:
-    """JSON-ready document: {sites, chi0, homogeneous[, ancilla_dim]}."""
-    doc = {
-        "sites": [
-            [_matrix_to_json(t[i]) for i in range(t.shape[0])] for t in env.sites
-        ],
-        "chi0": _matrix_to_json(env.chi0),
-        "homogeneous": bool(env.homogeneous),
-    }
-    if env.ancilla_dim != 1:
-        doc["ancilla_dim"] = int(env.ancilla_dim)
-    return doc
-
-
-def environment_from_dict(doc: dict) -> MpsEnvironment:
-    try:
-        sites = tuple(
-            np.stack([_matrix_from_json(m) for m in site]) for site in doc["sites"]
-        )
-        chi0 = _matrix_from_json(doc["chi0"])
-        homogeneous = doc.get("homogeneous", False)
-        ancilla_dim = doc.get("ancilla_dim", 1)
-        # bool subclasses int: only JSON true/false is a flag, only a JSON integer a dimension.
-        if not isinstance(homogeneous, bool):
-            raise TypeError(f"homogeneous must be true or false, got {homogeneous!r}")
-        if isinstance(ancilla_dim, bool) or not isinstance(ancilla_dim, int):
-            raise TypeError(f"ancilla_dim must be an integer, got {ancilla_dim!r}")
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ValueError(f"malformed environment document: {exc}") from exc
-    env = MpsEnvironment(sites, chi0, homogeneous=homogeneous, ancilla_dim=ancilla_dim)
-    env.validate()
-    return env
-
-
-def environment_to_json(env: MpsEnvironment) -> str:
-    return json.dumps(environment_to_dict(env))
-
-
-def environment_from_json(text: str) -> MpsEnvironment:
-    return environment_from_dict(json.loads(text))

@@ -47,6 +47,8 @@ class OracleRun:
         env = self.model.env
         if env.length is not None and self.n_sites > env.length:
             raise ValueError(f"environment has only {env.length} sites")
+        if why := self.model._shortfall(self.k_max):
+            raise ValueError(why)
         # One run's vector: (system, purified chi0, sites), each collided site
         # padded to the model's mode space by _pure_trajectory; the environment
         # tensor (purified chi0, sites, open right bond) lives through every run.

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpscollision import embedding, models
+from mpscollision import embedding, models, mps, oracle
 from mpscollision.embedding import (
     CollisionModel,
     kraus_operators,
@@ -16,7 +16,8 @@ from mpscollision.embedding import (
 from mpscollision.linalg import dagger, kron, partial_trace
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_canonicalize
-from mpscollision.master_equation import single_collision_channel
+from mpscollision.master_equation import build_kernel_table, kernel_scan, single_collision_channel
+from mpscollision.oracle import OracleRun, brute_force_trajectory
 
 from conftest import random_density
 
@@ -255,6 +256,34 @@ def test_trajectory_beyond_finite_environment(monkeypatch):
     with pytest.raises(IndexError, match="collision 8 beyond environment length 8"):
         trajectory(model, models.named_initial_state("ground"), 9)
     assert calls == []   # refused before the first collision
+
+
+SHORT_TUPLE_ROUTES = {
+    "trajectory": (lambda model, rho: trajectory(model, rho, 5), IndexError),
+    "build_kernel_table": (lambda model, rho: build_kernel_table(model, 5), IndexError),
+    "kernel_scan": (lambda model, rho: kernel_scan(model, 4, 2), IndexError),
+    "oracle": (lambda model, rho: brute_force_trajectory(OracleRun(model, rho, 5, 5)),
+               ValueError),
+}
+
+
+@pytest.mark.parametrize("route", SHORT_TUPLE_ROUTES)
+def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
+    # Three unitaries on the unbounded aklt chain define collisions 0..2 only: each route
+    # refuses a horizon of 5 with the exception it raises for a short chain, before the
+    # first bond step, collision or environment contraction.
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
+    model = dataclasses.replace(aklt, unitary=(aklt.unitary,) * 3)
+    call, error = SHORT_TUPLE_ROUTES[route]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the unitary tuple was checked")
+
+    for owner, name in ((embedding, "collide"), (mps, "_bond_step"),
+                        (oracle, "_environment_state")):
+        monkeypatch.setattr(owner, name, no_work)
+    with pytest.raises(error, match="no unitary for step 3"):
+        call(model, models.named_initial_state("plus"))
 
 
 def test_trajectory_rejects_a_wrong_shape_state(monkeypatch):

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,8 +12,6 @@ from mpscollision.mps import (
     MpsEnvironment,
     check_right_canonical,
     decorrelate,
-    environment_from_json,
-    environment_to_json,
     evolve_bond_state,
     right_canonicalize,
     site_reduced_state,
@@ -47,6 +45,25 @@ def test_scaled_tensors_residual():
     scaled = MpsEnvironment((2.0 * env.sites[0],), env.chi0, homogeneous=True)
     # sum_i B B^dag becomes 4I on a 2x2 bond: residual ||3 I||_F = 3 sqrt(2)
     assert abs(check_right_canonical(scaled) - 3.0 * np.sqrt(2.0)) < 1e-12
+
+
+def test_validate_refuses_a_nan_site_entry():
+    # max(worst, nan) keeps worst, so folding residuals that way would let a NaN
+    # site entry through the canonical check.
+    aklt = models.aklt_env()
+    site = aklt.sites[0].copy()
+    site[1, 0, 1] = np.nan
+    env = MpsEnvironment((site,), aklt.chi0, homogeneous=True)
+    assert np.isnan(check_right_canonical(env))
+    with pytest.raises(ValueError, match="not right-canonical"):
+        env.validate()
+
+
+def test_validate_refuses_a_site_scaled_off_canonical_form():
+    env = models.cluster_env()
+    env.validate()
+    with pytest.raises(ValueError, match="not right-canonical"):
+        dataclasses.replace(env, sites=(1.5 * env.sites[0],)).validate()
 
 
 def test_environment_shape_validation():
@@ -599,69 +616,3 @@ def test_decorrelate_needs_length_when_not_stationary():
     with pytest.raises(ValueError):
         decorrelate(env)
 
-
-# -- serialization ------------------------------------------------------------------
-
-def test_environment_json_round_trip():
-    for name, env in all_zoo().items():
-        text = environment_to_json(env)
-        back = environment_from_json(text)
-        assert back.homogeneous == env.homogeneous
-        assert len(back.sites) == len(env.sites)
-        for a, b in zip(back.sites, env.sites):
-            assert np.max(np.abs(a - b)) < 1e-15, name
-        assert np.max(np.abs(back.chi0 - env.chi0)) < 1e-15
-        # document is plain JSON and round-trips textually
-        assert json.loads(text) == json.loads(environment_to_json(back))
-
-
-def test_environment_json_round_trip_with_ancilla():
-    dec = decorrelate(models.aklt_env())
-    back = environment_from_json(environment_to_json(dec))
-    assert back.ancilla_dim == dec.ancilla_dim
-    got = site_reduced_state(back, back.initial_bond_state())
-    want = site_reduced_state(dec, dec.initial_bond_state())
-    assert np.max(np.abs(got - want)) < 1e-15
-
-
-def test_environment_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        environment_from_json(json.dumps({"sites": []}))
-    env = models.cluster_env()
-    doc = json.loads(environment_to_json(env))
-    doc["chi0"] = [[[1.0, 0.0], [0.0, 0.0]]]  # wrong shape
-    with pytest.raises(ValueError):
-        environment_from_json(json.dumps(doc))
-    # Fields are not coerced: a one-site chain with "homogeneous": "false" is
-    # not unbounded, ancilla_dim 1.9 or true is not 1, a true entry is not 1.
-    one_site = json.loads(environment_to_json(
-        MpsEnvironment((np.array([1.0, 0.0]).reshape(2, 1, 1),), np.eye(1))))
-    environment_from_json(json.dumps(one_site))
-    bad = [{"homogeneous": flag} for flag in ("false", 0.5, 0, None)]
-    bad += [{"ancilla_dim": dim} for dim in (1.9, 1.0, True, "1")]
-    bad += [{"chi0": [[[True, 0]]]}, {"chi0": [[[1, False]]]}, {"chi0": [[[10 ** 400, 0]]]}]
-    for fields in bad:
-        with pytest.raises(ValueError):
-            environment_from_json(json.dumps({**one_site, **fields}))
-
-
-def test_environment_json_refuses_a_nan_site_entry():
-    # max(worst, nan) keeps worst, so folding residuals that way let a NaN site
-    # entry (Python's json reads the literal) through the canonical check.
-    aklt = models.aklt_env()
-    site = aklt.sites[0].copy()
-    site[1, 0, 1] = np.nan
-    env = MpsEnvironment((site,), aklt.chi0, homogeneous=True)
-    assert np.isnan(check_right_canonical(env))
-    text = environment_to_json(env)
-    assert "NaN" in text
-    with pytest.raises(ValueError, match="not right-canonical"):
-        environment_from_json(text)
-
-
-def test_environment_json_validates_canonical_form():
-    env = models.cluster_env()
-    doc = json.loads(environment_to_json(env))
-    doc["sites"][0][0][0][0] = [5.0, 0.0]
-    with pytest.raises(ValueError):
-        environment_from_json(json.dumps(doc))
