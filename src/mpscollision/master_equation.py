@@ -39,11 +39,10 @@ from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     MpsEnvironment,
+    _pair_states,
     evolve_bond_state,
-    site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
-    two_site_reduced_state,
 )
 from .oracle import SizeGuardError
 
@@ -189,43 +188,42 @@ def _fixed(chi: np.ndarray, image: np.ndarray) -> bool:
     return bool(np.abs(image - chi).max() <= 1e-15)
 
 
-def _bond_ladder(model: CollisionModel, k_max: int) -> list[BondState]:
-    """Bond states chi_0..chi_{s*}, s* <= k_max.  On a chain of one channel (homogeneous, one
+def _bond_ladder(model: CollisionModel, k_max: int, first: int = 0) -> list[BondState]:
+    """Bond states chi_first..chi_{s*}, s* <= k_max.  On a chain of one channel (homogeneous, one
     unitary) the walk stops at the onset s*, the first rung ``_fixed`` against the next, from
-    which every thread repeats; else s* = k_max.  Rung k >= s* is chi_{s*} (``_rung``)."""
+    which every thread repeats; else s* = k_max.  Rung k >= s* is chi_{s*} (``_rung``), so an
+    onset before ``first`` leaves chi_{s*} alone; rungs before ``first`` are not kept."""
     repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
     chis = [model.env.initial_bond_state()]
     while chis[-1].site < k_max:
         chi = evolve_bond_state(model.env, chis[-1])
         if repeats and _fixed(chis[-1].matrix, chi.matrix):
             break
+        if chis[-1].site < first:
+            chis.pop()
         chis.append(chi)
     return chis
 
 
 def _rung(ladder: list[BondState], k: int) -> BondState:
-    """Bond state chi_k off a ``_bond_ladder`` that reaches k or stops at its onset."""
-    return BondState(k, ladder[min(k, len(ladder) - 1)].matrix)
+    """Bond state chi_k off a ``_bond_ladder`` that holds rung k or stops at its onset."""
+    return BondState(k, ladder[min(k, ladder[-1].site) - ladder[0].site].matrix)
 
 
-def _particle_state(model: CollisionModel, sites, chi: BondState) -> np.ndarray:
-    """Joint state of one or two particles on their padded mode (x) ancilla spaces.
+def _padded(model: CollisionModel, x: np.ndarray) -> np.ndarray:
+    """A two-particle operator x[i, j, k, l] = <i k|x|j l> (earlier particle i, j), each index
+    padded to the mode (x) ancilla space: mode levels the chain does not populate are zeros up
+    to ``model.mode_dim``; the ancilla is kept, so interactions enter as kron(h, I_anc)."""
+    anc = model.env.ancilla_dim
+    dims = [d for n in x.shape for d in (n // anc, anc)]
+    out = np.zeros([model.mode_dim, anc] * 4, dtype=complex)
+    out[tuple(map(slice, dims))] = x.reshape(dims)
+    return out.reshape((model.effective_mode_dim(),) * 4)
 
-    ``chi`` is the bond state entering ``sites[0]``.  Mode levels the chain
-    does not populate are padded with zeros up to ``model.mode_dim``; the
-    purification ancilla is kept, so interactions enter as ``kron(h, I_anc)``.
-    """
-    env = model.env
-    anc = env.ancilla_dim
-    if len(sites) == 1:
-        rho = site_reduced_state(env, chi)
-    else:
-        rho = two_site_reduced_state(env, sites[0], sites[1], chi)
-    dims = [d for k in sites for d in (env.mode_dim(k), anc)] * 2
-    out = np.zeros([model.mode_dim, anc] * (2 * len(sites)), dtype=complex)
-    out[tuple(slice(d) for d in dims)] = rho.reshape(dims)
-    dim = model.effective_mode_dim() ** len(sites)
-    return out.reshape(dim, dim)
+
+def _marginal_product(pair: np.ndarray) -> np.ndarray:
+    """tr_late(pair) (x) tr_early(pair) of a pair state (d_a, d_a, d_b, d_b), in its axes."""
+    return np.einsum("ipjj->ip", pair)[:, :, None, None] * np.einsum("iijq->jq", pair)
 
 
 def _basis_stack(d_s: int, chi: np.ndarray) -> np.ndarray:
@@ -270,7 +268,7 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
                           table: int = 0) -> list[BondState]:
-    """The ``_bond_ladder`` to k_max - 1 for ``_kernel_rows`` from s0.  Before any bond step it
+    """The ``_bond_ladder`` from s0 to k_max - 1 for ``_kernel_rows``.  Before any bond step it
     refuses a table of ``table`` numbers past ``KERNEL_GUARD`` (``SizeGuardError``), then a chain
     or unitary tuple short of k_max (IndexError); after the walk, a last step past the guard.  The
     step holds 2 m_eff + 1 stacks of the threads s0..max(s0, s*) (the input and, inside
@@ -282,8 +280,8 @@ def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
         raise IndexError(why)
     d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(s0, k_max)), default=1)
-    ladder = _bond_ladder(model, k_max - 1)
-    threads = max(s0, len(ladder) - 1) - s0 + 1
+    ladder = _bond_ladder(model, k_max - 1, s0)
+    threads = max(s0, ladder[-1].site) - s0 + 1
     stack = (2 * model.effective_mode_dim() + 1) * threads * d_s ** 2 * (d_s * d_bond) ** 2
     if stack > KERNEL_GUARD:
         raise SizeGuardError(f"thread stack of {stack} entries exceeds the {KERNEL_GUARD} guard")
@@ -324,7 +322,7 @@ def _kernel_rows(model: CollisionModel, s0: int, k_max: int, ladder: list[BondSt
     k_max - 1; each a view, valid until the next.  Threads s0..max(s0, s*), s* the onset of the
     ``_bond_ladder`` to k_max - 1, give them: as K_{k,m} = K_{s*+m,m} for k - m >= s*, row
     k >= s* is thread s*'s first k - s* outputs, then the live threads'."""
-    onset = max(s0, len(ladder) - 1)
+    onset = max(s0, ladder[-1].site)
     threads = _kernel_threads(model, range(s0, onset + 1), k_max, ladder)
     row = np.empty((k_max - s0,) + (model.d_system ** 2,) * 2, dtype=complex)
     for k, mats in enumerate(threads, s0):
@@ -404,19 +402,18 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
 
     ``h`` is the interaction generator on system (x) particle; A is h acting
     on the later particle, B on the earlier one, and the average is taken
-    against ``corr`` (earlier particle first).  Every term is bilinear in
-    (A, B), so the average only needs
-    X[s,t,u,v] = <A_st B_uv> = sum_ijpq corr[i,j,p,q] h[s,q,t,j] h[u,p,v,i],
+    against corr[i, p, j, q] = <i j|corr|p q> (earlier particle i, p, as
+    ``_padded`` returns it).  Every term is bilinear in (A, B), so the average
+    only needs X[s,t,u,v] = <A_st B_uv> = sum_ijpq corr[i,p,j,q] h[s,q,t,j] h[u,p,v,i],
     the matrix product X = H2^T C2^T H2 with H2[(j,q),(s,t)] = h[s,q,t,j] and
-    C2[(i,p),(j,q)] = corr[i,j,p,q].  The Hermitian-basis expansion
+    C2[(i,p),(j,q)] = corr[i,p,j,q].  The Hermitian-basis expansion
     sum_ab tr[(E_b (x) E_a) corr] S_a (x) S_b with S_a = tr_particle[h (I (x) E_a)]
     gives the same X by completeness of the basis.
     """
-    m = int(round(np.sqrt(corr.shape[0])))
+    m = corr.shape[0]
     d_s = h.shape[0] // m
     h2 = h.reshape(d_s, m, d_s, m).transpose(3, 1, 0, 2).reshape(m * m, d_s * d_s)
-    c2 = corr.reshape(m, m, m, m).transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    x = (h2.T @ c2.T @ h2).reshape(d_s, d_s, d_s, d_s)
+    x = (h2.T @ corr.reshape(m * m, m * m).T @ h2).reshape(d_s, d_s, d_s, d_s)
     eye = np.eye(d_s, dtype=complex)
     ab = np.einsum("sttv->sv", x)
     ba = np.einsum("xtux->ut", x)
@@ -426,22 +423,21 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
 
 
 def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
-    """Interaction generator on system (x) (mode (x) purification ancilla)."""
+    """Interaction generator on system (x) (mode (x) purification ancilla); H must be Hermitian."""
     if model.hamiltonian is None:
         raise ValueError("model carries no interaction Hamiltonian")
+    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
+        raise ValueError("interaction Hamiltonian must be Hermitian")
     return kron(model.hamiltonian, np.eye(model.env.ancilla_dim))
 
 
-def _second_order_kernels(model: CollisionModel, k: int, ms, ladder: list[BondState]):
-    """Yield ``second_order_kernel(model, k, m)`` for each m in ``ms`` off one bond ladder to k."""
-    h = _effective_hamiltonian(model)
-    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
-        raise ValueError("interaction Hamiltonian must be Hermitian")
-    late = _particle_state(model, (k,), _rung(ladder, k))
-    for m in ms:
-        early = _particle_state(model, (k - m,), _rung(ladder, k - m))
-        pair = _particle_state(model, (k - m, k), _rung(ladder, k - m))
-        yield _double_commutator(h, pair - kron(early, late)) * (-(model.g ** 2) * model.tau)
+def _second_order_kernels(model: CollisionModel, h: np.ndarray, k: int, chis):
+    """Yield ``second_order_kernel(model, k, k - chi.site)`` for each bond state chi in ``chis``,
+    by ascending delay, off one readout walk back from site k (``mps._pair_states``); ``h`` is
+    ``_effective_hamiltonian(model)``.  C = pair - tr_late(pair) (x) tr_early(pair)."""
+    scale = -(model.g ** 2) * model.tau
+    for pair in _pair_states(model.env, k, chis):
+        yield _double_commutator(h, _padded(model, (pair - _marginal_product(pair)) * scale))
 
 
 def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
@@ -453,15 +449,22 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     average is one matrix product of C with two copies of H (see
     ``_double_commutator``); it equals the expansion of H in any
     Hilbert-Schmidt-orthonormal mode basis weighted by tr[(E_b (x) E_a) C].
+    A chain short of k + 1 sites (IndexError) or a model without a Hermitian
+    H (ValueError) is refused before the bond ladder to k - m.
     """
     if m < 1 or m > k:
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
-    return next(_second_order_kernels(model, k, (m,), _bond_ladder(model, k)))
+    if why := model._shortfall(k + 1):
+        raise IndexError(why)
+    h = _effective_hamiltonian(model)
+    ladder = _bond_ladder(model, k - m, k - m)
+    return next(_second_order_kernels(model, h, k, [_rung(ladder, k - m)]))
 
 
 def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superoperator], list]:
     """Lists of K_{k,m} and of its second-order part (None at m = 0 or with no Hamiltonian) for
-    m = 0..min(m_max, k), off the one bond ladder to k that the guard walks before any collision."""
+    m = 0..min(m_max, k), off the one bond ladder from k - m_max to k that the guard walks before
+    any collision; the second-order column walks site k's readout back once for every delay."""
     if k < 0 or m_max < 0:
         raise ValueError(f"need k >= 0 and m_max >= 0, got k={k}, m_max={m_max}")
     m_max = min(m_max, k)
@@ -471,7 +474,8 @@ def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superop
         pass
     second = [None] * (m_max + 1)
     if model.hamiltonian is not None:
-        second[1:] = _second_order_kernels(model, k, range(1, m_max + 1), ladder)
+        chis = [_rung(ladder, k - m) for m in range(1, m_max + 1)]
+        second[1:] = _second_order_kernels(model, _effective_hamiltonian(model), k, chis)
     return [Superoperator(x, model.d_system, model.d_system) for x in row], second
 
 
@@ -510,11 +514,11 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     # Mean-field double commutator [<H>,[<H>,.]] is the same average at the
     # product state; the connected pair kernel at separation 1, decaying
     # geometrically as lambda2^m, sums the whole nonlocal tail.
-    rho1 = _particle_state(model, (0,), chi_star)
-    product = kron(rho1, rho1)
-    adh2 = _double_commutator(h, product)
-    pair = _particle_state(model, (0, 1), chi_star)
-    k1 = -_double_commutator(h, pair - product)  # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>
+    pair = next(_pair_states(model.env, 1, [chi_star]))
+    product = _marginal_product(pair)
+    adh2 = _double_commutator(h, _padded(model, product))
+    # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>
+    k1 = -_double_commutator(h, _padded(model, pair - product))
 
     if two_site == "correlated":
         # Local part already carries half of the separation-1 kernel.

@@ -191,6 +191,16 @@ def _bond_step(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (t.reshape(-1, d * dl) @ b.conj().reshape(d * dl, dr)).reshape(x.shape[:-2] + (dr, dr))
 
 
+def _readout_step(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """sum_i B[i] R B[i]^dag for one readout R or a stack (..., D_r, D_r): the adjoint of
+    ``_bond_step`` under the pairing sum X (.) R, so it walks a readout back one site."""
+    d, dl, dr = b.shape
+    t = r.reshape(-1, dr) @ b.conj().transpose(2, 0, 1).reshape(dr, d * dl)   # (R B[i]^dag)[p, e]
+    t = t.reshape(-1, dr, d, dl).transpose(0, 3, 2, 1).reshape(-1, d * dr)    # rows e, cols (i, p)
+    t = t @ b.transpose(0, 2, 1).reshape(d * dr, dl)                          # (B[i] R B[i]^dag)^T
+    return np.swapaxes(t.reshape(r.shape[:-2] + (dl, dl)), -1, -2)
+
+
 def _marginal(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_ab B[i,a,b] (X B[j]^*)[a,b], the (i, j) readout of X or of a stack of them."""
     d, dl, dr = b.shape
@@ -198,6 +208,26 @@ def _marginal(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     t = t.reshape(x.shape[:-2] + (dl, d, dr)).swapaxes(-3, -2).swapaxes(-2, -1)
     return (t.reshape(-1, dr * dl) @ b.conj().transpose(2, 1, 0).reshape(dr * dl, d)).reshape(
         x.shape[:-2] + (d, d))
+
+
+def _pair_states(env: MpsEnvironment, site_b: int, chis):
+    """Yield rho_{a,b} as arrays rho[i, j, k, l] = <i k|rho_ab|j l> (earlier site i, j) for each
+    bond state chi entering a site a = chi.site < site_b in ``chis``, by descending a.
+
+    Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_readout_step``)
+    and closes on M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is the sum of
+    M[i, j] (.) R[k, l].
+    """
+    b = env.site(site_b)
+    r, at = b[:, None] @ b.conj().transpose(0, 2, 1), site_b   # r reads the bond entering `at`
+    for chi in chis:
+        for k in range(at - 1, chi.site, -1):
+            r = _readout_step(env.site(k), r)
+        at = chi.site + 1
+        ba = env.site(chi.site)
+        m = ba.transpose(0, 2, 1)[:, None] @ (chi.matrix @ ba.conj())
+        pair = m.reshape(len(ba) ** 2, -1) @ r.reshape(len(b) ** 2, -1).T
+        yield pair.reshape(m.shape[:2] + r.shape[:2])
 
 
 def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
@@ -230,14 +260,9 @@ def two_site_reduced_state(env: MpsEnvironment, site_a: int, site_b: int,
         raise ValueError(f"need site_a < site_b, got {site_a} >= {site_b}")
     if chi.site != site_a:
         raise ValueError(f"bond state is at site {chi.site}, expected {site_a}")
-    ba = env.site(site_a)
-    # Operator-valued bond object M[i, j] = B[i]^T chi B[j]^*, carried as a stack.
-    m = ba.transpose(0, 2, 1)[:, None] @ (chi.matrix @ ba.conj())
-    for k in range(site_a + 1, site_b):
-        m = _bond_step(env.site(k), m)
-    out = _marginal(env.site(site_b), m)
-    da, db = out.shape[0], out.shape[2]
-    return out.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+    pair = next(_pair_states(env, site_b, [chi]))
+    da, db = pair.shape[0], pair.shape[2]
+    return pair.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

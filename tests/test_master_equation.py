@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -850,6 +851,83 @@ def test_second_order_matches_basis_expansion(name):
     want *= -(model.g ** 2) * model.tau
     assert np.max(np.abs(want)) > 1e-3
     assert np.max(np.abs(second_order_kernel(model, k, m).matrix - want)) < 1e-13
+
+
+@pytest.mark.parametrize("name,k", [("aklt", 12), ("two_photon", 12),
+                                    ("two_photon_decorrelated", 5),
+                                    ("single_photon_complex", 7), ("spin1_D16", 57)])
+def test_second_order_kernel_is_the_scans_one_entry_case(name, k):
+    # A per-m call walks the scan's readout to delay m alone and closes it on
+    # the same rung, so every entry agrees bit for bit: on finite chains, an
+    # ancilla chain and the D = 16 chain, whose onset 55 lies inside the scan.
+    model = reference_models()[name]
+    second = kernel_scan(model, k, k)[1]
+    for m in range(1, k + 1):
+        assert np.array_equal(second_order_kernel(model, k, m).matrix, second[m].matrix), m
+    assert name != "spin1_D16" or onset(model, k + 1) == 55
+
+
+def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("bond or readout step before the call was checked")
+
+    model = complex_single_photon_model(n_sites=8)
+    with pytest.raises(IndexError) as scan:
+        kernel_scan(model, 11, 1)
+    monkeypatch.setattr(mps, "_bond_step", no_work)
+    monkeypatch.setattr(mps, "_readout_step", no_work)
+    with pytest.raises(IndexError) as call:
+        second_order_kernel(model, 11, 1)
+    assert str(call.value) == str(scan.value) == "collision 8 beyond environment length 8"
+    silent = dataclasses.replace(build_model(ModelSpec("aklt"), g_tau=0.5), hamiltonian=None)
+    with pytest.raises(ValueError, match="no interaction Hamiltonian"):
+        second_order_kernel(silent, 5, 2)
+
+
+def test_second_order_walks_one_readout(monkeypatch):
+    # A per-m call walks the bond ladder to k - m and site k's readout back
+    # m - 1 sites; a scan's column walks the readout once for every delay and
+    # reads no two-site state.
+    bond_steps, readout_steps = [], []
+    evolve, readout = master_equation.evolve_bond_state, mps._readout_step
+    monkeypatch.setattr(master_equation, "evolve_bond_state",
+                        lambda env, chi: bond_steps.append(1) or evolve(env, chi))
+    monkeypatch.setattr(mps, "_readout_step", lambda b, r: readout_steps.append(1) or readout(b, r))
+    monkeypatch.setattr(mps, "two_site_reduced_state",
+                        lambda *args: pytest.fail("two-site state in a second-order walk"))
+    model = two_photon_model()
+    for k, m in ((12, 5), (12, 1), (12, 12), (30, 17)):
+        bond_steps.clear()
+        readout_steps.clear()
+        second_order_kernel(model, k, m)
+        assert (len(bond_steps), len(readout_steps)) == (k - m, m - 1)
+    readout_steps.clear()
+    kernel_scan(build_model(ModelSpec("aklt"), g_tau=0.5), 200, 200)
+    assert len(readout_steps) <= 200
+
+
+def test_kernel_scan_keeps_only_the_rungs_it_reads():
+    # two_photon at tau/T1 = tau/T2 = 1e-3 has its onset at s* = 15876: a scan
+    # at k = 20000 keeps chi_{s*} alone, where a full ladder holds 15877 rungs
+    # (8.0 MB), and off the onset its rows are the table's to the bit.
+    model = build_model(ModelSpec("two_photon", {"tau_over_T1": 1e-3, "tau_over_T2": 1e-3}),
+                        g_tau=0.3)
+    ladder = master_equation._bond_ladder(model, 20000, 19998)
+    assert [chi.site for chi in ladder] == [15876]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        kernel_scan(model, 20000, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    k = 300
+    kernels, _ = kernel_scan(model, k, 2)
+    table = build_kernel_table(model, k + 1)
+    for m in range(3):
+        assert np.array_equal(kernels[m].matrix, table.kernel(k, m).matrix)
 
 
 def test_exact_kernel_approaches_second_order():

@@ -258,6 +258,20 @@ def test_bond_step_and_marginal_match_einsum(rng, shape):
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+def test_readout_step_is_the_adjoint_of_the_bond_step(rng):
+    # sum(_bond_step(b, X) (.) R) = sum(X (.) _readout_step(b, R)) on a complex
+    # rectangular site (d = 3, D_l = 2, D_r = 5), for one operator and for stacks.
+    b = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
+    x = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+    r = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
+    for xs, rs in ((x, r), (x[1, 2], r[1, 2]), (x[0], r[0])):
+        walked = mps._readout_step(b, rs)
+        forward = np.sum(mps._bond_step(b, xs) * rs, axis=(-2, -1))
+        backward = np.sum(xs * walked, axis=(-2, -1))
+        assert walked.shape == xs.shape
+        assert np.max(np.abs(forward - backward)) <= 1e-13 * np.max(np.abs(forward))
+
+
 def test_bond_dimension_mismatch_raises():
     env = models.aklt_env()
     with pytest.raises(ValueError):
