@@ -10,14 +10,16 @@ The recurrence ``R(k) = sum_j A_j R(k-1) A_j^dag`` with ``R(0) = rho_S (x)
 chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
 
-``collide`` and ``trace_bond`` are the one implementation of this map, and
-``_traced_walk`` the one walk along the chain: ``trajectory`` runs it from
-R(0), the embedding's dynamical maps from a basis stack E (x) chi, both
-traced in batches; the memory-kernel threads collide a stack per step.
+``_collide`` (public as ``collide``) and ``trace_bond`` are the one
+implementation of this map, and ``_traced_walk`` the one walk along the chain:
+``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis
+stack E (x) chi, both collided into blocks that are bond-traced at once; the
+memory-kernel threads collide a stack per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +38,8 @@ __all__ = [
 ]
 
 
-_TRACE_BATCH_BYTES = 64 * 1024   # joint states held by ``_traced_walk`` for one bond trace
+_TRACE_BATCH_BYTES = 64 * 1024   # joint states ``_traced_walk`` collides into, then traces at once
+_KRAUS_BATCH_BYTES = 64 * 1024   # Kraus stacks ``_kraus_stacks`` builds by one einsum
 
 
 class CutoffConvergenceError(RuntimeError):
@@ -119,6 +122,27 @@ class CollisionModel:
         return self.mode_dim * self.env.ancilla_dim
 
 
+def _kraus_run(model: CollisionModel, ks) -> np.ndarray:
+    """Kraus stacks of the collisions ``ks``, by one einsum: shape (len(ks), m_eff,
+    d_S * D_out, d_S * D_in).  Their sites share one shape and their unitary is one matrix."""
+    env = model.env
+    b = env.site(ks[0])
+    dl, dr = b.shape[1], b.shape[2]
+    d_s, m, anc = model.d_system, model.mode_dim, env.ancilla_dim
+    u4 = model.base_unitary(ks[0]).reshape(d_s, m, d_s, m)
+    # Pad environment tensors with zero matrices for mode levels the chain
+    # does not populate (photon-creating interactions enlarge the out space).
+    # Mode levels are the slow part of the composite physical index, so the
+    # populated levels occupy a contiguous leading block.  The unitary acts
+    # on the mode only: the purification ancilla c passes through unchanged,
+    # which is U (x) I_anc without forming it.
+    bpad = np.zeros((len(ks), m, anc, dl, dr), dtype=complex)
+    for pad, k in zip(bpad, ks):
+        pad[: b.shape[0] // anc] = env.site(k).reshape(-1, anc, dl, dr)
+    ops = np.einsum("sqtp,kpcab->kqcsbta", u4, bpad)
+    return ops.reshape(len(ks), m * anc, d_s * dr, d_s * dl)
+
+
 def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     """Kraus operators of the k-th collision (0-based), stacked on axis 0.
 
@@ -128,48 +152,84 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     Completeness sum_j A_j^dag A_j = I follows from unitarity plus
     right-canonicality and is checked in the test suite, not here.
     """
-    env = model.env
-    b = env.site(k)
-    dl, dr = b.shape[1], b.shape[2]
-    d_s, m, anc = model.d_system, model.mode_dim, env.ancilla_dim
-    u4 = model.base_unitary(k).reshape(d_s, m, d_s, m)
-    # Pad environment tensors with zero matrices for mode levels the chain
-    # does not populate (photon-creating interactions enlarge the out space).
-    # Mode levels are the slow part of the composite physical index, so the
-    # populated levels occupy a contiguous leading block.  The unitary acts
-    # on the mode only: the purification ancilla c passes through unchanged,
-    # which is U (x) I_anc without forming it.
-    bpad = np.zeros((m, anc, dl, dr), dtype=complex)
-    bpad[: b.shape[0] // anc] = b.reshape(-1, anc, dl, dr)
-    ops = np.einsum("sqtp,pcab->qcsbta", u4, bpad)
-    return ops.reshape(m * anc, d_s * dr, d_s * dl)
+    return _kraus_run(model, (k,))[0]
+
+
+class _Channel:
+    """One collision channel, built once: the Kraus stack A (m, n_out, n_in), its rows as one
+    (m * n_out, n_in) matrix for a single left GEMM, and the adjoint stack A^dag."""
+
+    __slots__ = ("ops", "rows", "ops_dag")
+
+    def __init__(self, ops: np.ndarray, ops_dag: np.ndarray | None = None):
+        self.ops = ops
+        self.rows = ops.reshape(-1, ops.shape[2])
+        self.ops_dag = ops.conj().transpose(0, 2, 1) if ops_dag is None else ops_dag
 
 
 def _kraus_stacks(model: CollisionModel, ks: range):
-    """Yield the Kraus stack and its adjoint stack of each collision k in ``ks``.
+    """Yield the ``_Channel`` of each collision k in ``ks``.
 
-    A stack is rebuilt only when ``model.env.site(k)`` or
-    ``model.base_unitary(k)`` is a different object from the ones of the last
-    build, so a homogeneous chain builds one stack and GHZ three.
+    A channel is built only when ``model.env.site(k)`` or ``model.base_unitary(k)``
+    is a different object from the ones of the last build, so a homogeneous chain
+    builds one channel and GHZ three (first, bulk and last site).  Consecutive
+    builds whose sites share one shape under one unitary are one ``_kraus_run``
+    per ``_KRAUS_BATCH_BYTES`` (a larger stack alone).
     """
-    site = u = pair = None
+    env, unitary = model.env, model.base_unitary
+    site = u = channel = None
+    built = iter(())   # the channels of the current run not yet reached
     for k in ks:
-        if model.env.site(k) is not site or model.base_unitary(k) is not u:
-            site, u = model.env.site(k), model.base_unitary(k)
-            ops = kraus_operators(model, k)
-            pair = ops, ops.conj().transpose(0, 2, 1)
-        yield pair
+        if env.site(k) is not site or unitary(k) is not u:
+            site, u = env.site(k), unitary(k)
+            channel = next(built, None)
+            if channel is None:   # a new run: k and the next sites that each need a build
+                stack = 16 * model.effective_mode_dim() * model.d_system ** 2 * site[0].size
+                stop, end = min(ks.stop, k + max(1, _KRAUS_BATCH_BYTES // stack)), k + 1
+                while (end < stop and env.site(end) is not env.site(end - 1)
+                       and env.site(end).shape == site.shape and unitary(end) is u):
+                    end += 1
+                ops = _kraus_run(model, range(k, end))
+                built = map(_Channel, ops, ops.conj().transpose(0, 1, 3, 2))
+                channel = next(built)
+        yield channel
+
+
+def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
+             work: tuple | None = None) -> np.ndarray:
+    """sum_j A_j X A_j^dag for one X or a stack (..., n_in, n_in), into ``out`` if given.
+
+    The one implementation of the collision map.  The left products are one GEMM per X
+    over all j; regrouped by j, the right products are one GEMM per j over all X, then
+    summed over j.  With ``work`` (``_work``: one X), both products go to those buffers,
+    where the row products come grouped by j already.
+    """
+    if work is not None:
+        rows, grouped, right = work
+        np.matmul(channel.rows, x, out=rows)
+        np.matmul(grouped, channel.ops_dag, out=right)
+        return np.add.reduce(right, axis=0, out=out)
+    m, n_out, n_in = channel.ops.shape
+    rows = channel.rows @ x
+    rows = rows.reshape(-1, m, n_out, n_in).swapaxes(0, 1).reshape(m, -1, n_in)   # regroup by j
+    rows = rows @ channel.ops_dag   # rebinding frees the regrouped copy
+    if out is None:
+        return np.add.reduce(rows, axis=0).reshape(x.shape[:-2] + (n_out, n_out))
+    np.add.reduce(rows, axis=0, out=out.reshape(-1, n_out))
+    return out
+
+
+def _work(shape: tuple) -> tuple:
+    """``_collide``'s buffers for one X and a Kraus stack of ``shape``: the row products, flat
+    and grouped by j, and the right products."""
+    m, n_out, n_in = shape
+    rows = np.empty((m * n_out, n_in), dtype=complex)
+    return rows, rows.reshape(m, n_out, n_in), np.empty((m, n_out, n_out), dtype=complex)
 
 
 def collide(ops: np.ndarray, x: np.ndarray, ops_dag: np.ndarray | None = None) -> np.ndarray:
     """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in); ``ops_dag`` = A^dag."""
-    if ops_dag is None:
-        ops_dag = ops.conj().transpose(0, 2, 1)
-    m, n_out, n_in = ops.shape
-    rows = ops.reshape(m * n_out, n_in) @ x   # one GEMM per X, all j
-    rows = rows.reshape(-1, m, n_out, n_in).swapaxes(0, 1).reshape(m, -1, n_in)   # regroup by j
-    rows = rows @ ops_dag   # one GEMM per j, all X; rebinding frees the regrouped copy
-    return np.add.reduce(rows, axis=0).reshape(x.shape[:-2] + (n_out, n_out))
+    return _collide(_Channel(ops, ops_dag), x)
 
 
 def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
@@ -179,22 +239,37 @@ def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
     return np.einsum("...sata->...st", x)
 
 
+def _trace_block(shape: tuple) -> np.ndarray:
+    """Room for the joint states of ``shape`` that one ``trace_bond`` takes: ``_TRACE_BATCH_BYTES``
+    of them, or one larger state."""
+    return np.empty((max(1, _TRACE_BATCH_BYTES // (16 * math.prod(shape))),) + shape, dtype=complex)
+
+
 def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
     """Yield tr_bond of ``r`` and of its image after each collision k in ``ks``.
 
-    ``r`` is one joint matrix or a stack of them; it goes through ``collide`` with
-    each distinct channel's Kraus and adjoint stacks built once (``_kraus_stacks``).
-    Runs of equal shape are bond-traced by one ``trace_bond`` per
-    ``_TRACE_BATCH_BYTES`` (a larger state alone).
+    ``r`` is one joint matrix or a stack of them.  Each collision goes through
+    ``_collide`` with the channels of ``_kraus_stacks``, straight into the next slot
+    of a ``_trace_block``; one ``trace_bond`` per full block, or per run of equal
+    shape.  One matrix collides through ``_work`` buffers, kept while the Kraus
+    stack's shape holds.
     """
-    held = [r]
-    for ops, ops_dag in _kraus_stacks(model, ks):
-        r = collide(ops, r, ops_dag)
-        if r.shape != held[0].shape or (len(held) + 1) * r.nbytes > _TRACE_BATCH_BYTES:
-            yield from trace_bond(np.stack(held), model.d_system)
-            held = []
-        held.append(r)
-    yield from trace_bond(np.stack(held), model.d_system)
+    block = _trace_block(r.shape)
+    block[0] = r
+    i, shape, work = 0, None, None
+    for channel in _kraus_stacks(model, ks):
+        if channel.ops.shape != shape:
+            shape = channel.ops.shape
+            work = _work(shape) if r.ndim == 2 else None
+            if shape[1] != block.shape[-1]:
+                yield from trace_bond(block[: i + 1], model.d_system)
+                block, i = _trace_block(r.shape[:-2] + (shape[1],) * 2), -1
+        if i + 1 == len(block):
+            yield from trace_bond(block, model.d_system)
+            i = -1
+        i += 1
+        r = _collide(channel, r, block[i], work)
+    yield from trace_bond(block[: i + 1], model.d_system)
 
 
 def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:

@@ -8,7 +8,7 @@ recursion reproduces the embedding trajectory exactly.  Kernels with the
 same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
 system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
-through one ``collide`` per step: a table costs k_max batched collisions.
+through one ``embedding._collide`` per step: a table costs k_max batched collisions.
 Once a chain of one channel holds its bond state fixed to roundoff, at the onset
 s*, every later thread repeats thread s*: threads s0..s* give the transient
 rows, and K_{k,m} = K_{s*+m,m} for k - m >= s* is read off thread s*.  The
@@ -272,8 +272,8 @@ def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
     refuses a table of ``table`` numbers past ``KERNEL_GUARD`` (``SizeGuardError``), then a chain
     or unitary tuple short of k_max (IndexError); after the walk, a last step past the guard.  The
     step holds 2 m_eff + 1 stacks of the threads s0..max(s0, s*) (the input and, inside
-    ``collide``, two m_eff-fold temporaries at a time: the row products and their copy regrouped
-    by Kraus index, then that copy and the right products)."""
+    ``embedding._collide``, two m_eff-fold temporaries at a time: the row products and their copy
+    regrouped by Kraus index, then that copy and the right products)."""
     if table > KERNEL_GUARD:
         raise SizeGuardError(f"kernel table of {table} entries exceeds the {KERNEL_GUARD} guard")
     if why := model._shortfall(k_max):
@@ -293,7 +293,7 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: li
 
     Thread s, the basis stack W_s[E] = E (x) chi_s (``_basis_stack``), enters the stack
     first: newest first is ascending m.  At step k every live thread goes through one
-    ``collide`` with the step's Kraus stack, built once per distinct channel as in
+    ``_collide`` with the step's channel, built once per distinct channel as in
     ``trajectory``; K_{k,k-s} is read off the bond trace, and Q_{k+1} X = X - tr_bond(X)
     (x) chi_{k+1} advances them.  ``ladder`` is the ``_bond_ladder`` to k_max - 1.
     """
@@ -301,12 +301,12 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: li
     d2 = d_s ** 2
     threads = np.zeros((0, d2) + (d_s * _rung(ladder, starts.start).matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
-    for k, (ops, ops_dag) in zip(steps, emb._kraus_stacks(model, steps)):
+    for k, channel in zip(steps, emb._kraus_stacks(model, steps)):
         if k in starts:
             threads = np.concatenate([_basis_stack(d_s, _rung(ladder, k).matrix)[None], threads])
-        # Only the live threads themselves enter the next collide: the step's
+        # Only the live threads themselves enter the next collision: the step's
         # input is released on return and Q advances the output in place.
-        threads = emb.collide(ops, threads, ops_dag)
+        threads = emb._collide(channel, threads)
         traced = emb.trace_bond(threads, d_s)
         if k + 1 < k_max:
             threads -= kron(traced, _rung(ladder, k + 1).matrix)

@@ -726,7 +726,7 @@ def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
     # At k = m_max = 59 two_photon (D = 3, no onset by rung 59) holds 60 thread
     # stacks of 7 * 4 * 6**2 numbers; aklt, onset 0, walks one of 7 * 4 * 4**2.
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 400)
-    monkeypatch.setattr(embedding, "collide",
+    monkeypatch.setattr(embedding, "_collide",
                         lambda *args: pytest.fail("collision before the guard"))
     two_photon = model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1})
     for doc, entries in ((two_photon, 60480), (aklt_doc(), 448)):

@@ -159,15 +159,16 @@ def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds):
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
     reference = stepwise_reference(model, rho0, k_max)
 
-    calls = []
+    built = []   # site channels, however many one einsum builds
+    kraus_run = embedding._kraus_run
 
-    def counted(model, k):
-        calls.append(k)
-        return kraus_operators(model, k)
+    def counted(model, ks):
+        built.extend(ks)
+        return kraus_run(model, ks)
 
-    monkeypatch.setattr(embedding, "kraus_operators", counted)
+    monkeypatch.setattr(embedding, "_kraus_run", counted)
     states = trajectory(model, rho0, k_max)
-    assert len(calls) == builds
+    assert len(built) == builds
     assert len(states) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))
 
@@ -252,7 +253,7 @@ def test_step_cptp_random_states(rng):
 def test_trajectory_beyond_finite_environment(monkeypatch):
     model = zoo_models()["ghz"]
     calls = []
-    monkeypatch.setattr(embedding, "collide", lambda *args: calls.append(1))
+    monkeypatch.setattr(embedding, "_collide", lambda *args: calls.append(1))
     with pytest.raises(IndexError, match="collision 8 beyond environment length 8"):
         trajectory(model, models.named_initial_state("ground"), 9)
     assert calls == []   # refused before the first collision
@@ -279,7 +280,7 @@ def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the unitary tuple was checked")
 
-    for owner, name in ((embedding, "collide"), (mps, "_bond_step"),
+    for owner, name in ((embedding, "_collide"), (mps, "_bond_step"),
                         (oracle, "_environment_state")):
         monkeypatch.setattr(owner, name, no_work)
     with pytest.raises(error, match="no unitary for step 3"):
@@ -289,7 +290,7 @@ def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
 def test_trajectory_rejects_a_wrong_shape_state(monkeypatch):
     model = zoo_models()["aklt"]
     calls = []
-    monkeypatch.setattr(embedding, "collide", lambda *args: calls.append(1))
+    monkeypatch.setattr(embedding, "_collide", lambda *args: calls.append(1))
     with pytest.raises(ValueError, match=r"system state shape \(3, 3\), expected \(2, 2\)"):
         trajectory(model, np.eye(3) / 3, 4)
     assert calls == []   # refused before the first collision
@@ -318,32 +319,91 @@ def parent_collide(ops, x, *_):
     return np.sum(ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3)
 
 
+def walk_models():
+    """(model, k_max): the bond-changing chains, three homogeneous chains and the
+    per-site decorrelated twins of the two that are not stationary."""
+    zoo = zoo_models()
+    cases = {name: (model, model.env.length) for name, model in bond_change_models().items()}
+    for name in ("aklt", "cluster", "two_photon"):
+        cases[name] = (zoo[name], 40)
+    for name in ("cluster", "two_photon"):
+        twin = dataclasses.replace(zoo[name], env=decorrelate(zoo[name].env, length=40))
+        assert not twin.env.homogeneous
+        cases[name + "_decorrelated"] = (twin, 40)
+    return cases
+
+
+def stack_bytes(model, k):
+    b = model.env.site(k)
+    return 16 * model.effective_mode_dim() * model.d_system ** 2 * b.shape[1] * b.shape[2]
+
+
 @pytest.mark.parametrize("budget", [None, 1024])
-@pytest.mark.parametrize("name", ["ghz", "single_photon", "random_1_32_1"])
+@pytest.mark.parametrize("name", list(walk_models()))
 def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
-    model = bond_change_models()[name]
-    k_max = model.env.length
+    # The walk's collisions into trace blocks and its Kraus stacks built per run of
+    # sites give the bits of one per-pair collide, with a stack built for every site.
+    model, k_max = walk_models()[name]
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "collide", parent_collide)
         reference = stepwise_reference(model, rho0, k_max)
 
     if budget is not None:
+        # Trace blocks of a few states, and Kraus builds of two stacks of the widest bond.
         monkeypatch.setattr(embedding, "_TRACE_BATCH_BYTES", budget)
-    batches = []
+        monkeypatch.setattr(embedding, "_KRAUS_BATCH_BYTES",
+                            2 * max(stack_bytes(model, k) for k in range(k_max)))
+    batches, builds = [], []
 
     def recorded(x, d_system):
         batches.append((len(x), x.nbytes))
         return trace_bond(x, d_system)
 
+    kraus_run = embedding._kraus_run
+
+    def built(model, ks):
+        builds.append(kraus_run(model, ks))
+        return builds[-1]
+
     monkeypatch.setattr(embedding, "trace_bond", recorded)
+    monkeypatch.setattr(embedding, "_kraus_run", built)
     states = trajectory(model, rho0, k_max)
     assert len(states) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))
     assert sum(n for n, _ in batches) == k_max + 1
-    # Each batch fits the byte budget, unless it is one state larger than it.
+    # Each batch and each build fits its byte budget, unless it is one state or stack larger.
     assert all(size <= embedding._TRACE_BATCH_BYTES or n == 1 for n, size in batches)
-    assert len(batches) > 1
+    assert all(ops.nbytes <= embedding._KRAUS_BATCH_BYTES or len(ops) == 1 for ops in builds)
+    if budget is not None or name in bond_change_models():
+        assert len(batches) > 1   # a block ends mid-run, or where the bond changes
+    if name.endswith("_decorrelated"):   # one run of 40 distinct sites
+        assert len(builds) == (20 if budget else 1)
+
+
+def test_kraus_runs_equal_per_site_builds():
+    # Stacks built by one einsum per run of equal-shape sites, in runs cut by the
+    # byte budget, hold the bits of a kraus_operators call per site, and those of
+    # the per-site contraction through kron(U, I_anc).
+    model = bond_change_models()["random_1_32_1"]
+    ks = range(model.env.length)
+    shapes = [model.env.site(k).shape for k in ks]
+    for k in ks:
+        end = k + 1
+        while end < len(ks) and shapes[end] == shapes[k]:
+            end += 1
+        got = embedding._kraus_run(model, range(k, end))
+        for ops, j in zip(got, range(k, end)):
+            assert np.array_equal(ops, kraus_operators(model, j)), (k, j)
+            assert np.array_equal(ops, kron_kraus_reference(model, j)), (k, j)
+    for budget in (1, 2 * stack_bytes(model, 7), embedding._KRAUS_BATCH_BYTES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embedding, "_KRAUS_BATCH_BYTES", budget)
+            channels = list(embedding._kraus_stacks(model, ks))
+        for k, channel in zip(ks, channels):
+            ops = kraus_operators(model, k)
+            assert np.array_equal(channel.ops, ops), (budget, k)
+            assert np.array_equal(channel.ops_dag, ops.conj().transpose(0, 2, 1)), (budget, k)
 
 
 def kraus_stack_cases():

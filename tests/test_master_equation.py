@@ -386,13 +386,13 @@ def test_kernel_route(name, stationary, monkeypatch):
     s_star = 0 if stationary else {"cluster": 1}.get(name, k_max - 1)
     assert onset(model, k_max) == s_star
     threads = []
-    collide = embedding.collide
+    collide = embedding._collide
 
-    def counted(ops, x, *adjoint):
+    def counted(channel, x, *rest):
         threads.append(x.shape[0])
-        return collide(ops, x, *adjoint)
+        return collide(channel, x, *rest)
 
-    monkeypatch.setattr(embedding, "collide", counted)
+    monkeypatch.setattr(embedding, "_collide", counted)
     want = [min(k, s_star) + 1 for k in range(k_max)]
     table = build_kernel_table(model, k_max)
     assert threads == want
@@ -442,14 +442,14 @@ def test_stationary_chi0_walks_one_thread(d_bond, monkeypatch):
     k_max = 150
     assert onset(model, k_max) == 0
     threads = []
-    collide = embedding.collide
+    collide = embedding._collide
 
-    def counted(ops, x, *adjoint):
+    def counted(channel, x, *rest):
         threads.append(x.shape[0])
-        return collide(ops, x, *adjoint)
+        return collide(channel, x, *rest)
 
     with monkeypatch.context() as patch:
-        patch.setattr(embedding, "collide", counted)
+        patch.setattr(embedding, "_collide", counted)
         table = build_kernel_table(model, k_max)
     assert threads == [1] * k_max
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
@@ -494,7 +494,7 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the horizon was checked")
 
-    for owner, name, stub in ((embedding, "collide", no_work), (mps, "_bond_step", no_work),
+    for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_bond_step", no_work),
                               (Superoperator, "_taylor", property(no_work)),
                               (Superoperator, "_exp", no_work)):
         monkeypatch.setattr(owner, name, stub)
@@ -543,17 +543,17 @@ def test_kernel_table_collide_count(spec, monkeypatch):
     # superoperator is composed on the way.
     model = build_model(spec, g_tau=0.4)
     collisions, products = [], []
-    collide, matmul = embedding.collide, Superoperator.__matmul__
+    collide, matmul = embedding._collide, Superoperator.__matmul__
 
-    def counted_collide(ops, x, *adjoint):
+    def counted_collide(channel, x, *rest):
         collisions.append(1)
-        return collide(ops, x, *adjoint)
+        return collide(channel, x, *rest)
 
     def counted_matmul(self, other):
         products.append(1)
         return matmul(self, other)
 
-    monkeypatch.setattr(embedding, "collide", counted_collide)
+    monkeypatch.setattr(embedding, "_collide", counted_collide)
     monkeypatch.setattr(Superoperator, "__matmul__", counted_matmul)
     k_max = 20
     build_kernel_table(model, k_max)
@@ -575,21 +575,22 @@ def test_kernel_table_collide_count(spec, monkeypatch):
 def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
     model = build_model(spec, g_tau=0.4)
     k_max = 10
-    # Reference: a fresh Kraus stack at every step, as without reuse, and
-    # its adjoint formed inside every collide.
+    # Reference: a fresh Kraus stack and adjoint at every step, as without reuse,
+    # each site built on its own.
     with monkeypatch.context() as patch:
-        patch.setattr(embedding, "_kraus_stacks",
-                      lambda model, ks: ((kraus_operators(model, k), None) for k in ks))
+        patch.setattr(embedding, "_kraus_stacks", lambda model, ks: (
+            embedding._Channel(kraus_operators(model, k)) for k in ks))
         reference = build_kernel_table(model, k_max)
-    calls = []
+    built = []   # site channels, however many one einsum builds
+    kraus_run = embedding._kraus_run
 
-    def counted(model, k):
-        calls.append(k)
-        return kraus_operators(model, k)
+    def counted(model, ks):
+        built.extend(ks)
+        return kraus_run(model, ks)
 
-    monkeypatch.setattr(embedding, "kraus_operators", counted)
+    monkeypatch.setattr(embedding, "_kraus_run", counted)
     table = build_kernel_table(model, k_max)
-    assert len(calls) == builds
+    assert len(built) == builds
     assert len(table.packed) == len(reference.packed) == k_max * (k_max + 1) // 2
     for k in range(k_max):
         kernels, _ = kernel_scan(model, k, k)
@@ -609,8 +610,8 @@ def test_kernel_table_matches_per_call_adjoint(spec, monkeypatch):
     # bits of an adjoint and an np.sum formed inside every collide.
     model = build_model(spec, g_tau=0.3, fock_cutoff=5 if spec.name == "cluster" else None)
     table = build_kernel_table(model, 12)
-    monkeypatch.setattr(embedding, "collide", lambda ops, x, *_: np.sum(
-        ops @ x[..., None, :, :] @ ops.conj().transpose(0, 2, 1), axis=-3))
+    monkeypatch.setattr(embedding, "_collide", lambda channel, x, *_: np.sum(
+        channel.ops @ x[..., None, :, :] @ channel.ops.conj().transpose(0, 2, 1), axis=-3))
     assert np.array_equal(table.packed, build_kernel_table(model, 12).packed)
 
 
@@ -623,10 +624,10 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
     k_max = 9
     assert len(build_kernel_table(model, k_max).packed) == k_max * (k_max + 1) // 2
 
-    def refuse(ops, x):
+    def refuse(*args):
         raise AssertionError("collide called before the guard")
 
-    monkeypatch.setattr(embedding, "collide", refuse)
+    monkeypatch.setattr(embedding, "_collide", refuse)
     stack = (k_max + 1) * model.d_system ** 2 * (model.d_system * 64) ** 2
     assert 3 * stack <= KERNEL_GUARD
     with pytest.raises(SizeGuardError, match="thread stack"):
@@ -665,14 +666,14 @@ def test_kernel_guard_counts_the_onset_threads(monkeypatch):
     assert onset(model, k_max) == 56
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", k_max * (k_max + 1) // 2 * 16)
     threads = []
-    collide = embedding.collide
+    collide = embedding._collide
 
-    def counted(ops, x, *adjoint):
+    def counted(channel, x, *rest):
         threads.append(x.shape[0])
-        return collide(ops, x, *adjoint)
+        return collide(channel, x, *rest)
 
     with monkeypatch.context() as patch:
-        patch.setattr(embedding, "collide", counted)
+        patch.setattr(embedding, "_collide", counted)
         table = build_kernel_table(model, k_max)
     assert threads == [min(k, 56) + 1 for k in range(k_max)]
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
