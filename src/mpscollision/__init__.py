@@ -16,7 +16,7 @@ from .embedding import (
     observable_series,
     trajectory,
 )
-from .linalg import expm_hermitian_generator, kron, lq_factorize, partial_trace
+from .linalg import expm_hermitian_generator, kron, lq_factorize
 from .master_equation import (
     KernelTable,
     Superoperator,
@@ -49,7 +49,6 @@ from .mps import (
     right_canonicalize,
     site_reduced_state,
     transfer_spectrum,
-    two_site_reduced_state,
 )
 from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
 

@@ -1,9 +1,8 @@
 """Dense complex linear algebra shared by all modules.
 
 Everything operates on plain ``numpy.ndarray`` matrices of dtype complex128.
-Operators on composite spaces are square matrices together with a tuple of
-factor dimensions (row-major / kron ordering); helpers here take the factor
-dimensions explicitly.
+Operators on composite spaces are square matrices in kron ordering: the first
+factor is the slow index.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ __all__ = [
     "DEFAULT_TOL",
     "kron",
     "dagger",
-    "partial_trace",
     "expm_hermitian_generator",
     "lq_factorize",
     "hermitian_part",
@@ -48,36 +46,6 @@ def frobenius(a: np.ndarray) -> float:
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + dagger(a))
-
-
-def partial_trace(matrix: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all tensor factors not listed in ``keep``.
-
-    ``matrix`` is a square operator on the tensor product of spaces with
-    dimensions ``dims`` (kron ordering).  ``keep`` is an iterable of factor
-    indices to retain, in their original order.  The trace of the result
-    equals the trace of the input.
-    """
-    dims = [int(d) for d in dims]
-    n = len(dims)
-    keep = sorted(set(int(i) for i in keep))
-    if not keep:
-        raise ValueError("keep must select at least one factor")
-    for i in keep:
-        if i < 0 or i >= n:
-            raise ValueError(f"factor index {i} out of range for {n} factors")
-    total = int(np.prod(dims))
-    if matrix.shape != (total, total):
-        raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims}")
-
-    tensor = matrix.reshape(dims + dims)
-    # Contract bra/ket legs of every traced factor, highest index first so
-    # the remaining axis numbering stays valid.
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
-    kept_dim = int(np.prod([dims[i] for i in keep]))
-    return tensor.reshape(kept_dim, kept_dim)
 
 
 def expm_hermitian_generator(h: np.ndarray, theta: float) -> np.ndarray:

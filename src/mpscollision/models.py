@@ -28,7 +28,7 @@ __all__ = [
     "two_photon_env", "cluster_env", "aklt_env", "ghz_env", "single_photon_env",
     "annihilation", "spin1_matrices",
     "interaction",
-    "aklt_exact_q", "aklt_markov_q", "aklt_pair_state",
+    "aklt_exact_q", "aklt_markov_q",
     "named_initial_state", "named_observable",
     "depolarization_series",
     "build_model", "environment_for",
@@ -309,22 +309,6 @@ def aklt_exact_q(k: int, g_tau: float) -> float:
 def aklt_markov_q(k: int, g_tau: float) -> float:
     """Depolarization parameter per the uncorrelated-environment assumption."""
     return float(((11.0 + 16.0 * np.cos(1.5 * g_tau)) / 27.0) ** k)
-
-
-def aklt_pair_state(separation: int) -> np.ndarray:
-    """Two-particle reduced density matrix of sites at the given separation.
-
-    Isotropic exchange form I/9 + c * sum_a J_a (x) J_a with the correlation
-    weight c = (1/3) (-1/3)^separation, which reproduces the per-component
-    spin correlation (4/3)(-1/3)^m and has no total-spin-2 weight at
-    separation 1.
-    """
-    if separation < 1:
-        raise ValueError("separation must be >= 1")
-    jx, jy, jz = spin1_matrices()
-    coupling = kron(jx, jx) + kron(jy, jy) + kron(jz, jz)
-    c = (1.0 / 3.0) * (-1.0 / 3.0) ** separation
-    return np.eye(9, dtype=complex) / 9.0 + c * coupling
 
 
 def named_initial_state(name: str) -> np.ndarray:

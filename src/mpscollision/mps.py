@@ -44,7 +44,6 @@ __all__ = [
     "right_canonicalize",
     "evolve_bond_state",
     "site_reduced_state",
-    "two_site_reduced_state",
     "transfer_spectrum",
     "stationary_bond_state",
     "decorrelate",
@@ -247,22 +246,6 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
     return _marginal(b, chi.matrix)
-
-
-def two_site_reduced_state(env: MpsEnvironment, site_a: int, site_b: int,
-                           chi: BondState) -> np.ndarray:
-    """Joint density matrix of particles at ``site_a`` < ``site_b``.
-
-    ``chi`` is the bond state entering ``site_a`` (``chi.site == site_a``).
-    The first tensor factor of the result is the earlier site.
-    """
-    if site_a >= site_b:
-        raise ValueError(f"need site_a < site_b, got {site_a} >= {site_b}")
-    if chi.site != site_a:
-        raise ValueError(f"bond state is at site {chi.site}, expected {site_a}")
-    pair = next(_pair_states(env, site_b, [chi]))
-    da, db = pair.shape[0], pair.shape[2]
-    return pair.transpose(0, 2, 1, 3).reshape(da * db, da * db)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

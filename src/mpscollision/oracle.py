@@ -52,7 +52,7 @@ class OracleRun:
         # One run's vector: (system, purified chi0, sites), each collided site
         # padded to the model's mode space by _pure_trajectory; the environment
         # tensor (purified chi0, sites, open right bond) lives through every run.
-        rank = _bond_rank(env.chi0)
+        rank = max(len(_purification_matrix(env.chi0)), 1)
         size, env_size, right = d_s * rank, rank, env.chi0.shape[0]
         for k in range(self.n_sites):
             size *= max(env.phys_dim(k), self.model.effective_mode_dim(k) if k < self.k_max else 1)
@@ -63,15 +63,10 @@ class OracleRun:
                 raise SizeGuardError(f"{what} of {entries} entries exceeds the {STATE_GUARD} guard")
 
 
-def _bond_rank(chi0: np.ndarray, tol: float = 1e-12) -> int:
-    w = np.linalg.eigvalsh(hermitian_part(chi0))
-    return max(int(np.sum(w > tol * max(w.max(), 1.0))), 1)
-
-
-def _purification_matrix(chi0: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _purification_matrix(chi0: np.ndarray) -> np.ndarray:
     """W with W^T W^* = chi0; rows index the purifying ancilla."""
     w, v = np.linalg.eigh(hermitian_part(chi0))
-    keep = w > tol * max(w.max(), 1.0)
+    keep = w > 1e-12 * max(w.max(), 1.0)
     return (np.sqrt(w[keep])[:, None] * v[:, keep].T).astype(complex)
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mpscollision.mps import _bulk_tensor
+from mpscollision.linalg import kron
+from mpscollision.models import spin1_matrices
+from mpscollision.mps import _bulk_tensor, _pair_states
 
 
 @pytest.fixture
@@ -62,6 +64,43 @@ def transfer_matrix(env) -> np.ndarray:
     return np.einsum("iab,icd->bdac", bulk, bulk.conj()).reshape(
         bulk.shape[2] ** 2, bulk.shape[1] ** 2
     )
+
+
+def partial_trace(matrix: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every tensor factor of ``matrix`` (kron ordering, factor dimensions ``dims``)
+    not listed in ``keep``; the kept factors stay in their original order.
+
+    The dense reference for the library's reduced states.
+    """
+    dims = [int(d) for d in dims]
+    tensor = matrix.reshape(dims + dims)
+    # Contract bra and ket legs of each traced factor, highest index first so
+    # the remaining axis numbering stays valid.
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        tensor = np.trace(tensor, axis1=i, axis2=i + tensor.ndim // 2)
+    kept = int(np.prod([dims[i] for i in sorted(set(keep))]))
+    return tensor.reshape(kept, kept)
+
+
+def pair_state(env, site_b: int, chi) -> np.ndarray:
+    """Joint density matrix of the particles at ``chi.site`` < ``site_b``, the earlier one
+    as the first kron factor: the one-entry case of ``mps._pair_states``."""
+    pair = next(_pair_states(env, site_b, [chi]))
+    da, db = pair.shape[0], pair.shape[2]
+    return pair.transpose(0, 2, 1, 3).reshape(da * db, da * db)
+
+
+def aklt_pair_state(separation: int) -> np.ndarray:
+    """Closed-form AKLT two-particle state of sites ``separation`` >= 1 apart.
+
+    Isotropic exchange form I/9 + c * sum_a J_a (x) J_a with the correlation
+    weight c = (1/3) (-1/3)^separation, which reproduces the per-component
+    spin correlation (4/3)(-1/3)^m and has no total-spin-2 weight at
+    separation 1.
+    """
+    jx, jy, jz = spin1_matrices()
+    coupling = kron(jx, jx) + kron(jy, jy) + kron(jz, jz)
+    return np.eye(9, dtype=complex) / 9.0 + (1.0 / 3.0) * (-1.0 / 3.0) ** separation * coupling
 
 
 PREFIX_GUARD = 2 ** 14

@@ -23,10 +23,10 @@ from mpscollision.master_equation import (
     stroboscopic_generator,
 )
 from mpscollision.models import ModelSpec, aklt_exact_q, aklt_markov_q, build_model
-from mpscollision.mps import decorrelate, two_site_reduced_state
+from mpscollision.mps import decorrelate
 from mpscollision.oracle import OracleRun, brute_force_trajectory
 
-from conftest import trace_distance
+from conftest import pair_state, trace_distance
 
 GROUND = models.named_initial_state("ground")
 
@@ -81,7 +81,7 @@ def _aklt_pair_error(coefficient_scale: float) -> float:
     coupling = kron(jx, jx) + kron(jy, jy) + kron(jz, jz)
     worst = 0.0
     for m in range(1, 7):
-        got = two_site_reduced_state(env, 0, m, chi)
+        got = pair_state(env, m, chi)
         formula = np.eye(9) / 9.0 + coefficient_scale * (-1.0 / 3.0) ** m * coupling
         worst = max(worst, float(np.max(np.abs(got - formula))))
     return worst

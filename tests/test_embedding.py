@@ -13,13 +13,13 @@ from mpscollision.embedding import (
     trace_bond,
     trajectory,
 )
-from mpscollision.linalg import dagger, kron, partial_trace
+from mpscollision.linalg import dagger, kron
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_canonicalize
 from mpscollision.master_equation import build_kernel_table, kernel_scan, single_collision_channel
 from mpscollision.oracle import OracleRun, brute_force_trajectory
 
-from conftest import random_density
+from conftest import partial_trace, random_density
 
 
 def zoo_models():

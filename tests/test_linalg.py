@@ -5,10 +5,9 @@ from mpscollision.linalg import (
     expm_hermitian_generator,
     kron,
     lq_factorize,
-    partial_trace,
 )
 
-from conftest import hermitian_basis, random_density, random_hermitian
+from conftest import hermitian_basis, partial_trace, random_density, random_hermitian
 
 
 def test_kron_identities():
@@ -86,13 +85,6 @@ def test_partial_trace_three_factors(rng):
     assert abs(np.trace(red) - 1.0) < 1e-12
     # keeping everything is the identity
     assert np.allclose(partial_trace(rho, (2, 3, 2), keep=(0, 1, 2)), rho)
-
-
-def test_partial_trace_invalid_index():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), (2, 3), keep=(2,))
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(6), (2, 3), keep=())
 
 
 def test_expm_diagonal_phase():

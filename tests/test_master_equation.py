@@ -7,7 +7,7 @@ import scipy.linalg
 
 from mpscollision import embedding, master_equation, models, mps
 from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
-from mpscollision.linalg import dagger, frobenius, kron, partial_trace
+from mpscollision.linalg import dagger, frobenius, kron
 from mpscollision.master_equation import (
     KERNEL_GUARD,
     Superoperator,
@@ -33,11 +33,17 @@ from mpscollision.mps import (
     site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
-    two_site_reduced_state,
 )
 from mpscollision.oracle import SizeGuardError
 
-from conftest import hermitian_basis, random_density, random_hermitian, trace_distance
+from conftest import (
+    hermitian_basis,
+    pair_state,
+    partial_trace,
+    random_density,
+    random_hermitian,
+    trace_distance,
+)
 
 
 def vacuum_product_model(g_tau=0.4):
@@ -119,11 +125,11 @@ def padded_site_state(model, chi):
                (model.mode_dim, anc))
 
 
-def padded_pair_state(model, site_a, site_b, chi):
+def padded_pair_state(model, site_b, chi):
     env = model.env
     anc = env.ancilla_dim
-    return pad(two_site_reduced_state(env, site_a, site_b, chi),
-               (env.mode_dim(site_a), anc, env.mode_dim(site_b), anc),
+    return pad(pair_state(env, site_b, chi),
+               (env.mode_dim(chi.site), anc, env.mode_dim(site_b), anc),
                (model.mode_dim, anc, model.mode_dim, anc))
 
 
@@ -202,7 +208,7 @@ def test_closed_forms_match_defining_maps(name):
                     .transpose(1, 0, 2, 3).reshape(m_eff ** 2, m_eff ** 2))
         u21 = swap @ kron(model.effective_unitary(k + 1), np.eye(m_eff)) @ swap \
             @ kron(u1, np.eye(m_eff))
-        pair = padded_pair_state(model, k, k + 1, chi)
+        pair = padded_pair_state(model, k + 1, chi)
         product = kron(padded_site_state(model, chi), padded_site_state(model, nxt))
 
         def two(particles):
@@ -800,7 +806,7 @@ def test_second_order_matches_direct_correlator(rng):
     chi = env.initial_bond_state()
     for _ in range(k - m):
         chi = evolve_bond_state(env, chi)
-    pair = two_site_reduced_state(env, k - m, k, chi)
+    pair = pair_state(env, k, chi)
     marg = np.eye(3) / 3
     delta = pair - kron(marg, marg)
     # H lifted to system (x) mode_early (x) mode_late, acting on either mode
@@ -835,7 +841,7 @@ def test_second_order_matches_basis_expansion(name):
     late = chi
     for _ in range(m):
         late = evolve_bond_state(model.env, late)
-    connected = (padded_pair_state(model, k - m, k, chi)
+    connected = (padded_pair_state(model, k, chi)
                  - kron(padded_site_state(model, chi), padded_site_state(model, late)))
     conn4 = connected.reshape(mode, mode, mode, mode)
     h4 = model.hamiltonian.reshape(d_s, mode, d_s, mode)
@@ -887,24 +893,28 @@ def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
 
 def test_second_order_walks_one_readout(monkeypatch):
     # A per-m call walks the bond ladder to k - m and site k's readout back
-    # m - 1 sites; a scan's column walks the readout once for every delay and
-    # reads no two-site state.
-    bond_steps, readout_steps = [], []
-    evolve, readout = master_equation.evolve_bond_state, mps._readout_step
+    # m - 1 sites in one pair walk; a scan's column walks the readout once for
+    # every delay, in one pair walk too.
+    bond_steps, readout_steps, walks = [], [], []
+    evolve, readout, pairs = (master_equation.evolve_bond_state, mps._readout_step,
+                              master_equation._pair_states)
     monkeypatch.setattr(master_equation, "evolve_bond_state",
                         lambda env, chi: bond_steps.append(1) or evolve(env, chi))
     monkeypatch.setattr(mps, "_readout_step", lambda b, r: readout_steps.append(1) or readout(b, r))
-    monkeypatch.setattr(mps, "two_site_reduced_state",
-                        lambda *args: pytest.fail("two-site state in a second-order walk"))
+    monkeypatch.setattr(master_equation, "_pair_states",
+                        lambda *args: walks.append(1) or pairs(*args))
     model = two_photon_model()
     for k, m in ((12, 5), (12, 1), (12, 12), (30, 17)):
         bond_steps.clear()
         readout_steps.clear()
+        walks.clear()
         second_order_kernel(model, k, m)
-        assert (len(bond_steps), len(readout_steps)) == (k - m, m - 1)
+        assert (len(bond_steps), len(readout_steps), len(walks)) == (k - m, m - 1, 1)
     readout_steps.clear()
+    walks.clear()
     kernel_scan(build_model(ModelSpec("aklt"), g_tau=0.5), 200, 200)
     assert len(readout_steps) <= 200
+    assert len(walks) == 1
 
 
 def test_kernel_scan_keeps_only_the_rungs_it_reads():

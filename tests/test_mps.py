@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpscollision import models, mps
-from mpscollision.linalg import assert_density_matrix, kron, partial_trace
+from mpscollision.linalg import assert_density_matrix, kron
 from mpscollision.mps import (
     BondState,
     InfiniteCorrelationLengthError,
@@ -17,10 +17,15 @@ from mpscollision.mps import (
     site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
-    two_site_reduced_state,
 )
 
-from conftest import reduced_density_prefix, transfer_matrix
+from conftest import (
+    aklt_pair_state,
+    pair_state,
+    partial_trace,
+    reduced_density_prefix,
+    transfer_matrix,
+)
 
 
 def all_zoo():
@@ -207,7 +212,7 @@ def test_canonicalize_and_check_stay_off_einsum(rng, monkeypatch):
     chi = ghz.initial_bond_state()
     for k in range(5):
         assert_density_matrix(site_reduced_state(ghz, chi), 1e-12)
-        assert_density_matrix(two_site_reduced_state(ghz, k, 5, chi), 1e-12)
+        assert_density_matrix(pair_state(ghz, 5, chi), 1e-12)
         chi = evolve_bond_state(ghz, chi)
 
 
@@ -303,8 +308,8 @@ def test_two_site_aklt_matches_closed_form():
     env = models.aklt_env()
     chi = env.initial_bond_state()
     for sep in range(1, 7):
-        got = two_site_reduced_state(env, 0, sep, chi)
-        assert np.max(np.abs(got - models.aklt_pair_state(sep))) < 1e-12
+        got = pair_state(env, sep, chi)
+        assert np.max(np.abs(got - aklt_pair_state(sep))) < 1e-12
 
 
 def test_two_site_product_env_factorizes():
@@ -312,7 +317,7 @@ def test_two_site_product_env_factorizes():
     env = MpsEnvironment((amps.reshape(2, 1, 1),), np.eye(1, dtype=complex),
                          homogeneous=True)
     chi = env.initial_bond_state()
-    got = two_site_reduced_state(env, 0, 3, chi)
+    got = pair_state(env, 3, chi)
     single = np.outer(amps, amps.conj())
     assert np.max(np.abs(got - kron(single, single))) < 1e-14
 
@@ -320,7 +325,7 @@ def test_two_site_product_env_factorizes():
 def test_two_site_cluster_adjacent_vs_prefix():
     env = models.cluster_env()
     chi = env.initial_bond_state()
-    got = two_site_reduced_state(env, 0, 1, chi)
+    got = pair_state(env, 1, chi)
     # brute-force route: 10-site reduced density, then trace all but (0, 1)
     finite = MpsEnvironment(tuple([env.sites[0]] * 10), env.chi0)
     rho10 = reduced_density_prefix(finite, 10)
@@ -335,7 +340,7 @@ def test_two_site_converges_to_product():
     prod = kron(marg, marg)
     prev = None
     for sep in (2, 4, 6):
-        dev = np.max(np.abs(two_site_reduced_state(env, 0, sep, chi) - prod))
+        dev = np.max(np.abs(pair_state(env, sep, chi) - prod))
         assert dev < abs((1.0 / 3.0) ** sep)
         if prev is not None:
             assert dev < prev / 5.0  # decays at least geometrically
@@ -346,11 +351,11 @@ def test_two_site_on_finite_chain_vs_prefix():
     env = models.ghz_env(6)
     chi = env.initial_bond_state()
     rho6 = reduced_density_prefix(env, 6)
-    pair = two_site_reduced_state(env, 0, 3, chi)
+    pair = pair_state(env, 3, chi)
     ref = partial_trace(rho6, [2] * 6, keep=(0, 3))
     assert np.max(np.abs(pair - ref)) < 1e-13
     chi2 = evolve_bond_state(env, evolve_bond_state(env, chi))
-    pair25 = two_site_reduced_state(env, 2, 5, chi2)
+    pair25 = pair_state(env, 5, chi2)
     ref25 = partial_trace(rho6, [2] * 6, keep=(2, 5))
     assert np.max(np.abs(pair25 - ref25)) < 1e-13
 
@@ -358,7 +363,7 @@ def test_two_site_on_finite_chain_vs_prefix():
 def test_two_site_marginals_match():
     env = models.two_photon_env(0.25, 0.05)
     chi = env.initial_bond_state()
-    pair = two_site_reduced_state(env, 0, 2, chi)
+    pair = pair_state(env, 2, chi)
     left = partial_trace(pair, (2, 2), keep=(0,))
     right = partial_trace(pair, (2, 2), keep=(1,))
     assert np.max(np.abs(left - site_reduced_state(env, chi))) < 1e-12
@@ -388,16 +393,8 @@ def test_two_site_matches_three_operand_contraction(rng):
             bb = env.site(1 + sep)
             d = b.shape[0] * bb.shape[0]
             want = np.einsum("kab,ijac,lcb->ikjl", bb, m, bb.conj()).reshape(d, d)
-            got = two_site_reduced_state(env, 1, 1 + sep, chi)
+            got = pair_state(env, 1 + sep, chi)
             assert np.max(np.abs(got - want)) < 1e-12, (name, sep)
-
-
-def test_two_site_order_validation():
-    env = models.aklt_env()
-    with pytest.raises(ValueError):
-        two_site_reduced_state(env, 2, 2, BondState(2, np.eye(2) / 2))
-    with pytest.raises(ValueError):
-        two_site_reduced_state(env, 0, 1, BondState(1, np.eye(2) / 2))
 
 
 # -- prefix reduced density ----------------------------------------------------

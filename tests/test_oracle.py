@@ -9,7 +9,7 @@ from mpscollision.mps import MpsEnvironment
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.oracle import OracleRun, SizeGuardError, brute_force_trajectory
 
-from conftest import random_density, trace_distance
+from conftest import partial_trace, random_density, trace_distance
 
 
 def test_zero_coupling_constant_trajectory():
@@ -34,7 +34,7 @@ def test_product_environment_factorizes():
     run = OracleRun(model, rho0, n_sites=3, k_max=3)
     got = brute_force_trajectory(run)
 
-    from mpscollision.linalg import dagger, kron, partial_trace
+    from mpscollision.linalg import dagger, kron
 
     rho = rho0.copy()
     vacuum = np.zeros((3, 3), dtype=complex)

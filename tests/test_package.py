@@ -1,14 +1,19 @@
 import ast
+import json
 import importlib
 import inspect
 import pkgutil
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpscollision
+from mpscollision import cli, linalg, models
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mpscollision.__path__))
 
@@ -126,3 +131,126 @@ def test_benchmark_api_resolves():
                             if k not in params]
     assert missing == []
     assert unknown == []
+
+
+# -- call audit ------------------------------------------------------------------
+
+# Public names no CLI run and no benchmark read reaches, kept as library API.
+LIBRARY_API = {
+    "embedding.collide": "one Kraus channel on a stacked operator, the public face of the walk's "
+                         "_collide",
+    "embedding.kraus_operators": "the Kraus operators of collision k, for callers building their "
+                                 "own channels",
+    "linalg.lq_factorize": "the rank-revealing split right_canonicalize sweeps with",
+    "mps.check_right_canonical": "the gauge residual of a user-built environment",
+    "mps.MpsEnvironment.validate": "checks a user-built environment; the benchmark calls it on a "
+                                   "method read the module scan cannot see",
+    "master_equation.single_collision_channel": "the one-collision map the product GKSL route "
+                                                "composes",
+    "master_equation.KernelTable.kernel": "the one public reader of a build_kernel_table result",
+}
+
+
+def _audited_names():
+    """``{qualified name: code}`` of every function in a module's ``__all__`` and every public
+    method, classmethod or staticmethod of an ``__all__`` class that module defines."""
+    names = {}
+    for short in MODULES:
+        module = importlib.import_module(f"mpscollision.{short}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj):
+                names[f"{short}.{name}"] = obj.__code__
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for attr, raw in vars(obj).items():
+                    fn = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        names[f"{short}.{name}.{attr}"] = fn.__code__
+    return names
+
+
+def _benchmark_names():
+    """Qualified names the frozen benchmark reads: its module attribute reads and the
+    ``Superoperator`` methods its tracer wraps by name."""
+    names = {f"{short}.{attr}" for _, short, attr, _ in _benchmark_reads()}
+    tracing = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+                        .read_text())
+    for node in tracing.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SUPEROPERATOR_METHODS"
+                                                for t in node.targets):
+            names |= {f"master_equation.Superoperator.{attr}"
+                      for attr, *_ in ast.literal_eval(node.value)}
+    return names
+
+
+def _unaccounted(reached):
+    """Public names neither reached, read by the benchmark nor declared, and declarations that
+    the runs reach, that the benchmark reads or that name nothing."""
+    audited, benchmark = _audited_names(), _benchmark_names()
+    undeclared = [f"unreached: {name}" for name, code in audited.items()
+                  if code not in reached and name not in benchmark and name not in LIBRARY_API]
+    stale = [f"declared: {name}" for name in LIBRARY_API
+             if name not in audited or audited[name] in reached or name in benchmark]
+    return sorted(undeclared + stale)
+
+
+@pytest.fixture(scope="module")
+def reached(tmp_path_factory):
+    """Codes of every function the CLI calls over the figures, each method, an explicit-matrix
+    document, validate, kernel and an exit-2 and an exit-3 document."""
+    tmp = tmp_path_factory.mktemp("audit")
+
+    def document(name, doc):
+        path = tmp / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def matrix(m):
+        return [[[z.real, z.imag] for z in row] for row in np.asarray(m, dtype=complex)]
+
+    aklt = {"model": {"name": "aklt"}, "g_tau": 0.5, "k_max": 4}
+    explicit = {**aklt, "initial_state": {"matrix": matrix(np.diag([0.25, 0.75]))},
+                "interaction": {"matrix": matrix(models.interaction("heisenberg", 0.5).unitary)}}
+    two_photon = {**cli.PRESETS["fig5a"], "k_max": 6}
+    single_photon = {"model": {"name": "single_photon", "parameters": {"n_sites": 4}},
+                     "g_tau": 0.5, "k_max": 4}
+    ghz = {"model": {"name": "ghz", "parameters": {"n_sites": 3}}, "g_tau": 0.5, "k_max": 4}
+    cluster = {"model": {"name": "cluster"}, "g_tau": 0.6, "k_max": 10, "interaction": "cluster",
+               "fock_cutoff": 5}
+    runs = [(["reproduce", figure, "--out", str(tmp / figure)], 0) for figure in cli.FIGURES]
+    runs += [(["run", "--config", document(method, {**aklt, "method": method})], 0)
+             for method in cli.METHODS]
+    runs += [(["run", "--config", document("explicit", explicit)], 0),
+             (["validate", "--config", document("validate", single_photon)], 0),
+             (["kernel", "--config", document("kernel", two_photon), "--k", "4", "--m-max", "3"], 0),
+             (["run", "--config", document("exit2", ghz)], 2),
+             (["run", "--config", document("exit3", cluster)], 3)]
+    codes, previous = set(), sys.getprofile()
+
+    def record(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            exits = [cli.main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(previous)
+    assert exits == [want for _, want in runs]
+    return codes
+
+
+def test_every_public_name_is_reached_or_declared(reached):
+    # A public name is the CLI's, the benchmark's or declared library API with a
+    # reason; any other is deleted, or moved into conftest as a test reference.
+    assert _unaccounted(reached) == []
+
+
+def test_audit_reports_an_unreached_public_function(reached, monkeypatch):
+    def orphan():
+        pass
+
+    monkeypatch.setattr(linalg, "__all__", linalg.__all__ + ["orphan"])
+    monkeypatch.setattr(linalg, "orphan", orphan, raising=False)
+    assert _unaccounted(reached) == ["unreached: linalg.orphan"]
