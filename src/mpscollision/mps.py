@@ -7,12 +7,16 @@ carries everything the system can ever learn about the particles it has not
 met yet, so all reduced states of the chain are small contractions against a
 current bond state.
 
-Index conventions used throughout:
+The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``_kraus_sum``) on
+three views of a site tensor B:
 
-* bond states ``chi_k`` live after ``k`` consumed sites (``chi_0 = chi0``),
-  and evolve as ``chi_k = sum_i B[k,i]^T chi_{k-1} B[k,i]^*``;
-* reduced densities of sites ``1..k`` contract ``chi0`` with the tensor
-  chain on the left and close the right bond with an identity line.
+* A_i = B[i]^T evolves the bond state: ``chi_k = sum_i B[k,i]^T chi_{k-1}
+  B[k,i]^*``, with ``chi_k`` the bond state after ``k`` consumed sites
+  (``chi_0 = chi0``);
+* A_b = B[:, :, b], summed over the right bond b, gives the next site's
+  reduced density from the bond state entering it;
+* A_i = B[i] is the adjoint of the bond step under the pairing sum X (.) R:
+  it walks a later site's readout R back one site (``_pair_states``).
 
 ``chi0`` may be any density matrix on the first bond, pure or mixed (AKLT's
 is I/2).  A site's physical index may carry a trailing purification ancilla
@@ -179,49 +183,32 @@ def right_canonicalize(tensors) -> MpsEnvironment:
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
-def _bond_step(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_i B[i]^T X B[i]^* for one bond operator X or a stack (..., D_l, D_l)."""
-    d, dl, dr = b.shape
-    # T[..., c, i, b] = (B[i]^T X)[b, c], then one sum over (i, c) with i slow:
-    # numpy's greedy-einsum order for d < D, whose bits the golden two-photon
-    # CSV (its decorrelated column) was written with.
-    t = np.swapaxes(x, -1, -2).reshape(-1, dl) @ b.transpose(1, 0, 2).reshape(dl, d * dr)
-    t = np.swapaxes(t.reshape(x.shape[:-2] + (dl, d, dr)), -1, -3)
-    return (t.reshape(-1, d * dl) @ b.conj().reshape(d * dl, dr)).reshape(x.shape[:-2] + (dr, dr))
-
-
-def _readout_step(b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """sum_i B[i] R B[i]^dag for one readout R or a stack (..., D_r, D_r): the adjoint of
-    ``_bond_step`` under the pairing sum X (.) R, so it walks a readout back one site."""
-    d, dl, dr = b.shape
-    t = r.reshape(-1, dr) @ b.conj().transpose(2, 0, 1).reshape(dr, d * dl)   # (R B[i]^dag)[p, e]
-    t = t.reshape(-1, dr, d, dl).transpose(0, 3, 2, 1).reshape(-1, d * dr)    # rows e, cols (i, p)
-    t = t @ b.transpose(0, 2, 1).reshape(d * dr, dl)                          # (B[i] R B[i]^dag)^T
-    return np.swapaxes(t.reshape(r.shape[:-2] + (dl, dl)), -1, -2)
-
-
-def _marginal(b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_ab B[i,a,b] (X B[j]^*)[a,b], the (i, j) readout of X or of a stack of them."""
-    d, dl, dr = b.shape
-    t = np.swapaxes(x, -1, -2).reshape(-1, dl) @ b.transpose(1, 0, 2).reshape(dl, d * dr)
-    t = t.reshape(x.shape[:-2] + (dl, d, dr)).swapaxes(-3, -2).swapaxes(-2, -1)
-    return (t.reshape(-1, dr * dl) @ b.conj().transpose(2, 1, 0).reshape(dr * dl, d)).reshape(
-        x.shape[:-2] + (d, d))
+def _kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j A_j X A_j^dag for a stack ``ops`` of A_j, shape (n, p, q), and one X or a stack
+    (..., q, q); the module docstring names its three views of a site tensor."""
+    n, p, q = ops.shape
+    # T[..., c, j, b] = (A_j X)[b, c], then one sum over (j, c) with j slow: the bond step's
+    # bits, which fig5a's decorrelated column was written with.  embedding._collide's
+    # per-j accumulation is the same map but moves those bits.
+    lead = x.shape[:-2]
+    t = np.swapaxes(x, -1, -2).reshape(-1, q) @ ops.transpose(2, 0, 1).reshape(q, n * p)
+    t = np.swapaxes(t.reshape(lead + (q, n, p)), -1, -3).reshape(-1, n * q)
+    return (t @ ops.transpose(0, 2, 1).reshape(n * q, p).conj()).reshape(lead + (p, p))
 
 
 def _pair_states(env: MpsEnvironment, site_b: int, chis):
     """Yield rho_{a,b} as arrays rho[i, j, k, l] = <i k|rho_ab|j l> (earlier site i, j) for each
     bond state chi entering a site a = chi.site < site_b in ``chis``, by descending a.
 
-    Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_readout_step``)
-    and closes on M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is the sum of
-    M[i, j] (.) R[k, l].
+    Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_kraus_sum`` on
+    the view B) and closes on M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is
+    the sum of M[i, j] (.) R[k, l].
     """
     b = env.site(site_b)
     r, at = b[:, None] @ b.conj().transpose(0, 2, 1), site_b   # r reads the bond entering `at`
     for chi in chis:
         for k in range(at - 1, chi.site, -1):
-            r = _readout_step(env.site(k), r)
+            r = _kraus_sum(env.site(k), r)
         at = chi.site + 1
         ba = env.site(chi.site)
         m = ba.transpose(0, 2, 1)[:, None] @ (chi.matrix @ ba.conj())
@@ -237,7 +224,7 @@ def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
             f"bond state dim {chi.matrix.shape[0]} does not match site {chi.site} "
             f"left bond {b.shape[1]}"
         )
-    return BondState(chi.site + 1, _bond_step(b, chi.matrix))
+    return BondState(chi.site + 1, _kraus_sum(b.transpose(0, 2, 1), chi.matrix))
 
 
 def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
@@ -245,7 +232,7 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     b = env.site(chi.site)
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
-    return _marginal(b, chi.matrix)
+    return _kraus_sum(b.transpose(2, 0, 1), chi.matrix)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

@@ -596,7 +596,7 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
 
 def test_run_nz_guard_exit_code(tmp_path, capsys, monkeypatch):
     # The table term, K(K+1)/2 d_S^4 = 5126400 numbers, refuses it before any bond step.
-    monkeypatch.setattr(mps, "_bond_step", lambda *args: pytest.fail("bond step before the guard"))
+    monkeypatch.setattr(mps, "_kraus_sum", lambda *args: pytest.fail("bond step before the guard"))
     path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
     assert main(["run", "--config", path]) == 3
     assert "kernel table of 5126400 entries exceeds" in capsys.readouterr().err
@@ -760,10 +760,10 @@ def test_kernel_subcommand_last_site_of_finite_chain(tmp_path, capsys):
 
 # -- fresh processes ---------------------------------------------------------------
 
-def run_cli_process(tmp_path, doc, *args):
-    """``python -X importtime -m mpscollision.cli`` on a config (none when ``doc`` is None);
-    returns (proc, imported modules)."""
-    env = dict(os.environ)
+def run_cli_process(tmp_path, doc, *args, **env_vars):
+    """``python -X importtime -m mpscollision.cli`` on a config (none when ``doc`` is None),
+    with ``env_vars`` added to the environment; returns (proc, imported modules)."""
+    env = {**os.environ, **env_vars}
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     proc = subprocess.run(
@@ -782,6 +782,15 @@ def test_validate_process_imports_no_scipy(tmp_path):
     assert proc.stdout == "ok\n"
     assert {"numpy", "mpscollision", "mpscollision.master_equation"} <= imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+def test_fig5a_keeps_golden_bytes_on_one_blas_thread(tmp_path):
+    # fig5a's decorrelated column is written with the bond step's contraction order, whose
+    # bits hold on one BLAS thread as on the default count.
+    proc, _ = run_cli_process(tmp_path, None, "reproduce", "fig5a", "--out", str(tmp_path),
+                              OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert (tmp_path / "fig5a.csv").read_bytes() == (GOLDEN / "fig5a.csv").read_bytes()
 
 
 def test_gksl_processes_import_no_scipy_and_match_run_config(tmp_path):

@@ -500,7 +500,7 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the horizon was checked")
 
-    for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_bond_step", no_work),
+    for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_kraus_sum", no_work),
                               (Superoperator, "_taylor", property(no_work)),
                               (Superoperator, "_exp", no_work)):
         monkeypatch.setattr(owner, name, stub)
@@ -881,8 +881,7 @@ def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
     model = complex_single_photon_model(n_sites=8)
     with pytest.raises(IndexError) as scan:
         kernel_scan(model, 11, 1)
-    monkeypatch.setattr(mps, "_bond_step", no_work)
-    monkeypatch.setattr(mps, "_readout_step", no_work)
+    monkeypatch.setattr(mps, "_kraus_sum", no_work)
     with pytest.raises(IndexError) as call:
         second_order_kernel(model, 11, 1)
     assert str(call.value) == str(scan.value) == "collision 8 beyond environment length 8"
@@ -894,26 +893,29 @@ def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
 def test_second_order_walks_one_readout(monkeypatch):
     # A per-m call walks the bond ladder to k - m and site k's readout back
     # m - 1 sites in one pair walk; a scan's column walks the readout once for
-    # every delay, in one pair walk too.
-    bond_steps, readout_steps, walks = [], [], []
-    evolve, readout, pairs = (master_equation.evolve_bond_state, mps._readout_step,
-                              master_equation._pair_states)
+    # every delay, in one pair walk too.  Both walks are Kraus sums, so the
+    # readout steps are the Kraus sums that are not bond steps.
+    bond_steps, kraus_sums, walks = [], [], []
+    evolve, kraus_sum, pairs = (master_equation.evolve_bond_state, mps._kraus_sum,
+                                master_equation._pair_states)
     monkeypatch.setattr(master_equation, "evolve_bond_state",
                         lambda env, chi: bond_steps.append(1) or evolve(env, chi))
-    monkeypatch.setattr(mps, "_readout_step", lambda b, r: readout_steps.append(1) or readout(b, r))
+    monkeypatch.setattr(mps, "_kraus_sum", lambda a, x: kraus_sums.append(1) or kraus_sum(a, x))
     monkeypatch.setattr(master_equation, "_pair_states",
                         lambda *args: walks.append(1) or pairs(*args))
     model = two_photon_model()
     for k, m in ((12, 5), (12, 1), (12, 12), (30, 17)):
         bond_steps.clear()
-        readout_steps.clear()
+        kraus_sums.clear()
         walks.clear()
         second_order_kernel(model, k, m)
-        assert (len(bond_steps), len(readout_steps), len(walks)) == (k - m, m - 1, 1)
-    readout_steps.clear()
+        readout_steps = len(kraus_sums) - len(bond_steps)
+        assert (len(bond_steps), readout_steps, len(walks)) == (k - m, m - 1, 1)
+    bond_steps.clear()
+    kraus_sums.clear()
     walks.clear()
     kernel_scan(build_model(ModelSpec("aklt"), g_tau=0.5), 200, 200)
-    assert len(readout_steps) <= 200
+    assert len(kraus_sums) - len(bond_steps) <= 200
     assert len(walks) == 1
 
 

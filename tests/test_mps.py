@@ -251,29 +251,25 @@ def test_bond_trace_preserved_100_steps():
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 1, 1), (2, 1, 2), (2, 2, 1),
-                                   (5, 2, 4), (2, 16, 16)])
-def test_bond_step_and_marginal_match_einsum(rng, shape):
-    # One operator and a (2, 3) stack of them, bond-1 and rectangular sites included.
+                                   (5, 2, 4), (2, 16, 16), (3, 2, 5)])
+def test_kraus_sum_views_match_einsum(rng, shape):
+    # The bond step, the site marginal and the readout step are one Kraus sum on three views
+    # of B, for one operator and stacks of them, bond-1 and rectangular sites included; the
+    # readout step is the adjoint of the bond step under the pairing sum X (.) R.
+    _, dl, dr = shape
     b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    x = rng.normal(size=(2, 3) + (shape[1],) * 2) + 1j * rng.normal(size=(2, 3) + (shape[1],) * 2)
-    for xs in (x, x[1, 2]):
-        for got, want in ((mps._bond_step(b, xs), np.einsum("iab,...ac,icd->...bd", b, xs, b.conj())),
-                          (mps._marginal(b, xs), np.einsum("iab,...ac,jcb->...ij", b, xs, b.conj()))):
+    x = rng.normal(size=(2, 3, dl, dl)) + 1j * rng.normal(size=(2, 3, dl, dl))
+    r = rng.normal(size=(2, 3, dr, dr)) + 1j * rng.normal(size=(2, 3, dr, dr))
+    for xs, rs in ((x, r), (x[1, 2], r[1, 2]), (x[0], r[0])):
+        bond, walked = mps._kraus_sum(b.transpose(0, 2, 1), xs), mps._kraus_sum(b, rs)
+        for got, want in ((bond, np.einsum("iab,...ac,icd->...bd", b, xs, b.conj())),
+                          (mps._kraus_sum(b.transpose(2, 0, 1), xs),
+                           np.einsum("iab,...ac,jcb->...ij", b, xs, b.conj())),
+                          (walked, np.einsum("iab,...bc,idc->...ad", b, rs, b.conj()))):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
-
-
-def test_readout_step_is_the_adjoint_of_the_bond_step(rng):
-    # sum(_bond_step(b, X) (.) R) = sum(X (.) _readout_step(b, R)) on a complex
-    # rectangular site (d = 3, D_l = 2, D_r = 5), for one operator and for stacks.
-    b = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
-    x = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
-    r = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
-    for xs, rs in ((x, r), (x[1, 2], r[1, 2]), (x[0], r[0])):
-        walked = mps._readout_step(b, rs)
-        forward = np.sum(mps._bond_step(b, xs) * rs, axis=(-2, -1))
+        forward = np.sum(bond * rs, axis=(-2, -1))
         backward = np.sum(xs * walked, axis=(-2, -1))
-        assert walked.shape == xs.shape
         assert np.max(np.abs(forward - backward)) <= 1e-13 * np.max(np.abs(forward))
 
 
@@ -505,9 +501,10 @@ def test_stationary_bond_state_matches_dense_reference(name):
         env = _complex_isometry_env(np.random.default_rng(d_bond), d_bond, 2 + d_bond % 2)
     else:
         env = all_zoo()[name]
-    chi = stationary_bond_state(env).matrix
+    stationary = stationary_bond_state(env)
+    chi = stationary.matrix
     assert np.array_equal(chi, chi.conj().T) and np.trace(chi).real == pytest.approx(1.0)
-    assert np.max(np.abs(mps._bond_step(mps._bulk_tensor(env), chi) - chi)) <= 1e-14
+    assert np.max(np.abs(evolve_bond_state(env, stationary).matrix - chi)) <= 1e-14
     assert np.max(np.abs(chi - _dense_fixed_point(env))) <= 1e-13
 
 
