@@ -201,8 +201,8 @@ def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
 
     The one implementation of the collision map.  The left products are one GEMM per X
     over all j; regrouped by j, the right products are one GEMM per j over all X, then
-    summed over j.  With ``work`` (``_work``: one X), both products go to those buffers,
-    where the row products come grouped by j already.
+    summed over j into ``out``, which may be X itself.  With ``work`` (``_work``: one X),
+    both products go to those buffers, where the row products come grouped by j already.
     """
     if work is not None:
         rows, grouped, right = work
@@ -281,11 +281,16 @@ def trajectory(model: CollisionModel, rho_s0: np.ndarray, k_max: int) -> list[np
         raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     if why := model._shortfall(k_max):
         raise IndexError(why)
-    rho_s0 = np.asarray(rho_s0, dtype=complex)
-    if rho_s0.shape != (model.d_system, model.d_system):
-        raise ValueError(f"system state shape {rho_s0.shape}, expected "
-                         f"({model.d_system}, {model.d_system})")
+    rho_s0 = _system_state(rho_s0, model.d_system)
     return list(_traced_walk(model, kron(rho_s0, model.env.chi0), range(k_max)))
+
+
+def _system_state(rho_s0, d_system: int) -> np.ndarray:
+    """rho_S(0) as a complex array; a ValueError names any shape but (d_system, d_system)."""
+    rho_s0 = np.asarray(rho_s0, dtype=complex)
+    if rho_s0.shape != (d_system, d_system):
+        raise ValueError(f"system state shape {rho_s0.shape}, expected ({d_system}, {d_system})")
+    return rho_s0
 
 
 def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:

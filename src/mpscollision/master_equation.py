@@ -7,13 +7,13 @@ projections between the embedding's own collisions, so the time-convolution
 recursion reproduces the embedding trajectory exactly.  Kernels with the
 same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
 system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
-delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  All live threads go
-through one ``embedding._collide`` per step: a table costs k_max batched collisions.
-Once a chain of one channel holds its bond state fixed to roundoff, at the onset
-s*, every later thread repeats thread s*: threads s0..s* give the transient
-rows, and K_{k,m} = K_{s*+m,m} for k - m >= s* is read off thread s*.  The
-embedding's unprojected maps E_1..E_K certify any table through the residual
-of the recursion E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
+delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  The live threads, one stack
+grown in place, go through one ``embedding._collide`` per step, and their kernels go
+straight into their slots of the packed table: a table costs k_max batched collisions.
+Once a chain of one channel holds its bond state fixed to roundoff, at the onset s*,
+every later thread repeats thread s*, so row k > s* copies its first k - s* kernels
+K_{k,m} = K_{s*+m,m} from row k - 1.  The embedding's unprojected maps E_1..E_K certify
+any table through the residual of the recursion E_{k+1} = E_k + tau sum_m K_{k,m} E_{k-m}.
 
 The one- and two-collision channels are the embedding's own dynamical maps:
 the same basis stack E (x) chi through the embedding's batched walk
@@ -38,7 +38,6 @@ from .embedding import CollisionModel
 from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
-    MpsEnvironment,
     _pair_states,
     evolve_bond_state,
     stationary_bond_state,
@@ -231,17 +230,12 @@ def _basis_stack(d_s: int, chi: np.ndarray) -> np.ndarray:
     return kron(np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s).transpose(0, 2, 1), chi)
 
 
-def _read_off(traced: np.ndarray) -> np.ndarray:
-    """Superoperator matrices (..., d_S^2, d_S^2) of bond-traced basis stacks."""
-    return np.swapaxes(traced, -1, -3).reshape(traced.shape[:-2] + (-1,))
-
-
 def _channels(model: CollisionModel, chi: BondState, n: int) -> np.ndarray:
     """Matrices (n, d_S^2, d_S^2) of the embedding's maps rho -> tr_bond of 1..n collisions
     of rho (x) chi from ``chi.site``: the basis stack through one ``_traced_walk``."""
     x = _basis_stack(model.d_system, chi.matrix)
-    traced = emb._traced_walk(model, x, range(chi.site, chi.site + n))
-    return _read_off(np.stack(list(traced)))[1:]
+    traced = np.stack(list(emb._traced_walk(model, x, range(chi.site, chi.site + n))))
+    return traced.swapaxes(-1, -3).reshape(traced.shape[:-2] + (-1,))[1:]
 
 
 def _map_stack(model: CollisionModel, n: int) -> np.ndarray:
@@ -267,68 +261,61 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 # -- exact memory kernel -----------------------------------------------------
 
 def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
-                          table: int = 0) -> list[BondState]:
-    """The ``_bond_ladder`` from s0 to k_max - 1 for ``_kernel_rows``.  Before any bond step it
-    refuses a table of ``table`` numbers past ``KERNEL_GUARD`` (``SizeGuardError``), then a chain
-    or unitary tuple short of k_max (IndexError); after the walk, a last step past the guard.  The
-    step holds 2 m_eff + 1 stacks of the threads s0..max(s0, s*) (the input and, inside
-    ``embedding._collide``, two m_eff-fold temporaries at a time: the row products and their copy
-    regrouped by Kraus index, then that copy and the right products)."""
+                          table: int = 0) -> tuple[list[BondState], range]:
+    """The ``_bond_ladder`` from s0 to k_max - 1 and the starts s0..max(s0, s*) of its threads.
+    Before any bond step it refuses a table of ``table`` numbers past ``KERNEL_GUARD``
+    (``SizeGuardError``), then a chain or unitary tuple short of k_max (IndexError); after the
+    walk, a step past the guard (2 m_eff + 1 thread stacks: the stack, ``_collide``'s temps)."""
     if table > KERNEL_GUARD:
         raise SizeGuardError(f"kernel table of {table} entries exceeds the {KERNEL_GUARD} guard")
     if why := model._shortfall(k_max):
         raise IndexError(why)
-    d_s = model.d_system
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(s0, k_max)), default=1)
     ladder = _bond_ladder(model, k_max - 1, s0)
-    threads = max(s0, ladder[-1].site) - s0 + 1
-    stack = (2 * model.effective_mode_dim() + 1) * threads * d_s ** 2 * (d_s * d_bond) ** 2
+    starts = range(s0, max(s0, ladder[-1].site) + 1)
+    stack = (2 * model.effective_mode_dim() + 1) * len(starts) * (model.d_system ** 2 * d_bond) ** 2
     if stack > KERNEL_GUARD:
         raise SizeGuardError(f"thread stack of {stack} entries exceeds the {KERNEL_GUARD} guard")
-    return ladder
+    return ladder, starts
 
 
-def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: list[BondState]):
-    """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s.
+def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: list[BondState],
+                    rows) -> None:
+    """Write each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m = k - s,
+    into its row of ``rows``: contiguous views, step k's with room for k - starts.start + 1.
 
-    Thread s, the basis stack W_s[E] = E (x) chi_s (``_basis_stack``), enters the stack
-    first: newest first is ascending m.  At step k every live thread goes through one
-    ``_collide`` with the step's channel, built once per distinct channel as in
-    ``trajectory``; K_{k,k-s} is read off the bond trace, and Q_{k+1} X = X - tr_bond(X)
-    (x) chi_{k+1} advances them.  ``ladder`` is the ``_bond_ladder`` to k_max - 1.
-    """
-    d_s = model.d_system
-    d2 = d_s ** 2
-    threads = np.zeros((0, d2) + (d_s * _rung(ladder, starts.start).matrix.shape[0],) * 2)
+    Thread s, the basis stack E (x) chi_s, enters at the front of a stack that grows in place
+    (newest first is ascending m); each step collides all live threads at once, reads K_{k,k-s}
+    off their bond trace and advances them by Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1}.  Slots
+    below j = k - starts[-1] hold K_{k,m} = K_{s*+m,m}, thread s*'s outputs, copied from the
+    last row (no copy when both are views of one buffer)."""
+    d_s, first, onset = model.d_system, ladder[0].site, ladder[-1].site
+    lo = len(starts)   # the live threads are stack[lo:]
+    n = d_s * ladder[min(starts.start, onset) - first].matrix.shape[0]
+    stack = np.empty((lo, d_s ** 2, n, n), dtype=complex)
+    threads, last = stack[lo:], None
     steps = range(starts.start, k_max)
-    for k, channel in zip(steps, emb._kraus_stacks(model, steps)):
+    for k, channel, row in zip(steps, emb._kraus_stacks(model, steps), rows):
         if k in starts:
-            threads = np.concatenate([_basis_stack(d_s, _rung(ladder, k).matrix)[None], threads])
-        # Only the live threads themselves enter the next collision: the step's
-        # input is released on return and Q advances the output in place.
-        threads = emb._collide(channel, threads)
+            lo -= 1
+            stack[lo + 1:] = threads   # a no-op unless the collision returned a new array
+            stack[lo] = _basis_stack(d_s, ladder[min(k, onset) - first].matrix)
+            threads = stack[lo:]
+        if channel.ops.shape[1] != stack.shape[-1]:   # the bond dimension changes
+            stack = np.empty(stack.shape[:2] + channel.ops.shape[1:2] * 2, dtype=complex)
+        threads = emb._collide(channel, threads, stack[lo:])
         traced = emb.trace_bond(threads, d_s)
-        if k + 1 < k_max:
-            threads -= kron(traced, _rung(ladder, k + 1).matrix)
-        mats = _read_off(traced)
-        if k in starts:
-            mats[0] -= np.eye(d2)
-        mats *= 1.0 / model.tau
-        yield mats
-
-
-def _kernel_rows(model: CollisionModel, s0: int, k_max: int, ladder: list[BondState]):
-    """Rows K_{k,k-s} over the starts s = s0..k by ascending m = k - s, for steps k from s0 to
-    k_max - 1; each a view, valid until the next.  Threads s0..max(s0, s*), s* the onset of the
-    ``_bond_ladder`` to k_max - 1, give them: as K_{k,m} = K_{s*+m,m} for k - m >= s*, row
-    k >= s* is thread s*'s first k - s* outputs, then the live threads'."""
-    onset = max(s0, ladder[-1].site)
-    threads = _kernel_threads(model, range(s0, onset + 1), k_max, ladder)
-    row = np.empty((k_max - s0,) + (model.d_system ** 2,) * 2, dtype=complex)
-    for k, mats in enumerate(threads, s0):
-        j = max(k - onset, 0)   # slots below j keep thread s*'s outputs K_{s*+m,m}
-        row[j:j + len(mats)] = mats
-        yield row[:j + len(mats)]
+        if k + 1 < k_max:   # kron(traced, chi_{k+1}), entry by entry
+            chi = ladder[min(k + 1, onset) - first].matrix
+            threads -= (traced[..., :, None, :, None] * chi[:, None, :]).reshape(threads.shape)
+        if (j := max(k - starts[-1], 0)):
+            row[:j] = last[:j]
+        live = row[j:j + len(threads)]
+        live.reshape(len(threads), d_s, d_s, -1)[:] = traced.swapaxes(-1, -3)
+        if k in starts:   # K_{k,0} -= Id, on its diagonal alone
+            live[0].reshape(-1)[::d_s ** 2 + 1] -= 1.0
+        live *= 1.0 / model.tau
+        last = row
 
 
 @dataclass(frozen=True)
@@ -356,16 +343,15 @@ class KernelTable:
 
 
 def build_kernel_table(model: CollisionModel, k_max: int) -> KernelTable:
-    """All kernels needed to integrate the master equation to k_max steps, row by row from
-    ``_kernel_rows`` once ``_guard_kernel_threads`` has checked the table and the working set."""
+    """All kernels needed to integrate the master equation to k_max steps, written by one
+    ``_kernel_threads`` walk once ``_guard_kernel_threads`` has checked the table and the step."""
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got k_max={k_max}")
     d_s = model.d_system
     length = KernelTable._length(k_max)
-    ladder = _guard_kernel_threads(model, 0, k_max, length * d_s ** 4)
+    ladder, starts = _guard_kernel_threads(model, 0, k_max, length * d_s ** 4)
     table = KernelTable(model.tau, d_s, np.empty((length, d_s ** 2, d_s ** 2), dtype=complex))
-    for k, row in enumerate(_kernel_rows(model, 0, k_max, ladder)):
-        table._row(k, k)[:] = row
+    _kernel_threads(model, starts, k_max, ladder, (table._row(k, k) for k in range(k_max)))
     return table
 
 
@@ -383,16 +369,16 @@ def _maps_residuals(model: CollisionModel, table: KernelTable, k_max: int) -> np
 def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndarray]:
     """Integrate the discrete time-convolution master equation.
 
-    rho((k+1) tau) = rho(k tau) + tau * sum_m K_{km}[rho((k-m) tau)].
-    With exact kernels this reproduces the embedding trajectory.
+    rho((k+1) tau) = rho(k tau) + tau * sum_m K_{km}[rho((k-m) tau)].  With exact kernels
+    this reproduces the embedding trajectory; a rho_S(0) of the wrong shape is a ValueError.
     """
     if k_max < 0:
         raise ValueError(f"need k_max >= 0, got k_max={k_max}")
-    history = np.tile(vec(rho_s0), (k_max + 1, 1))
+    history = np.tile(vec(emb._system_state(rho_s0, table.d_system)), (k_max + 1, 1))
     for k in range(k_max):
         row = table._row(k, k)
         history[k + 1] = history[k] + table.tau * (row @ history[k::-1, :, None]).sum(axis=0)[:, 0]
-    return [unvec(v, table.d_system).copy() for v in history]
+    return list(history.reshape(-1, table.d_system, table.d_system).swapaxes(1, 2).copy())
 
 
 # -- second-order (correlation-function) kernel ------------------------------
@@ -468,10 +454,10 @@ def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superop
     if k < 0 or m_max < 0:
         raise ValueError(f"need k >= 0 and m_max >= 0, got k={k}, m_max={m_max}")
     m_max = min(m_max, k)
-    ladder = _guard_kernel_threads(model, k - m_max, k + 1)
-    # The walk from the earliest start ends on the step-k row, which holds every K_{k,m}.
-    for row in _kernel_rows(model, k - m_max, k + 1, ladder):
-        pass
+    ladder, starts = _guard_kernel_threads(model, k - m_max, k + 1)
+    # Every step's row is a prefix of one buffer: the walk ends on the step-k row, all of it.
+    row = np.empty((m_max + 1,) + (model.d_system ** 2,) * 2, dtype=complex)
+    _kernel_threads(model, starts, k + 1, ladder, (row[:n] for n in range(1, m_max + 2)))
     second = [None] * (m_max + 1)
     if model.hamiltonian is not None:
         chis = [_rung(ladder, k - m) for m in range(1, m_max + 1)]
@@ -552,8 +538,8 @@ def evolve_gksl_grid(generator: Superoperator, rho_s0: np.ndarray, dt: float,
     """
     if n_steps < 0:
         raise ValueError(f"need n_steps >= 0, got n_steps={n_steps}")
+    v = vec(emb._system_state(rho_s0, generator.in_dim))
     propagator = generator._exp(float(dt))
-    v = vec(rho_s0)
     states = [unvec(v, generator.out_dim)]
     for _ in range(n_steps):
         v = propagator @ v

@@ -183,17 +183,23 @@ def right_canonicalize(tensors) -> MpsEnvironment:
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
-def _kraus_sum(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_j A_j X A_j^dag for a stack ``ops`` of A_j, shape (n, p, q), and one X or a stack
-    (..., q, q); the module docstring names its three views of a site tensor."""
+def _kraus_operands(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_kraus_sum``'s A_j^T side by side (q, n p) and A_j^* stacked (n q, p) of A (n, p, q)."""
     n, p, q = ops.shape
+    return ops.transpose(2, 0, 1).reshape(q, n * p), ops.transpose(0, 2, 1).reshape(n * q, p).conj()
+
+
+def _kraus_sum(operands: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """sum_j A_j X A_j^dag for the ``_kraus_operands`` of a stack of A_j, shape (n, p, q), and
+    one X or a stack (..., q, q); the module docstring names its three views of a site tensor."""
+    left, right = operands
     # T[..., c, j, b] = (A_j X)[b, c], then one sum over (j, c) with j slow: the bond step's
     # bits, which fig5a's decorrelated column was written with.  embedding._collide's
     # per-j accumulation is the same map but moves those bits.
-    lead = x.shape[:-2]
-    t = np.swapaxes(x, -1, -2).reshape(-1, q) @ ops.transpose(2, 0, 1).reshape(q, n * p)
-    t = np.swapaxes(t.reshape(lead + (q, n, p)), -1, -3).reshape(-1, n * q)
-    return (t @ ops.transpose(0, 2, 1).reshape(n * q, p).conj()).reshape(lead + (p, p))
+    lead, (q, p) = x.shape[:-2], (len(left), right.shape[1])
+    t = x.swapaxes(-1, -2).reshape(-1, q) @ left
+    t = t.reshape(lead + (q, -1, p)).swapaxes(-1, -3).reshape(-1, len(right))
+    return (t @ right).reshape(lead + (p, p))
 
 
 def _pair_states(env: MpsEnvironment, site_b: int, chis):
@@ -201,14 +207,17 @@ def _pair_states(env: MpsEnvironment, site_b: int, chis):
     bond state chi entering a site a = chi.site < site_b in ``chis``, by descending a.
 
     Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_kraus_sum`` on
-    the view B) and closes on M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is
-    the sum of M[i, j] (.) R[k, l].
+    the view B, its operands prepared once per distinct site tensor) and closes on
+    M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is the sum of M[i, j] (.) R[k, l].
     """
     b = env.site(site_b)
     r, at = b[:, None] @ b.conj().transpose(0, 2, 1), site_b   # r reads the bond entering `at`
+    site = operands = None
     for chi in chis:
         for k in range(at - 1, chi.site, -1):
-            r = _kraus_sum(env.site(k), r)
+            if env.site(k) is not site:
+                site, operands = env.site(k), _kraus_operands(env.site(k))
+            r = _kraus_sum(operands, r)
         at = chi.site + 1
         ba = env.site(chi.site)
         m = ba.transpose(0, 2, 1)[:, None] @ (chi.matrix @ ba.conj())
@@ -224,7 +233,7 @@ def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
             f"bond state dim {chi.matrix.shape[0]} does not match site {chi.site} "
             f"left bond {b.shape[1]}"
         )
-    return BondState(chi.site + 1, _kraus_sum(b.transpose(0, 2, 1), chi.matrix))
+    return BondState(chi.site + 1, _kraus_sum(_kraus_operands(b.transpose(0, 2, 1)), chi.matrix))
 
 
 def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
@@ -232,7 +241,7 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     b = env.site(chi.site)
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
-    return _kraus_sum(b.transpose(2, 0, 1), chi.matrix)
+    return _kraus_sum(_kraus_operands(b.transpose(2, 0, 1)), chi.matrix)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

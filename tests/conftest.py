@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from mpscollision import embedding as emb
 from mpscollision.linalg import kron
+from mpscollision.master_equation import (
+    KernelTable,
+    _basis_stack,
+    _bond_ladder,
+    _rung,
+    unvec,
+    vec,
+)
 from mpscollision.models import spin1_matrices
 from mpscollision.mps import _bulk_tensor, _pair_states
 
@@ -132,3 +141,65 @@ def reduced_density_prefix(env, k: int) -> np.ndarray:
     # t has shape (anc, d_1, ..., d_k, D_k); contract ancilla and open bond.
     rho = np.tensordot(t, t.conj(), axes=([0, t.ndim - 1], [0, t.ndim - 1]))
     return rho.reshape(total, total)
+
+
+# -- reference NZ walk -------------------------------------------------------------
+# The kernel walk and solver as they were before the walk wrote into the packed table:
+# a concatenated thread stack, a kron per projection, one row buffer copied into the
+# table row by row.  The library's walk must give these bits exactly.
+
+def reference_kernel_threads(model, starts: range, k_max: int, ladder):
+    """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m."""
+    d_s = model.d_system
+    d2 = d_s ** 2
+    threads = np.zeros((0, d2) + (d_s * _rung(ladder, starts.start).matrix.shape[0],) * 2)
+    steps = range(starts.start, k_max)
+    for k, channel in zip(steps, emb._kraus_stacks(model, steps)):
+        if k in starts:
+            threads = np.concatenate([_basis_stack(d_s, _rung(ladder, k).matrix)[None], threads])
+        threads = emb._collide(channel, threads)
+        traced = emb.trace_bond(threads, d_s)
+        if k + 1 < k_max:
+            threads -= kron(traced, _rung(ladder, k + 1).matrix)
+        mats = traced.swapaxes(-1, -3).reshape(traced.shape[:-2] + (-1,))
+        if k in starts:
+            mats[0] -= np.eye(d2)
+        mats *= 1.0 / model.tau
+        yield mats
+
+
+def reference_kernel_rows(model, s0: int, k_max: int):
+    """Rows K_{k,k-s} over the starts s = s0..k for steps k from s0 to k_max - 1, each a view
+    of one row buffer; row k past the onset s* keeps thread s*'s first k - s* outputs."""
+    ladder = _bond_ladder(model, k_max - 1, s0)
+    onset = max(s0, ladder[-1].site)
+    threads = reference_kernel_threads(model, range(s0, onset + 1), k_max, ladder)
+    row = np.empty((k_max - s0,) + (model.d_system ** 2,) * 2, dtype=complex)
+    for k, mats in enumerate(threads, s0):
+        j = max(k - onset, 0)
+        row[j:j + len(mats)] = mats
+        yield row[:j + len(mats)]
+
+
+def reference_kernel_table(model, k_max: int) -> KernelTable:
+    d_s = model.d_system
+    length = KernelTable._length(k_max)
+    table = KernelTable(model.tau, d_s, np.empty((length, d_s ** 2, d_s ** 2), dtype=complex))
+    for k, row in enumerate(reference_kernel_rows(model, 0, k_max)):
+        table._row(k, k)[:] = row
+    return table
+
+
+def reference_kernel_scan_row(model, k: int, m_max: int) -> np.ndarray:
+    """K_{k,0..m_max} off the walk from the start k - m_max."""
+    for row in reference_kernel_rows(model, k - m_max, k + 1):
+        pass
+    return row
+
+
+def reference_solve_nz(table, rho_s0, k_max: int) -> list[np.ndarray]:
+    history = np.tile(vec(rho_s0), (k_max + 1, 1))
+    for k in range(k_max):
+        row = table._row(k, k)
+        history[k + 1] = history[k] + table.tau * (row @ history[k::-1, :, None]).sum(axis=0)[:, 0]
+    return [unvec(v, table.d_system).copy() for v in history]

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from mpscollision import embedding, master_equation, models, mps
 from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
@@ -42,6 +43,9 @@ from conftest import (
     partial_trace,
     random_density,
     random_hermitian,
+    reference_kernel_scan_row,
+    reference_kernel_table,
+    reference_solve_nz,
     trace_distance,
 )
 
@@ -353,8 +357,9 @@ def test_stationary_table_matches_threads(interaction, g_tau):
     assert onset(model, k_max) == 0
     fast = build_kernel_table(model, k_max).packed
     ladder = master_equation._bond_ladder(model, k_max - 1)
-    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max,
-                                                                  ladder)))
+    threads = np.empty_like(fast)
+    master_equation._kernel_threads(model, range(k_max), k_max, ladder,
+                                    (threads[k * (k + 1) // 2:][:k + 1] for k in range(k_max)))
     assert np.array_equal(fast, threads)
 
 
@@ -433,8 +438,9 @@ def test_cluster_table_from_its_onset():
     table = build_kernel_table(model, k_max)
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
     ladder = master_equation._bond_ladder(model, k_max - 1)
-    threads = np.concatenate(list(master_equation._kernel_threads(model, range(k_max), k_max,
-                                                                  ladder)))
+    threads = np.empty_like(table.packed)
+    master_equation._kernel_threads(model, range(k_max), k_max, ladder,
+                                    (threads[k * (k + 1) // 2:][:k + 1] for k in range(k_max)))
     assert np.max(np.abs(table.packed - threads)) <= 1e-14
 
 
@@ -700,7 +706,8 @@ def test_map_stack_traces_the_walk_in_batches(name, n, monkeypatch):
     reference, shapes = [np.eye(d_s ** 2)], [x.shape]
     for k in range(n):
         x = collide(kraus_operators(model, k), x)
-        reference.append(master_equation._read_off(trace_bond(x, d_s)))
+        traced = trace_bond(x, d_s)
+        reference.append(traced.swapaxes(-1, -3).reshape(traced.shape[:-2] + (-1,)))
         shapes.append(x.shape)
     calls = []
 
@@ -772,6 +779,80 @@ def test_solve_nz_matches_per_entry_loop(name):
     nz = solve_nz(table, rho0, k_max)
     assert len(nz) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(nz, states))
+
+
+REFERENCE_CHAINS = {
+    "aklt": lambda: build_model(ModelSpec("aklt"), g_tau=0.4),
+    "two_photon": two_photon_model,   # fig5a's parameters
+    "cluster": lambda: build_model(ModelSpec("cluster"), g_tau=0.4, fock_cutoff=5),
+    "random_D4": lambda: random_spin1_chain(np.random.default_rng(4), 4),
+    "ghz": lambda: build_model(ModelSpec("ghz", {"n_sites": 10}), g_tau=0.4),   # three shapes
+    "single_photon": lambda: build_model(ModelSpec("single_photon", {"n_sites": 10}),
+                                         g_tau=0.4),   # a distinct tensor per site
+}
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 8, 16])
+@pytest.mark.parametrize("name", REFERENCE_CHAINS)
+def test_kernel_walk_keeps_the_reference_bits(name, k_max):
+    # The walk writes into the packed table, grows its thread stack in place and
+    # projects without kron; the concatenating, row-copying walk in conftest gives
+    # the same bits for the table, every scan row and the solver's states.  The
+    # 10-site chains run to their length and refuse K = 16.
+    model = REFERENCE_CHAINS[name]()
+    if model.env.length is not None and k_max > model.env.length:
+        with pytest.raises(IndexError, match="beyond environment length"):
+            build_kernel_table(model, k_max)
+        k_max = model.env.length
+    table = build_kernel_table(model, k_max)
+    reference = reference_kernel_table(model, k_max)
+    assert np.array_equal(table.packed, reference.packed)
+    silent = dataclasses.replace(model, hamiltonian=None)
+    scans = [(k, k) for k in range(k_max)] + [(k_max - 1, (k_max - 1) // 2)] * (k_max > 0)
+    for k, m in scans:
+        kernels, _ = kernel_scan(silent, k, m)
+        want = reference_kernel_scan_row(model, k, m)
+        assert len(kernels) == len(want)
+        assert all(np.array_equal(a.matrix, b) for a, b in zip(kernels, want)), (k, m)
+    rho0 = models.named_initial_state("plus")
+    states, want = solve_nz(table, rho0, k_max), reference_solve_nz(reference, rho0, k_max)
+    assert len(states) == len(want) == k_max + 1
+    assert all(np.array_equal(a, b) for a, b in zip(states, want))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(d_bond=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1), stationary=st.booleans(),
+       g_tau=st.floats(0.1, 0.6), k_max=st.integers(0, 12))
+def test_nz_equals_embedding_on_random_chains(d_bond, seed, stationary, g_tau, k_max):
+    # Homogeneous right-canonical spin-1 chains of a complex QR isometry under a
+    # heisenberg coupling, from chi_0 = I/D or the stationary bond state: the
+    # table's recursion gives the embedding's maps, and its states the
+    # embedding's trajectory, to 1e-12.
+    model = random_spin1_chain(np.random.default_rng(seed), d_bond, g_tau)
+    if stationary:
+        model = with_stationary_chi0(model)
+    table = build_kernel_table(model, k_max)
+    assert np.max(master_equation._maps_residuals(model, table, k_max), initial=0.0) <= 1e-12
+    for rho0 in (models.named_initial_state("plus"), models.named_initial_state("excited")):
+        nz, embed = solve_nz(table, rho0, k_max), trajectory(model, rho0, k_max)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho0", [np.ones(4) / 4, np.eye(3) / 3, np.eye(2)[None] / 2])
+def test_nz_and_gksl_refuse_a_wrong_shape_state(rho0, monkeypatch):
+    # Unchecked, a flat (4,) state gave 2 x 2 states of trace 0.5 from both, and a
+    # 3 x 3 state failed inside matmul or reshape; each is refused before the first
+    # step with trajectory's wording.
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
+    table, generator = build_kernel_table(aklt, 4), stroboscopic_generator(aklt)
+    monkeypatch.setattr(Superoperator, "_exp", lambda *args: pytest.fail("exponential first"))
+    message = rf"system state shape \({', '.join(map(str, rho0.shape))},?\), expected \(2, 2\)"
+    with pytest.raises(ValueError, match=message):
+        solve_nz(table, rho0, 4)
+    with pytest.raises(ValueError, match=message):
+        evolve_gksl_grid(generator, rho0, 0.1, 4)
+    with pytest.raises(ValueError, match=message):
+        trajectory(aklt, rho0, 4)
 
 
 # -- second-order kernel -----------------------------------------------------------
@@ -917,6 +998,20 @@ def test_second_order_walks_one_readout(monkeypatch):
     kernel_scan(build_model(ModelSpec("aklt"), g_tau=0.5), 200, 200)
     assert len(kraus_sums) - len(bond_steps) <= 200
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name,k,prepared", [("aklt", 12, 1), ("two_photon", 30, 1),
+                                             ("single_photon_complex", 7, 6)])
+def test_readout_walk_prepares_each_site_tensor_once(name, k, prepared, monkeypatch):
+    # A readout walk over every delay steps back over sites k - 1..1; it prepares
+    # _kraus_sum's operands once per distinct site tensor, not once per step.
+    model = reference_models()[name]
+    ladder = master_equation._bond_ladder(model, k - 1)
+    chis = [master_equation._rung(ladder, k - m) for m in range(1, k + 1)]
+    calls, operands = [], mps._kraus_operands
+    monkeypatch.setattr(mps, "_kraus_operands", lambda ops: calls.append(1) or operands(ops))
+    assert len(list(mps._pair_states(model.env, k, chis))) == k
+    assert len(calls) == prepared
 
 
 def test_kernel_scan_keeps_only_the_rungs_it_reads():

@@ -261,9 +261,10 @@ def test_kraus_sum_views_match_einsum(rng, shape):
     x = rng.normal(size=(2, 3, dl, dl)) + 1j * rng.normal(size=(2, 3, dl, dl))
     r = rng.normal(size=(2, 3, dr, dr)) + 1j * rng.normal(size=(2, 3, dr, dr))
     for xs, rs in ((x, r), (x[1, 2], r[1, 2]), (x[0], r[0])):
-        bond, walked = mps._kraus_sum(b.transpose(0, 2, 1), xs), mps._kraus_sum(b, rs)
+        bond = mps._kraus_sum(mps._kraus_operands(b.transpose(0, 2, 1)), xs)
+        walked = mps._kraus_sum(mps._kraus_operands(b), rs)
         for got, want in ((bond, np.einsum("iab,...ac,icd->...bd", b, xs, b.conj())),
-                          (mps._kraus_sum(b.transpose(2, 0, 1), xs),
+                          (mps._kraus_sum(mps._kraus_operands(b.transpose(2, 0, 1)), xs),
                            np.einsum("iab,...ac,jcb->...ij", b, xs, b.conj())),
                           (walked, np.einsum("iab,...bc,idc->...ad", b, rs, b.conj()))):
             assert got.shape == want.shape
