@@ -9,24 +9,17 @@ stroboscopic GKSL generator (Markovian limit).  A brute-force reference on
 the full Hilbert space validates all of them on small instances.
 """
 
+import importlib
+
 from .embedding import (
     CollisionModel,
     CutoffConvergenceError,
+    SizeGuardError,
     kraus_operators,
     observable_series,
     trajectory,
 )
 from .linalg import expm_hermitian_generator, kron, lq_factorize
-from .master_equation import (
-    KernelTable,
-    Superoperator,
-    build_kernel_table,
-    evolve_gksl,
-    evolve_gksl_grid,
-    second_order_kernel,
-    solve_nz,
-    stroboscopic_generator,
-)
 from .models import (
     ModelSpec,
     aklt_env,
@@ -50,6 +43,28 @@ from .mps import (
     site_reduced_state,
     transfer_spectrum,
 )
-from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
 
 __version__ = "0.1.0"
+
+# Re-exports of the two routes most runs never call, resolved on first use
+# (PEP 562) so that a process loads ``master_equation`` and ``oracle`` only
+# when it reaches them.  Nothing is cached here: each read returns the
+# module's current attribute.
+_LAZY = {
+    "master_equation": ("KernelTable", "Superoperator", "build_kernel_table", "evolve_gksl",
+                        "evolve_gksl_grid", "second_order_kernel", "solve_nz",
+                        "stroboscopic_generator"),
+    "oracle": ("OracleRun", "brute_force_trajectory"),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_MODULE})

@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .embedding import CollisionModel, CutoffConvergenceError, observable_series, trajectory
+from .embedding import (CollisionModel, CutoffConvergenceError, SizeGuardError, observable_series,
+                        trajectory)
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
-from .master_equation import (_maps_residuals, build_kernel_table, evolve_gksl_grid, kernel_scan,
-                              solve_nz, stroboscopic_generator)
 from .models import ModelSpec
 from .mps import decorrelate
-from .oracle import OracleRun, SizeGuardError, brute_force_trajectory
+
+# ``master_equation`` and ``oracle`` are imported inside the branches that call them, so a
+# process loads neither unless its method or subcommand needs it.
 
 __all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "kernel_norms",
            "PRESETS"]
@@ -245,7 +246,10 @@ def load_config(doc: dict) -> dict:
     # The Markovian generator is small; building it here rejects every model
     # the stroboscopic limit does not cover (inhomogeneous, no Hamiltonian,
     # infinite correlation length, a generator that fails its trace check).
-    generator = _built("method", stroboscopic_generator, built) if method == "gksl" else None
+    generator = None
+    if method == "gksl":
+        from .master_equation import stroboscopic_generator
+        generator = _built("method", stroboscopic_generator, built)
 
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
@@ -256,6 +260,12 @@ def load_config(doc: dict) -> dict:
     output = doc.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output", "expected a path string")
+    if output:   # refused here, not after the run has computed what it would write
+        target = Path(output)
+        if target.is_dir():
+            raise ConfigError("output", f"'{output}' is a directory, not a file to write")
+        if not target.parent.is_dir():
+            raise ConfigError("output", f"no directory '{target.parent}' to write into")
 
     return {
         "spec": spec,
@@ -389,6 +399,7 @@ def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.nda
     """States 0..k_max by the configured method; ``gated`` is the cutoff gate's trajectory."""
     method, model, rho0, k_max = cfg["method"], cfg["model"], cfg["initial_state"], cfg["k_max"]
     if method == "oracle":
+        from .oracle import OracleRun, brute_force_trajectory
         return brute_force_trajectory(OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max))
     if method == "nz":
         return _nz_states(model, rho0, k_max)
@@ -404,6 +415,7 @@ def _nz_states(model: CollisionModel, rho0: np.ndarray, k_max: int) -> list[np.n
     (Frobenius, ``master_equation._maps_residuals``) at every step k, against the exact
     maps E_k; exact kernels leave only roundoff.  The states are not touched.
     """
+    from .master_equation import _maps_residuals, build_kernel_table, solve_nz
     table = build_kernel_table(model, k_max)
     residuals = _maps_residuals(model, table, k_max)
     bad = np.flatnonzero(~(residuals <= _MAPS_TOL))
@@ -423,6 +435,7 @@ def _gksl_states(generator, rho0: np.ndarray, tau: float, k_max: int) -> list[np
     exp(τL) overflows to inf and nan, which would otherwise be written with
     exit 0.  Overflow warnings are silenced because this gate reports them.
     """
+    from .master_equation import evolve_gksl_grid
     with np.errstate(over="ignore", invalid="ignore"):
         states = evolve_gksl_grid(generator, rho0, tau, k_max)
         rho = np.asarray(states)
@@ -525,7 +538,10 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
     if figure not in FIGURES:
         raise ConfigError("figure", f"unknown figure '{figure}', expected one of {FIGURES}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out", f"cannot create directory '{out_dir}': {exc}") from exc
     written = []
     for name, base in _VARIANT_RUNS.get(figure, []):
         obs = base["observables"][0]
@@ -539,6 +555,7 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
         header = ["q_exact", "q_uncorrelated", "q_exact_closed_form", "q_markov_closed_form"]
         written.append(_write(out / "fig6a.csv", _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig6b":
+        from .master_equation import evolve_gksl_grid, stroboscopic_generator
         cfg = load_config(PRESETS["fig6b"])
         written.append(_write(out / "fig6b_exact.csv", run_config(cfg)))
         model = cfg["model"]
@@ -552,8 +569,12 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
     return written
 
 
-def _write(path: Path, text: str) -> Path:
-    path.write_text(text)
+def _write(path: Path, text: str, field: str = "out") -> Path:
+    """Write ``text`` to ``path``; a failed write is a config error at ``field``."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot write '{path}': {exc}") from exc
     return path
 
 
@@ -561,6 +582,7 @@ def _write(path: Path, text: str) -> Path:
 
 def kernel_norms(cfg: dict, k: int, m_max: int) -> str:
     """CSV of the norms of K_{k,m} and of its second-order part per delay m (``kernel_scan``)."""
+    from .master_equation import kernel_scan
     kernels, second = kernel_scan(cfg["model"], k, m_max)
     rows = [[m, kernel.norm(), float("nan") if part is None else part.norm()]
             for m, (kernel, part) in enumerate(zip(kernels, second))]
@@ -575,6 +597,10 @@ def _load_file(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError("", f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError("", f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("", f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("", f"invalid JSON: {exc}") from exc
 
@@ -607,7 +633,7 @@ def main(argv=None) -> int:
             cfg = load_config(_load_file(args.config))
             text = run_config(cfg)
             if cfg["output"]:
-                Path(cfg["output"]).write_text(text)
+                _write(Path(cfg["output"]), text, "output")
             else:
                 sys.stdout.write(text)
         elif args.command == "reproduce":

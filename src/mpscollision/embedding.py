@@ -30,6 +30,7 @@ from .mps import MpsEnvironment
 __all__ = [
     "CollisionModel",
     "CutoffConvergenceError",
+    "SizeGuardError",
     "kraus_operators",
     "collide",
     "trace_bond",
@@ -44,6 +45,10 @@ _KRAUS_BATCH_BYTES = 64 * 1024   # Kraus stacks ``_kraus_stacks`` builds by one 
 
 class CutoffConvergenceError(RuntimeError):
     """Observables moved by more than the allowed shift when the Fock cutoff grew."""
+
+
+class SizeGuardError(ValueError):
+    """A requested brute-force run or kernel table would exceed its size budget."""
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import embedding as emb
-from .embedding import CollisionModel
+from .embedding import CollisionModel, SizeGuardError
 from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
@@ -43,7 +43,6 @@ from .mps import (
     stationary_bond_state,
     transfer_spectrum,
 )
-from .oracle import SizeGuardError
 
 __all__ = [
     "Superoperator",

@@ -15,17 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import CollisionModel
+from .embedding import CollisionModel, SizeGuardError
 from .linalg import hermitian_part
 from .mps import MpsEnvironment
 
 __all__ = ["OracleRun", "SizeGuardError", "brute_force_trajectory"]
 
 STATE_GUARD = 2 ** 20
-
-
-class SizeGuardError(ValueError):
-    """Requested brute-force run would exceed the state-vector budget."""
 
 
 @dataclass(frozen=True)

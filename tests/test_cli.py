@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg  # test-only reference for the matrix logarithm and exponential
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from mpscollision import cli, embedding, master_equation, models, mps
+from mpscollision import cli, embedding, master_equation, models, mps, oracle
 from mpscollision.cli import (
     MAX_CHAIN_SITES,
     ConfigError,
@@ -282,6 +282,56 @@ def test_validate_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["validate"], ["kernel", "--k", "1", "--m-max", "1"]])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, command):
+    # A directory or a file that is not UTF-8 text is a config error naming the path.
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
+    for name, reason in (("dir.json", "cannot read config file"), ("utf16.json", "not UTF-8")):
+        path = str(tmp_path / name)
+        assert main([command[0], "--config", path, *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config.: ")
+        assert reason in captured.err and path in captured.err
+
+
+@pytest.mark.parametrize("output,message", [
+    ("/nonexistent/dir/x.csv", "no directory '/nonexistent/dir' to write into"),
+    ("/", "'/' is a directory, not a file to write"),
+])
+def test_unwritable_output_is_refused_before_any_work(tmp_path, capsys, monkeypatch, output,
+                                                      message):
+    monkeypatch.setattr(cli, "trajectory", lambda *args: pytest.fail("run before the refusal"))
+    path = write_config(tmp_path, aklt_doc(output=output))
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config.output: {message}\n"
+
+
+def test_failed_output_write_exits_2(tmp_path, capsys):
+    # A link into a missing directory passes the parent check; its write still fails.
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "missing" / "x.csv")
+    path = write_config(tmp_path, aklt_doc(output=str(link), k_max=3))
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config.output: cannot write '{link}': ")
+
+
+def test_reproduce_unwritable_out_exits_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    assert main(["reproduce", "fig5a", "--out", str(tmp_path / "file" / "sub")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config.out: cannot create directory '{tmp_path / 'file' / 'sub'}': ")
+    (tmp_path / "out" / "fig5a.csv").mkdir(parents=True)
+    assert main(["reproduce", "fig5a", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config.out: cannot write '{tmp_path / 'out' / 'fig5a.csv'}': ")
+
+
 # One field of a small valid document replaced by a valid or an invalid value
 # (MISSING deletes the field); every document must exit 2 at validate exactly
 # when it exits 2 at run.
@@ -338,6 +388,8 @@ FIELD_POOLS = {
     ("model", "paramters"): [{}],
     ("observable",): [["sigma_x"]],
     ("intial_state",): ["plus"],
+    # Only targets no run can write, so that no example writes into the working directory.
+    ("output",): [None, "/", "/nonexistent/dir/x.csv", 3],
 }
 FIELD_CHANGES = [(path, value) for path, pool in FIELD_POOLS.items() for value in pool]
 
@@ -484,7 +536,7 @@ def test_run_nz_maps_gate(tmp_path, capsys, monkeypatch, doc):
     corrupted = master_equation.KernelTable(table.tau, table.d_system, packed)
     residuals = master_equation._maps_residuals(cfg["model"], corrupted, 6)
     assert np.max(residuals[:4]) <= 1e-14 < 1e-12 < residuals[4]
-    monkeypatch.setattr(cli, "build_kernel_table", lambda model, k_max: corrupted)
+    monkeypatch.setattr(master_equation, "build_kernel_table", lambda model, k_max: corrupted)
     assert main(["run", "--config", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -529,16 +581,17 @@ def test_run_gksl_refuses_non_finite_states(tmp_path, capsys, g_tau, value):
 def test_run_gksl_gate_measures_trace_and_hermiticity(tmp_path, capsys, monkeypatch):
     # A finite state off unit trace or off Hermiticity by more than 1e-10 is refused.
     doc = aklt_doc(method="gksl", g_tau=0.1, k_max=4, interaction="controlled")
-    states = cli.evolve_gksl_grid(load_config(doc)["generator"], np.diag([1.0, 0.0]),
-                                  0.1, 4)
+    states = master_equation.evolve_gksl_grid(load_config(doc)["generator"],
+                                              np.diag([1.0, 0.0]), 0.1, 4)
     path = write_config(tmp_path, doc)
     for k, bad, defect in ((2, np.diag([0.0, 1e-9]), "1.000e-09"),   # trace
                            (3, np.array([[0.0, 1e-9], [0.0, 0.0]]), "1.414e-09")):   # ||X - X^dag||
         rigged = [rho + bad * (j == k) for j, rho in enumerate(states)]
-        monkeypatch.setattr(cli, "evolve_gksl_grid", lambda *args, rigged=rigged: rigged)
+        monkeypatch.setattr(master_equation, "evolve_gksl_grid",
+                            lambda *args, rigged=rigged: rigged)
         assert main(["run", "--config", path]) == 3
         assert f"step {k} has a trace/Hermiticity defect of {defect}" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "evolve_gksl_grid", lambda *args: states)
+    monkeypatch.setattr(master_equation, "evolve_gksl_grid", lambda *args: states)
     assert main(["run", "--config", path]) == 0
 
 
@@ -588,7 +641,7 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
     def refuse(run):
         raise AssertionError("oracle ran past its size guard")
 
-    monkeypatch.setattr(cli, "brute_force_trajectory", refuse)
+    monkeypatch.setattr(oracle, "brute_force_trajectory", refuse)
     doc = {**PRESETS["fig5b"], "method": "oracle", "k_max": 12, "fock_cutoff": 9}
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 3
     assert f"state vector of {2 * 9 ** 12} entries" in capsys.readouterr().err
@@ -780,8 +833,33 @@ def test_validate_process_imports_no_scipy(tmp_path):
     proc, imported = run_cli_process(tmp_path, aklt_doc(), "validate")
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stdout == "ok\n"
-    assert {"numpy", "mpscollision", "mpscollision.master_equation"} <= imported
+    assert {"numpy", "mpscollision"} <= imported
     assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+ROUTE_MODULES = ("mpscollision.master_equation", "mpscollision.oracle")
+
+
+@pytest.mark.parametrize("args,doc,loaded", [
+    (["run"], aklt_doc(k_max=4), ()),
+    (["run"], aklt_doc(k_max=4, method="decorrelated"), ()),
+    (["validate"], aklt_doc(method="nz"), ()),
+    (["reproduce", "fig5a", "--out", "{out}"], None, ()),
+    (["run"], aklt_doc(k_max=4, method="oracle"), ("mpscollision.oracle",)),
+    (["run"], aklt_doc(k_max=4, method="nz"), ("mpscollision.master_equation",)),
+    (["run"], aklt_doc(k_max=4, method="gksl", g_tau=0.1), ("mpscollision.master_equation",)),
+    (["kernel", "--k", "2", "--m-max", "2"], aklt_doc(k_max=4), ("mpscollision.master_equation",)),
+    (["reproduce", "fig6b", "--out", "{out}"], None, ("mpscollision.master_equation",)),
+], ids=["embedding", "decorrelated", "validate", "fig5a", "oracle", "nz", "gksl", "kernel",
+        "fig6b"])
+def test_process_loads_only_the_route_it_runs(tmp_path, args, doc, loaded):
+    # master_equation and oracle load on first use: a process imports neither unless its method
+    # or subcommand calls it.
+    args = [a.format(out=tmp_path / "out") for a in args]
+    proc, imported = run_cli_process(tmp_path, doc, *args)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert {"mpscollision.embedding", "mpscollision.models", "mpscollision.mps"} <= imported
+    assert sorted(imported & set(ROUTE_MODULES)) == list(loaded)
 
 
 def test_fig5a_keeps_golden_bytes_on_one_blas_thread(tmp_path):

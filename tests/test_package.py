@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mpscollision
-from mpscollision import cli, linalg, models
+from mpscollision import cli, embedding, linalg, master_equation, models, oracle
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(mpscollision.__path__))
 
@@ -36,16 +36,36 @@ def test_every_public_definition_is_listed(name):
 
 
 def test_package_reexports_are_listed_in_their_modules():
-    # Each ``from .module import name`` of the package's __init__ re-exports
-    # ``name``, so ``module.__all__`` must list it too.
+    # Each ``from .module import name`` of the package's __init__, and each name of its
+    # lazy table, re-exports ``name``, so ``module.__all__`` must list it too.
     tree = ast.parse(Path(mpscollision.__file__).read_text())
-    unlisted = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"mpscollision.{node.module}")
-            unlisted += [f"{node.module}.{a.name}" for a in node.names
-                         if a.name not in module.__all__]
+    reexports = [(node.module, a.name) for node in tree.body
+                 if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names]
+    lazy = [(short, name) for short, names in mpscollision._LAZY.items() for name in names]
+    assert lazy and not {name for _, name in lazy} & {name for _, name in reexports}
+    unlisted = [f"{short}.{name}" for short, name in reexports + lazy
+                if name not in importlib.import_module(f"mpscollision.{short}").__all__]
     assert unlisted == []
+
+
+def test_lazy_reexports_resolve_to_their_module_attributes():
+    # The names of master_equation and oracle load their module on first use and are the
+    # module's own objects; dir() lists them, and any other missing name still raises.
+    listed = dir(mpscollision)
+    for short, names in mpscollision._LAZY.items():
+        module = importlib.import_module(f"mpscollision.{short}")
+        for name in names:
+            assert getattr(mpscollision, name) is getattr(module, name)
+            assert name in listed
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        mpscollision.no_such_name  # noqa: B018
+
+
+def test_size_guard_error_is_one_class():
+    # The oracle re-exports the exit-3 error the embedding module defines, so the CLI
+    # catches it without loading the oracle.
+    assert (oracle.SizeGuardError is master_equation.SizeGuardError is embedding.SizeGuardError
+            is mpscollision.SizeGuardError)
 
 
 def test_package_runs_on_numpy_alone():
