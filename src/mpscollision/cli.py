@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from . import models
 from .embedding import (CollisionModel, CutoffConvergenceError, SizeGuardError, observable_series,
                         trajectory)
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
-from .models import ModelSpec
+from .models import ModelSpec, _finite, _integer
 from .mps import decorrelate
 
 # ``master_equation`` and ``oracle`` are imported inside the branches that call them, so a
@@ -45,8 +44,6 @@ MODEL_KEYS = ("name", "parameters")
 TOLERANCE_KEYS = ("cutoff_shift",)
 _STATE_TOL = 1e-10   # trace and Hermiticity defect of a GKSL state, as the benchmark checks
 _MAPS_TOL = 1e-12    # maps residual of an NZ kernel table
-_INTEGER_PARAMETERS = ("n_sites", "fock_cutoff")
-_NUMBER_PARAMETERS = ("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2", "width")
 
 
 class _StateGateError(RuntimeError):
@@ -59,7 +56,7 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
-        super().__init__(f"config.{field}: {message}")
+        super().__init__(f"config.{field}: {message}" if field else f"config: {message}")
 
 
 def _require(cfg: dict, field: str, types, path: str = ""):
@@ -105,21 +102,6 @@ def _parse_matrix(data, field: str) -> np.ndarray:
     return m
 
 
-def _integer(value) -> bool:
-    """Whether ``value`` is a JSON integer (bool subclasses int, true and false are not)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite JSON number (true and false are not)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:   # a JSON integer beyond the float range
-        return False
-
-
 def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     """A finite JSON number above ``minimum`` (or at it, unless ``strict``)."""
     if not _finite(value) or value < minimum or (strict and value == minimum):
@@ -128,34 +110,18 @@ def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     return float(value)
 
 
-def _check_parameters(parameters: dict) -> None:
-    """Refuse, before the model is built, a finite chain longer than
-    ``MAX_CHAIN_SITES`` and parameters ``models.environment_for`` would coerce.
-
-    ``environment_for`` stores one site tensor per requested site, so without
-    the length bound the document alone would set the cost of loading it.  It
-    reads parameters with ``float``/``int``/``complex``, which would run true
-    as 1 and n_sites 2.5 as 2; their ranges are left to it.
-    """
-    for key, count in (("n_sites", int), ("amplitudes", len)):
+def _check_chain_length(parameters: dict, kinds: dict) -> None:
+    """Refuse, before the model is built, a finite chain longer than ``MAX_CHAIN_SITES``:
+    ``models.environment_for`` stores one site tensor per requested site, so without the
+    bound the document alone would set the cost of loading it."""
+    for key, value in parameters.items():
         try:
-            n = count(parameters[key])
+            n = {"count": int, "vector": len}[kinds[key]](value)
         except (KeyError, TypeError, ValueError, OverflowError):
             continue
         if n > MAX_CHAIN_SITES:
             raise ConfigError(f"model.parameters.{key}",
                               f"{n} sites exceed the {MAX_CHAIN_SITES}-site limit")
-    for key, value in parameters.items():
-        if key in _INTEGER_PARAMETERS and not _integer(value):
-            raise ConfigError("model.parameters", f"{key} must be an integer, got {value!r}")
-        if key in _NUMBER_PARAMETERS and not _finite(value):
-            raise ConfigError("model.parameters", f"{key} must be a finite number, got {value!r}")
-        if key == "amplitudes" and isinstance(value, list):
-            for j, amp in enumerate(value):
-                pair = isinstance(amp, list) and len(amp) == 2 and all(map(_finite, amp))
-                if not (pair or _finite(amp)):
-                    raise ConfigError("model.parameters", f"amplitudes[{j}] must be a finite "
-                                      f"number or [re, im], got {amp!r}")
 
 
 def _built(field: str, build, *args):
@@ -189,13 +155,13 @@ def load_config(doc: dict) -> dict:
     model = _require(doc, "model", dict)
     _known_keys(model, MODEL_KEYS, "model.")
     name = _require(model, "name", str, "model.")
-    if name not in models.MODEL_NAMES:
+    if name not in models.MODELS:
         raise ConfigError("model.name", f"unknown model '{name}'")
-    parameters = model.get("parameters", {})
+    case, parameters = models.MODELS[name], model.get("parameters", {})
     if not isinstance(parameters, dict):
         raise ConfigError("model.parameters", "expected an object")
-    _known_keys(parameters, models.MODEL_PARAMETERS[name], "model.parameters.")
-    _check_parameters(parameters)
+    _known_keys(parameters, tuple(case.parameters), "model.parameters.")
+    _check_chain_length(parameters, case.parameters)
     spec = ModelSpec(name, parameters)
 
     g_tau = _number(_require(doc, "g_tau", (int, float)), "g_tau", 0.0)
@@ -213,7 +179,7 @@ def load_config(doc: dict) -> dict:
     if fock_cutoff is not None and (not _integer(fock_cutoff) or fock_cutoff < 2):
         raise ConfigError("fock_cutoff", "must be an integer >= 2")
 
-    interaction = doc.get("interaction", models.DEFAULT_INTERACTION[name])
+    interaction = doc.get("interaction", case.interaction)
     built = _build_model(spec, g_tau, tau, interaction, fock_cutoff)
 
     initial = doc.get("initial_state", "ground")
@@ -229,7 +195,7 @@ def load_config(doc: dict) -> dict:
     else:
         raise ConfigError("initial_state", "expected a name or {matrix: ...}")
 
-    observables = doc.get("observables", _default_observables(name))
+    observables = doc.get("observables", [case.observable])
     if not isinstance(observables, list) or not observables:
         raise ConfigError("observables", "expected a nonempty list")
     pairs = [_observable(obs, f"observables[{j}]", rho0) for j, obs in enumerate(observables)]
@@ -285,46 +251,25 @@ def load_config(doc: dict) -> dict:
     }
 
 
-def _default_observables(model_name: str) -> list:
-    return {
-        "two_photon": ["excited_population"],
-        "cluster": ["coherence"],
-        "aklt": ["depolarization"],
-        "ghz": ["excited_population"],
-        "single_photon": ["excited_population"],
-    }[model_name]
-
-
 def _build_model(spec: ModelSpec, g_tau: float, tau: float | None, interaction,
                  fock_cutoff: int | None) -> CollisionModel:
     """The run's CollisionModel from a named or an explicit interaction."""
     env = _built("model.parameters", models.environment_for, spec)
-    h = None
     if isinstance(interaction, str):
-        if interaction not in models.INTERACTION_NAMES:
-            raise ConfigError("interaction", f"unknown interaction '{interaction}'")
-        field, mode_dim = "interaction", None
-        if interaction == "cluster":  # the Fock cutoff, resolved as models.build_model does
-            field = "fock_cutoff" if fock_cutoff else "model.parameters.fock_cutoff"
-            mode_dim = fock_cutoff or spec.parameters.get("fock_cutoff", models.DEFAULT_FOCK_CUTOFF)
-            mode_dim = _built(field, int, mode_dim)
-        named = _built(field, models.interaction, interaction, g_tau, mode_dim)
-        u, h, mode_dim = named.unitary, named.hamiltonian, named.mode_dim
-    elif isinstance(interaction, dict):
-        field = "interaction.matrix"
-        u = _parse_matrix(_require(interaction, "matrix", list, "interaction."), field)
-        if u.shape[0] % 2:
-            raise ConfigError(field, "dimension must be 2 * mode_dim")
-        mode_dim = u.shape[0] // 2
-        if "hamiltonian" in interaction:
-            h = _parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
-            if h.shape != u.shape or frobenius(h - dagger(h)) > DEFAULT_TOL:
-                raise ConfigError("interaction.hamiltonian",
-                                  f"expected a Hermitian matrix of shape {u.shape}")
-    else:
+        return _built("interaction", models._named_model, env, interaction, g_tau, fock_cutoff, tau)
+    if not isinstance(interaction, dict):
         raise ConfigError("interaction", "expected a name or {matrix: ...}")
-    model = _built(field, CollisionModel, env, u, 2, mode_dim, g_tau, tau, h)
-    if isinstance(interaction, dict) and h is None:
+    field, h = "interaction.matrix", None
+    u = _parse_matrix(_require(interaction, "matrix", list, "interaction."), field)
+    if u.shape[0] % 2:
+        raise ConfigError(field, "dimension must be 2 * mode_dim")
+    if "hamiltonian" in interaction:
+        h = _parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
+        if h.shape != u.shape or frobenius(h - dagger(h)) > DEFAULT_TOL:
+            raise ConfigError("interaction.hamiltonian",
+                              f"expected a Hermitian matrix of shape {u.shape}")
+    model = _built(field, CollisionModel, env, u, 2, u.shape[0] // 2, g_tau, tau, h)
+    if h is None:
         model = dataclasses.replace(model, hamiltonian=_hamiltonian_from_unitary(u, g_tau))
     return model
 
@@ -381,7 +326,7 @@ def _check_cluster_cutoff(cfg: dict) -> list[np.ndarray] | None:
         return None
     tol = cfg["tolerances"]["cutoff_shift"]
     cutoff = cfg["model"].mode_dim
-    wider = _build_model(cfg["spec"], cfg["g_tau"], cfg["tau"], "cluster", cutoff + 2)
+    wider = models._named_model(cfg["model"].env, "cluster", cfg["g_tau"], cutoff + 2, cfg["tau"])
     states, wide = (trajectory(_embedding_model(cfg, m), cfg["initial_state"], cfg["k_max"])
                     for m in (cfg["model"], wider))
     probe = models.named_observable("coherence")

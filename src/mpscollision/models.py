@@ -13,6 +13,7 @@ U = exp(-i g_tau H) of a dimensionless Hermitian generator H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,34 +33,12 @@ __all__ = [
     "named_initial_state", "named_observable",
     "depolarization_series",
     "build_model", "environment_for",
-    "MODEL_NAMES", "MODEL_PARAMETERS", "INTERACTION_NAMES", "DEFAULT_INTERACTION",
+    "MODELS", "MODEL_NAMES", "INTERACTION_NAMES",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-MODEL_NAMES = ("two_photon", "cluster", "aklt", "ghz", "single_photon")
-# The parameters environment_for reads per model, and build_model's fock_cutoff.
-MODEL_PARAMETERS = {
-    "two_photon": ("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2", "fock_cutoff"),
-    "cluster": ("fock_cutoff",),
-    "aklt": ("fock_cutoff",),
-    "ghz": ("n_sites", "fock_cutoff"),
-    "single_photon": ("amplitudes", "n_sites", "width", "fock_cutoff"),
-}
-INTERACTION_NAMES = ("exchange", "cluster", "heisenberg", "controlled")
-
-# Case-study pairing of environment and interaction.
-DEFAULT_INTERACTION = {
-    "two_photon": "exchange",
-    "cluster": "cluster",
-    "aklt": "heisenberg",
-    "ghz": "exchange",
-    "single_photon": "exchange",
-}
-
-DEFAULT_FOCK_CUTOFF = 5
 
 
 @dataclass(frozen=True)
@@ -222,6 +201,16 @@ def _controlled_hamiltonian() -> np.ndarray:
     return h
 
 
+# name: (generator on a mode of the given dimension, its default); None for a spin-1 mode.
+_INTERACTIONS = {
+    "exchange": (_exchange_hamiltonian, 3),
+    "cluster": (_cluster_hamiltonian, 5),   # the default Fock cutoff
+    "heisenberg": (_heisenberg_hamiltonian, None),
+    "controlled": (_controlled_hamiltonian, None),
+}
+INTERACTION_NAMES = tuple(_INTERACTIONS)
+
+
 def interaction(name: str, g_tau: float, mode_dim: int | None = None) -> Interaction:
     """Build one of the case-study interactions at coupling g_tau.
 
@@ -229,68 +218,113 @@ def interaction(name: str, g_tau: float, mode_dim: int | None = None) -> Interac
     emitted), to the Fock cutoff for the cluster coupling, and is fixed at 3
     for the spin-1 interactions.
     """
-    if name == "exchange":
-        mode_dim = 3 if mode_dim is None else mode_dim
-        if mode_dim < 2:
-            raise ValueError("exchange interaction needs mode_dim >= 2")
-        h = _exchange_hamiltonian(mode_dim)
-    elif name == "cluster":
-        mode_dim = DEFAULT_FOCK_CUTOFF if mode_dim is None else mode_dim
-        if mode_dim < 2:
-            raise ValueError("cluster coupling needs mode_dim >= 2")
-        h = _cluster_hamiltonian(mode_dim)
-    elif name == "heisenberg":
-        if mode_dim not in (None, 3):
-            raise ValueError("spin-exchange interaction is defined on a spin-1 mode")
-        mode_dim = 3
-        h = _heisenberg_hamiltonian()
-    elif name == "controlled":
-        if mode_dim not in (None, 3):
-            raise ValueError("controlled unitary is defined on a spin-1 mode")
-        mode_dim = 3
-        h = _controlled_hamiltonian()
-    else:
+    if name not in _INTERACTIONS:
         raise ValueError(f"unknown interaction '{name}', expected one of {INTERACTION_NAMES}")
-    u = expm_hermitian_generator(h, g_tau)
-    return Interaction(name, u, h, mode_dim)
+    generator, default = _INTERACTIONS[name]
+    if default is None:
+        if mode_dim not in (None, 3):
+            raise ValueError(f"the {name} interaction is defined on a spin-1 mode")
+        mode_dim, h = 3, generator()
+    else:
+        mode_dim = default if mode_dim is None else mode_dim
+        if mode_dim < 2:
+            raise ValueError(f"the {name} interaction needs mode_dim >= 2")
+        h = generator(mode_dim)
+    return Interaction(name, expm_hermitian_generator(h, g_tau), h, mode_dim)
+
+
+def _integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer (bool subclasses int, true and false are
+    not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite float or integer (true and false are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        return False
+
+
+def _two_photon(p: dict) -> MpsEnvironment:
+    if "tau_over_T1" in p:
+        return two_photon_env(p["tau_over_T1"], p["tau_over_T2"])
+    return two_photon_env(p["g_tau"] / p["g_T1"], p["g_tau"] / p["g_T2"])   # g_tau, g*T1, g*T2
+
+
+def _single_photon(p: dict) -> MpsEnvironment:
+    if "amplitudes" in p:
+        return single_photon_env([complex(*a) if isinstance(a, (list, tuple)) else complex(a)
+                                  for a in p["amplitudes"]])
+    n = p.get("n_sites", 8)
+    return single_photon_env(np.exp(-np.arange(n) / p.get("width", n / 3.0)))
+
+
+class _CaseStudy:
+    """A ``MODELS`` row: each parameter the environment reads with its kind, the environment's
+    builder from those parameters, and the interaction and observable a run takes by default."""
+
+    def __init__(self, parameters: dict, environment, interaction: str, observable: str):
+        self.parameters, self.environment = parameters, environment
+        self.interaction, self.observable = interaction, observable
+
+
+_RATES = dict.fromkeys(("tau_over_T1", "tau_over_T2", "g_tau", "g_T1", "g_T2"), "positive")
+MODELS = {
+    "two_photon": _CaseStudy(_RATES, _two_photon, "exchange", "excited_population"),
+    "cluster": _CaseStudy({}, lambda p: cluster_env(), "cluster", "coherence"),
+    "aklt": _CaseStudy({}, lambda p: aklt_env(), "heisenberg", "depolarization"),
+    "ghz": _CaseStudy({"n_sites": "count"}, lambda p: ghz_env(p.get("n_sites", 8)),
+                      "exchange", "excited_population"),
+    "single_photon": _CaseStudy({"amplitudes": "vector", "n_sites": "count",
+                                 "width": "positive"}, _single_photon,
+                                "exchange", "excited_population"),
+}
+MODEL_NAMES = tuple(MODELS)
+
+
+def _check_parameters(name: str, parameters: dict) -> None:
+    """Refuse a parameter the model does not read, or one not of its kind: the builders read
+    each as it is given, and would run true as 1 and 2.5 sites as 2."""
+    kinds = MODELS[name].parameters
+    for key, value in parameters.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"model '{name}' reads no parameter '{key}', "
+                             f"expected one of {tuple(kinds)}")
+        if kind == "count" and not _integer(value):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        if kind == "positive" and not _finite(value):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+        if kind == "positive" and value <= 0:
+            raise ValueError(f"{key} must be positive, got {value!r}")
+        for j, amp in enumerate(value if kind == "vector" else ()):
+            pair = isinstance(amp, (list, tuple)) and len(amp) == 2 and all(map(_finite, amp))
+            if not (pair or _finite(amp)):
+                raise ValueError(f"{key}[{j}] must be a finite number or [re, im], got {amp!r}")
 
 
 def environment_for(spec: ModelSpec) -> MpsEnvironment:
-    p = dict(spec.parameters)
-    if spec.name == "two_photon":
-        if "tau_over_T1" in p:
-            t1, t2 = float(p["tau_over_T1"]), float(p["tau_over_T2"])
-        else:
-            # rate parameterization: g_tau together with g*T1 and g*T2
-            t1 = float(p["g_tau"]) / float(p["g_T1"])
-            t2 = float(p["g_tau"]) / float(p["g_T2"])
-        return two_photon_env(t1, t2)
-    if spec.name == "cluster":
-        return cluster_env()
-    if spec.name == "aklt":
-        return aklt_env()
-    if spec.name == "ghz":
-        return ghz_env(int(p.get("n_sites", 8)))
-    if spec.name == "single_photon":
-        if "amplitudes" in p:
-            amps = [complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-                    for a in p["amplitudes"]]
-        else:
-            n = int(p.get("n_sites", 8))
-            amps = np.exp(-np.arange(n) / max(float(p.get("width", n / 3.0)), 1e-9))
-        return single_photon_env(np.asarray(amps))
-    raise ValueError(f"unknown model '{spec.name}'")
+    """The named model's environment, once each of its parameters has its kind."""
+    _check_parameters(spec.name, spec.parameters)
+    return MODELS[spec.name].environment(spec.parameters)
 
 
 def build_model(spec: ModelSpec, g_tau: float, interaction_name: str | None = None,
                 fock_cutoff: int | None = None, tau: float | None = None) -> CollisionModel:
-    """CollisionModel for a named environment with its case-study interaction."""
-    env = environment_for(spec)
-    name = interaction_name or DEFAULT_INTERACTION[spec.name]
-    mode_dim = None
-    if name == "cluster":
-        mode_dim = int(fock_cutoff or spec.parameters.get("fock_cutoff", DEFAULT_FOCK_CUTOFF))
-    inter = interaction(name, g_tau, mode_dim)
+    """CollisionModel for a named environment with a named interaction, by default its own."""
+    return _named_model(environment_for(spec), interaction_name or MODELS[spec.name].interaction,
+                        g_tau, fock_cutoff, tau)
+
+
+def _named_model(env: MpsEnvironment, name: str, g_tau: float, fock_cutoff: int | None = None,
+                 tau: float | None = None) -> CollisionModel:
+    """``env`` under the named interaction; ``fock_cutoff`` truncates the photon mode of the
+    cluster coupling, the one interaction that creates photons, and no other."""
+    inter = interaction(name, g_tau, fock_cutoff if name == "cluster" else None)
     return CollisionModel(env=env, unitary=inter.unitary, d_system=2,
                           mode_dim=inter.mode_dim, g_tau=g_tau, tau=tau,
                           hamiltonian=inter.hamiltonian)

@@ -119,6 +119,11 @@ BUILT_RUN_ERRORS = [
     (model_doc("ghz", {"n_sites": 4}, method="oracle", n_sites=6), "n_sites"),
     (aklt_doc(interaction={"matrix": matrix(NON_UNITARY)}), "interaction.matrix"),
 ]
+# Built-run errors too, listed after every other case so that those keep their ids.
+WIDTH_ERRORS = [
+    (model_doc("single_photon", {"n_sites": 4, "width": 0}), "model.parameters"),
+    (model_doc("single_photon", {"n_sites": 4, "width": -5}), "model.parameters"),
+]
 
 # Misspelt keys are errors, not defaults.
 UNKNOWN_KEY_ERRORS = [
@@ -161,6 +166,7 @@ MATRIX_ENTRY_ERRORS = [
     ({**PRESETS["fig5b"], "k_max": 4, "tolerances": {"cutoff_shift": False}},
      "tolerances.cutoff_shift"),
     *MATRIX_ENTRY_ERRORS,
+    *WIDTH_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -168,7 +174,8 @@ def test_validate_field_errors(doc, field):
     assert f"config.{field}:" in str(err.value)
 
 
-@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS)
+@pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS
+                         + WIDTH_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
@@ -219,12 +226,10 @@ def test_chain_length_cap_exits_2_before_building(tmp_path, capsys, monkeypatch,
      "amplitudes[0] must be a finite number or [re, im], got [1, 0, 2]"),
     (model_doc("single_photon", {"amplitudes": [1, [0, False]]}),
      "amplitudes[1] must be a finite number or [re, im], got [0, False]"),
-    (model_doc("cluster", {"fock_cutoff": 7.5}, interaction="cluster"),
-     "fock_cutoff must be an integer, got 7.5"),
 ])
 def test_model_parameters_are_not_coerced(tmp_path, capsys, doc, message):
-    # environment_for reads parameters with float/int/complex, which would run
-    # true as 1 and 2.5 sites as 2; both commands refuse them instead.
+    # float/int/complex would run true as 1 and 2.5 sites as 2; models.environment_for
+    # checks each parameter against its kind, so both commands refuse them instead.
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
         assert main([command, "--config", path]) == 2
@@ -248,11 +253,43 @@ def test_unread_model_parameters_exit_2(tmp_path, capsys, doc, key):
         assert captured.err.startswith(f"error: config.model.parameters.{key}: unknown key")
 
 
-def test_every_model_accepts_fock_cutoff():
+def test_fock_cutoff_is_a_top_level_key_only(tmp_path, capsys):
+    # Every model takes the top-level key; under model.parameters it is a misspelling.
     for name, parameters in (("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1}),
                              ("cluster", {}), ("aklt", {}), ("ghz", {"n_sites": 4}),
                              ("single_photon", {"width": 2})):
-        load_config(model_doc(name, {**parameters, "fock_cutoff": 3}))
+        load_config(model_doc(name, parameters, fock_cutoff=3))
+        path = write_config(tmp_path, model_doc(name, {**parameters, "fock_cutoff": 3}))
+        for command in ("validate", "run"):
+            assert main([command, "--config", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(
+                "error: config.model.parameters.fock_cutoff: unknown key")
+
+
+BUILDER_PARAMETERS = {"two_photon": {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}, "cluster": {},
+                      "aklt": {}, "ghz": {"n_sites": 4}, "single_photon": {"n_sites": 4}}
+
+
+@pytest.mark.parametrize("interaction,fock_cutoff", [
+    (None, None), *((name, None) for name in models.INTERACTION_NAMES), ("cluster", 7)])
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_load_config_builds_what_build_model_builds(name, interaction, fock_cutoff):
+    # A named interaction (None: the model's default) reaches the run through
+    # models.build_model's own route, so both build the same model bit for bit.
+    doc = model_doc(name, BUILDER_PARAMETERS[name], tau=0.25)
+    doc.update({"interaction": interaction} if interaction else {})
+    doc.update({"fock_cutoff": fock_cutoff} if fock_cutoff else {})
+    built = load_config(doc)["model"]
+    ref = models.build_model(models.ModelSpec(name, BUILDER_PARAMETERS[name]), 0.4,
+                             interaction_name=interaction, fock_cutoff=fock_cutoff, tau=0.25)
+    assert len(built.env.sites) == len(ref.env.sites)
+    for got, want in [*zip(built.env.sites, ref.env.sites), (built.env.chi0, ref.env.chi0),
+                      (built.unitary, ref.unitary), (built.hamiltonian, ref.hamiltonian)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (built.env.homogeneous, built.mode_dim, built.g_tau, built.tau) == (
+        ref.env.homogeneous, ref.mode_dim, ref.g_tau, ref.tau)
 
 
 def test_integers_beyond_float_range_exit_2(tmp_path, capsys):
@@ -284,16 +321,22 @@ def test_validate_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["run"], ["validate"], ["kernel", "--k", "1", "--m-max", "1"]])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, command):
-    # A directory or a file that is not UTF-8 text is a config error naming the path.
+    # A missing file, a directory or a file that is not UTF-8 text is a config error
+    # naming the path; a JSON document that is not an object is one too.
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
-    for name, reason in (("dir.json", "cannot read config file"), ("utf16.json", "not UTF-8")):
+    (tmp_path / "list.json").write_text("[]")
+    for name, reason in (("missing.json", "config file not found: "),
+                         ("dir.json", "cannot read config file "),
+                         ("utf16.json", "config file "), ("list.json", "")):
         path = str(tmp_path / name)
         assert main([command[0], "--config", path, *command[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: config.: ")
-        assert reason in captured.err and path in captured.err
+        if reason:
+            assert captured.err.startswith(f"error: config: {reason}{path}")
+        else:
+            assert captured.err == "error: config: top-level document must be an object\n"
 
 
 @pytest.mark.parametrize("output,message", [

@@ -112,6 +112,32 @@ def test_single_photon_delta_is_product_state():
         single_photon_env(np.zeros(4))
 
 
+
+@pytest.mark.parametrize("spec,message", [
+    (ModelSpec("ghz", {"n_sites": True}), "n_sites must be an integer, got True"),
+    (ModelSpec("cluster", {"fock_cutoff": 7}), "model 'cluster' reads no parameter 'fock_cutoff'"),
+    (ModelSpec("single_photon", {"n_sites": 4, "width": -5}), "width must be positive, got -5"),
+])
+def test_library_builders_refuse_parameters(spec, message):
+    # Each parameter is checked where it is read, whichever interaction the model runs under.
+    for build in (models.environment_for, lambda s: build_model(s, 0.3),
+                  lambda s: build_model(s, 0.3, interaction_name="cluster", fock_cutoff=7)):
+        with pytest.raises(ValueError) as err:
+            build(spec)
+        assert message in str(err.value)
+
+
+
+def test_library_builders_take_numpy_integers():
+    # A count or a rate that is a numpy integer has its kind, as its Python twin does.
+    for numpy_spec, spec in (
+            (ModelSpec("ghz", {"n_sites": np.int64(4)}), ModelSpec("ghz", {"n_sites": 4})),
+            (ModelSpec("two_photon", {"tau_over_T1": np.int64(1), "tau_over_T2": 0.1}),
+             ModelSpec("two_photon", {"tau_over_T1": 1, "tau_over_T2": 0.1}))):
+        built, ref = build_model(numpy_spec, 0.3).env, build_model(spec, 0.3).env
+        assert all(np.array_equal(a, b) for a, b in zip(built.sites, ref.sites))
+
+
 # -- interactions -------------------------------------------------------------
 
 def test_interactions_identity_at_zero_coupling():

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -84,6 +85,31 @@ def test_package_runs_on_numpy_alone():
     project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(n):
+    assert n < 10
+"""
+
+
+def test_failing_property_reports_its_falsifying_example(tmp_path):
+    # Hypothesis loads libcst to report a failure; the suite's warnings-as-errors filter
+    # must not turn libcst's DeprecationWarning into an INTERNALERROR hiding the example.
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    root = Path(__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+                          "-p", "no:cacheprovider", str(tmp_path / "test_fails.py")],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
