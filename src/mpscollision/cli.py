@@ -71,10 +71,12 @@ def _require(cfg: dict, field: str, types, path: str = ""):
 
 
 def _known_keys(cfg: dict, known: tuple, path: str = "") -> None:
-    """Reject the first key of ``cfg`` outside ``known``, so a typo is not a default."""
+    """Reject the first key of ``cfg`` outside ``known``, so a typo is not a default; only the
+    parameters of a model that takes none have no known key."""
     for key in cfg:
         if key not in known:
-            raise ConfigError(f"{path}{key}", f"unknown key, expected one of {known}")
+            expected = f"expected one of {known}" if known else "the model takes no parameters"
+            raise ConfigError(f"{path}{key}", f"unknown key, {expected}")
 
 
 def _entry(re, im) -> complex:
@@ -406,9 +408,9 @@ def _rows(g_tau: float, columns: list[list[float]]) -> list[list[float]]:
     return [[k, k * g_tau] + [col[k] for col in columns] for k in range(len(columns[0]))]
 
 
-def _run_columns(cfg: dict, gate: bool = True) -> tuple[list[str], list[list[float]]]:
+def _run_columns(cfg: dict) -> tuple[list[str], list[list[float]]]:
     """Evolve the built model by the configured method, evaluate the observables."""
-    states = _states_for_method(cfg, _check_cluster_cutoff(cfg) if gate else None)
+    states = _states_for_method(cfg, _check_cluster_cutoff(cfg))
     names, matrices = zip(*cfg["observables"])
     return list(names), [_column(m, states) for m in matrices]
 
@@ -463,7 +465,8 @@ PRESETS = {
 }
 
 # (file name, preset) of each curve pair drawn correlated against uncorrelated; the cluster
-# cutoffs are converged ones, as the 0.6 coupling leaks higher into the Fock ladder.
+# cutoffs are converged ones, as the 0.6 coupling leaks higher into the Fock ladder, and each
+# run's cutoff gate checks them.
 _VARIANT_RUNS = {
     "fig5a": [("fig5a.csv", PRESETS["fig5a"])],
     "fig5b": [(f"fig5b_gtau{tag}.csv", {**PRESETS["fig5b"], "g_tau": g_tau, "fock_cutoff": cutoff})
@@ -473,7 +476,7 @@ _VARIANT_RUNS = {
 
 def _variant_rows(base: dict) -> list[list[float]]:
     """Rows k, g_t and the first observable of ``base``, correlated and then uncorrelated."""
-    columns = [_run_columns(load_config({**base, "method": method}), gate=False)[1][0]
+    columns = [_run_columns(load_config({**base, "method": method}))[1][0]
                for method in ("embedding", "decorrelated")]
     return _rows(base["g_tau"], columns)
 

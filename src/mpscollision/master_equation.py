@@ -94,10 +94,6 @@ class Superoperator:
 
     # -- construction -----------------------------------------------------
     @classmethod
-    def identity(cls, dim: int) -> "Superoperator":
-        return cls(np.eye(dim ** 2, dtype=complex), dim, dim)
-
-    @classmethod
     def from_kraus(cls, ops) -> "Superoperator":
         ops = [np.asarray(a, dtype=complex) for a in ops]
         mat = sum(kron(a.conj(), a) for a in ops)
@@ -123,26 +119,6 @@ class Superoperator:
         if self.in_dim != other.out_dim:
             raise ValueError(f"cannot compose {other.out_dim} -> into in_dim {self.in_dim}")
         return Superoperator(self.matrix @ other.matrix, other.in_dim, self.out_dim)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        self._check_same(other)
-        return Superoperator(self.matrix + other.matrix, self.in_dim, self.out_dim)
-
-    def __sub__(self, other: "Superoperator") -> "Superoperator":
-        self._check_same(other)
-        return Superoperator(self.matrix - other.matrix, self.in_dim, self.out_dim)
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.matrix * complex(scalar), self.in_dim, self.out_dim)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Superoperator":
-        return self * (-1.0)
-
-    def _check_same(self, other: "Superoperator") -> None:
-        if (self.in_dim, self.out_dim) != (other.in_dim, other.out_dim):
-            raise ValueError("superoperator dimensions differ")
 
     # -- diagnostics --------------------------------------------------------
     def norm(self) -> float:
@@ -382,7 +358,7 @@ def solve_nz(table: KernelTable, rho_s0: np.ndarray, k_max: int) -> list[np.ndar
 
 # -- second-order (correlation-function) kernel ------------------------------
 
-def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
+def _double_commutator(h: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """rho -> <A B rho - B rho A - A rho B + rho B A> over a two-particle operator.
 
     ``h`` is the interaction generator on system (x) particle; A is h acting
@@ -402,9 +378,8 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> Superoperator:
     eye = np.eye(d_s, dtype=complex)
     ab = np.einsum("sttv->sv", x)
     ba = np.einsum("xtux->ut", x)
-    mat = (kron(eye, ab) - x.transpose(1, 2, 0, 3).reshape(d_s ** 2, d_s ** 2)
-           - x.transpose(3, 0, 2, 1).reshape(d_s ** 2, d_s ** 2) + kron(ba.T, eye))
-    return Superoperator(mat, d_s, d_s)
+    return (kron(eye, ab) - x.transpose(1, 2, 0, 3).reshape(d_s ** 2, d_s ** 2)
+            - x.transpose(3, 0, 2, 1).reshape(d_s ** 2, d_s ** 2) + kron(ba.T, eye))
 
 
 def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
@@ -422,7 +397,8 @@ def _second_order_kernels(model: CollisionModel, h: np.ndarray, k: int, chis):
     ``_effective_hamiltonian(model)``.  C = pair - tr_late(pair) (x) tr_early(pair)."""
     scale = -(model.g ** 2) * model.tau
     for pair in _pair_states(model.env, k, chis):
-        yield _double_commutator(h, _padded(model, (pair - _marginal_product(pair)) * scale))
+        kernel = _double_commutator(h, _padded(model, (pair - _marginal_product(pair)) * scale))
+        yield Superoperator(kernel, model.d_system, model.d_system)
 
 
 def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
@@ -493,8 +469,8 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     d_s = model.d_system
     g2tau = model.g ** 2 * model.tau
 
-    local = (two_collision_channel(model, chi_star, correlated=(two_site == "correlated"))
-             - Superoperator.identity(d_s)) * (1.0 / (2.0 * model.tau))
+    phi = two_collision_channel(model, chi_star, correlated=(two_site == "correlated")).matrix
+    local = (phi - np.eye(d_s ** 2, dtype=complex)) * (1.0 / (2.0 * model.tau))
 
     # Mean-field double commutator [<H>,[<H>,.]] is the same average at the
     # product state; the connected pair kernel at separation 1, decaying
@@ -502,8 +478,8 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     pair = next(_pair_states(model.env, 1, [chi_star]))
     product = _marginal_product(pair)
     adh2 = _double_commutator(h, _padded(model, product))
-    # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>
-    k1 = -_double_commutator(h, _padded(model, pair - product))
+    # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>, times -1.0: a negation would re-sign some zeros.
+    k1 = _double_commutator(h, _padded(model, pair - product)) * -1.0
 
     if two_site == "correlated":
         # Local part already carries half of the separation-1 kernel.
@@ -513,10 +489,10 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     tail, mean_field = g2tau * weight * k1, g2tau * adh2
     generator = local + tail + mean_field
     # Roundoff in L grows with each summed term, so the trace defect is judged at their scale.
-    defect = np.max(np.abs(np.trace(generator.matrix.reshape(d_s, d_s, -1))))
-    if defect > 1e-10 * max(1.0 / model.tau, tail.norm(), mean_field.norm()):
+    defect = np.max(np.abs(np.trace(generator.reshape(d_s, d_s, -1))))
+    if defect > 1e-10 * max(1.0 / model.tau, frobenius(tail), frobenius(mean_field)):
         raise ValueError("assembled generator does not annihilate the trace")
-    return generator
+    return Superoperator(generator, d_s, d_s)
 
 
 def evolve_gksl(generator: Superoperator, rho_s0: np.ndarray, t: float) -> np.ndarray:

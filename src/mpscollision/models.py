@@ -293,10 +293,12 @@ def _check_parameters(name: str, parameters: dict) -> None:
     for key, value in parameters.items():
         kind = kinds.get(key)
         if kind is None:
-            raise ValueError(f"model '{name}' reads no parameter '{key}', "
-                             f"expected one of {tuple(kinds)}")
+            expected = f"expected one of {tuple(kinds)}" if kinds else "it takes no parameters"
+            raise ValueError(f"model '{name}' reads no parameter '{key}', {expected}")
         if kind == "count" and not _integer(value):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+        if kind == "count" and value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value!r}")
         if kind == "positive" and not _finite(value):
             raise ValueError(f"{key} must be a finite number, got {value!r}")
         if kind == "positive" and value <= 0:

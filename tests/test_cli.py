@@ -124,6 +124,12 @@ WIDTH_ERRORS = [
     (model_doc("single_photon", {"n_sites": 4, "width": 0}), "model.parameters"),
     (model_doc("single_photon", {"n_sites": 4, "width": -5}), "model.parameters"),
 ]
+# Chains of no site, refused by the count check that names n_sites; listed after WIDTH_ERRORS.
+SITE_COUNT_ERRORS = [
+    (model_doc("single_photon", {"n_sites": 0}), "model.parameters"),
+    (model_doc("single_photon", {"n_sites": -3}), "model.parameters"),
+    (model_doc("ghz", {"n_sites": 0}), "model.parameters"),
+]
 
 # Misspelt keys are errors, not defaults.
 UNKNOWN_KEY_ERRORS = [
@@ -167,6 +173,7 @@ MATRIX_ENTRY_ERRORS = [
      "tolerances.cutoff_shift"),
     *MATRIX_ENTRY_ERRORS,
     *WIDTH_ERRORS,
+    *SITE_COUNT_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -175,7 +182,7 @@ def test_validate_field_errors(doc, field):
 
 
 @pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS
-                         + WIDTH_ERRORS)
+                         + WIDTH_ERRORS + SITE_COUNT_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
@@ -251,6 +258,16 @@ def test_unread_model_parameters_exit_2(tmp_path, capsys, doc, key):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: config.model.parameters.{key}: unknown key")
+
+
+@pytest.mark.parametrize("name", ["cluster", "aklt"])
+def test_model_without_parameters_says_so(tmp_path, capsys, name):
+    # An empty tuple of expected keys would tell the reader nothing.
+    path = write_config(tmp_path, model_doc(name, {"x": 1}))
+    for command in ("validate", "run"):
+        assert main([command, "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: config.model.parameters.x: unknown key, the model takes no parameters\n")
 
 
 def test_fock_cutoff_is_a_top_level_key_only(tmp_path, capsys):
@@ -736,6 +753,18 @@ def test_reproduce_fig5b(tmp_path):
         _, rows = parse_csv(p.read_text())
         # two first collisions identical between correlated and uncorrelated
         assert np.max(np.abs(rows[:3, 2] - rows[:3, 3])) < 1e-12
+
+
+def test_reproduce_fig5b_applies_the_cutoff_gate(tmp_path, capsys, monkeypatch):
+    # Each curve passes the Fock-cutoff gate that run applies: at g_tau 0.6 the
+    # cutoff 5 is not converged, so reproduce exits 3 instead of writing it.
+    unconverged = {**PRESETS["fig5b"], "g_tau": 0.6, "fock_cutoff": 5}
+    monkeypatch.setitem(cli._VARIANT_RUNS, "fig5b", [("fig5b_gtau06.csv", unconverged)])
+    assert main(["reproduce", "fig5b", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Fock cutoff" in captured.err
+    assert not (tmp_path / "fig5b_gtau06.csv").exists()
 
 
 def test_reproduce_fig6b(tmp_path):

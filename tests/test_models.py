@@ -117,6 +117,10 @@ def test_single_photon_delta_is_product_state():
     (ModelSpec("ghz", {"n_sites": True}), "n_sites must be an integer, got True"),
     (ModelSpec("cluster", {"fock_cutoff": 7}), "model 'cluster' reads no parameter 'fock_cutoff'"),
     (ModelSpec("single_photon", {"n_sites": 4, "width": -5}), "width must be positive, got -5"),
+    (ModelSpec("single_photon", {"n_sites": 0}), "n_sites must be at least 1, got 0"),
+    (ModelSpec("ghz", {"n_sites": -3}), "n_sites must be at least 1, got -3"),
+    (ModelSpec("cluster", {"x": 1}), "'cluster' reads no parameter 'x', it takes no parameters"),
+    (ModelSpec("aklt", {"x": 1}), "'aklt' reads no parameter 'x', it takes no parameters"),
 ])
 def test_library_builders_refuse_parameters(spec, message):
     # Each parameter is checked where it is read, whichever interaction the model runs under.

@@ -199,7 +199,10 @@ LIBRARY_API = {
 
 def _audited_names():
     """``{qualified name: code}`` of every function in a module's ``__all__`` and every public
-    method, classmethod or staticmethod of an ``__all__`` class that module defines."""
+    method, classmethod or staticmethod of an ``__all__`` class that module defines, operators
+    and other dunder methods included.  Only code in the module's own file counts, so the
+    methods a dataclass generates (compiled from ``<string>``) stay out, as do the
+    construction hooks ``__init__`` and ``__post_init__``."""
     names = {}
     for short in MODULES:
         module = importlib.import_module(f"mpscollision.{short}")
@@ -210,7 +213,10 @@ def _audited_names():
             elif inspect.isclass(obj) and obj.__module__ == module.__name__:
                 for attr, raw in vars(obj).items():
                     fn = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
-                    if not attr.startswith("_") and inspect.isfunction(fn):
+                    dunder = attr.startswith("__") and attr.endswith("__")
+                    if (inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
+                            and (dunder or not attr.startswith("_"))
+                            and attr not in ("__init__", "__post_init__")):
                         names[f"{short}.{name}.{attr}"] = fn.__code__
     return names
 
@@ -297,6 +303,13 @@ def test_audit_reports_an_unreached_public_function(reached, monkeypatch):
     def orphan():
         pass
 
+    # An operator overload is audited like a public method when its code is the module's.
+    operator = {}
+    exec(compile("def __neg__(self):\n    return self\n", master_equation.__file__, "exec"),
+         operator)
     monkeypatch.setattr(linalg, "__all__", linalg.__all__ + ["orphan"])
     monkeypatch.setattr(linalg, "orphan", orphan, raising=False)
-    assert _unaccounted(reached) == ["unreached: linalg.orphan"]
+    monkeypatch.setattr(master_equation.Superoperator, "__neg__", operator["__neg__"],
+                        raising=False)
+    assert _unaccounted(reached) == ["unreached: linalg.orphan",
+                                     "unreached: master_equation.Superoperator.__neg__"]
