@@ -503,17 +503,13 @@ def reproduce(figure: str, out_dir: str) -> list[Path]:
         header = ["q_exact", "q_uncorrelated", "q_exact_closed_form", "q_markov_closed_form"]
         written.append(_write(out / "fig6a.csv", _format_csv(["k", "g_t"] + header, rows)))
     elif figure == "fig6b":
-        from .master_equation import evolve_gksl_grid, stroboscopic_generator
-        cfg = load_config(PRESETS["fig6b"])
-        written.append(_write(out / "fig6b_exact.csv", run_config(cfg)))
-        model = cfg["model"]
-        states = evolve_gksl_grid(stroboscopic_generator(model), cfg["initial_state"],
-                                  model.tau / 10.0, 10 * cfg["k_max"])
-        obs = models.named_observable("sigma_z")
-        rows = [[j / 10.0, (j / 10.0) * cfg["g_tau"], float(np.trace(rho @ obs).real)]
-                for j, rho in enumerate(states)]
-        written.append(_write(out / "fig6b_gksl.csv",
-                              _format_csv(["k", "g_t", "sigma_z"], rows)))
+        written.append(_write(out / "fig6b_exact.csv", run_config(load_config(PRESETS["fig6b"]))))
+        cfg = load_config({**PRESETS["fig6b"], "method": "gksl"})
+        states = _gksl_states(cfg["generator"], cfg["initial_state"], cfg["model"].tau / 10.0,
+                              10 * cfg["k_max"])
+        rows = [[j / 10.0, (j / 10.0) * cfg["g_tau"], z]
+                for j, z in enumerate(observable_series(states, cfg["observables"][0][1]))]
+        written.append(_write(out / "fig6b_gksl.csv", _format_csv(["k", "g_t", "sigma_z"], rows)))
     return written
 
 

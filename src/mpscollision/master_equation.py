@@ -27,7 +27,6 @@ sum_ab tr[(E_b (x) E_a) C] S_a (x) S_b with S_a = tr_mode[H (I (x) E_a)].
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,6 +38,7 @@ from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     _pair_states,
+    _summed_correlator,
     evolve_bond_state,
     stationary_bond_state,
     transfer_spectrum,
@@ -445,13 +445,13 @@ def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superop
 def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") -> Superoperator:
     """Markovian generator of the stroboscopic limit for a homogeneous model.
 
-    The local part is the two-collision channel rate (Phi_12 - Id)/(2 tau)
-    evaluated at the stationary bond state (with the correlated or the
-    product two-particle state per ``two_site``).  The nonlocal part resums
-    the geometric tail of the two-point memory kernels; a mean-field
-    double-commutator term converts the discrete stepping into a bona fide
-    continuous generator when the interaction has a nonzero environment
-    average.  The assembled generator annihilates the trace.
+    The local part is the two-collision channel rate (Phi_12 - Id)/(2 tau) at the stationary
+    bond state (with the correlated or the product two-particle state per ``two_site``).  The
+    nonlocal tail is the second-order memory kernel summed over every delay: -g^2 tau times the
+    double commutator over the summed connected correlator (``mps._summed_correlator``), less
+    the half of its delay-1 term that the correlated local part carries.  The mean-field double
+    commutator, the average at the product state, makes the stepping a continuous generator
+    when the interaction has a nonzero environment average.  L annihilates the trace.
     """
     if two_site not in ("correlated", "product"):
         raise ValueError("two_site must be 'correlated' or 'product'")
@@ -461,10 +461,7 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
         raise ValueError("stroboscopic limit needs a homogeneous interaction")
     h = _effective_hamiltonian(model)
 
-    lam = transfer_spectrum(model.env).lambda2  # raises for infinite correlation length
-    if abs(lam.imag) > 1e-8 * max(abs(lam), 1.0):
-        warnings.warn("complex subleading transfer eigenvalue; the scalar GKSL tail weight "
-                      "built from it is complex", stacklevel=2)
+    transfer_spectrum(model.env)   # raises for infinite correlation length
     chi_star = stationary_bond_state(model.env)
     d_s = model.d_system
     g2tau = model.g ** 2 * model.tau
@@ -472,21 +469,13 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     phi = two_collision_channel(model, chi_star, correlated=(two_site == "correlated")).matrix
     local = (phi - np.eye(d_s ** 2, dtype=complex)) * (1.0 / (2.0 * model.tau))
 
-    # Mean-field double commutator [<H>,[<H>,.]] is the same average at the
-    # product state; the connected pair kernel at separation 1, decaying
-    # geometrically as lambda2^m, sums the whole nonlocal tail.
     pair = next(_pair_states(model.env, 1, [chi_star]))
     product = _marginal_product(pair)
-    adh2 = _double_commutator(h, _padded(model, product))
-    # K_1 = [<H>,[<H>,.]] - <[H_2,[H_1,.]]>, times -1.0: a negation would re-sign some zeros.
-    k1 = _double_commutator(h, _padded(model, pair - product)) * -1.0
-
-    if two_site == "correlated":
-        # Local part already carries half of the separation-1 kernel.
-        weight = 0.5 * (1.0 + lam) / (1.0 - lam)
-    else:
-        weight = 1.0 / (1.0 - lam)
-    tail, mean_field = g2tau * weight * k1, g2tau * adh2
+    mean_field = g2tau * _double_commutator(h, _padded(model, product))
+    summed = _summed_correlator(model.env, chi_star)
+    if two_site == "correlated":   # the local part already carries half of the delay-1 kernel
+        summed -= 0.5 * (pair - product)
+    tail = _double_commutator(h, _padded(model, summed)) * -g2tau
     generator = local + tail + mean_field
     # Roundoff in L grows with each summed term, so the trace defect is judged at their scale.
     defect = np.max(np.abs(np.trace(generator.reshape(d_s, d_s, -1))))

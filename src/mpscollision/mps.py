@@ -225,6 +225,23 @@ def _pair_states(env: MpsEnvironment, site_b: int, chis):
         yield pair.reshape(m.shape[:2] + r.shape[:2])
 
 
+def _summed_correlator(env: MpsEnvironment, chi: BondState) -> np.ndarray:
+    """S = sum_{m >= 1} C_m of the connected pair states C_m = rho_{a,a+m} - rho_a (x) rho_{a+m} of
+    a homogeneous chain at its stationary bond state chi, in ``_pair_states``' axes.  C_m closes
+    T^{m-1} M_c[i, j] on R[k, l] = B_k B_l^dag, T the bond step and M_c[i, j] = B_i^T chi B_j^* -
+    rho_ij chi traceless, so S closes on R the one solve X of (1 - T + |chi><I|) X = M_c, the
+    uniform-MPS resolvent (Vanderstraeten et al., SciPost Phys. Lect. Notes 7, 2019)."""
+    b = _bulk_tensor(env)
+    d, n, _ = b.shape
+    m = b.transpose(0, 2, 1)[:, None] @ (chi.matrix @ b.conj())
+    m -= np.trace(m, axis1=2, axis2=3)[:, :, None, None] * chi.matrix
+    t = np.einsum("iab,icd->bdac", b, b.conj()).reshape(n * n, n * n)   # T on row-major vec X
+    x = np.linalg.solve(np.eye(n * n) - t + np.outer(chi.matrix, np.eye(n)),
+                        m.reshape(d * d, -1).T)
+    r = b[:, None] @ b.conj().transpose(0, 2, 1)
+    return (x.T @ r.reshape(d * d, -1).T).reshape(d, d, d, d)
+
+
 def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
     """Free bond evolution chi_k = sum_i B[k,i]^T chi_{k-1} B[k,i]^*."""
     b = env.site(chi.site)

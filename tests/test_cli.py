@@ -780,6 +780,25 @@ def test_reproduce_fig6b(tmp_path):
         assert abs(exact[k, 2] - gksl[10 * k, 2]) < 0.2
 
 
+def test_reproduce_fig6b_gates_its_gksl_curve(tmp_path, capsys, monkeypatch):
+    # fig6b's GKSL curve takes run's route through the state gate: a NaN state
+    # exits 3 with the gate's message, and the curve is not written.
+    grid = master_equation.evolve_gksl_grid
+
+    def broken(*args):
+        states = grid(*args)
+        states[7] = np.full_like(states[7], np.nan)
+        return states
+
+    monkeypatch.setattr(master_equation, "evolve_gksl_grid", broken)
+    assert main(["reproduce", "fig6b", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: gksl state at step 7 has a trace/Hermiticity defect of nan "
+                            "(> 1e-10); the generator does not hold at this coupling\n")
+    assert not (tmp_path / "fig6b_gksl.csv").exists()
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 

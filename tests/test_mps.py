@@ -569,8 +569,8 @@ def test_transfer_spectrum_real_basis_on_named_chains(monkeypatch, make_env):
 
 
 def test_transfer_spectrum_of_complex_isometry_does_not_warn():
-    # A complex subleading eigenvalue is a property of the chain, not a defect;
-    # only the GKSL tail weight built from it warns (stroboscopic_generator).
+    # A complex subleading eigenvalue is a property of the chain, not a defect: the GKSL
+    # tail sums the pair correlators by one resolvent solve, with no weight built from it.
     env = _complex_isometry_env(np.random.default_rng(3), 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
