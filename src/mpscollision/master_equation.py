@@ -37,6 +37,7 @@ from .embedding import CollisionModel, SizeGuardError
 from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
+    _bond_steps,
     _pair_states,
     _summed_correlator,
     evolve_bond_state,
@@ -163,14 +164,14 @@ def _fixed(chi: np.ndarray, image: np.ndarray) -> bool:
 
 
 def _bond_ladder(model: CollisionModel, k_max: int, first: int = 0) -> list[BondState]:
-    """Bond states chi_first..chi_{s*}, s* <= k_max.  On a chain of one channel (homogeneous, one
-    unitary) the walk stops at the onset s*, the first rung ``_fixed`` against the next, from
-    which every thread repeats; else s* = k_max.  Rung k >= s* is chi_{s*} (``_rung``), so an
-    onset before ``first`` leaves chi_{s*} alone; rungs before ``first`` are not kept."""
+    """Bond states chi_first..chi_{s*}, s* <= k_max, one ``_bond_steps`` step a rung.  On a chain
+    of one channel (homogeneous, one unitary) the walk stops at the onset s*, the first rung
+    ``_fixed`` against the next, from which every thread repeats; else s* = k_max.  Rung k >= s* is
+    chi_{s*} (``_rung``): an onset before ``first`` leaves it alone; earlier rungs are not kept."""
     repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
     chis = [model.env.initial_bond_state()]
-    while chis[-1].site < k_max:
-        chi = evolve_bond_state(model.env, chis[-1])
+    for step in _bond_steps(model.env, range(k_max)):
+        chi = BondState(chis[-1].site + 1, step(chis[-1].matrix))
         if repeats and _fixed(chis[-1].matrix, chi.matrix):
             break
         if chis[-1].site < first:
@@ -469,10 +470,9 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     phi = two_collision_channel(model, chi_star, correlated=(two_site == "correlated")).matrix
     local = (phi - np.eye(d_s ** 2, dtype=complex)) * (1.0 / (2.0 * model.tau))
 
-    pair = next(_pair_states(model.env, 1, [chi_star]))
+    pair, summed = _summed_correlator(model.env, chi_star)
     product = _marginal_product(pair)
     mean_field = g2tau * _double_commutator(h, _padded(model, product))
-    summed = _summed_correlator(model.env, chi_star)
     if two_site == "correlated":   # the local part already carries half of the delay-1 kernel
         summed -= 0.5 * (pair - product)
     tail = _double_commutator(h, _padded(model, summed)) * -g2tau
@@ -490,7 +490,8 @@ def evolve_gksl(generator: Superoperator, rho_s0: np.ndarray, t: float) -> np.nd
     The generator's Taylor powers are prepared on the first call and reused by
     every later one: each is one coefficient product plus a few squarings.
     """
-    return evolve_gksl_grid(generator, rho_s0, t, 1)[-1]
+    v = vec(emb._system_state(rho_s0, generator.in_dim))
+    return unvec(generator._exp(float(t)) @ v, generator.out_dim)
 
 
 def evolve_gksl_grid(generator: Superoperator, rho_s0: np.ndarray, dt: float,

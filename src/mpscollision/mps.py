@@ -7,8 +7,9 @@ carries everything the system can ever learn about the particles it has not
 met yet, so all reduced states of the chain are small contractions against a
 current bond state.
 
-The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``_kraus_sum``) on
-three views of a site tensor B:
+The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``_kraus_sum``, or on a
+homogeneous chain one product with a transfer matrix, ``_bond_steps``) on three
+views of a site tensor B:
 
 * A_i = B[i]^T evolves the bond state: ``chi_k = sum_i B[k,i]^T chi_{k-1}
   B[k,i]^*``, with ``chi_k`` the bond state after ``k`` consumed sites
@@ -28,6 +29,7 @@ the leading mode factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -202,22 +204,49 @@ def _kraus_sum(operands: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.nda
     return (t @ right).reshape(lead + (p, p))
 
 
+def _transfer_matrix(ops: np.ndarray) -> np.ndarray:
+    """``_kraus_sum``'s map of a square stack A (n, D, D) as the D^2 x D^2 matrix T of
+    vec X -> vec X T (row-major vec): T[(b, e), (a, c)] = t[a, b, c, e], t = sum_j A_j (x) A_j^*."""
+    n = ops.shape[1]
+    g = ops.reshape(len(ops), n * n)
+    return np.dot(g.T, g.conj()).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
+
+
+def _transfer_sum(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``_kraus_sum`` as one product vec X t with a ``_transfer_matrix`` t, on one X or a stack."""
+    return (x.reshape(-1, len(t)) @ t).reshape(x.shape)
+
+
+def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
+    """Yield, for each site k in ``sites``, X -> sum_j A_j X A_j^dag on one X or a stack with
+    A = B[k].transpose(view): the bond step, or with (0, 1, 2) the readout step.  A homogeneous
+    chain takes ``_transfer_sum`` where its D^4 multiply-adds per X are no more than the Kraus
+    sum's 2 d D^3, else ``_kraus_sum``; either is prepared once per distinct site tensor."""
+    site = None
+    for k in sites:
+        if env.site(k) is not site:
+            site = env.site(k)
+            ops, (d, n, _) = site.transpose(view), site.shape
+            step = (partial(_transfer_sum, _transfer_matrix(ops))
+                    if env.homogeneous and n ** 4 <= 2 * d * n ** 3
+                    else partial(_kraus_sum, _kraus_operands(ops)))
+        yield step
+
+
 def _pair_states(env: MpsEnvironment, site_b: int, chis):
     """Yield rho_{a,b} as arrays rho[i, j, k, l] = <i k|rho_ab|j l> (earlier site i, j) for each
     bond state chi entering a site a = chi.site < site_b in ``chis``, by descending a.
 
-    Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_kraus_sum`` on
-    the view B, its operands prepared once per distinct site tensor) and closes on
-    M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is the sum of M[i, j] (.) R[k, l].
+    Site b's readout R[k, l] = B_k B_l^dag walks back one site per delay (``_bond_steps``'
+    readout step) and closes on M[i, j] = B_i^T chi B_j^* in one product: rho[i, j, k, l] is
+    the sum of M[i, j] (.) R[k, l].
     """
     b = env.site(site_b)
     r, at = b[:, None] @ b.conj().transpose(0, 2, 1), site_b   # r reads the bond entering `at`
-    site = operands = None
+    steps = _bond_steps(env, range(site_b - 1, 0, -1), (0, 1, 2))
     for chi in chis:
-        for k in range(at - 1, chi.site, -1):
-            if env.site(k) is not site:
-                site, operands = env.site(k), _kraus_operands(env.site(k))
-            r = _kraus_sum(operands, r)
+        for _ in range(at - 1, chi.site, -1):
+            r = next(steps)(r)
         at = chi.site + 1
         ba = env.site(chi.site)
         m = ba.transpose(0, 2, 1)[:, None] @ (chi.matrix @ ba.conj())
@@ -225,21 +254,24 @@ def _pair_states(env: MpsEnvironment, site_b: int, chis):
         yield pair.reshape(m.shape[:2] + r.shape[:2])
 
 
-def _summed_correlator(env: MpsEnvironment, chi: BondState) -> np.ndarray:
-    """S = sum_{m >= 1} C_m of the connected pair states C_m = rho_{a,a+m} - rho_a (x) rho_{a+m} of
-    a homogeneous chain at its stationary bond state chi, in ``_pair_states``' axes.  C_m closes
-    T^{m-1} M_c[i, j] on R[k, l] = B_k B_l^dag, T the bond step and M_c[i, j] = B_i^T chi B_j^* -
-    rho_ij chi traceless, so S closes on R the one solve X of (1 - T + |chi><I|) X = M_c, the
-    uniform-MPS resolvent (Vanderstraeten et al., SciPost Phys. Lect. Notes 7, 2019)."""
+def _summed_correlator(env: MpsEnvironment, chi: BondState) -> tuple[np.ndarray, np.ndarray]:
+    """rho_{a,a+1} and S = sum_{m >= 1} C_m of the connected pair states C_m = rho_{a,a+m} - rho_a
+    (x) rho_{a+m} of a homogeneous chain at its stationary bond state chi, in ``_pair_states``'
+    axes, closed on R[k, l] = B_k B_l^dag: rho_{a,a+1} closes M[i, j] = B_i^T chi B_j^*, C_m closes
+    T^{m-1} M_c, T the bond step and M_c[i, j] = M[i, j] - rho_ij chi traceless, and S the one
+    solve X of (1 - T + |chi><I|) X = M_c, the uniform-MPS resolvent (Vanderstraeten et al.,
+    SciPost Phys. Lect. Notes 7, 2019)."""
     b = _bulk_tensor(env)
     d, n, _ = b.shape
     m = b.transpose(0, 2, 1)[:, None] @ (chi.matrix @ b.conj())
+    r = (b[:, None] @ b.conj().transpose(0, 2, 1)).reshape(d * d, -1)
+    pair = (m.reshape(d * d, -1) @ r.T).reshape(d, d, d, d)
     m -= np.trace(m, axis1=2, axis2=3)[:, :, None, None] * chi.matrix
-    t = np.einsum("iab,icd->bdac", b, b.conj()).reshape(n * n, n * n)   # T on row-major vec X
-    x = np.linalg.solve(np.eye(n * n) - t + np.outer(chi.matrix, np.eye(n)),
-                        m.reshape(d * d, -1).T)
-    r = b[:, None] @ b.conj().transpose(0, 2, 1)
-    return (x.T @ r.reshape(d * d, -1).T).reshape(d, d, d, d)
+    a = -_transfer_matrix(b)   # T vec X is the bond step; a becomes 1 - T + |chi><I|
+    a.reshape(-1)[::n * n + 1] += 1.0
+    a[:, ::n + 1] += chi.matrix.reshape(-1, 1)
+    x = np.linalg.solve(a, m.reshape(d * d, -1).T)
+    return pair, (x.T @ r.T).reshape(d, d, d, d)
 
 
 def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:

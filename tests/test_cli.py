@@ -709,7 +709,8 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
 
 def test_run_nz_guard_exit_code(tmp_path, capsys, monkeypatch):
     # The table term, K(K+1)/2 d_S^4 = 5126400 numbers, refuses it before any bond step.
-    monkeypatch.setattr(mps, "_kraus_sum", lambda *args: pytest.fail("bond step before the guard"))
+    for name in ("_kraus_sum", "_transfer_sum"):
+        monkeypatch.setattr(mps, name, lambda *args: pytest.fail("bond step before the guard"))
     path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
     assert main(["run", "--config", path]) == 3
     assert "kernel table of 5126400 entries exceeds" in capsys.readouterr().err
@@ -842,9 +843,11 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
     # Both columns of a scan share one bond ladder to k, which stops at a
     # fixed point: aklt's chi_0 = I/2 is one after a single step, two_photon
     # has none within k.  The CSV is the one of a per-m second_order_kernel
-    # (each with its own ladder) to the byte.
+    # (each with its own ladder) to the byte.  Both chains walk by transfer
+    # products: a rung's moves one bond state, a readout step's a stack, and
+    # the column's one readout walk takes m_max - 1 of those.
     k, m_max = 12, 9
-    evolve = master_equation.evolve_bond_state
+    transfer_sum = mps._transfer_sum
     for doc, steps in ((aklt_doc(g_tau=0.3), 1),
                        (model_doc("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}), k)):
         cfg = load_config(doc)
@@ -856,14 +859,14 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
             for m in range(m_max + 1)])
         calls = []
 
-        def counted(env, chi):
-            calls.append(1)
-            return evolve(env, chi)
+        def counted(p, x):
+            calls.append(x.ndim)
+            return transfer_sum(p, x)
 
         with monkeypatch.context() as patch:
-            patch.setattr(master_equation, "evolve_bond_state", counted)
+            patch.setattr(mps, "_transfer_sum", counted)
             assert kernel_norms(cfg, k, m_max) == want
-        assert len(calls) == steps
+        assert (calls.count(2), calls.count(4)) == (steps, m_max - 1)
 
 
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):

@@ -280,7 +280,7 @@ def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the unitary tuple was checked")
 
-    for owner, name in ((embedding, "_collide"), (mps, "_kraus_sum"),
+    for owner, name in ((embedding, "_collide"), (mps, "_kraus_sum"), (mps, "_transfer_sum"),
                         (oracle, "_environment_state")):
         monkeypatch.setattr(owner, name, no_work)
     with pytest.raises(error, match="no unitary for step 3"):

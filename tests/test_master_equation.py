@@ -506,6 +506,7 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
         raise AssertionError("work started before the horizon was checked")
 
     for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_kraus_sum", no_work),
+                              (mps, "_transfer_sum", no_work),
                               (Superoperator, "_taylor", property(no_work)),
                               (Superoperator, "_exp", no_work)):
         monkeypatch.setattr(owner, name, stub)
@@ -517,6 +518,7 @@ def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
     # B_i = |0><i| sends every unit-trace chi to |0><0|: from chi_0 = I/2 the
     # ladder stops at chi_1, fixed against chi_2, and stores chi_0 and chi_1
     # alone; every later rung reads chi_1, bit for bit the step-by-step walk's.
+    # At D = d = 2 each rung is one transfer product, taken from chi_0 and chi_1.
     site = np.zeros((2, 2, 2), dtype=complex)
     site[0, 0, 0] = site[1, 1, 0] = 1.0
     env = MpsEnvironment((site,), np.eye(2) / 2, homogeneous=True)
@@ -524,15 +526,16 @@ def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
     walk = [env.initial_bond_state()]
     for _ in range(10):
         walk.append(evolve_bond_state(env, walk[-1]))
-    calls = []
+    calls, transfer_sum = [], mps._transfer_sum
 
-    def counted(env, chi):
-        calls.append(chi.site)
-        return evolve_bond_state(env, chi)
+    def counted(p, x):
+        calls.append(x)
+        return transfer_sum(p, x)
 
-    monkeypatch.setattr(master_equation, "evolve_bond_state", counted)
+    monkeypatch.setattr(mps, "_transfer_sum", counted)
     ladder = master_equation._bond_ladder(model, 10)
-    assert calls == [0, 1]
+    assert len(calls) == 2
+    assert all(np.array_equal(x, chi.matrix) for x, chi in zip(calls, walk))
     assert [chi.site for chi in ladder] == [0, 1]
     for k, chi in enumerate(walk):
         rung = master_equation._rung(ladder, k)
@@ -542,7 +545,7 @@ def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
     aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
     calls.clear()
     assert len(master_equation._bond_ladder(aklt, 10 ** 6)) == 1
-    assert calls == [0]
+    assert len(calls) == 1 and np.array_equal(calls[0], aklt.env.chi0)
     far, near = kernel_scan(aklt, 10 ** 6, 2), kernel_scan(aklt, 10, 2)
     for a, b in zip(far[0] + far[1][1:], near[0] + near[1][1:]):
         assert np.array_equal(a.matrix, b.matrix)
@@ -962,6 +965,7 @@ def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
     with pytest.raises(IndexError) as scan:
         kernel_scan(model, 11, 1)
     monkeypatch.setattr(mps, "_kraus_sum", no_work)
+    monkeypatch.setattr(mps, "_transfer_sum", no_work)
     with pytest.raises(IndexError) as call:
         second_order_kernel(model, 11, 1)
     assert str(call.value) == str(scan.value) == "collision 8 beyond environment length 8"
@@ -973,29 +977,26 @@ def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
 def test_second_order_walks_one_readout(monkeypatch):
     # A per-m call walks the bond ladder to k - m and site k's readout back
     # m - 1 sites in one pair walk; a scan's column walks the readout once for
-    # every delay, in one pair walk too.  Both walks are Kraus sums, so the
-    # readout steps are the Kraus sums that are not bond steps.
-    bond_steps, kraus_sums, walks = [], [], []
-    evolve, kraus_sum, pairs = (master_equation.evolve_bond_state, mps._kraus_sum,
-                                master_equation._pair_states)
-    monkeypatch.setattr(master_equation, "evolve_bond_state",
-                        lambda env, chi: bond_steps.append(1) or evolve(env, chi))
-    monkeypatch.setattr(mps, "_kraus_sum", lambda a, x: kraus_sums.append(1) or kraus_sum(a, x))
+    # every delay, in one pair walk too.  On these D <= 2d chains both walks are
+    # transfer products: a bond step's moves one bond state, a readout step's a
+    # stack of them.
+    steps, walks = [], []
+    transfer_sum, pairs = mps._transfer_sum, master_equation._pair_states
+    monkeypatch.setattr(mps, "_transfer_sum",
+                        lambda p, x: steps.append(x.ndim) or transfer_sum(p, x))
     monkeypatch.setattr(master_equation, "_pair_states",
                         lambda *args: walks.append(1) or pairs(*args))
     model = two_photon_model()
     for k, m in ((12, 5), (12, 1), (12, 12), (30, 17)):
-        bond_steps.clear()
-        kraus_sums.clear()
+        steps.clear()
         walks.clear()
         second_order_kernel(model, k, m)
-        readout_steps = len(kraus_sums) - len(bond_steps)
-        assert (len(bond_steps), readout_steps, len(walks)) == (k - m, m - 1, 1)
-    bond_steps.clear()
-    kraus_sums.clear()
+        assert (steps.count(2), steps.count(4), len(walks)) == (k - m, m - 1, 1)
+        assert len(steps) == k - 1
+    steps.clear()
     walks.clear()
     kernel_scan(build_model(ModelSpec("aklt"), g_tau=0.5), 200, 200)
-    assert len(kraus_sums) - len(bond_steps) <= 200
+    assert steps.count(4) <= 200
     assert len(walks) == 1
 
 
@@ -1003,14 +1004,58 @@ def test_second_order_walks_one_readout(monkeypatch):
                                              ("single_photon_complex", 7, 6)])
 def test_readout_walk_prepares_each_site_tensor_once(name, k, prepared, monkeypatch):
     # A readout walk over every delay steps back over sites k - 1..1; it prepares
-    # _kraus_sum's operands once per distinct site tensor, not once per step.
+    # its step, the transfer matrix of a homogeneous chain or _kraus_sum's operands,
+    # once per distinct site tensor, not once per step.
     model = reference_models()[name]
     ladder = master_equation._bond_ladder(model, k - 1)
     chis = [master_equation._rung(ladder, k - m) for m in range(1, k + 1)]
-    calls, operands = [], mps._kraus_operands
-    monkeypatch.setattr(mps, "_kraus_operands", lambda ops: calls.append(1) or operands(ops))
+    calls = []
+    for prepare in ("_kraus_operands", "_transfer_matrix"):
+        monkeypatch.setattr(mps, prepare, lambda *args, f=getattr(mps, prepare):
+                            calls.append(1) or f(*args))
     assert len(list(mps._pair_states(model.env, k, chis))) == k
     assert len(calls) == prepared
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(d_bond=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 12))
+def test_transfer_walks_match_the_kraus_sum_walks(d_bond, seed, k):
+    # A homogeneous spin-1 chain with D <= 2d walks its bond ladder and readout by
+    # transfer products; a per-site copy of it walks both by Kraus sums.  The rungs
+    # and pair states agree to 1e-14 (measured <= 4.4e-15 and 8.9e-16 over 600
+    # chains).  The onset, a roundoff-scale predicate, moved by one rung on 23 of
+    # those 600 chains (never more), so it is held to within one rung here; every
+    # pinned onset is equal.
+    model = random_spin1_chain(np.random.default_rng(seed), d_bond)
+    length = 400
+    per_site = dataclasses.replace(model, env=MpsEnvironment(model.env.sites * length,
+                                                             model.env.chi0))
+    ladder = master_equation._bond_ladder(model, length - 1)
+    walked = master_equation._bond_ladder(per_site, length - 1)
+    chi = per_site.env.initial_bond_state()
+    for rung in walked[1:]:   # the Kraus-sum ladder is evolve_bond_state's walk, bit for bit
+        chi = evolve_bond_state(per_site.env, chi)
+        assert np.array_equal(rung.matrix, chi.matrix)
+    onset = next((s for s in range(length - 1)
+                  if master_equation._fixed(walked[s].matrix, walked[s + 1].matrix)), length - 1)
+    assert abs(ladder[-1].site - onset) <= 1
+    for chi in ladder:
+        assert np.max(np.abs(chi.matrix - walked[chi.site].matrix)) <= 1e-14
+    chis = walked[k - 1::-1]
+    for a, b in zip(mps._pair_states(model.env, k, chis), mps._pair_states(per_site.env, k, chis),
+                    strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-14
+
+
+def test_wide_chain_walks_build_no_transfer_matrix(monkeypatch):
+    # At D = 64 > 2d a transfer product costs D^4 = 16.8M multiply-adds per step, ten
+    # times the Kraus sum's 2 d D^3, and its matrix takes 268 MB: the ladder and the
+    # readout walk build none.
+    model = random_spin1_chain(np.random.default_rng(5), 64)
+    monkeypatch.setattr(mps, "_transfer_matrix", lambda *args: pytest.fail("D^2 x D^2 matrix"))
+    assert len(build_kernel_table(model, 4).packed) == 10
+    kernels, second = kernel_scan(model, 4, 3)
+    assert len(kernels) == len(second) == 4
 
 
 def test_kernel_scan_keeps_only_the_rungs_it_reads():
@@ -1147,20 +1192,23 @@ def test_summed_correlator_is_the_sum_of_pair_correlators(seed):
     chis = [BondState(a, chi.matrix) for a in range(depth - 1, -1, -1)]   # delays 1..depth
     brute = sum(pair - master_equation._marginal_product(pair)
                 for pair in mps._pair_states(env, depth, chis))
-    assert frobenius(mps._summed_correlator(env, chi) - brute) <= 1e-11 * frobenius(brute)
+    assert frobenius(mps._summed_correlator(env, chi)[1] - brute) <= 1e-11 * frobenius(brute)
 
 
 def test_summed_correlator_on_the_named_chains():
     # aklt's pair correlators decay as lambda2^{m-1} C_1, so the sum is C_1 / (1 - lambda2)
     # (measured 3.1e-17 off); two_photon at fig5a's rates and cluster have no connected pairs.
+    # The pair state that comes with the sum is the readout walk's delay-1 one, bit for bit.
     env = models.aklt_env()
     chi = stationary_bond_state(env)
     pair = next(mps._pair_states(env, 1, [chi]))
     c1 = pair - master_equation._marginal_product(pair)
     geometric = c1 / (1.0 - transfer_spectrum(env).lambda2)
-    assert np.max(np.abs(mps._summed_correlator(env, chi) - geometric)) <= 1e-15
+    first, summed = mps._summed_correlator(env, chi)
+    assert np.array_equal(first, pair)
+    assert np.max(np.abs(summed - geometric)) <= 1e-15
     for env in (two_photon_model().env, models.cluster_env()):
-        assert np.max(np.abs(mps._summed_correlator(env, stationary_bond_state(env)))) <= 1e-15
+        assert np.max(np.abs(mps._summed_correlator(env, stationary_bond_state(env))[1])) <= 1e-15
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
