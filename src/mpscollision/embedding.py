@@ -14,7 +14,8 @@ the bond partial trace of ``R``.
 implementation of this map, and ``_traced_walk`` the one walk along the chain:
 ``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis
 stack E (x) chi, both collided into blocks that are bond-traced at once; the
-memory-kernel threads collide a stack per step.
+memory-kernel threads collide a stack per step where their joint transfer matrix
+does not pay for itself.
 """
 
 from __future__ import annotations

@@ -8,8 +8,10 @@ recursion reproduces the embedding trajectory exactly.  Kernels with the
 same start s = k - m share a thread, the stack W_s[E] = E (x) chi_s over the
 system basis E: each step k yields K_{k,k-s}[E] = (tr_bond U_k W_s[E] -
 delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  The live threads, one stack
-grown in place, go through one ``embedding._collide`` per step, and their kernels go
-straight into their slots of the packed table: a table costs k_max batched collisions.
+grown in place, take one step per collision, and their kernels go straight into their
+slots of the packed table: a table costs k_max batched steps.  A step is one product
+with G = [A Q_{k+1} | A P] on a chain of one channel whose joint transfer matrix A pays
+for itself (``mps._transfer_pays``), else one ``embedding._collide`` and a bond trace.
 Once a chain of one channel holds its bond state fixed to roundoff, at the onset s*,
 every later thread repeats thread s*, so row k > s* copies its first k - s* kernels
 K_{k,m} = K_{s*+m,m} from row k - 1.  The embedding's unprojected maps E_1..E_K certify
@@ -28,21 +30,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from . import embedding as emb
+from . import embedding as emb, mps
 from .embedding import CollisionModel, SizeGuardError
 from .linalg import DEFAULT_TOL, dagger, frobenius, kron
 from .mps import (
     BondState,
     _bond_steps,
+    _fixed_point,
     _pair_states,
+    _real_transfer_matrix,
+    _subleading,
     _summed_correlator,
+    _transfer_pays,
     evolve_bond_state,
-    stationary_bond_state,
-    transfer_spectrum,
 )
 
 __all__ = [
@@ -236,12 +240,21 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 # -- exact memory kernel -----------------------------------------------------
 
+def _joint_transfer(model: CollisionModel) -> bool:
+    """Whether the kernel threads step by ``_transfer_step``: a chain of one channel (homogeneous,
+    one unitary) whose joint Kraus stack, m_eff operators on system (x) bond, ``_transfer_pays``."""
+    return (model.env.homogeneous and not isinstance(model.unitary, tuple) and
+            _transfer_pays(model.effective_mode_dim(), model.d_system * len(model.env.chi0)))
+
+
 def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
                           table: int = 0) -> tuple[list[BondState], range]:
     """The ``_bond_ladder`` from s0 to k_max - 1 and the starts s0..max(s0, s*) of its threads.
     Before any bond step it refuses a table of ``table`` numbers past ``KERNEL_GUARD``
     (``SizeGuardError``), then a chain or unitary tuple short of k_max (IndexError); after the
-    walk, a step past the guard (2 m_eff + 1 thread stacks: the stack, ``_collide``'s temps)."""
+    walk, a step past the guard: 2 m_eff + 1 thread stacks (the stack, ``_collide``'s temps) or,
+    where ``_joint_transfer``, the stack, two products with G (the threads stay views of the last)
+    and four arrays the size of G (G; A^T with its bond trace; numpy's buffers for G's build)."""
     if table > KERNEL_GUARD:
         raise SizeGuardError(f"kernel table of {table} entries exceeds the {KERNEL_GUARD} guard")
     if why := model._shortfall(k_max):
@@ -249,10 +262,59 @@ def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
     d_bond = max((max(model.env.site(j).shape[1:]) for j in range(s0, k_max)), default=1)
     ladder = _bond_ladder(model, k_max - 1, s0)
     starts = range(s0, max(s0, ladder[-1].site) + 1)
-    stack = (2 * model.effective_mode_dim() + 1) * len(starts) * (model.d_system ** 2 * d_bond) ** 2
+    rows, n2 = len(starts) * model.d_system ** 2, (model.d_system * d_bond) ** 2
+    stack = (rows * n2 + (2 * rows + 4 * n2) * (n2 + model.d_system ** 2) if _joint_transfer(model)
+             else (2 * model.effective_mode_dim() + 1) * rows * n2)
     if stack > KERNEL_GUARD:
         raise SizeGuardError(f"thread stack of {stack} entries exceeds the {KERNEL_GUARD} guard")
     return ladder, starts
+
+
+def _kraus_step(channel, chi, d_s: int, threads: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Collide the threads, write their bond traces into ``live``, project them by Q_{k+1} X =
+    X - tr_bond(X) (x) chi_{k+1} (not when ``chi`` is None) and return them."""
+    square = channel.ops.shape[1] == channel.ops.shape[2]   # else a new array of the new shape
+    threads = emb._collide(channel, threads, threads if square else None)
+    traced = emb.trace_bond(threads, d_s)
+    if chi is not None:   # kron(traced, chi), entry by entry
+        threads -= (traced[..., :, None, :, None] * chi[:, None, :]).reshape(threads.shape)
+    live.reshape(len(threads), d_s, d_s, -1)[:] = traced.swapaxes(-1, -3)
+    return threads
+
+
+def _transfer_step(g: np.ndarray, threads: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """``_kraus_step`` as one product of the row-major vec threads with G: the projected threads,
+    returned as a view of it, and in its last d_S^2 columns their bond traces."""
+    out = threads.reshape(-1, len(g)) @ g
+    live[:] = out[:, len(g):].reshape(live.shape).swapaxes(-1, -2)
+    return out[:, :len(g)].reshape(threads.shape)
+
+
+def _thread_steps(model: CollisionModel, ladder: list[BondState], steps: range, k_max: int):
+    """Yield each step's function (threads, live) -> threads (``_kraus_step``), or where
+    ``_joint_transfer`` one product with G = [A (1 - P K_chi) | A P] (``_transfer_step``): A the
+    joint ``mps._transfer_matrix``, P the bond trace, column-major, and K_chi the kron with
+    chi_{k+1}.  G is rebuilt in place when chi_{k+1} changes: a step holds until the next."""
+    d_s, first, onset = model.d_system, ladder[0].site, ladder[-1].site
+    chis = (ladder[min(k + 1, onset) - first].matrix for k in steps)   # chi_{k+1}
+    channels = emb._kraus_stacks(model, steps)
+    if not _joint_transfer(model):
+        for k, channel, chi in zip(steps, channels, chis):
+            yield partial(_kraus_step, channel, chi if k + 1 < k_max else None, d_s)
+        return
+    ops = next(channels).ops
+    a = mps._transfer_matrix(ops)   # vec X -> vec X A: row r is vec A(E_r)
+    readout = emb.trace_bond(a.reshape(-1, *ops.shape[1:]), d_s).swapaxes(-1, -2)   # A P
+    n2, readout, a = len(a), readout.reshape(len(a), -1).T, a.T.copy()   # a becomes A^T
+    gt, last = np.empty((n2 + d_s ** 2, n2), dtype=complex), None   # G^T: contiguous blocks
+    gt[n2:] = readout
+    for chi in chis:
+        if chi is not last:   # (A P K_chi)^T[(s, a, t, b), r] = chi[a, b] (A P)[r, (t, s)]
+            np.multiply(readout.reshape(d_s, d_s, 1, 1, n2).transpose(1, 2, 0, 3, 4),
+                        chi[:, None, :, None], out=gt[:n2].reshape(d_s, len(chi), d_s, -1, n2))
+            np.subtract(a, gt[:n2], out=gt[:n2])
+            last = chi
+        yield partial(_transfer_step, gt.T)
 
 
 def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: list[BondState],
@@ -261,33 +323,27 @@ def _kernel_threads(model: CollisionModel, starts: range, k_max: int, ladder: li
     into its row of ``rows``: contiguous views, step k's with room for k - starts.start + 1.
 
     Thread s, the basis stack E (x) chi_s, enters at the front of a stack that grows in place
-    (newest first is ascending m); each step collides all live threads at once, reads K_{k,k-s}
-    off their bond trace and advances them by Q_{k+1} X = X - tr_bond(X) (x) chi_{k+1}.  Slots
-    below j = k - starts[-1] hold K_{k,m} = K_{s*+m,m}, thread s*'s outputs, copied from the
-    last row (no copy when both are views of one buffer)."""
+    (newest first is ascending m); each ``_thread_steps`` step advances all live threads and
+    writes their bond traces, K_{k,k-s} up to Id and 1/tau.  Slots below j = k - starts[-1] hold
+    K_{k,m} = K_{s*+m,m}, thread s*'s outputs, copied from the last row (no copy when both are
+    views of one buffer)."""
     d_s, first, onset = model.d_system, ladder[0].site, ladder[-1].site
     lo = len(starts)   # the live threads are stack[lo:]
     n = d_s * ladder[min(starts.start, onset) - first].matrix.shape[0]
     stack = np.empty((lo, d_s ** 2, n, n), dtype=complex)
     threads, last = stack[lo:], None
     steps = range(starts.start, k_max)
-    for k, channel, row in zip(steps, emb._kraus_stacks(model, steps), rows):
+    for k, step, row in zip(steps, _thread_steps(model, ladder, steps, k_max), rows):
         if k in starts:
             lo -= 1
-            stack[lo + 1:] = threads   # a no-op unless the collision returned a new array
+            if threads.shape[-1] != stack.shape[-1]:   # the bond dimension changed
+                stack = np.empty(stack.shape[:2] + threads.shape[-2:], dtype=complex)
+            stack[lo + 1:] = threads   # a no-op unless the last step returned a new array
             stack[lo] = _basis_stack(d_s, ladder[min(k, onset) - first].matrix)
             threads = stack[lo:]
-        if channel.ops.shape[1] != stack.shape[-1]:   # the bond dimension changes
-            stack = np.empty(stack.shape[:2] + channel.ops.shape[1:2] * 2, dtype=complex)
-        threads = emb._collide(channel, threads, stack[lo:])
-        traced = emb.trace_bond(threads, d_s)
-        if k + 1 < k_max:   # kron(traced, chi_{k+1}), entry by entry
-            chi = ladder[min(k + 1, onset) - first].matrix
-            threads -= (traced[..., :, None, :, None] * chi[:, None, :]).reshape(threads.shape)
         if (j := max(k - starts[-1], 0)):
             row[:j] = last[:j]
-        live = row[j:j + len(threads)]
-        live.reshape(len(threads), d_s, d_s, -1)[:] = traced.swapaxes(-1, -3)
+        threads = step(threads, live := row[j:j + len(threads)])
         if k in starts:   # K_{k,0} -= Id, on its diagonal alone
             live[0].reshape(-1)[::d_s ** 2 + 1] -= 1.0
         live *= 1.0 / model.tau
@@ -462,8 +518,9 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
         raise ValueError("stroboscopic limit needs a homogeneous interaction")
     h = _effective_hamiltonian(model)
 
-    transfer_spectrum(model.env)   # raises for infinite correlation length
-    chi_star = stationary_bond_state(model.env)
+    eigs, vecs = np.linalg.eig(_real_transfer_matrix(model.env))
+    _subleading(eigs)   # transfer_spectrum's checks: raises for infinite correlation length
+    chi_star = _fixed_point(eigs, vecs)
     d_s = model.d_system
     g2tau = model.g ** 2 * model.tau
 

@@ -217,18 +217,23 @@ def _transfer_sum(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (x.reshape(-1, len(t)) @ t).reshape(x.shape)
 
 
+def _transfer_pays(m: int, n: int) -> bool:
+    """Whether m Kraus operators n x n cost no less as a transfer product: n^4 <= 2 m n^3."""
+    return n ** 4 <= 2 * m * n ** 3
+
+
 def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
     """Yield, for each site k in ``sites``, X -> sum_j A_j X A_j^dag on one X or a stack with
     A = B[k].transpose(view): the bond step, or with (0, 1, 2) the readout step.  A homogeneous
-    chain takes ``_transfer_sum`` where its D^4 multiply-adds per X are no more than the Kraus
-    sum's 2 d D^3, else ``_kraus_sum``; either is prepared once per distinct site tensor."""
+    chain takes ``_transfer_sum`` where ``_transfer_pays``, else ``_kraus_sum``; either is
+    prepared once per distinct site tensor."""
     site = None
     for k in sites:
         if env.site(k) is not site:
             site = env.site(k)
-            ops, (d, n, _) = site.transpose(view), site.shape
+            ops = site.transpose(view)
             step = (partial(_transfer_sum, _transfer_matrix(ops))
-                    if env.homogeneous and n ** 4 <= 2 * d * n ** 3
+                    if env.homogeneous and _transfer_pays(*site.shape[:2])
                     else partial(_kraus_sum, _kraus_operands(ops)))
         yield step
 
@@ -338,6 +343,22 @@ def _real_transfer_matrix(env: MpsEnvironment) -> np.ndarray:
     return r.reshape(n * n, n * n)
 
 
+def _subleading(eigs) -> complex:
+    """``transfer_spectrum``'s lambda2, with its checks, off the transfer matrix's eigenvalues."""
+    eigs = sorted(eigs.tolist(), key=abs, reverse=True)
+    if abs(eigs[0] - 1.0) > 1e-10:
+        raise ValueError(f"leading transfer eigenvalue {eigs[0]:.12g} is not 1")
+    if len(eigs) == 1:
+        return 0.0
+    lam2 = complex(eigs[1].real, abs(eigs[1].imag))
+    if abs(lam2) >= 1.0 - 1e-10:
+        raise InfiniteCorrelationLengthError(
+            f"second transfer eigenvalue {lam2:.6g} lies on the unit circle; "
+            "correlation length is infinite"
+        )
+    return 0.0 if abs(lam2) <= 1e-10 else lam2
+
+
 def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
     """Subleading eigenvalue of the transfer matrix (0 when there is none or it vanishes).
 
@@ -348,31 +369,11 @@ def transfer_spectrum(env: MpsEnvironment) -> TransferSpectrum:
     Raises :class:`InfiniteCorrelationLengthError` when the second eigenvalue
     sits on the unit circle (degenerate fixed point, e.g. a GHZ chain).
     """
-    eigs = np.linalg.eigvals(_real_transfer_matrix(env)).tolist()
-    eigs.sort(key=abs, reverse=True)
-    if abs(eigs[0] - 1.0) > 1e-10:
-        raise ValueError(f"leading transfer eigenvalue {eigs[0]:.12g} is not 1")
-    if len(eigs) == 1:
-        return TransferSpectrum(0.0)
-    lam2 = complex(eigs[1].real, abs(eigs[1].imag))
-    if abs(lam2) >= 1.0 - 1e-10:
-        raise InfiniteCorrelationLengthError(
-            f"second transfer eigenvalue {lam2:.6g} lies on the unit circle; "
-            "correlation length is infinite"
-        )
-    if abs(lam2) <= 1e-10:
-        return TransferSpectrum(0.0)
-    return TransferSpectrum(lam2)
+    return TransferSpectrum(_subleading(np.linalg.eigvals(_real_transfer_matrix(env))))
 
 
-def stationary_bond_state(env: MpsEnvironment) -> BondState:
-    """Fixed point of the bond free evolution, normalized to unit trace.
-
-    The eigenvector x at 1 of :func:`_real_transfer_matrix` is real, so the
-    fixed point X = sym(x) + i antisym(x) is Hermitian for any sign or scale
-    of x, and dividing by its trace normalizes it.
-    """
-    eigs, vecs = np.linalg.eig(_real_transfer_matrix(env))
+def _fixed_point(eigs: np.ndarray, vecs: np.ndarray) -> BondState:
+    """``stationary_bond_state`` off the eigenpairs of :func:`_real_transfer_matrix`."""
     idx = int(np.argmin(np.abs(eigs - 1.0)))
     if abs(eigs[idx] - 1.0) > 1e-10:
         raise ValueError("transfer matrix has no eigenvalue 1")
@@ -382,6 +383,16 @@ def stationary_bond_state(env: MpsEnvironment) -> BondState:
     if abs(tr) < 1e-10:
         raise ValueError("stationary bond candidate has zero trace")
     return BondState(0, (0.5 * (x + x.T) + 0.5j * (x - x.T)) / tr)
+
+
+def stationary_bond_state(env: MpsEnvironment) -> BondState:
+    """Fixed point of the bond free evolution, normalized to unit trace.
+
+    The eigenvector x at 1 of :func:`_real_transfer_matrix` is real, so the
+    fixed point X = sym(x) + i antisym(x) is Hermitian for any sign or scale
+    of x, and dividing by its trace normalizes it.
+    """
+    return _fixed_point(*np.linalg.eig(_real_transfer_matrix(env)))
 
 
 def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironment:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from mpscollision import embedding as emb
 from mpscollision.linalg import kron
 from mpscollision.master_equation import (
     KernelTable,
     _basis_stack,
     _bond_ladder,
     _rung,
+    _thread_steps,
     unvec,
     vec,
 )
@@ -145,8 +145,9 @@ def reduced_density_prefix(env, k: int) -> np.ndarray:
 
 # -- reference NZ walk -------------------------------------------------------------
 # The kernel walk and solver as they were before the walk wrote into the packed table:
-# a concatenated thread stack, a kron per projection, one row buffer copied into the
-# table row by row.  The library's walk must give these bits exactly.
+# a concatenated thread stack, a fresh kernel buffer per step, one row buffer copied into
+# the table row by row.  Each step advances the threads and writes their bond traces by
+# the library's own ``_thread_steps`` step, so the library's walk must give these bits.
 
 def reference_kernel_threads(model, starts: range, k_max: int, ladder):
     """Yield each step's K_{k,k-s} over the live starts s in ``starts``, by ascending m."""
@@ -154,14 +155,11 @@ def reference_kernel_threads(model, starts: range, k_max: int, ladder):
     d2 = d_s ** 2
     threads = np.zeros((0, d2) + (d_s * _rung(ladder, starts.start).matrix.shape[0],) * 2)
     steps = range(starts.start, k_max)
-    for k, channel in zip(steps, emb._kraus_stacks(model, steps)):
+    for k, step in zip(steps, _thread_steps(model, ladder, steps, k_max)):
         if k in starts:
             threads = np.concatenate([_basis_stack(d_s, _rung(ladder, k).matrix)[None], threads])
-        threads = emb._collide(channel, threads)
-        traced = emb.trace_bond(threads, d_s)
-        if k + 1 < k_max:
-            threads -= kron(traced, _rung(ladder, k + 1).matrix)
-        mats = traced.swapaxes(-1, -3).reshape(traced.shape[:-2] + (-1,))
+        mats = np.empty((len(threads), d2, d2), dtype=complex)
+        threads = step(threads, mats)
         if k in starts:
             mats[0] -= np.eye(d2)
         mats *= 1.0 / model.tau

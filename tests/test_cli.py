@@ -709,8 +709,9 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
 
 def test_run_nz_guard_exit_code(tmp_path, capsys, monkeypatch):
     # The table term, K(K+1)/2 d_S^4 = 5126400 numbers, refuses it before any bond step.
-    for name in ("_kraus_sum", "_transfer_sum"):
-        monkeypatch.setattr(mps, name, lambda *args: pytest.fail("bond step before the guard"))
+    for owner, name in ((mps, "_kraus_sum"), (mps, "_transfer_sum"),
+                        (master_equation, "_transfer_step")):
+        monkeypatch.setattr(owner, name, lambda *args: pytest.fail("bond step before the guard"))
     path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
     assert main(["run", "--config", path]) == 3
     assert "kernel table of 5126400 entries exceeds" in capsys.readouterr().err
@@ -870,13 +871,16 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
 
 
 def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
-    # At k = m_max = 59 two_photon (D = 3, no onset by rung 59) holds 60 thread
-    # stacks of 7 * 4 * 6**2 numbers; aklt, onset 0, walks one of 7 * 4 * 4**2.
+    # Both chains step by the joint transfer product (n = d_S D <= 2 m_eff), whose working
+    # set is the stack of R = 4 L thread rows of n^2 numbers, two products of R (n^2 + 4)
+    # and four arrays of n^2 (n^2 + 4) (G; A^T with its bond trace; G's build).  At
+    # k = m_max = 59 two_photon (D = 3, no onset by rung 59) holds L = 60 threads:
+    # 240 * 36 + (480 + 144) * 40; aklt, onset 0, walks one: 4 * 16 + (8 + 64) * 20.
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 400)
-    monkeypatch.setattr(embedding, "_collide",
-                        lambda *args: pytest.fail("collision before the guard"))
+    for owner, name in ((embedding, "_collide"), (master_equation, "_transfer_step")):
+        monkeypatch.setattr(owner, name, lambda *args: pytest.fail("collision before the guard"))
     two_photon = model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1})
-    for doc, entries in ((two_photon, 60480), (aklt_doc(), 448)):
+    for doc, entries in ((two_photon, 33600), (aklt_doc(), 1504)):
         path = write_config(tmp_path, doc)
         assert main(["kernel", "--config", path, "--k", "59", "--m-max", "59"]) == 3
         captured = capsys.readouterr()

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpscollision import embedding, models, mps, oracle
+from mpscollision import embedding, master_equation, models, mps, oracle
 from mpscollision.embedding import (
     CollisionModel,
     kraus_operators,
@@ -281,7 +281,7 @@ def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
         raise AssertionError("work started before the unitary tuple was checked")
 
     for owner, name in ((embedding, "_collide"), (mps, "_kraus_sum"), (mps, "_transfer_sum"),
-                        (oracle, "_environment_state")):
+                        (master_equation, "_transfer_step"), (oracle, "_environment_state")):
         monkeypatch.setattr(owner, name, no_work)
     with pytest.raises(error, match="no unitary for step 3"):
         call(model, models.named_initial_state("plus"))

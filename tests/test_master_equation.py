@@ -381,6 +381,25 @@ def kernel_route_model(name):
     }[name]()
 
 
+def count_thread_steps(monkeypatch):
+    """Patch both per-step products of the kernel walk, ``_collide`` and ``_transfer_step``,
+    to record (product, threads) for every step: the leading (thread) axis of each stack."""
+    steps = []
+    collide, transfer = embedding._collide, master_equation._transfer_step
+
+    def collided(channel, x, *rest):
+        steps.append(("collide", x.shape[0]))
+        return collide(channel, x, *rest)
+
+    def transferred(g, x, *rest):
+        steps.append(("transfer", x.shape[0]))
+        return transfer(g, x, *rest)
+
+    monkeypatch.setattr(embedding, "_collide", collided)
+    monkeypatch.setattr(master_equation, "_transfer_step", transferred)
+    return steps
+
+
 @pytest.mark.parametrize("name,stationary", [
     ("aklt", True),         # chi_0 = I/2 is the fixed point: s* = 0
     ("cluster", False),     # chi_1 = I/2 is, to 5.6e-17 at every later step: s* = 1
@@ -390,25 +409,21 @@ def kernel_route_model(name):
 def test_kernel_route(name, stationary, monkeypatch):
     # The walk starts one more live thread per step up to the onset s*, then
     # walks those alone: thread s* gives every later start's kernels.  Counted
-    # on the leading (thread) axis of every stack that collide receives.
+    # on the leading (thread) axis of every stack that the step's product receives:
+    # one joint transfer product where n = d_S D <= 2 m_eff, else (random_D4,
+    # n = 8 > 6) one collide.
     model = kernel_route_model(name)
     k_max = 8
     s_star = 0 if stationary else {"cluster": 1}.get(name, k_max - 1)
     assert onset(model, k_max) == s_star
-    threads = []
-    collide = embedding._collide
-
-    def counted(channel, x, *rest):
-        threads.append(x.shape[0])
-        return collide(channel, x, *rest)
-
-    monkeypatch.setattr(embedding, "_collide", counted)
-    want = [min(k, s_star) + 1 for k in range(k_max)]
+    product = "collide" if name == "random_D4" else "transfer"
+    steps = count_thread_steps(monkeypatch)
+    want = [(product, min(k, s_star) + 1) for k in range(k_max)]
     table = build_kernel_table(model, k_max)
-    assert threads == want
-    threads.clear()
+    assert steps == want
+    steps.clear()
     kernels, _ = master_equation.kernel_scan(model, k_max - 1, k_max - 1)
-    assert threads == want
+    assert steps == want
     for m, kernel in enumerate(kernels):
         assert np.array_equal(kernel.matrix, table.kernel(k_max - 1, m).matrix)
 
@@ -507,6 +522,7 @@ def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
 
     for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_kraus_sum", no_work),
                               (mps, "_transfer_sum", no_work),
+                              (master_equation, "_transfer_step", no_work),
                               (Superoperator, "_taylor", property(no_work)),
                               (Superoperator, "_exp", no_work)):
         monkeypatch.setattr(owner, name, stub)
@@ -553,21 +569,18 @@ def test_bond_ladder_stops_at_a_fixed_point(monkeypatch):
 
 @pytest.mark.parametrize("spec", [ModelSpec("aklt"), ModelSpec("single_photon", {"n_sites": 20})])
 def test_kernel_table_collide_count(spec, monkeypatch):
-    # Every live thread goes through one batched collide per step, and no
-    # superoperator is composed on the way.
+    # Every live thread goes through one batched product per step (aklt's joint
+    # transfer product, single_photon's collide), and no superoperator is
+    # composed on the way.
     model = build_model(spec, g_tau=0.4)
-    collisions, products = [], []
-    collide, matmul = embedding._collide, Superoperator.__matmul__
-
-    def counted_collide(channel, x, *rest):
-        collisions.append(1)
-        return collide(channel, x, *rest)
+    products = []
+    collisions = count_thread_steps(monkeypatch)
+    matmul = Superoperator.__matmul__
 
     def counted_matmul(self, other):
         products.append(1)
         return matmul(self, other)
 
-    monkeypatch.setattr(embedding, "_collide", counted_collide)
     monkeypatch.setattr(Superoperator, "__matmul__", counted_matmul)
     k_max = 20
     build_kernel_table(model, k_max)
@@ -614,19 +627,22 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
             assert np.array_equal(kernels[m].matrix, kernel.matrix)
 
 
-@pytest.mark.parametrize("spec", [
-    ModelSpec("aklt"),
-    ModelSpec("two_photon", {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}),
-    ModelSpec("cluster"),
-])
-def test_kernel_table_matches_per_call_adjoint(spec, monkeypatch):
-    # The adjoint stack formed once per channel and np.add.reduce give the
-    # bits of an adjoint and an np.sum formed inside every collide.
-    model = build_model(spec, g_tau=0.3, fock_cutoff=5 if spec.name == "cluster" else None)
-    table = build_kernel_table(model, 12)
-    monkeypatch.setattr(embedding, "_collide", lambda channel, x, *_: np.sum(
-        channel.ops @ x[..., None, :, :] @ channel.ops.conj().transpose(0, 2, 1), axis=-3))
-    assert np.array_equal(table.packed, build_kernel_table(model, 12).packed)
+@pytest.mark.parametrize("name", ["random_D4", "ghz", "single_photon"])
+def test_kernel_table_matches_per_call_adjoint(name, monkeypatch):
+    # On chains that step by collide, the adjoint stack formed once per channel and
+    # np.add.reduce give the bits of an adjoint and an np.sum formed inside every collide.
+    model = REFERENCE_CHAINS[name]()
+    table = build_kernel_table(model, 10)
+    calls = []
+
+    def per_call(channel, x, *_):
+        calls.append(1)
+        return np.sum(channel.ops @ x[..., None, :, :] @ channel.ops.conj().transpose(0, 2, 1),
+                      axis=-3)
+
+    monkeypatch.setattr(embedding, "_collide", per_call)
+    assert np.array_equal(table.packed, build_kernel_table(model, 10).packed)
+    assert len(calls) == 10
 
 
 def test_kernel_table_thread_stack_guard(monkeypatch):
@@ -646,6 +662,38 @@ def test_kernel_table_thread_stack_guard(monkeypatch):
     assert 3 * stack <= KERNEL_GUARD
     with pytest.raises(SizeGuardError, match="thread stack"):
         build_kernel_table(model, k_max + 1)
+
+
+@pytest.mark.parametrize("name,k_max", [("aklt", 1), ("aklt", 40), ("cluster", 40),
+                                         ("two_photon", 1), ("two_photon", 8),
+                                         ("two_photon", 40)])
+def test_kernel_guard_bounds_the_transfer_route(name, k_max, monkeypatch):
+    # On the joint transfer route the guard counts the stack, two products with G
+    # (the threads stay views of the last) and four arrays the size of G: G, A^T with
+    # its bond trace, and numpy's buffers for G's broadcast build.  The walk's
+    # tracemalloc peak stays within that count, at one thread (aklt, two_photon at
+    # K = 1) and at forty (two_photon).
+    model = kernel_route_model(name)
+    assert master_equation._joint_transfer(model)
+    monkeypatch.setattr(master_equation, "KERNEL_GUARD", 0)
+    with pytest.raises(SizeGuardError, match="thread stack of") as refused:
+        kernel_scan(model, k_max - 1, k_max - 1)
+    entries = int(str(refused.value).split()[3])
+    monkeypatch.undo()
+    ladder, starts = master_equation._guard_kernel_threads(model, 0, k_max)
+    d2 = model.d_system ** 2
+    packed = np.empty((k_max * (k_max + 1) // 2, d2, d2), dtype=complex)
+    rows = [packed[k * (k + 1) // 2:][:k + 1] for k in range(k_max)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        master_equation._kernel_threads(model, starts, k_max, ladder, iter(rows))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    headers = 4096   # ndarray objects, the Kraus channel and the steps, not thread or G entries
+    assert peak <= 16 * entries + headers, (peak, 16 * entries)
 
 
 def stationary_wide_aklt():
@@ -838,6 +886,41 @@ def test_nz_equals_embedding_on_random_chains(d_bond, seed, stationary, g_tau, k
     for rho0 in (models.named_initial_state("plus"), models.named_initial_state("excited")):
         nz, embed = solve_nz(table, rho0, k_max), trajectory(model, rho0, k_max)
         assert max(np.max(np.abs(a - b)) for a, b in zip(nz, embed)) <= 1e-12
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(d_bond=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1), stationary=st.booleans(),
+       g_tau=st.floats(0.1, 0.6), k_max=st.integers(1, 12))
+def test_transfer_threads_match_the_kraus_threads(d_bond, seed, stationary, g_tau, k_max):
+    # A homogeneous spin-1 chain with n = d_S D <= 2 m_eff steps its kernel threads by
+    # the joint transfer product; a per-site copy of it, walked on the same bond ladder,
+    # steps them by collide.  Over equal threads per step, the tables, every scan row
+    # and the solver's states agree to 1e-14.
+    model = random_spin1_chain(np.random.default_rng(seed), d_bond, g_tau)
+    if stationary:
+        model = with_stationary_chi0(model)
+    model = dataclasses.replace(model, hamiltonian=None)   # scans without the second order
+    per_site = dataclasses.replace(model, env=MpsEnvironment(model.env.sites * k_max,
+                                                             model.env.chi0))
+    scans = [(k, k) for k in range(k_max)] + [(k_max - 1, (k_max - 1) // 2)]
+    bond_ladder, walks = master_equation._bond_ladder, {}
+    for name, chain in (("transfer", model), ("collide", per_site)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(master_equation, "_bond_ladder",
+                          lambda _, *args: bond_ladder(model, *args))
+            steps = count_thread_steps(patch)
+            table = build_kernel_table(chain, k_max)
+            rows = [kernel_scan(chain, k, m)[0] for k, m in scans]
+        assert {product for product, _ in steps} == {name}
+        walks[name] = table, rows, [threads for _, threads in steps]
+    (table, rows, threads), (want, want_rows, want_threads) = walks["transfer"], walks["collide"]
+    assert threads == want_threads
+    assert np.max(np.abs(table.packed - want.packed)) <= 1e-14
+    for row, want_row in zip(rows, want_rows, strict=True):
+        assert max(np.max(np.abs(a.matrix - b.matrix)) for a, b in zip(row, want_row)) <= 1e-14
+    for rho0 in (models.named_initial_state("plus"), models.named_initial_state("excited")):
+        states, want_states = solve_nz(table, rho0, k_max), solve_nz(want, rho0, k_max)
+        assert max(np.max(np.abs(a - b)) for a, b in zip(states, want_states)) <= 1e-14
 
 
 @pytest.mark.parametrize("rho0", [np.ones(4) / 4, np.eye(3) / 3, np.eye(2)[None] / 2])
@@ -1050,7 +1133,8 @@ def test_transfer_walks_match_the_kraus_sum_walks(d_bond, seed, k):
 def test_wide_chain_walks_build_no_transfer_matrix(monkeypatch):
     # At D = 64 > 2d a transfer product costs D^4 = 16.8M multiply-adds per step, ten
     # times the Kraus sum's 2 d D^3, and its matrix takes 268 MB: the ladder and the
-    # readout walk build none.
+    # readout walk build none.  The kernel threads' joint stack, n = d_S D = 128 >
+    # 2 m_eff, builds none either: its transfer matrix A would take 4.3 GB.
     model = random_spin1_chain(np.random.default_rng(5), 64)
     monkeypatch.setattr(mps, "_transfer_matrix", lambda *args: pytest.fail("D^2 x D^2 matrix"))
     assert len(build_kernel_table(model, 4).packed) == 10

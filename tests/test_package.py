@@ -189,6 +189,8 @@ LIBRARY_API = {
                                  "own channels",
     "linalg.lq_factorize": "the rank-revealing split right_canonicalize sweeps with",
     "mps.check_right_canonical": "the gauge residual of a user-built environment",
+    "mps.stationary_bond_state": "the fixed point of a homogeneous chain's bond step; the "
+                                 "generator reads it off the eigensolve that checks lambda2",
     "mps.MpsEnvironment.validate": "checks a user-built environment; the benchmark calls it on a "
                                    "method read the module scan cannot see",
     "master_equation.single_collision_channel": "the one-collision map the product GKSL route "
