@@ -10,12 +10,12 @@ The recurrence ``R(k) = sum_j A_j R(k-1) A_j^dag`` with ``R(0) = rho_S (x)
 chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
 
-``_collide`` (public as ``collide``) and ``trace_bond`` are the one
-implementation of this map, and ``_traced_walk`` the one walk along the chain:
-``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis
-stack E (x) chi, both collided into blocks that are bond-traced at once; the
-memory-kernel threads collide a stack per step where their joint transfer matrix
-does not pay for itself.
+``linalg._collide`` (public here as ``collide``) is the package's one implementation
+of this map, ``trace_bond`` its bond trace, and ``_traced_walk`` the one walk along the
+chain: ``trajectory`` runs it from R(0) through ``_work`` buffers, the embedding's
+dynamical maps from a basis stack E (x) chi, both collided into blocks that are
+bond-traced at once; the memory-kernel threads collide a stack per step where their
+joint transfer matrix does not pay for itself.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, dagger, frobenius, kron
+from .linalg import DEFAULT_TOL, _Channel, _collide, _work, dagger, frobenius, kron
 from .mps import MpsEnvironment
 
 __all__ = [
@@ -161,18 +161,6 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     return _kraus_run(model, (k,))[0]
 
 
-class _Channel:
-    """One collision channel, built once: the Kraus stack A (m, n_out, n_in), its rows as one
-    (m * n_out, n_in) matrix for a single left GEMM, and the adjoint stack A^dag."""
-
-    __slots__ = ("ops", "rows", "ops_dag")
-
-    def __init__(self, ops: np.ndarray, ops_dag: np.ndarray | None = None):
-        self.ops = ops
-        self.rows = ops.reshape(-1, ops.shape[2])
-        self.ops_dag = ops.conj().transpose(0, 2, 1) if ops_dag is None else ops_dag
-
-
 def _kraus_stacks(model: CollisionModel, ks: range):
     """Yield the ``_Channel`` of each collision k in ``ks``.
 
@@ -201,41 +189,9 @@ def _kraus_stacks(model: CollisionModel, ks: range):
         yield channel
 
 
-def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
-             work: tuple | None = None) -> np.ndarray:
-    """sum_j A_j X A_j^dag for one X or a stack (..., n_in, n_in), into ``out`` if given.
-
-    The one implementation of the collision map.  The left products are one GEMM per X
-    over all j; regrouped by j, the right products are one GEMM per j over all X, then
-    summed over j into ``out``, which may be X itself.  With ``work`` (``_work``: one X),
-    both products go to those buffers, where the row products come grouped by j already.
-    """
-    if work is not None:
-        rows, grouped, right = work
-        np.matmul(channel.rows, x, out=rows)
-        np.matmul(grouped, channel.ops_dag, out=right)
-        return np.add.reduce(right, axis=0, out=out)
-    m, n_out, n_in = channel.ops.shape
-    rows = channel.rows @ x
-    rows = rows.reshape(-1, m, n_out, n_in).swapaxes(0, 1).reshape(m, -1, n_in)   # regroup by j
-    rows = rows @ channel.ops_dag   # rebinding frees the regrouped copy
-    if out is None:
-        return np.add.reduce(rows, axis=0).reshape(x.shape[:-2] + (n_out, n_out))
-    np.add.reduce(rows, axis=0, out=out.reshape(-1, n_out))
-    return out
-
-
-def _work(shape: tuple) -> tuple:
-    """``_collide``'s buffers for one X and a Kraus stack of ``shape``: the row products, flat
-    and grouped by j, and the right products."""
-    m, n_out, n_in = shape
-    rows = np.empty((m * n_out, n_in), dtype=complex)
-    return rows, rows.reshape(m, n_out, n_in), np.empty((m, n_out, n_out), dtype=complex)
-
-
 def collide(ops: np.ndarray, x: np.ndarray, ops_dag: np.ndarray | None = None) -> np.ndarray:
-    """sum_j A_j X A_j^dag for one operator X or a stack (..., n_in, n_in); ``ops_dag`` = A^dag."""
-    return _collide(_Channel(ops, ops_dag), x)
+    """sum_j A_j X A_j^dag (``ops_dag`` = A^dag) on one X, as the walk does, or on a stack."""
+    return _collide(_Channel(ops, ops_dag), x, work=_work(ops.shape) if x.ndim == 2 else None)
 
 
 def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:

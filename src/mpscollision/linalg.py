@@ -3,9 +3,14 @@
 Everything operates on plain ``numpy.ndarray`` matrices of dtype complex128.
 Operators on composite spaces are square matrices in kron ordering: the first
 factor is the slow index.
+
+``_collide`` is the package's one collision map X -> sum_j A_j X A_j^dag on the
+``_Channel`` of a Kraus stack: the embedding's joint side and ``mps``' bond side.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -115,3 +120,51 @@ def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10, what: str = "stat
     lo = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
     if lo < -tol:
         raise ValueError(f"{what} has negative eigenvalue {lo:.3e}")
+
+
+class _Channel:
+    """A Kraus stack A (m, n_out, n_in), built once, with its rows as one (m n_out, n_in)
+    matrix for the ``_work`` path's left GEMM and its adjoint stack A^dag."""
+
+    def __init__(self, ops: np.ndarray, ops_dag: np.ndarray | None = None):
+        self.ops, self.rows = ops, ops.reshape(-1, ops.shape[2])
+        self.ops_dag = ops.conj().transpose(0, 2, 1) if ops_dag is None else ops_dag
+
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stack path's A_j^T side by side (n_in, m n_out) and A_j^* stacked (m n_in, n_out),
+        built on first use, so a channel that only walks through ``_work`` never pays for them."""
+        _, n_out, n_in = self.ops.shape
+        return self.ops.transpose(2, 0, 1).reshape(n_in, -1), self.ops_dag.reshape(-1, n_out)
+
+
+def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
+             work: tuple | None = None) -> np.ndarray:
+    """sum_j A_j X A_j^dag for one X or a stack (..., n_in, n_in), into ``out`` if given.
+
+    With ``work`` (``_work``: one X), the row products A_j X are one GEMM over all j into
+    those buffers, grouped by j, then one GEMM per j with A_j^dag, summed over j: the bits of
+    the per-pair products, which the trajectories were written with.  Without, one X or any
+    stack takes T[..., c, j, b] = (A_j X)[b, c], then one sum over (j, c) with j slow: the
+    bond step's bits, which fig5a's decorrelated column was written with, and those of each X
+    alone for every X of a stack.  ``out`` may be X itself.
+    """
+    if work is not None:
+        rows, grouped, right = work
+        np.matmul(channel.rows, x, out=rows)
+        np.matmul(grouped, channel.ops_dag, out=right)
+        return np.add.reduce(right, axis=0, out=out)
+    left, right = channel.operands
+    lead, (n_in, n_out) = x.shape[:-2], (len(left), right.shape[1])
+    t = x.swapaxes(-1, -2).reshape(-1, n_in) @ left
+    t = t.reshape(lead + (n_in, -1, n_out)).swapaxes(-1, -3).reshape(-1, len(right))
+    out = None if out is None else out.reshape(-1, n_out)
+    return np.matmul(t, right, out=out).reshape(lead + (n_out, n_out))
+
+
+def _work(shape: tuple) -> tuple:
+    """``_collide``'s buffers for one X and a Kraus stack of ``shape``: the row products, flat
+    and grouped by j, and the right products."""
+    m, n_out, n_in = shape
+    rows = np.empty((m * n_out, n_in), dtype=complex)
+    return rows, rows.reshape(m, n_out, n_in), np.empty((m, n_out, n_out), dtype=complex)

@@ -11,7 +11,7 @@ delta_ks E) / tau and advances W_s <- Q_{k+1} U_k W_s.  The live threads, one st
 grown in place, take one step per collision, and their kernels go straight into their
 slots of the packed table: a table costs k_max batched steps.  A step is one product
 with G = [A Q_{k+1} | A P] on a chain of one channel whose joint transfer matrix A pays
-for itself (``mps._transfer_pays``), else one ``embedding._collide`` and a bond trace.
+for itself (``mps._transfer_pays``), else one ``linalg._collide`` and a bond trace.
 Once a chain of one channel holds its bond state fixed to roundoff, at the onset s*,
 every later thread repeats thread s*, so row k > s* copies its first k - s* kernels
 K_{k,m} = K_{s*+m,m} from row k - 1.  The embedding's unprojected maps E_1..E_K certify
@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 KERNEL_GUARD = 2 ** 22
+LADDER_GUARD = 2 ** 20   # bond-ladder rungs walked without meeting the onset
 # exp(x A) for ||x A||_1 <= 1 by its Taylor series: the first term left out is 1/19! ~ 8e-18.
 _TAYLOR_DEGREE = 18
 _INV_FACTORIALS = 1.0 / np.cumprod(np.r_[1.0, np.arange(1.0, _TAYLOR_DEGREE + 1)])
@@ -171,13 +172,16 @@ def _bond_ladder(model: CollisionModel, k_max: int, first: int = 0) -> list[Bond
     """Bond states chi_first..chi_{s*}, s* <= k_max, one ``_bond_steps`` step a rung.  On a chain
     of one channel (homogeneous, one unitary) the walk stops at the onset s*, the first rung
     ``_fixed`` against the next, from which every thread repeats; else s* = k_max.  Rung k >= s* is
-    chi_{s*} (``_rung``): an onset before ``first`` leaves it alone; earlier rungs are not kept."""
+    chi_{s*} (``_rung``): an onset before ``first`` leaves it alone; earlier rungs are not kept.
+    Rung ``LADDER_GUARD`` short of the onset is a ``SizeGuardError``."""
     repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
     chis = [model.env.initial_bond_state()]
     for step in _bond_steps(model.env, range(k_max)):
         chi = BondState(chis[-1].site + 1, step(chis[-1].matrix))
         if repeats and _fixed(chis[-1].matrix, chi.matrix):
             break
+        if chi.site >= LADDER_GUARD:
+            raise SizeGuardError(f"bond ladder of {chi.site} rungs, no onset, exceeds the guard")
         if chis[-1].site < first:
             chis.pop()
         chis.append(chi)

@@ -7,9 +7,9 @@ carries everything the system can ever learn about the particles it has not
 met yet, so all reduced states of the chain are small contractions against a
 current bond state.
 
-The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``_kraus_sum``, or on a
-homogeneous chain one product with a transfer matrix, ``_bond_steps``) on three
-views of a site tensor B:
+The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``linalg._collide`` on the
+``_Channel`` of a view, or on a homogeneous chain one product with a transfer matrix,
+``_bond_steps``) on three views of a site tensor B:
 
 * A_i = B[i]^T evolves the bond state: ``chi_k = sum_i B[k,i]^T chi_{k-1}
   B[k,i]^*``, with ``chi_k`` the bond state after ``k`` consumed sites
@@ -35,6 +35,8 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    _Channel,
+    _collide,
     assert_density_matrix,
     frobenius,
     hermitian_part,
@@ -185,27 +187,8 @@ def right_canonicalize(tensors) -> MpsEnvironment:
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
-def _kraus_operands(ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_kraus_sum``'s A_j^T side by side (q, n p) and A_j^* stacked (n q, p) of A (n, p, q)."""
-    n, p, q = ops.shape
-    return ops.transpose(2, 0, 1).reshape(q, n * p), ops.transpose(0, 2, 1).reshape(n * q, p).conj()
-
-
-def _kraus_sum(operands: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """sum_j A_j X A_j^dag for the ``_kraus_operands`` of a stack of A_j, shape (n, p, q), and
-    one X or a stack (..., q, q); the module docstring names its three views of a site tensor."""
-    left, right = operands
-    # T[..., c, j, b] = (A_j X)[b, c], then one sum over (j, c) with j slow: the bond step's
-    # bits, which fig5a's decorrelated column was written with.  embedding._collide's
-    # per-j accumulation is the same map but moves those bits.
-    lead, (q, p) = x.shape[:-2], (len(left), right.shape[1])
-    t = x.swapaxes(-1, -2).reshape(-1, q) @ left
-    t = t.reshape(lead + (q, -1, p)).swapaxes(-1, -3).reshape(-1, len(right))
-    return (t @ right).reshape(lead + (p, p))
-
-
 def _transfer_matrix(ops: np.ndarray) -> np.ndarray:
-    """``_kraus_sum``'s map of a square stack A (n, D, D) as the D^2 x D^2 matrix T of
+    """``_collide``'s map of a square stack A (n, D, D) as the D^2 x D^2 matrix T of
     vec X -> vec X T (row-major vec): T[(b, e), (a, c)] = t[a, b, c, e], t = sum_j A_j (x) A_j^*."""
     n = ops.shape[1]
     g = ops.reshape(len(ops), n * n)
@@ -213,7 +196,7 @@ def _transfer_matrix(ops: np.ndarray) -> np.ndarray:
 
 
 def _transfer_sum(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_kraus_sum`` as one product vec X t with a ``_transfer_matrix`` t, on one X or a stack."""
+    """``_collide`` as one product vec X t with a ``_transfer_matrix`` t, on one X or a stack."""
     return (x.reshape(-1, len(t)) @ t).reshape(x.shape)
 
 
@@ -225,8 +208,8 @@ def _transfer_pays(m: int, n: int) -> bool:
 def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
     """Yield, for each site k in ``sites``, X -> sum_j A_j X A_j^dag on one X or a stack with
     A = B[k].transpose(view): the bond step, or with (0, 1, 2) the readout step.  A homogeneous
-    chain takes ``_transfer_sum`` where ``_transfer_pays``, else ``_kraus_sum``; either is
-    prepared once per distinct site tensor."""
+    chain takes ``_transfer_sum`` where ``_transfer_pays``, else ``_collide``; the transfer
+    matrix or the ``_Channel`` is prepared once per distinct site tensor."""
     site = None
     for k in sites:
         if env.site(k) is not site:
@@ -234,7 +217,7 @@ def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
             ops = site.transpose(view)
             step = (partial(_transfer_sum, _transfer_matrix(ops))
                     if env.homogeneous and _transfer_pays(*site.shape[:2])
-                    else partial(_kraus_sum, _kraus_operands(ops)))
+                    else partial(_collide, _Channel(ops)))
         yield step
 
 
@@ -287,7 +270,7 @@ def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
             f"bond state dim {chi.matrix.shape[0]} does not match site {chi.site} "
             f"left bond {b.shape[1]}"
         )
-    return BondState(chi.site + 1, _kraus_sum(_kraus_operands(b.transpose(0, 2, 1)), chi.matrix))
+    return BondState(chi.site + 1, _collide(_Channel(b.transpose(0, 2, 1)), chi.matrix))
 
 
 def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
@@ -295,7 +278,7 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     b = env.site(chi.site)
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
-    return _kraus_sum(_kraus_operands(b.transpose(2, 0, 1)), chi.matrix)
+    return _collide(_Channel(b.transpose(2, 0, 1)), chi.matrix)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

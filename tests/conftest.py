@@ -1,9 +1,13 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
+from mpscollision import embedding, master_equation, mps, oracle
 from mpscollision.linalg import kron
 from mpscollision.master_equation import (
     KernelTable,
+    Superoperator,
     _basis_stack,
     _bond_ladder,
     _rung,
@@ -18,6 +22,33 @@ from mpscollision.mps import _bulk_tensor, _pair_states
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+# Every per-step product of the package, by layer, under the name its callers look it up
+# by: the bond side's walks (ladder, readout, marginals), the joint side's collisions (the
+# embedding's walk and the kernel threads), the GKSL exponential and the oracle's state.
+STEP_PRODUCTS = {
+    "bond": ((mps, "_collide"), (mps, "_transfer_sum")),
+    "joint": ((embedding, "_collide"), (master_equation, "_transfer_step")),
+    "exponential": ((Superoperator, "_taylor"), (Superoperator, "_exp")),
+    "oracle": ((oracle, "_environment_state"),),
+}
+
+
+@pytest.fixture
+def refuse_work(monkeypatch):
+    """``refuse_work(*layers)`` fails the test on any product ``STEP_PRODUCTS`` lists for
+    ``layers``, so a call refused before any work shows it did none of that layer's."""
+    def refuse(*layers):
+        for layer in layers:
+            for owner, name in STEP_PRODUCTS[layer]:
+                def fail(*args, _where=f"{layer} product {name}", **kwargs):
+                    pytest.fail(f"{_where} ran before the call was checked")
+
+                cached = isinstance(vars(owner).get(name), cached_property)
+                monkeypatch.setattr(owner, name, property(fail) if cached else fail)
+
+    return refuse
 
 
 def random_density(rng, dim: int) -> np.ndarray:

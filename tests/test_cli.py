@@ -707,11 +707,9 @@ def test_run_oracle_guard_counts_padded_sites(tmp_path, capsys, monkeypatch):
     assert f"state vector of {2 * 9 ** 12} entries" in capsys.readouterr().err
 
 
-def test_run_nz_guard_exit_code(tmp_path, capsys, monkeypatch):
+def test_run_nz_guard_exit_code(tmp_path, capsys, refuse_work):
     # The table term, K(K+1)/2 d_S^4 = 5126400 numbers, refuses it before any bond step.
-    for owner, name in ((mps, "_kraus_sum"), (mps, "_transfer_sum"),
-                        (master_equation, "_transfer_step")):
-        monkeypatch.setattr(owner, name, lambda *args: pytest.fail("bond step before the guard"))
+    refuse_work("bond", "joint")
     path = write_config(tmp_path, aklt_doc(method="nz", k_max=800))
     assert main(["run", "--config", path]) == 3
     assert "kernel table of 5126400 entries exceeds" in capsys.readouterr().err
@@ -870,15 +868,14 @@ def test_kernel_subcommand_walks_one_ladder(monkeypatch):
         assert (calls.count(2), calls.count(4)) == (steps, m_max - 1)
 
 
-def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
+def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch, refuse_work):
     # Both chains step by the joint transfer product (n = d_S D <= 2 m_eff), whose working
     # set is the stack of R = 4 L thread rows of n^2 numbers, two products of R (n^2 + 4)
     # and four arrays of n^2 (n^2 + 4) (G; A^T with its bond trace; G's build).  At
     # k = m_max = 59 two_photon (D = 3, no onset by rung 59) holds L = 60 threads:
     # 240 * 36 + (480 + 144) * 40; aklt, onset 0, walks one: 4 * 16 + (8 + 64) * 20.
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 400)
-    for owner, name in ((embedding, "_collide"), (master_equation, "_transfer_step")):
-        monkeypatch.setattr(owner, name, lambda *args: pytest.fail("collision before the guard"))
+    refuse_work("joint")   # the bond ladder walks before the guard, no collision does
     two_photon = model_doc("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.1})
     for doc, entries in ((two_photon, 33600), (aklt_doc(), 1504)):
         path = write_config(tmp_path, doc)
@@ -886,6 +883,23 @@ def test_kernel_subcommand_size_guard(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"thread stack of {entries} entries exceeds the 400 guard" in captured.err
+
+
+def test_kernel_subcommand_ladder_guard(tmp_path, capsys, monkeypatch):
+    # two_photon at tau/T1 = tau/T2 = 1e-9 meets no onset for ~1e9 rungs, and each costs
+    # microseconds: the walk is refused once it has taken LADDER_GUARD rungs (2^20, cut to
+    # 64 here).  aklt, whose onset is chi_0, answers any k.
+    monkeypatch.setattr(master_equation, "LADDER_GUARD", 64)
+    slow = model_doc("two_photon", {"tau_over_T1": 1e-9, "tau_over_T2": 1e-9})
+    for doc, code in ((slow, 3), (aklt_doc(), 0)):
+        path = write_config(tmp_path, doc)
+        assert main(["kernel", "--config", path, "--k", "1000", "--m-max", "2"]) == code
+        captured = capsys.readouterr()
+        if code == 3:
+            assert captured.out == ""
+            assert captured.err == "error: bond ladder of 64 rungs, no onset, exceeds the guard\n"
+        else:
+            assert captured.out.startswith("m,kernel_norm,second_order_norm\n")
 
 
 @pytest.mark.parametrize("doc,args,argument", [

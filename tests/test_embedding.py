@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpscollision import embedding, master_equation, models, mps, oracle
+from mpscollision import embedding, models
 from mpscollision.embedding import (
     CollisionModel,
     kraus_operators,
@@ -13,7 +13,7 @@ from mpscollision.embedding import (
     trace_bond,
     trajectory,
 )
-from mpscollision.linalg import dagger, kron
+from mpscollision.linalg import _Channel, _collide, dagger, kron
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_canonicalize
 from mpscollision.master_equation import build_kernel_table, kernel_scan, single_collision_channel
@@ -269,20 +269,14 @@ SHORT_TUPLE_ROUTES = {
 
 
 @pytest.mark.parametrize("route", SHORT_TUPLE_ROUTES)
-def test_short_unitary_tuple_is_refused_before_any_work(monkeypatch, route):
+def test_short_unitary_tuple_is_refused_before_any_work(refuse_work, route):
     # Three unitaries on the unbounded aklt chain define collisions 0..2 only: each route
     # refuses a horizon of 5 with the exception it raises for a short chain, before the
     # first bond step, collision or environment contraction.
     aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
     model = dataclasses.replace(aklt, unitary=(aklt.unitary,) * 3)
     call, error = SHORT_TUPLE_ROUTES[route]
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the unitary tuple was checked")
-
-    for owner, name in ((embedding, "_collide"), (mps, "_kraus_sum"), (mps, "_transfer_sum"),
-                        (master_equation, "_transfer_step"), (oracle, "_environment_state")):
-        monkeypatch.setattr(owner, name, no_work)
+    refuse_work("bond", "joint", "oracle")
     with pytest.raises(error, match="no unitary for step 3"):
         call(model, models.named_initial_state("plus"))
 
@@ -421,8 +415,10 @@ def kraus_stack_cases():
 
 @pytest.mark.parametrize("lead", [(), (4,), (3, 4)], ids=["one", "stack4", "stack3x4"])
 def test_stacked_collide_equals_per_pair_products(lead):
-    # Rows stacked into one GEMM per operator and one per Kraus index give the
-    # bits of one GEMM per (operator, Kraus index) pair, element by element.
+    # One X collides through _work buffers, as in the walk: rows stacked into one GEMM per
+    # operator and one per Kraus index give the bits of one GEMM per (operator, Kraus index)
+    # pair, element by element.  A stack takes one GEMM over (Kraus index, column) for all its
+    # X: each X gets the bits of _collide on that X alone, and the per-pair products to 1e-15.
     rng = np.random.default_rng(7)
     seen = set()
     for name, ops in kraus_stack_cases():
@@ -430,29 +426,37 @@ def test_stacked_collide_equals_per_pair_products(lead):
         x = rng.normal(size=lead + (n_in, n_in)) + 1j * rng.normal(size=lead + (n_in, n_in))
         got, want = collide(ops, x), parent_collide(ops, x)
         assert got.shape == want.shape == lead + (ops.shape[1],) * 2, (name, ops.shape)
-        assert np.array_equal(got, want), (name, ops.shape)
-        assert np.array_equal(collide(ops, x, ops.conj().transpose(0, 2, 1)), want)
+        assert np.array_equal(collide(ops, x, ops.conj().transpose(0, 2, 1)), got)
+        if lead:
+            channel = _Channel(ops)
+            alone = [_collide(channel, one) for one in x.reshape((-1,) + x.shape[-2:])]
+            assert np.array_equal(got, np.reshape(alone, got.shape)), (name, ops.shape)
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (name, ops.shape)
+        else:
+            assert np.array_equal(got, want), (name, ops.shape)
         seen.add((ops.shape[0], ops.shape[1] == ops.shape[2]))
     assert {(5, True), (3, True), (2, True), (2, False)} <= seen
 
 
 @pytest.mark.parametrize("name", ["cluster", "two_photon", "random_1_32_1"])
 def test_collide_peak_memory_is_two_products(name):
-    # _guard_kernel_threads budgets 2 m_eff thread stacks beyond collide's
-    # input: the row products and their copy regrouped by Kraus index, or the
-    # regrouped copy and the right products, never all three.
+    # _guard_kernel_threads budgets 2 m_eff thread stacks beyond _collide's
+    # input: the left products T[..., c, j, b] = (A_j X)[b, c] and their copy
+    # regrouped with j slow; the output comes once T is freed.  Measured on a
+    # channel whose operands are built, as after a kernel walk's first step.
     model = dict(bond_change_models(), **zoo_models())[name]
     k = 7 if name == "random_1_32_1" else 0   # a square 32 x 32 bond
     ops = kraus_operators(model, k)
     m, n_out, n_in = ops.shape
     assert n_out == n_in
     x = np.ones((max(4, 2 ** 16 // (16 * n_in ** 2)), n_in, n_in), dtype=complex)   # >= 64 KiB
-    ops_dag = ops.conj().transpose(0, 2, 1)
+    channel = _Channel(ops)
+    channel.operands   # noqa: B018 - built on first use, outside the measured call
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = collide(ops, x, ops_dag)
+        out = _collide(channel, x)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

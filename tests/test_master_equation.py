@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpscollision import embedding, master_equation, models, mps
 from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
-from mpscollision.linalg import dagger, frobenius, kron
+from mpscollision.linalg import _Channel, _collide, dagger, frobenius, kron
 from mpscollision.master_equation import (
     KERNEL_GUARD,
     Superoperator,
@@ -509,23 +509,14 @@ NEGATIVE_HORIZONS = {
 
 
 @pytest.mark.parametrize("case", NEGATIVE_HORIZONS)
-def test_negative_horizons_are_refused_before_any_work(monkeypatch, case):
+def test_negative_horizons_are_refused_before_any_work(refuse_work, case):
     # Unchecked, these return [rho_0], an empty table, [] and [rho_0], or fail with
     # "max() arg is an empty sequence"; each is a ValueError naming the argument,
     # raised before any collision, bond step, or preparation or use of an exponential.
     call, argument = NEGATIVE_HORIZONS[case]
     aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
     args = (aklt, build_kernel_table(aklt, 2), stroboscopic_generator(aklt), np.eye(2) / 2)
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the horizon was checked")
-
-    for owner, name, stub in ((embedding, "_collide", no_work), (mps, "_kraus_sum", no_work),
-                              (mps, "_transfer_sum", no_work),
-                              (master_equation, "_transfer_step", no_work),
-                              (Superoperator, "_taylor", property(no_work)),
-                              (Superoperator, "_exp", no_work)):
-        monkeypatch.setattr(owner, name, stub)
+    refuse_work("bond", "joint", "exponential")
     with pytest.raises(ValueError, match=f"need {argument} >= "):
         call(*args)
 
@@ -629,35 +620,31 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
 
 @pytest.mark.parametrize("name", ["random_D4", "ghz", "single_photon"])
 def test_kernel_table_matches_per_call_adjoint(name, monkeypatch):
-    # On chains that step by collide, the adjoint stack formed once per channel and
-    # np.add.reduce give the bits of an adjoint and an np.sum formed inside every collide.
+    # On chains that step by collide, the adjoint stack and the stack operands prepared once
+    # per channel give the bits of a _Channel, adjoint and operands built inside every collide.
     model = REFERENCE_CHAINS[name]()
     table = build_kernel_table(model, 10)
     calls = []
 
-    def per_call(channel, x, *_):
+    def per_call(channel, x, *rest):
         calls.append(1)
-        return np.sum(channel.ops @ x[..., None, :, :] @ channel.ops.conj().transpose(0, 2, 1),
-                      axis=-3)
+        return _collide(_Channel(channel.ops), x, *rest)
 
     monkeypatch.setattr(embedding, "_collide", per_call)
     assert np.array_equal(table.packed, build_kernel_table(model, 10).packed)
     assert len(calls) == 10
 
 
-def test_kernel_table_thread_stack_guard(monkeypatch):
+def test_kernel_table_thread_stack_guard(refuse_work):
     # A D = 64 chain: the last step's working set, 2 m_eff + 1 = 7 thread
     # stacks (tracemalloc peak 7.25 stacks at K = 8), caps K at 9 long before
-    # the table does.  K = 10 is refused before the first collision; counting
-    # only the m_eff-fold products would have let it (and K = 21) through.
+    # the table does.  K = 10 is refused before the first collision, though after
+    # the bond ladder; counting only the m_eff-fold products would have let it (and
+    # K = 21) through.
     model = random_spin1_chain(np.random.default_rng(5), 64)
     k_max = 9
     assert len(build_kernel_table(model, k_max).packed) == k_max * (k_max + 1) // 2
-
-    def refuse(*args):
-        raise AssertionError("collide called before the guard")
-
-    monkeypatch.setattr(embedding, "_collide", refuse)
+    refuse_work("joint")
     stack = (k_max + 1) * model.d_system ** 2 * (model.d_system * 64) ** 2
     assert 3 * stack <= KERNEL_GUARD
     with pytest.raises(SizeGuardError, match="thread stack"):
@@ -1040,15 +1027,11 @@ def test_second_order_kernel_is_the_scans_one_entry_case(name, k):
     assert name != "spin1_D16" or onset(model, k + 1) == 55
 
 
-def test_second_order_kernel_refuses_bad_calls_before_any_work(monkeypatch):
-    def no_work(*args):
-        raise AssertionError("bond or readout step before the call was checked")
-
+def test_second_order_kernel_refuses_bad_calls_before_any_work(refuse_work):
     model = complex_single_photon_model(n_sites=8)
     with pytest.raises(IndexError) as scan:
         kernel_scan(model, 11, 1)
-    monkeypatch.setattr(mps, "_kraus_sum", no_work)
-    monkeypatch.setattr(mps, "_transfer_sum", no_work)
+    refuse_work("bond")   # no bond or readout step before the call is checked
     with pytest.raises(IndexError) as call:
         second_order_kernel(model, 11, 1)
     assert str(call.value) == str(scan.value) == "collision 8 beyond environment length 8"
@@ -1087,13 +1070,13 @@ def test_second_order_walks_one_readout(monkeypatch):
                                              ("single_photon_complex", 7, 6)])
 def test_readout_walk_prepares_each_site_tensor_once(name, k, prepared, monkeypatch):
     # A readout walk over every delay steps back over sites k - 1..1; it prepares
-    # its step, the transfer matrix of a homogeneous chain or _kraus_sum's operands,
-    # once per distinct site tensor, not once per step.
+    # its step, the transfer matrix of a homogeneous chain or the _Channel of a site's
+    # readout view, once per distinct site tensor, not once per step.
     model = reference_models()[name]
     ladder = master_equation._bond_ladder(model, k - 1)
     chis = [master_equation._rung(ladder, k - m) for m in range(1, k + 1)]
     calls = []
-    for prepare in ("_kraus_operands", "_transfer_matrix"):
+    for prepare in ("_Channel", "_transfer_matrix"):
         monkeypatch.setattr(mps, prepare, lambda *args, f=getattr(mps, prepare):
                             calls.append(1) or f(*args))
     assert len(list(mps._pair_states(model.env, k, chis))) == k

@@ -179,6 +179,42 @@ def test_benchmark_api_resolves():
     assert unknown == []
 
 
+# -- private-helper audit ------------------------------------------------------------
+
+PACKAGE = Path(mpscollision.__file__).resolve().parent
+
+
+def _unnamed_private_definitions(package: Path) -> list[str]:
+    """``file: name`` of every function, class or method of ``package/*.py`` whose name
+    starts with one underscore and that no line of those files but its ``def`` or ``class``
+    line names."""
+    lines, defined = [], []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        lines += [(path.name, n, line) for n, line in enumerate(text.splitlines(), 1)]
+        defined += [(path.name, node.lineno, node.name) for node in ast.walk(ast.parse(text))
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and re.match(r"_[^_]", node.name)]
+    return [f"{where}: {name}" for where, at, name in defined
+            if not any(re.search(rf"\b{name}\b", line) for f, n, line in lines
+                       if (f, n) != (where, at))]
+
+
+def test_every_private_helper_is_named_elsewhere():
+    # A private function, class or method that no other line of the package names is
+    # left over from a deletion: nothing calls it, so it goes too.
+    assert _unnamed_private_definitions(PACKAGE) == []
+
+
+def test_private_helper_audit_reports_an_orphan(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with (tmp_path / "linalg.py").open("a") as linalg_file:
+        linalg_file.write("\n\ndef _orphan(x):\n    return _orphan_twin(x)\n\n\n"
+                          "def _orphan_twin(x):\n    return x\n")
+    assert _unnamed_private_definitions(tmp_path) == ["linalg.py: _orphan"]
+
+
 # -- call audit ------------------------------------------------------------------
 
 # Public names no CLI run and no benchmark read reaches, kept as library API.
