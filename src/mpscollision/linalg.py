@@ -124,7 +124,7 @@ def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10, what: str = "stat
 
 class _Channel:
     """A Kraus stack A (m, n_out, n_in), built once, with its rows as one (m n_out, n_in)
-    matrix for the ``_work`` path's left GEMM and its adjoint stack A^dag."""
+    matrix for either path's left GEMM and its adjoint stack A^dag."""
 
     def __init__(self, ops: np.ndarray, ops_dag: np.ndarray | None = None):
         self.ops, self.rows = ops, ops.reshape(-1, ops.shape[2])
@@ -132,10 +132,9 @@ class _Channel:
 
     @cached_property
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stack path's A_j^T side by side (n_in, m n_out) and A_j^* stacked (m n_in, n_out),
-        built on first use, so a channel that only walks through ``_work`` never pays for them."""
-        _, n_out, n_in = self.ops.shape
-        return self.ops.transpose(2, 0, 1).reshape(n_in, -1), self.ops_dag.reshape(-1, n_out)
+        """The stack path's A_j^T side by side (n_in, m n_out), the rows' transpose, and A_j^*
+        stacked (m n_in, n_out), built on first use: ``_work``-only channels never pay for them."""
+        return self.rows.T, self.ops_dag.reshape(-1, self.ops.shape[1])
 
 
 def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
@@ -144,10 +143,11 @@ def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
 
     With ``work`` (``_work``: one X), the row products A_j X are one GEMM over all j into
     those buffers, grouped by j, then one GEMM per j with A_j^dag, summed over j: the bits of
-    the per-pair products, which the trajectories were written with.  Without, one X or any
-    stack takes T[..., c, j, b] = (A_j X)[b, c], then one sum over (j, c) with j slow: the
-    bond step's bits, which fig5a's decorrelated column was written with, and those of each X
-    alone for every X of a stack.  ``out`` may be X itself.
+    the per-pair products, which the trajectories were written with.  Without, each X takes
+    T[..., c, j, b] = (A_j X)[b, c] by its GEMM alone (no transposed copy of a stack to fault
+    in), then one GEMM over (j, c), j slow, for all X: the bond step's bits, which fig5a's
+    decorrelated column was written with, and for n_out > 1 each X's alone.  ``out`` may be
+    X itself.
     """
     if work is not None:
         rows, grouped, right = work
@@ -156,7 +156,7 @@ def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
         return np.add.reduce(right, axis=0, out=out)
     left, right = channel.operands
     lead, (n_in, n_out) = x.shape[:-2], (len(left), right.shape[1])
-    t = x.swapaxes(-1, -2).reshape(-1, n_in) @ left
+    t = x.swapaxes(-1, -2) @ left
     t = t.reshape(lead + (n_in, -1, n_out)).swapaxes(-1, -3).reshape(-1, len(right))
     out = None if out is None else out.reshape(-1, n_out)
     return np.matmul(t, right, out=out).reshape(lead + (n_out, n_out))
