@@ -26,7 +26,7 @@ from .embedding import (CollisionModel, CutoffConvergenceError, SizeGuardError, 
                         trajectory)
 from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
 from .models import ModelSpec, _finite, _integer
-from .mps import decorrelate
+from .mps import MpsEnvironment, decorrelate
 
 # ``master_equation`` and ``oracle`` are imported inside the branches that call them, so a
 # process loads neither unless its method or subcommand needs it.
@@ -37,7 +37,6 @@ __all__ = ["main", "ConfigError", "load_config", "run_config", "reproduce", "ker
 METHODS = ("embedding", "oracle", "nz", "gksl", "decorrelated")
 FIGURES = ("fig5a", "fig5b", "fig6a", "fig6b")
 DEFAULT_CUTOFF_SHIFT_TOL = 1e-6
-MAX_CHAIN_SITES = 2 ** 14
 CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "interaction",
                "initial_state", "observables", "n_sites", "tolerances", "output")
 MODEL_KEYS = ("name", "parameters")
@@ -71,12 +70,10 @@ def _require(cfg: dict, field: str, types, path: str = ""):
 
 
 def _known_keys(cfg: dict, known: tuple, path: str = "") -> None:
-    """Reject the first key of ``cfg`` outside ``known``, so a typo is not a default; only the
-    parameters of a model that takes none have no known key."""
+    """Reject the first key of ``cfg`` outside ``known``, so a typo is not a default."""
     for key in cfg:
         if key not in known:
-            expected = f"expected one of {known}" if known else "the model takes no parameters"
-            raise ConfigError(f"{path}{key}", f"unknown key, {expected}")
+            raise ConfigError(f"{path}{key}", f"unknown key, expected one of {known}")
 
 
 def _entry(re, im) -> complex:
@@ -112,20 +109,6 @@ def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     return float(value)
 
 
-def _check_chain_length(parameters: dict, kinds: dict) -> None:
-    """Refuse, before the model is built, a finite chain longer than ``MAX_CHAIN_SITES``:
-    ``models.environment_for`` stores one site tensor per requested site, so without the
-    bound the document alone would set the cost of loading it."""
-    for key, value in parameters.items():
-        try:
-            n = {"count": int, "vector": len}[kinds[key]](value)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            continue
-        if n > MAX_CHAIN_SITES:
-            raise ConfigError(f"model.parameters.{key}",
-                              f"{n} sites exceed the {MAX_CHAIN_SITES}-site limit")
-
-
 def _built(field: str, build, *args):
     """``build(*args)`` with the library's rejection of its inputs reported at ``field``.
 
@@ -156,15 +139,10 @@ def load_config(doc: dict) -> dict:
     _known_keys(doc, CONFIG_KEYS)
     model = _require(doc, "model", dict)
     _known_keys(model, MODEL_KEYS, "model.")
-    name = _require(model, "name", str, "model.")
-    if name not in models.MODELS:
-        raise ConfigError("model.name", f"unknown model '{name}'")
-    case, parameters = models.MODELS[name], model.get("parameters", {})
-    if not isinstance(parameters, dict):
-        raise ConfigError("model.parameters", "expected an object")
-    _known_keys(parameters, tuple(case.parameters), "model.parameters.")
-    _check_chain_length(parameters, case.parameters)
-    spec = ModelSpec(name, parameters)
+    spec = _built("model.name", ModelSpec, _require(model, "name", str, "model."),
+                  model.get("parameters", {}))
+    env = _built("model.parameters", models.environment_for, spec)
+    case = models.MODELS[spec.name]
 
     g_tau = _number(_require(doc, "g_tau", (int, float)), "g_tau", 0.0)
     k_max = _require(doc, "k_max", int)
@@ -182,7 +160,7 @@ def load_config(doc: dict) -> dict:
         raise ConfigError("fock_cutoff", "must be an integer >= 2")
 
     interaction = doc.get("interaction", case.interaction)
-    built = _build_model(spec, g_tau, tau, interaction, fock_cutoff)
+    built = _build_model(env, g_tau, tau, interaction, fock_cutoff)
 
     initial = doc.get("initial_state", "ground")
     if isinstance(initial, str):
@@ -253,10 +231,9 @@ def load_config(doc: dict) -> dict:
     }
 
 
-def _build_model(spec: ModelSpec, g_tau: float, tau: float | None, interaction,
+def _build_model(env: MpsEnvironment, g_tau: float, tau: float | None, interaction,
                  fock_cutoff: int | None) -> CollisionModel:
-    """The run's CollisionModel from a named or an explicit interaction."""
-    env = _built("model.parameters", models.environment_for, spec)
+    """The run's CollisionModel on ``env`` from a named or an explicit interaction."""
     if isinstance(interaction, str):
         return _built("interaction", models._named_model, env, interaction, g_tau, fock_cutoff, tau)
     if not isinstance(interaction, dict):
@@ -546,7 +523,7 @@ def _load_file(path: str) -> dict:
     except UnicodeDecodeError as exc:
         raise ConfigError("", f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError("", f"invalid JSON: {exc}") from exc
+        raise ConfigError("", f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def main(argv=None) -> int:

@@ -210,8 +210,12 @@ def _marginal_product(pair: np.ndarray) -> np.ndarray:
 
 
 def _basis_stack(d_s: int, chi: np.ndarray) -> np.ndarray:
-    """E (x) chi over the system basis E in column-major order (a Superoperator's columns)."""
-    return kron(np.eye(d_s * d_s, dtype=complex).reshape(-1, d_s, d_s).transpose(0, 2, 1), chi)
+    """E (x) chi over the system basis E in column-major order (a Superoperator's columns):
+    element j d_S + i is |i><j| (x) chi, chi in block (i, j) of an otherwise zero matrix."""
+    x = np.zeros((d_s * d_s, d_s, len(chi), d_s, len(chi)), dtype=complex)
+    for b in range(d_s * d_s):
+        x[b, b % d_s, :, b // d_s] = chi
+    return x.reshape(d_s * d_s, d_s * len(chi), -1)
 
 
 def _channels(model: CollisionModel, chi: BondState, n: int) -> np.ndarray:

@@ -284,17 +284,22 @@ MODELS = {
                                 "exchange", "excited_population"),
 }
 MODEL_NAMES = tuple(MODELS)
+MAX_CHAIN_SITES = 2 ** 14   # sites a count or a vector of amplitudes may ask for
 
 
-def _check_parameters(name: str, parameters: dict) -> None:
-    """Refuse a parameter the model does not read, or one not of its kind: the builders read
-    each as it is given, and would run true as 1 and 2.5 sites as 2."""
+def _check_parameters(name: str, parameters) -> None:
+    """Refuse parameters that are not a dict, a key the model does not read, a value not of its
+    kind, and a chain longer than ``MAX_CHAIN_SITES``: the builders read each value as it is
+    given, so they would run true as 1 and 2.5 sites as 2, and store one tensor per site."""
+    if not isinstance(parameters, dict):
+        raise ValueError(f"parameters must be an object, got {type(parameters).__name__}")
     kinds = MODELS[name].parameters
-    for key, value in parameters.items():
-        kind = kinds.get(key)
-        if kind is None:
+    for key in parameters:
+        if key not in kinds:
             expected = f"expected one of {tuple(kinds)}" if kinds else "it takes no parameters"
             raise ValueError(f"model '{name}' reads no parameter '{key}', {expected}")
+    for key, value in parameters.items():
+        kind = kinds[key]
         if kind == "count" and not _integer(value):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         if kind == "count" and value < 1:
@@ -303,6 +308,9 @@ def _check_parameters(name: str, parameters: dict) -> None:
             raise ValueError(f"{key} must be a finite number, got {value!r}")
         if kind == "positive" and value <= 0:
             raise ValueError(f"{key} must be positive, got {value!r}")
+        sites = value if kind == "count" else len(value) if kind == "vector" else 0
+        if sites > MAX_CHAIN_SITES:
+            raise ValueError(f"{key} asks for {sites} sites, over the {MAX_CHAIN_SITES}-site limit")
         for j, amp in enumerate(value if kind == "vector" else ()):
             pair = isinstance(amp, (list, tuple)) and len(amp) == 2 and all(map(_finite, amp))
             if not (pair or _finite(amp)):

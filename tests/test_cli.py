@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from mpscollision import cli, embedding, master_equation, models, mps, oracle
 from mpscollision.cli import (
-    MAX_CHAIN_SITES,
     ConfigError,
     PRESETS,
     kernel_norms,
@@ -23,7 +22,7 @@ from mpscollision.cli import (
     run_config,
 )
 from mpscollision.master_equation import build_kernel_table, second_order_kernel
-from mpscollision.models import aklt_exact_q, aklt_markov_q
+from mpscollision.models import MAX_CHAIN_SITES, aklt_exact_q, aklt_markov_q
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -130,6 +129,21 @@ SITE_COUNT_ERRORS = [
     (model_doc("single_photon", {"n_sites": -3}), "model.parameters"),
     (model_doc("ghz", {"n_sites": 0}), "model.parameters"),
 ]
+# One case for each config error that no case above raises, listed last so that those keep
+# their ids.  diag(1.5, -0.5) is Hermitian with unit trace: only its eigenvalue -0.5 is wrong.
+RARE_ERRORS = [
+    (aklt_doc(initial_state={"matrix": matrix(np.diag([1.5, -0.5]))}), "initial_state.matrix"),
+    (aklt_doc(initial_state={"matrix": [[[1, 0], [0, 0]]]}), "initial_state.matrix"),
+    (model_doc("aklt", []), "model.parameters"),
+    (aklt_doc(fock_cutoff=1), "fock_cutoff"),
+    (aklt_doc(output=3), "output"),
+    (aklt_doc(interaction={"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.eye(4))}),
+     "interaction.hamiltonian"),
+    (aklt_doc(interaction={"matrix": matrix(np.eye(6)),
+                           "hamiltonian": matrix(np.triu(np.ones((6, 6))))}),
+     "interaction.hamiltonian"),
+    (aklt_doc(observables=[3]), "observables[0]"),
+]
 
 # Misspelt keys are errors, not defaults.
 UNKNOWN_KEY_ERRORS = [
@@ -174,6 +188,7 @@ MATRIX_ENTRY_ERRORS = [
     *MATRIX_ENTRY_ERRORS,
     *WIDTH_ERRORS,
     *SITE_COUNT_ERRORS,
+    *RARE_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -182,7 +197,7 @@ def test_validate_field_errors(doc, field):
 
 
 @pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS
-                         + WIDTH_ERRORS + SITE_COUNT_ERRORS)
+                         + WIDTH_ERRORS + SITE_COUNT_ERRORS + RARE_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
@@ -192,24 +207,27 @@ def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, fiel
         assert captured.err.startswith(f"error: config.{field}:")
 
 
-@pytest.mark.parametrize("doc,field", [
+@pytest.mark.parametrize("doc,parameter", [
     (model_doc("ghz", {"n_sites": 10 ** 6}), "model.parameters.n_sites"),
     (model_doc("ghz", {"n_sites": 1e6}), "model.parameters.n_sites"),
     (model_doc("single_photon", {"n_sites": 10 ** 6}), "model.parameters.n_sites"),
     (model_doc("single_photon", {"amplitudes": [1.0] * (MAX_CHAIN_SITES + 1)}),
      "model.parameters.amplitudes"),
 ])
-def test_chain_length_cap_exits_2_before_building(tmp_path, capsys, monkeypatch, doc, field):
+def test_chain_length_cap_exits_2_before_building(tmp_path, capsys, monkeypatch, doc, parameter):
+    # models checks the cap before the row's builder stores one site tensor per site; the
+    # error is reported at model.parameters in models' wording, which names the key.
     built = []
-    environment_for = models.environment_for
-    monkeypatch.setattr(models, "environment_for", lambda spec: built.append(spec)
-                        or environment_for(spec))
+    for case in models.MODELS.values():
+        monkeypatch.setattr(case, "environment", lambda p, build=case.environment:
+                            built.append(p) or build(p))
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):
         assert main([command, "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: config.{field}:")
+        assert captured.err.startswith(
+            f"error: config.model.parameters: {parameter.rsplit('.', 1)[1]} ")
     assert built == []
     at_cap = model_doc("ghz", {"n_sites": MAX_CHAIN_SITES})
     assert main(["validate", "--config", write_config(tmp_path, at_cap, "cap.json")]) == 0
@@ -257,7 +275,8 @@ def test_unread_model_parameters_exit_2(tmp_path, capsys, doc, key):
         assert main([command, "--config", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: config.model.parameters.{key}: unknown key")
+        assert captured.err.startswith(f"error: config.model.parameters: model "
+                                       f"'{doc['model']['name']}' reads no parameter '{key}', ")
 
 
 @pytest.mark.parametrize("name", ["cluster", "aklt"])
@@ -266,8 +285,9 @@ def test_model_without_parameters_says_so(tmp_path, capsys, name):
     path = write_config(tmp_path, model_doc(name, {"x": 1}))
     for command in ("validate", "run"):
         assert main([command, "--config", path]) == 2
-        assert capsys.readouterr().err == (
-            "error: config.model.parameters.x: unknown key, the model takes no parameters\n")
+        assert capsys.readouterr().err == ("error: config.model.parameters: model "
+                                           f"'{name}' reads no parameter 'x', it takes no "
+                                           "parameters\n")
 
 
 def test_fock_cutoff_is_a_top_level_key_only(tmp_path, capsys):
@@ -281,8 +301,8 @@ def test_fock_cutoff_is_a_top_level_key_only(tmp_path, capsys):
             assert main([command, "--config", path]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith(
-                "error: config.model.parameters.fock_cutoff: unknown key")
+            assert captured.err.startswith(f"error: config.model.parameters: model '{name}' "
+                                           "reads no parameter 'fock_cutoff'")
 
 
 BUILDER_PARAMETERS = {"two_photon": {"g_tau": 0.3, "g_T1": 2.3, "g_T2": 59.9}, "cluster": {},
@@ -338,14 +358,16 @@ def test_validate_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["run"], ["validate"], ["kernel", "--k", "1", "--m-max", "1"]])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, command):
-    # A missing file, a directory or a file that is not UTF-8 text is a config error
-    # naming the path; a JSON document that is not an object is one too.
+    # A missing file, a directory, a file that is not UTF-8 text or not JSON is a config
+    # error naming the path; a JSON document that is not an object is one too.
     (tmp_path / "dir.json").mkdir()
     (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{}")
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "bad.json").write_text("{")
     for name, reason in (("missing.json", "config file not found: "),
                          ("dir.json", "cannot read config file "),
-                         ("utf16.json", "config file "), ("list.json", "")):
+                         ("utf16.json", "config file "), ("list.json", ""),
+                         ("bad.json", "config file ")):
         path = str(tmp_path / name)
         assert main([command[0], "--config", path, *command[1:]]) == 2
         captured = capsys.readouterr()
@@ -681,7 +703,8 @@ def test_run_cluster_gate_reuses_cutoff_trajectory(monkeypatch, method, column):
     for module in (embedding, cli):
         monkeypatch.setattr(module, "trajectory", counted)
     text = run_config(load_config({**PRESETS["fig5b"], "method": method}))
-    assert len(calls) == 2
+    cutoff = PRESETS["fig5b"]["fock_cutoff"]
+    assert [model.mode_dim for model, *_ in calls] == [cutoff, cutoff + 2]
     # reproduce skips the gate; the gated run gives the same bytes.
     golden = (GOLDEN / "fig5b_gtau03.csv").read_text().splitlines()
     assert text.splitlines()[1:] == [
@@ -722,6 +745,13 @@ def test_presets_round_trip_schema():
         text = json.dumps(preset)
         assert json.loads(text) == preset
         load_config(json.loads(text))  # parses cleanly
+
+
+def test_reproduce_refuses_an_unknown_figure_before_making_its_directory(tmp_path):
+    # The CLI's argument parser refuses it first; a library call reaches this check.
+    with pytest.raises(ConfigError, match=r"^config\.figure: unknown figure 'fig7', expected"):
+        reproduce("fig7", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce_fig6a_matches_closed_forms(tmp_path):
@@ -915,6 +945,18 @@ def test_kernel_subcommand_argument_errors(tmp_path, capsys, doc, args, argument
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: argument {argument}: must be >= 0" in captured.err
+
+
+def test_kernel_subcommand_on_an_explicit_matrix_with_its_hamiltonian(tmp_path, capsys):
+    # The given generator feeds the second-order column, which is finite for m >= 1.
+    named = models.interaction("heisenberg", 0.5)
+    doc = aklt_doc(interaction={"matrix": matrix(named.unitary),
+                                "hamiltonian": matrix(named.hamiltonian)})
+    path = write_config(tmp_path, doc)
+    assert main(["kernel", "--config", path, "--k", "3", "--m-max", "3"]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert header == ["m", "kernel_norm", "second_order_norm"] and rows.shape == (4, 3)
+    assert np.isnan(rows[0, 2]) and np.all(np.isfinite(rows[1:, 2])) and np.all(rows[1:, 2] > 0)
 
 
 def test_kernel_subcommand_last_site_of_finite_chain(tmp_path, capsys):

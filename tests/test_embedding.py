@@ -545,6 +545,16 @@ def test_complex_bond_density_vs_oracle(rng):
         assert np.max(np.abs(a - b)) < 1e-12
 
 
+def test_observable_series_refuses_an_imaginary_part_over_1e_10():
+    # tr(rho sigma_x) = rho_01 + rho_10 = i eps on a state with an anti-Hermitian residue.
+    def state(eps):
+        return np.array([[1.0, 0.5j * eps], [0.5j * eps, 0.0]])
+
+    assert observable_series([state(1e-12)], models.SIGMA_X) == [0.0]
+    with pytest.raises(ValueError, match="expectation at step 0 has imaginary part 1.000e-08"):
+        observable_series([state(1e-8)], models.SIGMA_X)
+
+
 def test_observable_series_basics():
     model = zoo_models()["two_photon"]
     states = trajectory(model, models.named_initial_state("ground"), 5)

@@ -728,6 +728,15 @@ def test_kernel_guard_counts_the_onset_threads(monkeypatch):
     assert np.max(master_equation._maps_residuals(model, table, k_max)) <= 1e-12
 
 
+@pytest.mark.parametrize("d_s,d_b", [(1, 3), (2, 1), (2, 3), (3, 8)])
+def test_basis_stack_is_the_basis_kron_chi(d_s, d_b):
+    # Element j d_S + i is |i><j| (x) chi, in value; kron's zeros can carry a sign, a zeroed
+    # stack's do not.
+    chi = random_density(np.random.default_rng(10 * d_s + d_b), d_b)
+    basis = np.eye(d_s * d_s).reshape(-1, d_s, d_s).transpose(0, 2, 1)
+    assert np.array_equal(master_equation._basis_stack(d_s, chi), kron(basis, chi))
+
+
 @pytest.mark.parametrize("name,n", [("aklt", 40), ("two_photon", 40),
                                     ("single_photon_complex", 8), ("random_D8", 40)])
 def test_map_stack_traces_the_walk_in_batches(name, n, monkeypatch):

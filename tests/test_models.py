@@ -121,6 +121,11 @@ def test_single_photon_delta_is_product_state():
     (ModelSpec("ghz", {"n_sites": -3}), "n_sites must be at least 1, got -3"),
     (ModelSpec("cluster", {"x": 1}), "'cluster' reads no parameter 'x', it takes no parameters"),
     (ModelSpec("aklt", {"x": 1}), "'aklt' reads no parameter 'x', it takes no parameters"),
+    (ModelSpec("ghz", {"n_sites": 2 ** 14 + 1}),
+     "n_sites asks for 16385 sites, over the 16384-site limit"),
+    (ModelSpec("single_photon", {"amplitudes": [1.0] * (2 ** 14 + 1)}),
+     "amplitudes asks for 16385 sites, over the 16384-site limit"),
+    (ModelSpec("ghz", [("n_sites", 4)]), "parameters must be an object, got list"),
 ])
 def test_library_builders_refuse_parameters(spec, message):
     # Each parameter is checked where it is read, whichever interaction the model runs under.
@@ -130,6 +135,17 @@ def test_library_builders_refuse_parameters(spec, message):
             build(spec)
         assert message in str(err.value)
 
+
+def test_library_chain_length_cap_refuses_before_the_builder(monkeypatch):
+    # Past the cap the row's builder, which stores one site tensor per site, never runs.
+    built, ghz = [], models.MODELS["ghz"]
+    monkeypatch.setattr(ghz, "environment", lambda p, build=ghz.environment:
+                        built.append(p) or build(p))
+    with pytest.raises(ValueError, match="16385 sites, over the 16384-site limit"):
+        build_model(ModelSpec("ghz", {"n_sites": models.MAX_CHAIN_SITES + 1}), 0.3)
+    assert built == []
+    model = build_model(ModelSpec("ghz", {"n_sites": models.MAX_CHAIN_SITES}), 0.3)
+    assert model.env.length == models.MAX_CHAIN_SITES and len(built) == 1
 
 
 def test_library_builders_take_numpy_integers():

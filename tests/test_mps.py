@@ -71,6 +71,15 @@ def test_validate_refuses_a_site_scaled_off_canonical_form():
         dataclasses.replace(env, sites=(1.5 * env.sites[0],)).validate()
 
 
+def test_validate_refuses_a_site_scaled_by_one_part_in_1e8():
+    # sum_i B B^dag = (1 + 1e-8)^2 I on aklt's 2x2 bond: residual 2.8e-8, over the 1e-10 bound.
+    aklt = models.aklt_env()
+    scaled = dataclasses.replace(aklt, sites=((1 + 1e-8) * aklt.sites[0],))
+    assert 2.8e-8 < check_right_canonical(scaled) < 2.9e-8
+    with pytest.raises(ValueError, match="not right-canonical"):
+        scaled.validate()
+
+
 def test_environment_shape_validation():
     with pytest.raises(ValueError):
         MpsEnvironment((), np.eye(1))
@@ -448,6 +457,12 @@ def test_transfer_spectrum_cluster_zero():
 def test_transfer_spectrum_ghz_infinite():
     with pytest.raises(InfiniteCorrelationLengthError):
         transfer_spectrum(models.ghz_env(6))
+
+
+def test_subleading_eigenvalue_within_1e_10_of_the_unit_circle_is_on_it():
+    assert mps._subleading(np.array([1.0, 1.0 - 1e-8])) == 1.0 - 1e-8
+    with pytest.raises(InfiniteCorrelationLengthError):
+        mps._subleading(np.array([1.0, 1.0 - 1e-11]))
 
 
 def test_stationary_bond_state_aklt():
