@@ -12,10 +12,10 @@ the bond partial trace of ``R``.
 
 ``linalg._collide`` (public here as ``collide``) is the package's one implementation
 of this map, ``trace_bond`` its bond trace, and ``_traced_walk`` the one walk along the
-chain: ``trajectory`` runs it from R(0) through ``_work`` buffers, the embedding's
-dynamical maps from a basis stack E (x) chi, both collided into blocks that are
-bond-traced at once; the memory-kernel threads collide a stack per step where their
-joint transfer matrix does not pay for itself.
+chain: ``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis
+stack E (x) chi, both into blocks that are bond-traced at once.  On a chain of one
+channel whose joint transfer matrix pays for itself (``_joint_transfer``) one R steps by
+one product with that matrix, as the memory-kernel threads do; else the walk collides.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, _Channel, _collide, _work, dagger, frobenius, kron
-from .mps import MpsEnvironment
+from .mps import MpsEnvironment, _transfer_matrix, _transfer_pays, _transfer_sum
 
 __all__ = [
     "CollisionModel",
@@ -161,6 +161,14 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
     return _kraus_run(model, (k,))[0]
 
 
+def _joint_transfer(model: CollisionModel) -> bool:
+    """Whether one X walks by ``_transfer_sum`` (the trajectory, the kernel threads): a chain of
+    one channel (homogeneous, one unitary) whose joint Kraus stack, m_eff operators on
+    system (x) bond, ``_transfer_pays``."""
+    return (model.env.homogeneous and not isinstance(model.unitary, tuple) and
+            _transfer_pays(model.effective_mode_dim(), model.d_system * len(model.env.chi0)))
+
+
 def _kraus_stacks(model: CollisionModel, ks: range):
     """Yield the ``_Channel`` of each collision k in ``ks``.
 
@@ -210,19 +218,21 @@ def _trace_block(shape: tuple) -> np.ndarray:
 def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
     """Yield tr_bond of ``r`` and of its image after each collision k in ``ks``.
 
-    ``r`` is one joint matrix or a stack of them.  Each collision goes through
-    ``_collide`` with the channels of ``_kraus_stacks``, straight into the next slot
-    of a ``_trace_block``; one ``trace_bond`` per full block, or per run of equal
-    shape.  One matrix collides through ``_work`` buffers, kept while the Kraus
-    stack's shape holds.
+    ``r`` is one joint matrix or a stack of them.  Each collision goes straight into the next
+    slot of a ``_trace_block``; one ``trace_bond`` per full block, or per run of equal shape.
+    One matrix on a ``_joint_transfer`` chain steps by one product vec R A with the joint
+    ``_transfer_matrix`` A of its one channel, built once (``_transfer_sum``).  Else each
+    collision goes through ``_collide`` with the channels of ``_kraus_stacks``, one matrix
+    through ``_work`` buffers kept while the Kraus stack's shape holds.
     """
     block = _trace_block(r.shape)
     block[0] = r
-    i, shape, work = 0, None, None
+    i, shape, work, a = 0, None, None, None
     for channel in _kraus_stacks(model, ks):
         if channel.ops.shape != shape:
             shape = channel.ops.shape
-            work = _work(shape) if r.ndim == 2 else None
+            a = _transfer_matrix(channel.ops) if r.ndim == 2 and _joint_transfer(model) else None
+            work = _work(shape) if r.ndim == 2 and a is None else None
             if shape[1] != block.shape[-1]:
                 yield from trace_bond(block[: i + 1], model.d_system)
                 block, i = _trace_block(r.shape[:-2] + (shape[1],) * 2), -1
@@ -230,7 +240,7 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
             yield from trace_bond(block, model.d_system)
             i = -1
         i += 1
-        r = _collide(channel, r, block[i], work)
+        r = _collide(channel, r, block[i], work) if a is None else _transfer_sum(a, r, block[i])
     yield from trace_bond(block[: i + 1], model.d_system)
 
 

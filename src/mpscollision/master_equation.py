@@ -45,7 +45,6 @@ from .mps import (
     _real_transfer_matrix,
     _subleading,
     _summed_correlator,
-    _transfer_pays,
     evolve_bond_state,
 )
 
@@ -248,13 +247,6 @@ def two_collision_channel(model: CollisionModel, chi: BondState,
 
 # -- exact memory kernel -----------------------------------------------------
 
-def _joint_transfer(model: CollisionModel) -> bool:
-    """Whether the kernel threads step by ``_transfer_step``: a chain of one channel (homogeneous,
-    one unitary) whose joint Kraus stack, m_eff operators on system (x) bond, ``_transfer_pays``."""
-    return (model.env.homogeneous and not isinstance(model.unitary, tuple) and
-            _transfer_pays(model.effective_mode_dim(), model.d_system * len(model.env.chi0)))
-
-
 def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
                           table: int = 0) -> tuple[list[BondState], range]:
     """The ``_bond_ladder`` from s0 to k_max - 1 and the starts s0..max(s0, s*) of its threads.
@@ -271,8 +263,8 @@ def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
     ladder = _bond_ladder(model, k_max - 1, s0)
     starts = range(s0, max(s0, ladder[-1].site) + 1)
     rows, n2 = len(starts) * model.d_system ** 2, (model.d_system * d_bond) ** 2
-    stack = (rows * n2 + (2 * rows + 4 * n2) * (n2 + model.d_system ** 2) if _joint_transfer(model)
-             else (2 * model.effective_mode_dim() + 1) * rows * n2)
+    stack = (rows * n2 + (2 * rows + 4 * n2) * (n2 + model.d_system ** 2)
+             if emb._joint_transfer(model) else (2 * model.effective_mode_dim() + 1) * rows * n2)
     if stack > KERNEL_GUARD:
         raise SizeGuardError(f"thread stack of {stack} entries exceeds the {KERNEL_GUARD} guard")
     return ladder, starts
@@ -306,7 +298,7 @@ def _thread_steps(model: CollisionModel, ladder: list[BondState], steps: range, 
     d_s, first, onset = model.d_system, ladder[0].site, ladder[-1].site
     chis = (ladder[min(k + 1, onset) - first].matrix for k in steps)   # chi_{k+1}
     channels = emb._kraus_stacks(model, steps)
-    if not _joint_transfer(model):
+    if not emb._joint_transfer(model):
         for k, channel, chi in zip(steps, channels, chis):
             yield partial(_kraus_step, channel, chi if k + 1 < k_max else None, d_s)
         return

@@ -308,6 +308,8 @@ def _check_parameters(name: str, parameters) -> None:
             raise ValueError(f"{key} must be a finite number, got {value!r}")
         if kind == "positive" and value <= 0:
             raise ValueError(f"{key} must be positive, got {value!r}")
+        if kind == "vector" and not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list of amplitudes, got {value!r}")
         sites = value if kind == "count" else len(value) if kind == "vector" else 0
         if sites > MAX_CHAIN_SITES:
             raise ValueError(f"{key} asks for {sites} sites, over the {MAX_CHAIN_SITES}-site limit")

@@ -195,9 +195,11 @@ def _transfer_matrix(ops: np.ndarray) -> np.ndarray:
     return np.dot(g.T, g.conj()).reshape(n, n, n, n).transpose(1, 3, 0, 2).reshape(n * n, n * n)
 
 
-def _transfer_sum(t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``_collide`` as one product vec X t with a ``_transfer_matrix`` t, on one X or a stack."""
-    return (x.reshape(-1, len(t)) @ t).reshape(x.shape)
+def _transfer_sum(t: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``_collide`` as one product vec X t with a ``_transfer_matrix`` t, on one X or a stack,
+    into ``out`` if given."""
+    flat = None if out is None else out.reshape(-1, len(t))
+    return np.matmul(x.reshape(-1, len(t)), t, out=flat).reshape(x.shape)
 
 
 def _transfer_pays(m: int, n: int) -> bool:

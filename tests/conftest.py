@@ -3,7 +3,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from mpscollision import embedding, master_equation, mps, oracle
+from mpscollision import embedding, master_equation, models, mps, oracle
 from mpscollision.linalg import kron
 from mpscollision.master_equation import (
     KernelTable,
@@ -29,7 +29,8 @@ def rng():
 # embedding's walk and the kernel threads), the GKSL exponential and the oracle's state.
 STEP_PRODUCTS = {
     "bond": ((mps, "_collide"), (mps, "_transfer_sum")),
-    "joint": ((embedding, "_collide"), (master_equation, "_transfer_step")),
+    "joint": ((embedding, "_collide"), (embedding, "_transfer_sum"),
+              (master_equation, "_transfer_step")),
     "exponential": ((Superoperator, "_taylor"), (Superoperator, "_exp")),
     "oracle": ((oracle, "_environment_state"),),
 }
@@ -55,6 +56,17 @@ def random_density(rng, dim: int) -> np.ndarray:
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho)
+
+
+def random_spin1_chain(rng, d_bond, g_tau=0.4):
+    """Homogeneous chain of one complex QR isometry, chi0 = I/D, heisenberg coupling."""
+    g = rng.normal(size=(3 * d_bond, d_bond)) + 1j * rng.normal(size=(3 * d_bond, d_bond))
+    q, _ = np.linalg.qr(g)
+    site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
+    env = mps.MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
+    inter = models.interaction("heisenberg", g_tau)
+    return embedding.CollisionModel(env=env, unitary=inter.unitary, d_system=2, mode_dim=3,
+                                    g_tau=g_tau, hamiltonian=inter.hamiltonian)
 
 
 def random_hermitian(rng, dim: int) -> np.ndarray:

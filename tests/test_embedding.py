@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpscollision import embedding, models
+from mpscollision import embedding, models, mps
 from mpscollision.embedding import (
     CollisionModel,
     kraus_operators,
@@ -19,7 +19,7 @@ from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_ca
 from mpscollision.master_equation import build_kernel_table, kernel_scan, single_collision_channel
 from mpscollision.oracle import OracleRun, brute_force_trajectory
 
-from conftest import partial_trace, random_density
+from conftest import partial_trace, random_density, random_spin1_chain
 
 
 def zoo_models():
@@ -128,6 +128,31 @@ def stepwise_reference(model, rho0, k_max):
     return reference
 
 
+def transfer_reference(model, rho0, k_max):
+    """tr_bond R(k) for k = 0..k_max, one product vec R A per collision (row-major vec) with
+    the joint transfer matrix A of the chain's one channel."""
+    a = mps._transfer_matrix(kraus_operators(model, 0))
+    r = kron(np.asarray(rho0, dtype=complex), model.env.chi0)
+    reference = [trace_bond(r, model.d_system)]
+    for _ in range(k_max):
+        r = (r.reshape(1, -1) @ a).reshape(r.shape)
+        reference.append(trace_bond(r, model.d_system))
+    return reference
+
+
+def walk_references(model, rho0, k_max, product):
+    """The bits ``trajectory`` gives, and the Kraus-sum walk: the transfer product on a chain
+    that takes it (``product``), else the Kraus sum itself."""
+    kraus_sum = stepwise_reference(model, rho0, k_max)
+    return (transfer_reference(model, rho0, k_max) if product else kraus_sum), kraus_sum
+
+
+def relative_gap(states, reference):
+    """Largest entry of any state's difference from the reference, over the reference's largest."""
+    gap = max(np.max(np.abs(a - b)) for a, b in zip(states, reference))
+    return gap / max(np.max(np.abs(b)) for b in reference)
+
+
 def random_inhomogeneous_model(rng, n_sites):
     tensors = [rng.normal(size=(2, min(2 ** k, 4, 2 ** (n_sites - k)),
                                 min(2 ** (k + 1), 4, 2 ** (n_sites - k - 1))))
@@ -145,19 +170,19 @@ def channel_reuse_cases():
     repeated = CollisionModel(env=aklt.env, unitary=(u_a, u_a, u_b, u_b, u_b, u_a, u_b),
                               d_system=2, mode_dim=3, g_tau=0.3)
     return [
-        pytest.param(aklt, 50, 1, id="aklt"),
-        pytest.param(twin, 50, 1, id="aklt_decorrelated"),
-        pytest.param(zoo_models()["ghz"], 8, 3, id="ghz"),   # first, bulk and last sites
-        pytest.param(random_inhomogeneous_model(np.random.default_rng(7), 6), 6, 6,
+        pytest.param(aklt, 50, 1, True, id="aklt"),
+        pytest.param(twin, 50, 1, True, id="aklt_decorrelated"),
+        pytest.param(zoo_models()["ghz"], 8, 3, False, id="ghz"),   # first, bulk and last sites
+        pytest.param(random_inhomogeneous_model(np.random.default_rng(7), 6), 6, 6, False,
                      id="inhomogeneous"),
-        pytest.param(repeated, 7, 4, id="repeated_unitaries"),   # runs a a | b b b | a | b
+        pytest.param(repeated, 7, 4, False, id="repeated_unitaries"),   # runs a a | b b b | a | b
     ]
 
 
-@pytest.mark.parametrize("model,k_max,builds", channel_reuse_cases())
-def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds):
+@pytest.mark.parametrize("model,k_max,builds,product", channel_reuse_cases())
+def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds, product):
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
-    reference = stepwise_reference(model, rho0, k_max)
+    reference, kraus_sum = walk_references(model, rho0, k_max, product)
 
     built = []   # site channels, however many one einsum builds
     kraus_run = embedding._kraus_run
@@ -171,6 +196,7 @@ def test_trajectory_builds_each_channel_once(monkeypatch, model, k_max, builds):
     assert len(built) == builds
     assert len(states) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))
+    assert relative_gap(states, kraus_sum) <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["single_photon_complex", "two_photon_decorrelated"])
@@ -250,13 +276,11 @@ def test_step_cptp_random_states(rng):
             assert lo > -1e-10, name
 
 
-def test_trajectory_beyond_finite_environment(monkeypatch):
+def test_trajectory_beyond_finite_environment(refuse_work):
     model = zoo_models()["ghz"]
-    calls = []
-    monkeypatch.setattr(embedding, "_collide", lambda *args: calls.append(1))
+    refuse_work("joint")   # refused before the first collision
     with pytest.raises(IndexError, match="collision 8 beyond environment length 8"):
         trajectory(model, models.named_initial_state("ground"), 9)
-    assert calls == []   # refused before the first collision
 
 
 SHORT_TUPLE_ROUTES = {
@@ -281,13 +305,11 @@ def test_short_unitary_tuple_is_refused_before_any_work(refuse_work, route):
         call(model, models.named_initial_state("plus"))
 
 
-def test_trajectory_rejects_a_wrong_shape_state(monkeypatch):
+def test_trajectory_rejects_a_wrong_shape_state(refuse_work):
     model = zoo_models()["aklt"]
-    calls = []
-    monkeypatch.setattr(embedding, "_collide", lambda *args: calls.append(1))
+    refuse_work("joint")   # refused before the first collision
     with pytest.raises(ValueError, match=r"system state shape \(3, 3\), expected \(2, 2\)"):
         trajectory(model, np.eye(3) / 3, 4)
-    assert calls == []   # refused before the first collision
 
 
 def bond_change_models():
@@ -336,12 +358,15 @@ def stack_bytes(model, k):
 @pytest.mark.parametrize("name", list(walk_models()))
 def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
     # The walk's collisions into trace blocks and its Kraus stacks built per run of
-    # sites give the bits of one per-pair collide, with a stack built for every site.
+    # sites give the bits of one per-pair collide, with a stack built for every site; on
+    # the homogeneous chains, those of one vec R A product per step, and the per-pair
+    # collides' within 1e-14.
     model, k_max = walk_models()[name]
     rho0 = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "collide", parent_collide)
-        reference = stepwise_reference(model, rho0, k_max)
+        reference, kraus_sum = walk_references(model, rho0, k_max,
+                                               name in ("aklt", "cluster", "two_photon"))
 
     if budget is not None:
         # Trace blocks of a few states, and Kraus builds of two stacks of the widest bond.
@@ -365,6 +390,7 @@ def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
     states = trajectory(model, rho0, k_max)
     assert len(states) == k_max + 1
     assert all(np.array_equal(a, b) for a, b in zip(states, reference))
+    assert relative_gap(states, kraus_sum) <= 1e-14
     assert sum(n for n, _ in batches) == k_max + 1
     # Each batch and each build fits its byte budget, unless it is one state or stack larger.
     assert all(size <= embedding._TRACE_BATCH_BYTES or n == 1 for n, size in batches)
@@ -373,6 +399,65 @@ def test_trajectory_equals_chain_of_steps(monkeypatch, name, budget):
         assert len(batches) > 1   # a block ends mid-run, or where the bond changes
     if name.endswith("_decorrelated"):   # one run of 40 distinct sites
         assert len(builds) == (20 if budget else 1)
+
+
+def route_cases():
+    """Chain name -> (model, whether one X walks by the joint transfer product)."""
+    zoo = zoo_models()
+    controlled = build_model(ModelSpec("aklt"), g_tau=0.5, interaction_name="controlled")
+    cases = {}
+    for name, model in (("aklt_heisenberg", zoo["aklt"]), ("aklt_controlled", controlled)):
+        cases[name] = (model, True)
+        cases[name + "_decorrelated"] = (dataclasses.replace(model, env=decorrelate(model.env)),
+                                         True)
+    for name in ("two_photon", "cluster"):
+        cases[name] = (zoo[name], True)
+        twin = dataclasses.replace(zoo[name], env=decorrelate(zoo[name].env, length=40))
+        cases[name + "_decorrelated"] = (twin, False)
+    for name in ("ghz", "single_photon"):
+        cases[name] = (zoo[name], False)
+    for name, model in bond_change_models().items():
+        cases["bond_change_" + name] = (model, False)
+    cases["unitary_tuple"] = (dataclasses.replace(zoo["aklt"], unitary=(zoo["aklt"].unitary,) * 40),
+                              False)
+    return cases
+
+
+@pytest.mark.parametrize("name", list(route_cases()))
+def test_walk_route_table(monkeypatch, name):
+    # One X on a homogeneous chain of one unitary whose joint transfer matrix pays for itself
+    # steps by one _transfer_sum per collision and never collides; every other chain, and a
+    # stack of X on any chain, collides each step and never takes the product.
+    model, product = route_cases()[name]
+    assert embedding._joint_transfer(model) == product
+    k_max = min(40, model.env.length or 40)
+    calls = {"_collide": 0, "_transfer_sum": 0}
+    for fn in calls:
+        def counted(*args, _fn=fn, _original=getattr(embedding, fn)):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(embedding, fn, counted)
+    trajectory(model, models.named_initial_state("plus"), k_max)
+    assert calls == {"_collide": k_max * (not product), "_transfer_sum": k_max * product}
+    calls.update(_collide=0, _transfer_sum=0)
+    stack = np.stack([kron(np.eye(2) / 2, model.env.chi0)] * 3)
+    list(embedding._traced_walk(model, stack, range(k_max)))
+    assert calls == {"_collide": k_max, "_transfer_sum": 0}
+
+
+@pytest.mark.parametrize("d_bond", range(1, 7))
+def test_transfer_product_tracks_the_kraus_sum_on_random_chains(rng, d_bond):
+    # On random homogeneous spin-1 chains the joint transfer product stays within 1e-13 of
+    # the Kraus-sum walk at K = 300, and the walk gives the product's bits where it pays
+    # (n = 2 D <= 2 m_eff = 6), the Kraus sum's elsewhere.
+    model = random_spin1_chain(rng, d_bond)
+    rho0 = random_density(rng, 2)
+    product, kraus_sum = transfer_reference(model, rho0, 300), stepwise_reference(model, rho0, 300)
+    assert relative_gap(product, kraus_sum) <= 1e-13
+    assert embedding._joint_transfer(model) == (d_bond <= 3)
+    reference = product if d_bond <= 3 else kraus_sum
+    assert all(np.array_equal(a, b) for a, b in zip(trajectory(model, rho0, 300), reference))
 
 
 def test_kraus_runs_equal_per_site_builds():

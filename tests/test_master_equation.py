@@ -44,6 +44,7 @@ from conftest import (
     partial_trace,
     random_density,
     random_hermitian,
+    random_spin1_chain,
     reference_kernel_scan_row,
     reference_kernel_table,
     reference_solve_nz,
@@ -66,17 +67,6 @@ def complex_single_photon_model(g_tau=0.4, n_sites=8):
     return CollisionModel(env=models.single_photon_env(amps), unitary=inter.unitary,
                           d_system=2, mode_dim=3, g_tau=g_tau,
                           hamiltonian=inter.hamiltonian)
-
-
-def random_spin1_chain(rng, d_bond, g_tau=0.4):
-    """Homogeneous chain of one complex QR isometry, chi0 = I/D, heisenberg coupling."""
-    g = rng.normal(size=(3 * d_bond, d_bond)) + 1j * rng.normal(size=(3 * d_bond, d_bond))
-    q, _ = np.linalg.qr(g)
-    site = q.conj().T.reshape(d_bond, 3, d_bond).transpose(1, 0, 2)
-    env = MpsEnvironment((site,), np.eye(d_bond) / d_bond, homogeneous=True)
-    inter = models.interaction("heisenberg", g_tau)
-    return CollisionModel(env=env, unitary=inter.unitary, d_system=2, mode_dim=3,
-                          g_tau=g_tau, hamiltonian=inter.hamiltonian)
 
 
 def two_photon_model():
@@ -661,7 +651,7 @@ def test_kernel_guard_bounds_the_transfer_route(name, k_max, monkeypatch):
     # tracemalloc peak stays within that count, at one thread (aklt, two_photon at
     # K = 1) and at forty (two_photon).
     model = kernel_route_model(name)
-    assert master_equation._joint_transfer(model)
+    assert embedding._joint_transfer(model)
     monkeypatch.setattr(master_equation, "KERNEL_GUARD", 0)
     with pytest.raises(SizeGuardError, match="thread stack of") as refused:
         kernel_scan(model, k_max - 1, k_max - 1)

@@ -126,6 +126,12 @@ def test_single_photon_delta_is_product_state():
     (ModelSpec("single_photon", {"amplitudes": [1.0] * (2 ** 14 + 1)}),
      "amplitudes asks for 16385 sites, over the 16384-site limit"),
     (ModelSpec("ghz", [("n_sites", 4)]), "parameters must be an object, got list"),
+    (ModelSpec("single_photon", {"amplitudes": 3}),
+     "amplitudes must be a list of amplitudes, got 3"),
+    (ModelSpec("single_photon", {"amplitudes": {"a": 1}}),
+     "amplitudes must be a list of amplitudes, got {'a': 1}"),
+    (ModelSpec("single_photon", {"amplitudes": "ab"}),
+     "amplitudes must be a list of amplitudes, got 'ab'"),
 ])
 def test_library_builders_refuse_parameters(spec, message):
     # Each parameter is checked where it is read, whichever interaction the model runs under.
