@@ -10,12 +10,13 @@ The recurrence ``R(k) = sum_j A_j R(k-1) A_j^dag`` with ``R(0) = rho_S (x)
 chi0`` reproduces the exact open dynamics of the system; the system state is
 the bond partial trace of ``R``.
 
-``linalg._collide`` (public here as ``collide``) is the package's one implementation
-of this map, ``trace_bond`` its bond trace, and ``_traced_walk`` the one walk along the
-chain: ``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis
-stack E (x) chi, both into blocks that are bond-traced at once.  On a chain of one
-channel whose joint transfer matrix pays for itself (``_joint_transfer``) one R steps by
-one product with that matrix, as the memory-kernel threads do; else the walk collides.
+``linalg._collide`` (public here as ``collide``), a function of the Kraus stack and its
+adjoint that picks its arithmetic from the operand, is the package's one implementation of
+this map, ``trace_bond`` its bond trace, and ``_traced_walk`` the one walk along the chain:
+``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis stack E (x) chi,
+both into blocks that are bond-traced at once.  On a chain of one channel whose joint transfer
+matrix pays for itself (``_joint_transfer``) one R steps by one product with that matrix, as
+the memory-kernel threads do; else the walk collides.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, _Channel, _collide, _work, dagger, frobenius, kron
+from .linalg import DEFAULT_TOL, _collide, dagger, frobenius, kron
 from .mps import MpsEnvironment, _transfer_matrix, _transfer_pays, _transfer_sum
 
 __all__ = [
@@ -89,7 +90,7 @@ class CollisionModel:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary shape {u.shape}, expected {(dim, dim)}")
             res = frobenius(dagger(u) @ u - np.eye(dim))
-            if res > DEFAULT_TOL:
+            if not res <= DEFAULT_TOL:   # a NaN residual fails too
                 raise ValueError(f"interaction is not unitary (residual {res:.3e})")
         sites = [0] if self.env.homogeneous else range(len(self.env.sites))
         for k in sites:
@@ -170,13 +171,13 @@ def _joint_transfer(model: CollisionModel) -> bool:
 
 
 def _kraus_stacks(model: CollisionModel, ks: range):
-    """Yield the ``_Channel`` of each collision k in ``ks``.
+    """Yield (A, A^dag), the Kraus stack of each collision k in ``ks`` and its adjoint (a view).
 
     A channel is built only when ``model.env.site(k)`` or ``model.base_unitary(k)``
     is a different object from the ones of the last build, so a homogeneous chain
     builds one channel and GHZ three (first, bulk and last site).  Consecutive
     builds whose sites share one shape under one unitary are one ``_kraus_run``
-    per ``_KRAUS_BATCH_BYTES`` (a larger stack alone).
+    per ``_KRAUS_BATCH_BYTES`` (a larger stack alone), their adjoints views of one conjugate.
     """
     env, unitary = model.env, model.base_unitary
     site = u = channel = None
@@ -192,14 +193,14 @@ def _kraus_stacks(model: CollisionModel, ks: range):
                        and env.site(end).shape == site.shape and unitary(end) is u):
                     end += 1
                 ops = _kraus_run(model, range(k, end))
-                built = map(_Channel, ops, ops.conj().transpose(0, 1, 3, 2))
+                built = zip(ops, ops.conj().transpose(0, 1, 3, 2))
                 channel = next(built)
         yield channel
 
 
-def collide(ops: np.ndarray, x: np.ndarray, ops_dag: np.ndarray | None = None) -> np.ndarray:
-    """sum_j A_j X A_j^dag (``ops_dag`` = A^dag) on one X, as the walk does, or on a stack."""
-    return _collide(_Channel(ops, ops_dag), x, work=_work(ops.shape) if x.ndim == 2 else None)
+def collide(ops: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_j A_j X A_j^dag on one X, as the walk does, or on a stack."""
+    return _collide(ops, ops.conj().transpose(0, 2, 1), x)
 
 
 def trace_bond(x: np.ndarray, d_system: int) -> np.ndarray:
@@ -222,17 +223,15 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
     slot of a ``_trace_block``; one ``trace_bond`` per full block, or per run of equal shape.
     One matrix on a ``_joint_transfer`` chain steps by one product vec R A with the joint
     ``_transfer_matrix`` A of its one channel, built once (``_transfer_sum``).  Else each
-    collision goes through ``_collide`` with the channels of ``_kraus_stacks``, one matrix
-    through ``_work`` buffers kept while the Kraus stack's shape holds.
+    collision goes through ``_collide`` with the Kraus stacks and adjoints of ``_kraus_stacks``.
     """
     block = _trace_block(r.shape)
     block[0] = r
-    i, shape, work, a = 0, None, None, None
-    for channel in _kraus_stacks(model, ks):
-        if channel.ops.shape != shape:
-            shape = channel.ops.shape
-            a = _transfer_matrix(channel.ops) if r.ndim == 2 and _joint_transfer(model) else None
-            work = _work(shape) if r.ndim == 2 and a is None else None
+    i, shape, a = 0, None, None
+    for ops, ops_dag in _kraus_stacks(model, ks):
+        if ops.shape != shape:
+            shape = ops.shape
+            a = _transfer_matrix(ops) if r.ndim == 2 and _joint_transfer(model) else None
             if shape[1] != block.shape[-1]:
                 yield from trace_bond(block[: i + 1], model.d_system)
                 block, i = _trace_block(r.shape[:-2] + (shape[1],) * 2), -1
@@ -240,7 +239,7 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
             yield from trace_bond(block, model.d_system)
             i = -1
         i += 1
-        r = _collide(channel, r, block[i], work) if a is None else _transfer_sum(a, r, block[i])
+        r = _collide(ops, ops_dag, r, block[i]) if a is None else _transfer_sum(a, r, block[i])
     yield from trace_bond(block[: i + 1], model.d_system)
 
 
@@ -268,7 +267,7 @@ def _system_state(rho_s0, d_system: int) -> np.ndarray:
 def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:
     """tr(rho O) per step for Hermitian O; complains about imaginary residue."""
     observable = np.asarray(observable, dtype=complex)
-    if frobenius(observable - dagger(observable)) > DEFAULT_TOL:
+    if not frobenius(observable - dagger(observable)) <= DEFAULT_TOL:   # a NaN residual fails too
         raise ValueError("observable must be Hermitian")
     values = []
     for j, rho in enumerate(states):

@@ -4,13 +4,12 @@ Everything operates on plain ``numpy.ndarray`` matrices of dtype complex128.
 Operators on composite spaces are square matrices in kron ordering: the first
 factor is the slow index.
 
-``_collide`` is the package's one collision map X -> sum_j A_j X A_j^dag on the
-``_Channel`` of a Kraus stack: the embedding's joint side and ``mps``' bond side.
+``_collide`` is the package's one collision map X -> sum_j A_j X A_j^dag, a function of a
+Kraus stack and its adjoint stack that picks its arithmetic from the operand (one X or a
+stack): the embedding's joint side and ``mps``' bond side.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +60,7 @@ def expm_hermitian_generator(h: np.ndarray, theta: float) -> np.ndarray:
     """
     h = np.asarray(h, dtype=complex)
     res = frobenius(h - dagger(h))
-    if res > DEFAULT_TOL:
+    if not res <= DEFAULT_TOL:   # a NaN residual fails too
         raise ValueError(f"generator is not Hermitian (residual {res:.3e} > {DEFAULT_TOL:.1e})")
     w, v = np.linalg.eigh(hermitian_part(h))
     phases = np.exp(-1j * theta * w)
@@ -122,49 +121,25 @@ def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10, what: str = "stat
         raise ValueError(f"{what} has negative eigenvalue {lo:.3e}")
 
 
-class _Channel:
-    """A Kraus stack A (m, n_out, n_in), built once, with its rows as one (m n_out, n_in)
-    matrix for either path's left GEMM and its adjoint stack A^dag."""
+def _collide(ops: np.ndarray, ops_dag: np.ndarray, x: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j A_j X A_j^dag for a Kraus stack A (m, n_out, n_in) and its adjoint stack
+    ``ops_dag`` (m, n_in, n_out), on one X or a stack (..., n_in, n_in), into ``out`` if given.
 
-    def __init__(self, ops: np.ndarray, ops_dag: np.ndarray | None = None):
-        self.ops, self.rows = ops, ops.reshape(-1, ops.shape[2])
-        self.ops_dag = ops.conj().transpose(0, 2, 1) if ops_dag is None else ops_dag
-
-    @cached_property
-    def operands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The stack path's A_j^T side by side (n_in, m n_out), the rows' transpose, and A_j^*
-        stacked (m n_in, n_out), built on first use: ``_work``-only channels never pay for them."""
-        return self.rows.T, self.ops_dag.reshape(-1, self.ops.shape[1])
-
-
-def _collide(channel: _Channel, x: np.ndarray, out: np.ndarray | None = None,
-             work: tuple | None = None) -> np.ndarray:
-    """sum_j A_j X A_j^dag for one X or a stack (..., n_in, n_in), into ``out`` if given.
-
-    With ``work`` (``_work``: one X), the row products A_j X are one GEMM over all j into
-    those buffers, grouped by j, then one GEMM per j with A_j^dag, summed over j: the bits of
-    the per-pair products, which the trajectories were written with.  Without, each X takes
-    T[..., c, j, b] = (A_j X)[b, c] by its GEMM alone (no transposed copy of a stack to fault
-    in), then one GEMM over (j, c), j slow, for all X: the bond step's bits, which fig5a's
-    decorrelated column was written with, and for n_out > 1 each X's alone.  ``out`` may be
-    X itself.
+    One X takes the row products A_j X as one GEMM of A's rows (m n_out, n_in) with X, then one
+    GEMM per j with A_j^dag, summed over j: the bits of the per-pair products, which the
+    trajectories were written with.  A stack takes T[..., c, j, b] = (A_j X)[b, c] by one GEMM
+    per X (no transposed copy of a stack to fault in), then one GEMM over (j, c), j slow, with
+    A_j^* stacked (m n_in, n_out), for all X: for n_out > 1 each X gets the bits of a stack of
+    that X alone.  ``out`` may be X itself.
     """
-    if work is not None:
-        rows, grouped, right = work
-        np.matmul(channel.rows, x, out=rows)
-        np.matmul(grouped, channel.ops_dag, out=right)
+    m, n_out, n_in = ops.shape
+    rows = ops.reshape(-1, n_in)
+    if x.ndim == 2:
+        right = (rows @ x).reshape(m, n_out, n_in) @ ops_dag
         return np.add.reduce(right, axis=0, out=out)
-    left, right = channel.operands
-    lead, (n_in, n_out) = x.shape[:-2], (len(left), right.shape[1])
-    t = x.swapaxes(-1, -2) @ left
-    t = t.reshape(lead + (n_in, -1, n_out)).swapaxes(-1, -3).reshape(-1, len(right))
+    lead = x.shape[:-2]
+    t = x.swapaxes(-1, -2) @ rows.T
+    t = t.reshape(lead + (n_in, m, n_out)).swapaxes(-1, -3).reshape(-1, m * n_in)
     out = None if out is None else out.reshape(-1, n_out)
-    return np.matmul(t, right, out=out).reshape(lead + (n_out, n_out))
-
-
-def _work(shape: tuple) -> tuple:
-    """``_collide``'s buffers for one X and a Kraus stack of ``shape``: the row products, flat
-    and grouped by j, and the right products."""
-    m, n_out, n_in = shape
-    rows = np.empty((m * n_out, n_in), dtype=complex)
-    return rows, rows.reshape(m, n_out, n_in), np.empty((m, n_out, n_out), dtype=complex)
+    return np.matmul(t, ops_dag.reshape(-1, n_out), out=out).reshape(lead + (n_out, n_out))

@@ -270,11 +270,11 @@ def _guard_kernel_threads(model: CollisionModel, s0: int, k_max: int,
     return ladder, starts
 
 
-def _kraus_step(channel, chi, d_s: int, threads: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _kraus_step(ops, ops_dag, chi, d_s: int, threads: np.ndarray, live: np.ndarray) -> np.ndarray:
     """Collide the threads, write their bond traces into ``live``, project them by Q_{k+1} X =
     X - tr_bond(X) (x) chi_{k+1} (not when ``chi`` is None) and return them."""
-    square = channel.ops.shape[1] == channel.ops.shape[2]   # else a new array of the new shape
-    threads = emb._collide(channel, threads, threads if square else None)
+    square = ops.shape[1] == ops.shape[2]   # else a new array of the new shape
+    threads = emb._collide(ops, ops_dag, threads, threads if square else None)
     traced = emb.trace_bond(threads, d_s)
     if chi is not None:   # kron(traced, chi), entry by entry
         threads -= (traced[..., :, None, :, None] * chi[:, None, :]).reshape(threads.shape)
@@ -299,10 +299,10 @@ def _thread_steps(model: CollisionModel, ladder: list[BondState], steps: range, 
     chis = (ladder[min(k + 1, onset) - first].matrix for k in steps)   # chi_{k+1}
     channels = emb._kraus_stacks(model, steps)
     if not emb._joint_transfer(model):
-        for k, channel, chi in zip(steps, channels, chis):
-            yield partial(_kraus_step, channel, chi if k + 1 < k_max else None, d_s)
+        for k, (ops, ops_dag), chi in zip(steps, channels, chis):
+            yield partial(_kraus_step, ops, ops_dag, chi if k + 1 < k_max else None, d_s)
         return
-    ops = next(channels).ops
+    ops, _ = next(channels)
     a = mps._transfer_matrix(ops)   # vec X -> vec X A: row r is vec A(E_r)
     readout = emb.trace_bond(a.reshape(-1, *ops.shape[1:]), d_s).swapaxes(-1, -2)   # A P
     n2, readout, a = len(a), readout.reshape(len(a), -1).T, a.T.copy()   # a becomes A^T

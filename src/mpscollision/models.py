@@ -69,7 +69,7 @@ def two_photon_env(tau_over_t1: float, tau_over_t2: float) -> MpsEnvironment:
     The bond tracks how many photons have been emitted; the diagonal tensor
     damps the not-yet-emitted amplitudes at the two radiative rates.
     """
-    if tau_over_t1 <= 0 or tau_over_t2 <= 0:
+    if not (tau_over_t1 > 0 and tau_over_t2 > 0):   # NaN fails too
         raise ValueError("decay parameters tau/T1 and tau/T2 must be positive")
     r1, r2 = np.exp(-tau_over_t1), np.exp(-tau_over_t2)
     b0 = np.diag([r1, r2, 1.0]).astype(complex)

@@ -7,9 +7,9 @@ carries everything the system can ever learn about the particles it has not
 met yet, so all reduced states of the chain are small contractions against a
 current bond state.
 
-The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``linalg._collide`` on the
-``_Channel`` of a view, or on a homogeneous chain one product with a transfer matrix,
-``_bond_steps``) on three views of a site tensor B:
+The bond side is one Kraus sum X -> sum_j A_j X A_j^dag (``linalg._collide`` on a view and
+its adjoint, or on a homogeneous chain one product with a transfer matrix, ``_bond_steps``)
+on three views of a site tensor B:
 
 * A_i = B[i]^T evolves the bond state: ``chi_k = sum_i B[k,i]^T chi_{k-1}
   B[k,i]^*``, with ``chi_k`` the bond state after ``k`` consumed sites
@@ -35,7 +35,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    _Channel,
     _collide,
     assert_density_matrix,
     frobenius,
@@ -211,7 +210,7 @@ def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
     """Yield, for each site k in ``sites``, X -> sum_j A_j X A_j^dag on one X or a stack with
     A = B[k].transpose(view): the bond step, or with (0, 1, 2) the readout step.  A homogeneous
     chain takes ``_transfer_sum`` where ``_transfer_pays``, else ``_collide``; the transfer
-    matrix or the ``_Channel`` is prepared once per distinct site tensor."""
+    matrix or the ``_collide`` bound to A and A^dag is prepared once per distinct site tensor."""
     site = None
     for k in sites:
         if env.site(k) is not site:
@@ -219,7 +218,7 @@ def _bond_steps(env: MpsEnvironment, sites, view: tuple = (0, 2, 1)):
             ops = site.transpose(view)
             step = (partial(_transfer_sum, _transfer_matrix(ops))
                     if env.homogeneous and _transfer_pays(*site.shape[:2])
-                    else partial(_collide, _Channel(ops)))
+                    else partial(_collide, ops, ops.conj().transpose(0, 2, 1)))
         yield step
 
 
@@ -272,7 +271,7 @@ def evolve_bond_state(env: MpsEnvironment, chi: BondState) -> BondState:
             f"bond state dim {chi.matrix.shape[0]} does not match site {chi.site} "
             f"left bond {b.shape[1]}"
         )
-    return BondState(chi.site + 1, _collide(_Channel(b.transpose(0, 2, 1)), chi.matrix))
+    return BondState(chi.site + 1, _collide(b.transpose(0, 2, 1), b.conj(), chi.matrix))
 
 
 def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
@@ -280,7 +279,7 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     b = env.site(chi.site)
     if b.shape[1] != chi.matrix.shape[0]:
         raise ValueError("bond state dimension does not match site tensor")
-    return _collide(_Channel(b.transpose(2, 0, 1)), chi.matrix)
+    return _collide(b.transpose(2, 0, 1), b.conj().transpose(2, 1, 0), chi.matrix)
 
 
 def _purify_bond(chi0: np.ndarray) -> np.ndarray:

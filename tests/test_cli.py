@@ -835,11 +835,12 @@ def test_reproduce_fig6b_gates_its_gksl_curve(tmp_path, capsys, monkeypatch):
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 # The golden columns whose arithmetic changed since they were written, each held within 1e-12:
-# fig6b's GKSL curve (matrix exponentials of a generator assembled in floating point) and the
+# fig6b's GKSL curve (matrix exponentials of a generator assembled in floating point), the
 # trajectories of homogeneous one-channel chains, which step by one product with the joint
-# transfer matrix.  Every other column keeps its bytes.
+# transfer matrix, and fig5a's uncorrelated column, whose bond states step one chi by the
+# per-Kraus-index sum (2.8e-17 from golden).  Every other column keeps its bytes.
 MOVED_COLUMNS = {
-    "fig5a.csv": {"excited_population_correlated"},
+    "fig5a.csv": {"excited_population_correlated", "excited_population_uncorrelated"},
     "fig5b_gtau03.csv": {"coherence_correlated"},
     "fig5b_gtau06.csv": {"coherence_correlated"},
     "fig6a.csv": {"q_exact", "q_uncorrelated"},
@@ -1044,7 +1045,7 @@ def test_process_loads_only_the_route_it_runs(tmp_path, args, doc, loaded):
 
 
 def test_fig5a_keeps_golden_bytes_on_one_blas_thread(tmp_path):
-    # fig5a's decorrelated column is written with the bond step's contraction order, whose
+    # fig5a's decorrelated column is written with the bond step's per-Kraus-index sums, whose
     # bits hold on one BLAS thread as on the default count; the whole CSV is the same bytes
     # on both.
     texts = []

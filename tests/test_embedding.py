@@ -13,7 +13,7 @@ from mpscollision.embedding import (
     trace_bond,
     trajectory,
 )
-from mpscollision.linalg import _Channel, _collide, dagger, kron
+from mpscollision.linalg import _collide, dagger, kron
 from mpscollision.models import ModelSpec, build_model
 from mpscollision.mps import BondState, decorrelate, evolve_bond_state, right_canonicalize
 from mpscollision.master_equation import build_kernel_table, kernel_scan, single_collision_channel
@@ -51,6 +51,13 @@ def test_model_validation():
         CollisionModel(env=env, unitary=np.eye(6) * 1.2, d_system=2, mode_dim=3, g_tau=0.1)
     with pytest.raises(ValueError):
         CollisionModel(env=env, unitary=np.eye(4), d_system=2, mode_dim=2, g_tau=0.1)
+
+
+def test_model_refuses_a_nan_unitary():
+    # Its unitarity residual is NaN, which no comparison with the tolerance lets through.
+    with pytest.raises(ValueError, match="not unitary"):
+        CollisionModel(env=models.aklt_env(), unitary=np.full((6, 6), np.nan), d_system=2,
+                       mode_dim=3, g_tau=0.1)
 
 
 def test_kraus_identity_unitary():
@@ -479,10 +486,10 @@ def test_kraus_runs_equal_per_site_builds():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(embedding, "_KRAUS_BATCH_BYTES", budget)
             channels = list(embedding._kraus_stacks(model, ks))
-        for k, channel in zip(ks, channels):
+        for k, (got, got_dag) in zip(ks, channels):
             ops = kraus_operators(model, k)
-            assert np.array_equal(channel.ops, ops), (budget, k)
-            assert np.array_equal(channel.ops_dag, ops.conj().transpose(0, 2, 1)), (budget, k)
+            assert np.array_equal(got, ops), (budget, k)
+            assert np.array_equal(got_dag, ops.conj().transpose(0, 2, 1)), (budget, k)
 
 
 def kraus_stack_cases():
@@ -498,50 +505,65 @@ def kraus_stack_cases():
                 yield name, ops
 
 
+def stack_regroup(ops, x):
+    """The stack path written out: T[..., c, j, b] = (A_j X)[b, c] by one GEMM per X, then one
+    GEMM over (j, c), j slow, with the stacked A_j^* for every X."""
+    m, n_out, n_in = ops.shape
+    t = x.swapaxes(-1, -2) @ ops.reshape(-1, n_in).T
+    t = t.reshape(x.shape[:-2] + (n_in, m, n_out)).swapaxes(-1, -3).reshape(-1, m * n_in)
+    right = ops.conj().transpose(0, 2, 1).reshape(-1, n_out)
+    return (t @ right).reshape(x.shape[:-2] + (n_out, n_out))
+
+
 @pytest.mark.parametrize("lead", [(), (4,), (3, 4)], ids=["one", "stack4", "stack3x4"])
 def test_stacked_collide_equals_per_pair_products(lead):
-    # One X collides through _work buffers, as in the walk: rows stacked into one GEMM per
-    # operator and one per Kraus index give the bits of one GEMM per (operator, Kraus index)
-    # pair, element by element.  A stack takes one GEMM over (Kraus index, column) for all its
-    # X: each X gets the bits of _collide on that X alone, and the per-pair products to 1e-15.
+    # One X collides as in the walk: rows stacked into one GEMM per operator and one per Kraus
+    # index give the bits of one GEMM per (operator, Kraus index) pair, element by element.  A
+    # stack takes one GEMM over (Kraus index, column) for all its X, the regroup written out in
+    # stack_regroup, not the one-X arithmetic broadcast over it (whose bits differ on some of
+    # these cases): each X gets the bits of _collide on a stack of that X alone, and the
+    # per-pair products to 1e-15.
     rng = np.random.default_rng(7)
-    seen = set()
+    seen, per_j_differs = set(), False
     for name, ops in kraus_stack_cases():
         n_in = ops.shape[2]
         x = rng.normal(size=lead + (n_in, n_in)) + 1j * rng.normal(size=lead + (n_in, n_in))
         got, want = collide(ops, x), parent_collide(ops, x)
         assert got.shape == want.shape == lead + (ops.shape[1],) * 2, (name, ops.shape)
-        assert np.array_equal(collide(ops, x, ops.conj().transpose(0, 2, 1)), got)
         if lead:
-            channel = _Channel(ops)
-            alone = [_collide(channel, one) for one in x.reshape((-1,) + x.shape[-2:])]
+            ops_dag = ops.conj().transpose(0, 2, 1)
+            flat = x.reshape((-1,) + x.shape[-2:])
+            alone = [_collide(ops, ops_dag, one[None]) for one in flat]
             assert np.array_equal(got, np.reshape(alone, got.shape)), (name, ops.shape)
+            assert np.array_equal(got, stack_regroup(ops, x)), (name, ops.shape)
+            per_j = np.reshape([collide(ops, one) for one in flat], got.shape)
+            per_j_differs |= not np.array_equal(got, per_j)
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (name, ops.shape)
         else:
             assert np.array_equal(got, want), (name, ops.shape)
         seen.add((ops.shape[0], ops.shape[1] == ops.shape[2]))
     assert {(5, True), (3, True), (2, True), (2, False)} <= seen
+    assert per_j_differs or not lead
 
 
 @pytest.mark.parametrize("name", ["cluster", "two_photon", "random_1_32_1"])
 def test_collide_peak_memory_is_two_products(name):
     # _guard_kernel_threads budgets 2 m_eff thread stacks beyond _collide's
     # input: the left products T[..., c, j, b] = (A_j X)[b, c] and their copy
-    # regrouped with j slow; the output comes once T is freed.  Measured on a
-    # channel whose operands are built, as after a kernel walk's first step.
+    # regrouped with j slow; the output comes once T is freed.  Measured with a
+    # contiguous adjoint stack built outside the call, so its stacked A_j^* is a view.
     model = dict(bond_change_models(), **zoo_models())[name]
     k = 7 if name == "random_1_32_1" else 0   # a square 32 x 32 bond
     ops = kraus_operators(model, k)
     m, n_out, n_in = ops.shape
     assert n_out == n_in
     x = np.ones((max(4, 2 ** 16 // (16 * n_in ** 2)), n_in, n_in), dtype=complex)   # >= 64 KiB
-    channel = _Channel(ops)
-    channel.operands   # noqa: B018 - built on first use, outside the measured call
+    ops_dag = np.ascontiguousarray(ops.conj().transpose(0, 2, 1))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        out = _collide(channel, x)
+        out = _collide(ops, ops_dag, x)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -649,3 +671,8 @@ def test_observable_series_basics():
     assert abs(pops[0]) < 1e-14
     with pytest.raises(ValueError):
         observable_series(states, np.array([[0, 1], [0, 0]]))
+
+
+def test_observable_series_refuses_a_nan_observable():
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        observable_series([np.eye(2) / 2], np.full((2, 2), np.nan))

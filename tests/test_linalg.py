@@ -110,6 +110,12 @@ def test_expm_rejects_non_hermitian():
         expm_hermitian_generator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
+def test_expm_rejects_a_nan_generator():
+    # Its Hermiticity residual is NaN, which no comparison with the tolerance lets through.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        expm_hermitian_generator(np.full((2, 2), np.nan), 1.0)
+
+
 def test_lq_reconstruction_random(rng):
     m = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     l, q = lq_factorize(m)

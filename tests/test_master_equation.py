@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from mpscollision import embedding, master_equation, models, mps
 from mpscollision.embedding import CollisionModel, collide, kraus_operators, trace_bond, trajectory
-from mpscollision.linalg import _Channel, _collide, dagger, frobenius, kron
+from mpscollision.linalg import _collide, dagger, frobenius, kron
 from mpscollision.master_equation import (
     KERNEL_GUARD,
     Superoperator,
@@ -377,9 +377,9 @@ def count_thread_steps(monkeypatch):
     steps = []
     collide, transfer = embedding._collide, master_equation._transfer_step
 
-    def collided(channel, x, *rest):
+    def collided(ops, ops_dag, x, *rest):
         steps.append(("collide", x.shape[0]))
-        return collide(channel, x, *rest)
+        return collide(ops, ops_dag, x, *rest)
 
     def transferred(g, x, *rest):
         steps.append(("transfer", x.shape[0]))
@@ -460,9 +460,9 @@ def test_stationary_chi0_walks_one_thread(d_bond, monkeypatch):
     threads = []
     collide = embedding._collide
 
-    def counted(channel, x, *rest):
+    def counted(ops, ops_dag, x, *rest):
         threads.append(x.shape[0])
-        return collide(channel, x, *rest)
+        return collide(ops, ops_dag, x, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "_collide", counted)
@@ -587,7 +587,8 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
     # each site built on its own.
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "_kraus_stacks", lambda model, ks: (
-            embedding._Channel(kraus_operators(model, k)) for k in ks))
+            (ops, ops.conj().transpose(0, 2, 1))
+            for ops in (kraus_operators(model, k) for k in ks)))
         reference = build_kernel_table(model, k_max)
     built = []   # site channels, however many one einsum builds
     kraus_run = embedding._kraus_run
@@ -610,15 +611,15 @@ def test_kernel_threads_build_each_channel_once(spec, builds, monkeypatch):
 
 @pytest.mark.parametrize("name", ["random_D4", "ghz", "single_photon"])
 def test_kernel_table_matches_per_call_adjoint(name, monkeypatch):
-    # On chains that step by collide, the adjoint stack and the stack operands prepared once
-    # per channel give the bits of a _Channel, adjoint and operands built inside every collide.
+    # On chains that step by collide, the adjoint stacks taken once per batch as views give
+    # the bits of an adjoint built inside every collide.
     model = REFERENCE_CHAINS[name]()
     table = build_kernel_table(model, 10)
     calls = []
 
-    def per_call(channel, x, *rest):
+    def per_call(ops, ops_dag, x, *rest):
         calls.append(1)
-        return _collide(_Channel(channel.ops), x, *rest)
+        return _collide(ops, ops.conj().transpose(0, 2, 1), x, *rest)
 
     monkeypatch.setattr(embedding, "_collide", per_call)
     assert np.array_equal(table.packed, build_kernel_table(model, 10).packed)
@@ -707,9 +708,9 @@ def test_kernel_guard_counts_the_onset_threads(monkeypatch):
     threads = []
     collide = embedding._collide
 
-    def counted(channel, x, *rest):
+    def counted(ops, ops_dag, x, *rest):
         threads.append(x.shape[0])
-        return collide(channel, x, *rest)
+        return collide(ops, ops_dag, x, *rest)
 
     with monkeypatch.context() as patch:
         patch.setattr(embedding, "_collide", counted)
@@ -1069,17 +1070,26 @@ def test_second_order_walks_one_readout(monkeypatch):
                                              ("single_photon_complex", 7, 6)])
 def test_readout_walk_prepares_each_site_tensor_once(name, k, prepared, monkeypatch):
     # A readout walk over every delay steps back over sites k - 1..1; it prepares
-    # its step, the transfer matrix of a homogeneous chain or the _Channel of a site's
-    # readout view, once per distinct site tensor, not once per step.
+    # its step, the transfer matrix of a homogeneous chain or _collide bound to a site's
+    # readout view and its adjoint, once per distinct site tensor, not once per step.
     model = reference_models()[name]
     ladder = master_equation._bond_ladder(model, k - 1)
     chis = [master_equation._rung(ladder, k - m) for m in range(1, k + 1)]
-    calls = []
-    for prepare in ("_Channel", "_transfer_matrix"):
-        monkeypatch.setattr(mps, prepare, lambda *args, f=getattr(mps, prepare):
-                            calls.append(1) or f(*args))
+    calls, steps = [], []
+    transfer_matrix, bond_steps = mps._transfer_matrix, mps._bond_steps
+
+    def recorded(*args):
+        for step in bond_steps(*args):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(mps, "_transfer_matrix",
+                        lambda ops: calls.append(1) or transfer_matrix(ops))
+    monkeypatch.setattr(mps, "_bond_steps", recorded)
     assert len(list(mps._pair_states(model.env, k, chis))) == k
-    assert len(calls) == prepared
+    assert len(steps) == k - 1
+    assert len({id(step) for step in steps}) == prepared
+    assert len(calls) == (prepared if model.env.homogeneous else 0)
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

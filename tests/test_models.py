@@ -46,6 +46,13 @@ def test_two_photon_parameters():
         two_photon_env(0.1, -0.3)
 
 
+@pytest.mark.parametrize("rates", [(np.nan, 0.1), (0.1, np.nan)])
+def test_two_photon_refuses_a_nan_decay_parameter(rates):
+    # nan <= 0 is False: the positivity check must refuse a NaN rate all the same.
+    with pytest.raises(ValueError, match="must be positive"):
+        two_photon_env(*rates)
+
+
 def test_two_photon_fast_decay_limit():
     env = two_photon_env(40.0, 40.0)  # tau >> T: photons in the first bins
     b = env.sites[0]

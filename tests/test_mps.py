@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpscollision import models, mps
-from mpscollision.linalg import _Channel, _collide, assert_density_matrix, kron
+from mpscollision.linalg import _collide, assert_density_matrix, kron
 from mpscollision.mps import (
     BondState,
     InfiniteCorrelationLengthError,
@@ -262,19 +262,24 @@ def test_bond_trace_preserved_100_steps():
 @pytest.mark.parametrize("shape", [(3, 2, 2), (2, 3, 3), (4, 1, 1), (2, 1, 2), (2, 2, 1),
                                    (5, 2, 4), (2, 16, 16), (3, 2, 5)])
 def test_kraus_sum_views_match_einsum(rng, shape):
-    # The bond step, the site marginal and the readout step are one Kraus sum, _collide on the
-    # _Channel of three views of B, for one operator and stacks of them, bond-1 and rectangular
+    # The bond step, the site marginal and the readout step are one Kraus sum, _collide on three
+    # views of B and their adjoints, for one operator and stacks of them, bond-1 and rectangular
     # sites included; the readout step is the adjoint of the bond step under the pairing
     # sum X (.) R.
     _, dl, dr = shape
     b = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     x = rng.normal(size=(2, 3, dl, dl)) + 1j * rng.normal(size=(2, 3, dl, dl))
     r = rng.normal(size=(2, 3, dr, dr)) + 1j * rng.normal(size=(2, 3, dr, dr))
-    bond, marginal, readout = (_Channel(b.transpose(v)) for v in ((0, 2, 1), (2, 0, 1), (0, 1, 2)))
+
+    def kraus_sum(view):
+        ops = b.transpose(view)
+        return lambda x: _collide(ops, ops.conj().transpose(0, 2, 1), x)
+
+    bond, marginal, readout = map(kraus_sum, ((0, 2, 1), (2, 0, 1), (0, 1, 2)))
     for xs, rs in ((x, r), (x[1, 2], r[1, 2]), (x[0], r[0])):
-        stepped, walked = _collide(bond, xs), _collide(readout, rs)
+        stepped, walked = bond(xs), readout(rs)
         for got, want in ((stepped, np.einsum("iab,...ac,icd->...bd", b, xs, b.conj())),
-                          (_collide(marginal, xs),
+                          (marginal(xs),
                            np.einsum("iab,...ac,jcb->...ij", b, xs, b.conj())),
                           (walked, np.einsum("iab,...bc,idc->...ad", b, rs, b.conj()))):
             assert got.shape == want.shape

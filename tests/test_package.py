@@ -219,8 +219,8 @@ def test_private_helper_audit_reports_an_orphan(tmp_path):
 
 # Public names no CLI run and no benchmark read reaches, kept as library API.
 LIBRARY_API = {
-    "embedding.collide": "one Kraus channel on a stacked operator, the public face of the walk's "
-                         "_collide",
+    "embedding.collide": "one Kraus channel on one operator or a stack, the public face of "
+                         "linalg._collide with the adjoint stack taken per call",
     "embedding.kraus_operators": "the Kraus operators of collision k, for callers building their "
                                  "own channels",
     "linalg.lq_factorize": "the rank-revealing split right_canonicalize sweeps with",
