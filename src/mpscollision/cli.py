@@ -40,6 +40,9 @@ DEFAULT_CUTOFF_SHIFT_TOL = 1e-6
 CONFIG_KEYS = ("model", "g_tau", "k_max", "tau", "method", "fock_cutoff", "interaction",
                "initial_state", "observables", "n_sites", "tolerances", "output")
 MODEL_KEYS = ("name", "parameters")
+INTERACTION_KEYS = ("matrix", "hamiltonian")
+STATE_KEYS = ("matrix",)
+OBSERVABLE_KEYS = ("name", "matrix")
 TOLERANCE_KEYS = ("cutoff_shift",)
 _STATE_TOL = 1e-10   # trace and Hermiticity defect of a GKSL state, as the benchmark checks
 _MAPS_TOL = 1e-12    # maps residual of an NZ kernel table
@@ -166,6 +169,7 @@ def load_config(doc: dict) -> dict:
     if isinstance(initial, str):
         rho0 = _built("initial_state", models.named_initial_state, initial)
     elif isinstance(initial, dict):
+        _known_keys(initial, STATE_KEYS, "initial_state.")
         rho0 = _parse_matrix(_require(initial, "matrix", list, "initial_state."),
                              "initial_state.matrix")
         if rho0.shape != (built.d_system,) * 2:
@@ -238,6 +242,7 @@ def _build_model(env: MpsEnvironment, g_tau: float, tau: float | None, interacti
         return _built("interaction", models._named_model, env, interaction, g_tau, fock_cutoff, tau)
     if not isinstance(interaction, dict):
         raise ConfigError("interaction", "expected a name or {matrix: ...}")
+    _known_keys(interaction, INTERACTION_KEYS, "interaction.")
     field, h = "interaction.matrix", None
     u = _parse_matrix(_require(interaction, "matrix", list, "interaction."), field)
     if u.shape[0] % 2:
@@ -273,6 +278,7 @@ def _observable(obs, field: str, rho0: np.ndarray) -> tuple[str, np.ndarray | No
         pair = (obs, None if obs == "depolarization"
                 else _built(field, models.named_observable, obs))
     elif isinstance(obs, dict):
+        _known_keys(obs, OBSERVABLE_KEYS, f"{field}.")
         pair = (_require(obs, "name", str, f"{field}."),
                 _parse_matrix(_require(obs, "matrix", list, f"{field}."), f"{field}.matrix"))
     else:

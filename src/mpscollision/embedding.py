@@ -15,8 +15,8 @@ adjoint that picks its arithmetic from the operand, is the package's one impleme
 this map, ``trace_bond`` its bond trace, and ``_traced_walk`` the one walk along the chain:
 ``trajectory`` runs it from R(0), the embedding's dynamical maps from a basis stack E (x) chi,
 both into blocks that are bond-traced at once.  On a chain of one channel whose joint transfer
-matrix pays for itself (``_joint_transfer``) one R steps by one product with that matrix, as
-the memory-kernel threads do; else the walk collides.
+matrix pays for itself (``_joint_transfer``) every operand, one R or a stack, steps by one
+product with that matrix, as the memory-kernel threads do; on any other chain the walk collides.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class CollisionModel:
     the step duration and only sets the time axis and kernel rates.
     ``hamiltonian`` optionally records the dimensionless generator H with
     U = exp(-i g_tau H); kernel perturbation theory and the stroboscopic
-    limit need it.
+    limit need it.  A non-finite ``g_tau``, or a ``tau`` that is not a finite
+    number > 0, is refused (ValueError).
     """
 
     env: MpsEnvironment
@@ -75,8 +76,12 @@ class CollisionModel:
     hamiltonian: object = None
 
     def __post_init__(self):
+        if not math.isfinite(self.g_tau):
+            raise ValueError(f"g_tau must be finite, got {self.g_tau}")
         if self.tau is None:
             object.__setattr__(self, "tau", float(self.g_tau) if self.g_tau > 0 else 1.0)
+        if not 0 < self.tau < math.inf:   # a NaN tau fails too
+            raise ValueError(f"tau must be a finite number > 0, got {self.tau}")
         us = self.unitary
         if isinstance(us, (list, tuple)):
             us = tuple(np.asarray(u, dtype=complex) for u in us)
@@ -221,9 +226,9 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
 
     ``r`` is one joint matrix or a stack of them.  Each collision goes straight into the next
     slot of a ``_trace_block``; one ``trace_bond`` per full block, or per run of equal shape.
-    One matrix on a ``_joint_transfer`` chain steps by one product vec R A with the joint
-    ``_transfer_matrix`` A of its one channel, built once (``_transfer_sum``).  Else each
-    collision goes through ``_collide`` with the Kraus stacks and adjoints of ``_kraus_stacks``.
+    On a ``_joint_transfer`` chain ``r``, one matrix or a stack, steps by one product vec R A
+    with the joint ``_transfer_matrix`` A of its one channel, built once (``_transfer_sum``);
+    on any other chain each collision is one ``_collide`` with ``_kraus_stacks``' stacks.
     """
     block = _trace_block(r.shape)
     block[0] = r
@@ -231,7 +236,7 @@ def _traced_walk(model: CollisionModel, r: np.ndarray, ks: range):
     for ops, ops_dag in _kraus_stacks(model, ks):
         if ops.shape != shape:
             shape = ops.shape
-            a = _transfer_matrix(ops) if r.ndim == 2 and _joint_transfer(model) else None
+            a = _transfer_matrix(ops) if _joint_transfer(model) else None
             if shape[1] != block.shape[-1]:
                 yield from trace_bond(block[: i + 1], model.d_system)
                 block, i = _trace_block(r.shape[:-2] + (shape[1],) * 2), -1

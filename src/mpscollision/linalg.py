@@ -6,7 +6,7 @@ factor is the slow index.
 
 ``_collide`` is the package's one collision map X -> sum_j A_j X A_j^dag, a function of a
 Kraus stack and its adjoint stack that picks its arithmetic from the operand (one X or a
-stack): the embedding's joint side and ``mps``' bond side.
+stack): the bond and joint sides of every chain that does not step by its transfer matrix.
 """
 
 from __future__ import annotations

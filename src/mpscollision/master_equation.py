@@ -443,7 +443,7 @@ def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
     """Interaction generator on system (x) (mode (x) purification ancilla); H must be Hermitian."""
     if model.hamiltonian is None:
         raise ValueError("model carries no interaction Hamiltonian")
-    if frobenius(model.hamiltonian - dagger(model.hamiltonian)) > DEFAULT_TOL:
+    if not frobenius(model.hamiltonian - dagger(model.hamiltonian)) <= DEFAULT_TOL:   # NaN fails
         raise ValueError("interaction Hamiltonian must be Hermitian")
     return kron(model.hamiltonian, np.eye(model.env.ancilla_dim))
 
@@ -536,7 +536,7 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     generator = local + tail + mean_field
     # Roundoff in L grows with each summed term, so the trace defect is judged at their scale.
     defect = np.max(np.abs(np.trace(generator.reshape(d_s, d_s, -1))))
-    if defect > 1e-10 * max(1.0 / model.tau, frobenius(tail), frobenius(mean_field)):
+    if not defect <= 1e-10 * max(1.0 / model.tau, frobenius(tail), frobenius(mean_field)):
         raise ValueError("assembled generator does not annihilate the trace")
     return Superoperator(generator, d_s, d_s)
 

@@ -160,29 +160,22 @@ def right_canonicalize(tensors) -> MpsEnvironment:
     """Bring an arbitrary-gauge pure MPS to right-canonical form.
 
     ``tensors`` is a sequence of ``(d, Dl, Dr)`` arrays with outer bond
-    dimensions 1.  Sweeps right to left with rank-revealing LQ splits,
-    truncating singular directions below ``DEFAULT_TOL`` relative weight.  The overall
-    norm (and global phase) is absorbed, so the result represents the
-    normalized state; a zero-norm input raises ValueError.
+    dimensions 1.  One sweep right to left splits every site by a rank-revealing LQ,
+    truncating singular directions below ``DEFAULT_TOL`` relative weight, and moves L onto
+    the site before; the first site's L is the overall norm (and global phase), dropped, so
+    the result represents the normalized state.  A zero-norm input raises ValueError.
     """
     work = [_as_site_tensor(t) for t in tensors]
     if work[0].shape[1] != 1 or work[-1].shape[2] != 1:
         raise ValueError("pure MPS must have outer bond dimensions 1")
-    for k in range(len(work) - 1, 0, -1):
+    for k in range(len(work) - 1, -1, -1):
         d, dl, dr = work[k].shape
-        m = work[k].transpose(1, 0, 2).reshape(dl, d * dr)
-        l, q = lq_factorize(m)
-        rank = q.shape[0]
-        work[k] = q.reshape(rank, d, dr).transpose(1, 0, 2)
-        work[k - 1] = work[k - 1] @ l
-    # Leftover weight on the first site is the state norm.
-    d, dl, dr = work[0].shape
-    m = work[0].transpose(1, 0, 2).reshape(dl, d * dr)
-    l, q = lq_factorize(m)
-    norm = abs(l[0, 0])
-    if norm <= DEFAULT_TOL:
+        l, q = lq_factorize(work[k].transpose(1, 0, 2).reshape(dl, d * dr))
+        work[k] = q.reshape(q.shape[0], d, dr).transpose(1, 0, 2)
+        if k > 0:
+            work[k - 1] = work[k - 1] @ l
+    if abs(l[0, 0]) <= DEFAULT_TOL:   # the first site's leftover weight is the state norm
         raise ValueError("cannot canonicalize a zero-norm state")
-    work[0] = q.reshape(q.shape[0], d, dr).transpose(1, 0, 2)
     return MpsEnvironment(tuple(work), np.eye(1, dtype=complex))
 
 
@@ -315,16 +308,14 @@ def _real_transfer_matrix(env: MpsEnvironment) -> np.ndarray:
     The map keeps X Hermitian, so it acts on the orthonormal coordinates
     x = Re X + Im X (symmetric part Re X, antisymmetric part Im X; x[a,b] and
     x[b,a] are orthogonal mixes of sqrt2 Re X[a,b] and sqrt2 Im X[a,b]) as
-    R[(b,d),(a,c)] = Re T[(b,d),(a,c)] - Im T[(d,b),(a,c)], with T its complex
-    matrix on row-major vec(X).  R has the spectrum of T.  For a finite chain,
+    R[(b,d),(a,c)] = Re T[(b,d),(a,c)] - Im T[(d,b),(a,c)], read off the complex
+    ``_transfer_matrix`` T on row-major vec(X).  R has the spectrum of T.  For a finite chain,
     requires a well-defined repeated bulk tensor (all square interior tensors equal).
     """
     b = _bulk_tensor(env)
-    d, n, _ = b.shape
-    g = b.reshape(d, n * n)
-    t = np.dot(g.T, g.conj()).reshape(n, n, n, n)   # t[a, b, c, d] = T[(b, d), (a, c)]
-    r = np.subtract(t.real.transpose(1, 3, 0, 2), t.imag.transpose(3, 1, 0, 2), order="C")
-    return r.reshape(n * n, n * n)
+    n = b.shape[1]
+    t = _transfer_matrix(b).reshape(n, n, n * n)   # t[b, d, (a, c)] = T[(b, d), (a, c)]
+    return (t.real - t.imag.transpose(1, 0, 2)).reshape(n * n, n * n)
 
 
 def _subleading(eigs) -> complex:

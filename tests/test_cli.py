@@ -155,6 +155,17 @@ UNKNOWN_KEY_ERRORS = [
      "model.paramters"),
 ]
 
+# Misspelt keys inside an explicit interaction, initial state or observable, listed after
+# RARE_ERRORS so that every case above keeps its id.
+NESTED_KEY_ERRORS = [
+    (aklt_doc(interaction={"matrix": matrix(np.eye(6)), "hamiltonain": matrix(np.eye(6))}),
+     "interaction.hamiltonain"),
+    (aklt_doc(initial_state={"matrix": matrix(np.eye(2) / 2), "matirx": []}),
+     "initial_state.matirx"),
+    (aklt_doc(observables=["sigma_z", {"name": "x", "matrx": matrix([[0, 1], [1, 0]])}]),
+     "observables[1].matrx"),
+]
+
 # Matrix entries are JSON numbers: true/false are not 1/0, nor is 10**400 a crash.
 MATRIX_ENTRY_ERRORS = [
     (aklt_doc(initial_state={"matrix": [[[True, 0], [0, 0]], [[0, 0], [False, 0]]]}),
@@ -189,6 +200,7 @@ MATRIX_ENTRY_ERRORS = [
     *WIDTH_ERRORS,
     *SITE_COUNT_ERRORS,
     *RARE_ERRORS,
+    *NESTED_KEY_ERRORS,
 ])
 def test_validate_field_errors(doc, field):
     with pytest.raises(ConfigError) as err:
@@ -197,7 +209,8 @@ def test_validate_field_errors(doc, field):
 
 
 @pytest.mark.parametrize("doc,field", BUILT_RUN_ERRORS + UNKNOWN_KEY_ERRORS + MATRIX_ENTRY_ERRORS
-                         + WIDTH_ERRORS + SITE_COUNT_ERRORS + RARE_ERRORS)
+                         + WIDTH_ERRORS + SITE_COUNT_ERRORS + RARE_ERRORS
+                         + NESTED_KEY_ERRORS)
 def test_run_and_validate_exit_2_on_built_run_errors(tmp_path, capsys, doc, field):
     path = write_config(tmp_path, doc)
     for command in ("validate", "run"):

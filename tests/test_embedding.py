@@ -60,6 +60,21 @@ def test_model_refuses_a_nan_unitary():
                        mode_dim=3, g_tau=0.1)
 
 
+@pytest.mark.parametrize("g_tau,tau,why", [
+    (np.nan, None, "g_tau must be finite"),   # tau would default to 1.0
+    (np.nan, 0.5, "g_tau must be finite"),
+    (np.inf, None, "g_tau must be finite"),
+    (-np.inf, 0.5, "g_tau must be finite"),
+    (0.5, np.nan, "tau must be a finite number > 0"),
+    (0.5, -0.5, "tau must be a finite number > 0"),
+    (0.5, 0.0, "tau must be a finite number > 0"),
+    (0.5, np.inf, "tau must be a finite number > 0"),
+])
+def test_model_refuses_a_non_finite_coupling_or_step(g_tau, tau, why):
+    with pytest.raises(ValueError, match=why):
+        dataclasses.replace(zoo_models()["aklt"], g_tau=g_tau, tau=tau)
+
+
 def test_kraus_identity_unitary():
     env = models.aklt_env()
     model = CollisionModel(env=env, unitary=np.eye(6), d_system=2, mode_dim=3, g_tau=0.0)
@@ -432,9 +447,9 @@ def route_cases():
 
 @pytest.mark.parametrize("name", list(route_cases()))
 def test_walk_route_table(monkeypatch, name):
-    # One X on a homogeneous chain of one unitary whose joint transfer matrix pays for itself
-    # steps by one _transfer_sum per collision and never collides; every other chain, and a
-    # stack of X on any chain, collides each step and never takes the product.
+    # One X or a stack of X on a homogeneous chain of one unitary whose joint transfer matrix
+    # pays for itself steps by one _transfer_sum per collision and never collides; every other
+    # chain collides each step and never takes the product, whatever the operand.
     model, product = route_cases()[name]
     assert embedding._joint_transfer(model) == product
     k_max = min(40, model.env.length or 40)
@@ -450,7 +465,7 @@ def test_walk_route_table(monkeypatch, name):
     calls.update(_collide=0, _transfer_sum=0)
     stack = np.stack([kron(np.eye(2) / 2, model.env.chi0)] * 3)
     list(embedding._traced_walk(model, stack, range(k_max)))
-    assert calls == {"_collide": k_max, "_transfer_sum": 0}
+    assert calls == {"_collide": k_max * (not product), "_transfer_sum": k_max * product}
 
 
 @pytest.mark.parametrize("d_bond", range(1, 7))
@@ -465,6 +480,21 @@ def test_transfer_product_tracks_the_kraus_sum_on_random_chains(rng, d_bond):
     assert embedding._joint_transfer(model) == (d_bond <= 3)
     reference = product if d_bond <= 3 else kraus_sum
     assert all(np.array_equal(a, b) for a, b in zip(trajectory(model, rho0, 300), reference))
+
+
+@pytest.mark.parametrize("name", ["aklt", "two_photon", "cluster", "single_photon"])
+def test_decorrelating_a_twin_keeps_its_ancilla_and_its_trajectory(name):
+    # decorrelate traces a twin's old ancilla out of each marginal before purifying it again,
+    # so the twin of a twin has the twin's ancilla dimension and, to roundoff, its dynamics.
+    model = zoo_models()[name]
+    twin = decorrelate(model.env, length=8)
+    again = decorrelate(twin, length=8)
+    assert twin.ancilla_dim > 1
+    assert again.ancilla_dim == twin.ancilla_dim
+    rho0 = models.named_initial_state("plus")
+    want = trajectory(dataclasses.replace(model, env=twin), rho0, 8)
+    got = trajectory(dataclasses.replace(model, env=again), rho0, 8)
+    assert max(np.max(np.abs(a - b)) for a, b in zip(got, want, strict=True)) <= 1e-13
 
 
 def test_kraus_runs_equal_per_site_builds():

@@ -731,18 +731,22 @@ def test_basis_stack_is_the_basis_kron_chi(d_s, d_b):
 @pytest.mark.parametrize("name,n", [("aklt", 40), ("two_photon", 40),
                                     ("single_photon_complex", 8), ("random_D8", 40)])
 def test_map_stack_traces_the_walk_in_batches(name, n, monkeypatch):
-    # The maps E_1..E_n are the bond traces of one walk of the basis stack,
-    # bit for bit those of a collide and a trace_bond per step, with one
-    # trace_bond per 64 KiB of a run of equal shape.
+    # The maps E_1..E_n are the bond traces of one walk of the basis stack, bit for bit those
+    # of a step and a trace_bond per collision, with one trace_bond per 64 KiB of a run of equal
+    # shape.  The step is one _transfer_sum with the joint transfer matrix on a chain where it
+    # pays (aklt, two_photon), else a collide.
     if name == "random_D8":
         model = random_spin1_chain(np.random.default_rng(8), 8)
     else:
         model = reference_models()[name]
+    product = name in ("aklt", "two_photon")
+    assert embedding._joint_transfer(model) == product
     d_s = model.d_system
     x = master_equation._basis_stack(d_s, model.env.chi0)
     reference, shapes = [np.eye(d_s ** 2)], [x.shape]
     for k in range(n):
-        x = collide(kraus_operators(model, k), x)
+        ops = kraus_operators(model, k)
+        x = mps._transfer_sum(mps._transfer_matrix(ops), x) if product else collide(ops, x)
         traced = trace_bond(x, d_s)
         reference.append(traced.swapaxes(-1, -3).reshape(traced.shape[:-2] + (-1,)))
         shapes.append(x.shape)
@@ -1192,6 +1196,31 @@ def test_stroboscopic_generator_annihilates_trace():
         gen = stroboscopic_generator(model)
         defect = np.max(np.abs(np.trace(gen.matrix.reshape(2, 2, -1))))
         assert defect <= 1e-10 / model.tau
+
+
+@pytest.mark.parametrize("where,entry", [((0, 0), np.nan), ((0, 1), np.inf)])
+def test_a_non_finite_hamiltonian_is_refused(where, entry):
+    # Its Hermiticity residual is NaN or inf, which no comparison with the tolerance lets through.
+    aklt = build_model(ModelSpec("aklt"), g_tau=0.5)
+    h = aklt.hamiltonian.copy()
+    h[where] = entry
+    model = dataclasses.replace(aklt, hamiltonian=h)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        second_order_kernel(model, 2, 1)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        stroboscopic_generator(model)
+
+
+def test_stroboscopic_generator_refuses_a_nan_trace_defect(monkeypatch):
+    summed_correlator = master_equation._summed_correlator
+
+    def poisoned(env, chi):
+        pair, summed = summed_correlator(env, chi)
+        return pair, summed * np.nan
+
+    monkeypatch.setattr(master_equation, "_summed_correlator", poisoned)
+    with pytest.raises(ValueError, match="does not annihilate the trace"):
+        stroboscopic_generator(build_model(ModelSpec("aklt"), g_tau=0.2))
 
 
 @pytest.mark.parametrize("g_tau", [0.2, 1e9])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpscollision import models, mps
-from mpscollision.linalg import _collide, assert_density_matrix, kron
+from mpscollision.linalg import _collide, assert_density_matrix, kron, lq_factorize
 from mpscollision.mps import (
     BondState,
     InfiniteCorrelationLengthError,
@@ -23,6 +23,7 @@ from conftest import (
     aklt_pair_state,
     pair_state,
     partial_trace,
+    random_spin1_chain,
     reduced_density_prefix,
     transfer_matrix,
 )
@@ -223,6 +224,28 @@ def test_canonicalize_and_check_stay_off_einsum(rng, monkeypatch):
         assert_density_matrix(site_reduced_state(ghz, chi), 1e-12)
         assert_density_matrix(pair_state(ghz, 5, chi), 1e-12)
         chi = evolve_bond_state(ghz, chi)
+
+
+def _right_canonicalize_split_apart(tensors):
+    """right_canonicalize with the first site's split written after the sweep, on its own."""
+    work = [np.asarray(t, dtype=complex) for t in tensors]
+    for k in range(len(work) - 1, 0, -1):
+        d, dl, dr = work[k].shape
+        l, q = lq_factorize(work[k].transpose(1, 0, 2).reshape(dl, d * dr))
+        work[k] = q.reshape(q.shape[0], d, dr).transpose(1, 0, 2)
+        work[k - 1] = work[k - 1] @ l
+    d, dl, dr = work[0].shape
+    l, q = lq_factorize(work[0].transpose(1, 0, 2).reshape(dl, d * dr))
+    work[0] = q.reshape(q.shape[0], d, dr).transpose(1, 0, 2)
+    return work
+
+
+@pytest.mark.parametrize("d_max", [1, 2, 4, 8, 16, 32])
+def test_canonicalize_one_sweep_keeps_the_bits_of_a_split_apart_first_site(rng, d_max):
+    raw = _random_raw_mps(rng, 12, d_max)
+    got = right_canonicalize(raw)
+    want = _right_canonicalize_split_apart(raw)
+    assert all(np.array_equal(a, b) for a, b in zip(got.sites, want, strict=True))
 
 
 def test_canonicalize_zero_norm_raises():
@@ -587,6 +610,30 @@ def test_transfer_spectrum_real_basis_on_named_chains(monkeypatch, make_env):
     real, _ = _eigvals_input(monkeypatch, env)
     assert real.dtype == np.float64
     assert _same_spectrum(np.linalg.eigvals(real), np.linalg.eigvals(transfer_matrix(env)), 1e-12)
+
+
+def _real_transfer_matrix_own_gram(env):
+    """_real_transfer_matrix from a Gram of its own: t[a, b, c, d] = T[(b, d), (a, c)]."""
+    b = mps._bulk_tensor(env)
+    d, n, _ = b.shape
+    g = b.reshape(d, n * n)
+    t = np.dot(g.T, g.conj()).reshape(n, n, n, n)
+    r = np.subtract(t.real.transpose(1, 3, 0, 2), t.imag.transpose(3, 1, 0, 2), order="C")
+    return r.reshape(n * n, n * n)
+
+
+@pytest.mark.parametrize("name", ["aklt", "cluster", "two_photon"] + [f"random_D{d}"
+                                                                       for d in range(1, 7)])
+def test_real_transfer_matrix_reads_the_complex_one_bit_for_bit(name):
+    # R is read off the complex _transfer_matrix, R[(b, d), :] = Re T[(b, d), :] - Im T[(d, b), :],
+    # with the bits of the Gram it once built for itself.
+    if name.startswith("random_D"):
+        env = random_spin1_chain(np.random.default_rng(7), int(name[len("random_D"):])).env
+    else:
+        env = all_zoo()[name]
+    got = mps._real_transfer_matrix(env)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, _real_transfer_matrix_own_gram(env))
 
 
 def test_transfer_spectrum_of_complex_isometry_does_not_warn():
