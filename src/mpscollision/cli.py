@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import models
-from .embedding import (CollisionModel, CutoffConvergenceError, SizeGuardError, observable_series,
-                        trajectory)
-from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, frobenius
+from .embedding import (CollisionModel, CutoffConvergenceError, SizeGuardError, _system_state,
+                        observable_series, trajectory)
+from .linalg import DEFAULT_TOL, assert_density_matrix, dagger, hermitian_part
 from .models import ModelSpec, _finite, _integer
 from .mps import MpsEnvironment, decorrelate
 
@@ -112,14 +112,14 @@ def _number(value, field: str, minimum: float, strict: bool = False) -> float:
     return float(value)
 
 
-def _built(field: str, build, *args):
-    """``build(*args)`` with the library's rejection of its inputs reported at ``field``.
+def _built(field: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)`` with the library's rejection of its inputs reported at ``field``.
 
     Only constructors and step-0 evaluations go through here, never a size
     guard, so no ``SizeGuardError`` (a ValueError) is turned into a config error.
     """
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except KeyError as exc:
         raise ConfigError(field, f"missing {exc}") from exc
     except (TypeError, ValueError, IndexError, ArithmeticError) as exc:
@@ -170,11 +170,9 @@ def load_config(doc: dict) -> dict:
         rho0 = _built("initial_state", models.named_initial_state, initial)
     elif isinstance(initial, dict):
         _known_keys(initial, STATE_KEYS, "initial_state.")
-        rho0 = _parse_matrix(_require(initial, "matrix", list, "initial_state."),
-                             "initial_state.matrix")
-        if rho0.shape != (built.d_system,) * 2:
-            raise ConfigError("initial_state.matrix", f"expected a {built.d_system}x"
-                              f"{built.d_system} matrix, got shape {rho0.shape}")
+        rho0 = _built("initial_state.matrix", _system_state, _parse_matrix(
+            _require(initial, "matrix", list, "initial_state."), "initial_state.matrix"),
+            built.d_system)
         _built("initial_state.matrix", assert_density_matrix, rho0, 1e-10, "initial state")
     else:
         raise ConfigError("initial_state", "expected a name or {matrix: ...}")
@@ -187,12 +185,10 @@ def load_config(doc: dict) -> dict:
     n_sites = doc.get("n_sites", k_max)
     if not _integer(n_sites) or n_sites < k_max:
         raise ConfigError("n_sites", "must be an integer >= k_max")
-    length = built.env.length
-    if length is not None:
-        if k_max > length:
-            raise ConfigError("k_max", f"exceeds the {length}-site environment")
-        if n_sites > length:
-            raise ConfigError("n_sites", f"environment has only {length} sites")
+    if why := built._shortfall(k_max):
+        raise ConfigError("k_max", why)
+    if built.env.length is not None and n_sites > built.env.length:   # the oracle's chain
+        raise ConfigError("n_sites", f"environment has only {built.env.length} sites")
     # The Markovian generator is small; building it here rejects every model
     # the stroboscopic limit does not cover (inhomogeneous, no Hamiltonian,
     # infinite correlation length, a generator that fails its trace check).
@@ -243,19 +239,14 @@ def _build_model(env: MpsEnvironment, g_tau: float, tau: float | None, interacti
     if not isinstance(interaction, dict):
         raise ConfigError("interaction", "expected a name or {matrix: ...}")
     _known_keys(interaction, INTERACTION_KEYS, "interaction.")
-    field, h = "interaction.matrix", None
+    field = "interaction.matrix"
     u = _parse_matrix(_require(interaction, "matrix", list, "interaction."), field)
     if u.shape[0] % 2:
         raise ConfigError(field, "dimension must be 2 * mode_dim")
-    if "hamiltonian" in interaction:
-        h = _parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
-        if h.shape != u.shape or frobenius(h - dagger(h)) > DEFAULT_TOL:
-            raise ConfigError("interaction.hamiltonian",
-                              f"expected a Hermitian matrix of shape {u.shape}")
-    model = _built(field, CollisionModel, env, u, 2, u.shape[0] // 2, g_tau, tau, h)
-    if h is None:
-        model = dataclasses.replace(model, hamiltonian=_hamiltonian_from_unitary(u, g_tau))
-    return model
+    model = _built(field, CollisionModel, env, u, 2, u.shape[0] // 2, g_tau, tau)
+    h = (_parse_matrix(interaction["hamiltonian"], "interaction.hamiltonian")
+         if "hamiltonian" in interaction else _hamiltonian_from_unitary(u, g_tau))
+    return _built("interaction.hamiltonian", dataclasses.replace, model, hamiltonian=h)
 
 
 def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
@@ -264,7 +255,8 @@ def _hamiltonian_from_unitary(u: np.ndarray, g_tau: float) -> np.ndarray | None:
     w, v = np.linalg.eig(u)  # u is normal: QR keeps each column in its own eigenspace
     q = np.linalg.qr(v)[0]
     theta = np.where(np.abs(w + 1) <= DEFAULT_TOL, np.pi, np.angle(w))  # -1 takes +pi
-    return (q * (-theta / g_tau)) @ dagger(q)
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float range, the model refuses
+        return hermitian_part((q * (-theta / g_tau)) @ dagger(q))
 
 
 def _observable(obs, field: str, rho0: np.ndarray) -> tuple[str, np.ndarray | None]:
@@ -366,7 +358,7 @@ def _gksl_states(generator, rho0: np.ndarray, tau: float, k_max: int) -> list[np
     exit 0.  Overflow warnings are silenced because this gate reports them.
     """
     from .master_equation import evolve_gksl_grid
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):   # past the float range, the model refuses
         states = evolve_gksl_grid(generator, rho0, tau, k_max)
         rho = np.asarray(states)
         defect = np.maximum(np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0),

@@ -61,10 +61,12 @@ class CollisionModel:
     either one matrix (homogeneous interaction) or a tuple with one matrix
     per step.  ``g_tau`` is the dimensionless coupling-times-step; ``tau`` is
     the step duration and only sets the time axis and kernel rates.
-    ``hamiltonian`` optionally records the dimensionless generator H with
-    U = exp(-i g_tau H); kernel perturbation theory and the stroboscopic
-    limit need it.  A non-finite ``g_tau``, or a ``tau`` that is not a finite
-    number > 0, is refused (ValueError).
+    ``tau`` defaults to |g_tau|, or 1.0 at g_tau = 0, so the sign of the
+    coupling is the sign of g alone.  ``hamiltonian`` optionally records the
+    dimensionless generator H with U = exp(-i g_tau H); kernel perturbation
+    theory and the stroboscopic limit need it.  A non-finite ``g_tau``, a
+    ``tau`` that is not a finite number > 0, or an H that is not a finite
+    Hermitian matrix of the unitary's shape is refused (ValueError).
     """
 
     env: MpsEnvironment
@@ -79,7 +81,7 @@ class CollisionModel:
         if not math.isfinite(self.g_tau):
             raise ValueError(f"g_tau must be finite, got {self.g_tau}")
         if self.tau is None:
-            object.__setattr__(self, "tau", float(self.g_tau) if self.g_tau > 0 else 1.0)
+            object.__setattr__(self, "tau", abs(float(self.g_tau)) or 1.0)
         if not 0 < self.tau < math.inf:   # a NaN tau fails too
             raise ValueError(f"tau must be a finite number > 0, got {self.tau}")
         us = self.unitary
@@ -88,8 +90,6 @@ class CollisionModel:
         else:
             us = np.asarray(us, dtype=complex)
         object.__setattr__(self, "unitary", us)
-        if self.hamiltonian is not None:
-            object.__setattr__(self, "hamiltonian", np.asarray(self.hamiltonian, dtype=complex))
         dim = self.d_system * self.mode_dim
         for u in us if isinstance(us, tuple) else (us,):
             if u.shape != (dim, dim):
@@ -97,6 +97,11 @@ class CollisionModel:
             res = frobenius(dagger(u) @ u - np.eye(dim))
             if not res <= DEFAULT_TOL:   # a NaN residual fails too
                 raise ValueError(f"interaction is not unitary (residual {res:.3e})")
+        if self.hamiltonian is not None:   # isfinite first, as inf - inf would warn
+            object.__setattr__(self, "hamiltonian", h := np.asarray(self.hamiltonian, complex))
+            if h.shape != (dim, dim) or not (np.isfinite(h).all() and
+                                             frobenius(h - dagger(h)) <= DEFAULT_TOL):
+                raise ValueError(f"hamiltonian must be finite, Hermitian and of shape {(dim, dim)}")
         sites = [0] if self.env.homogeneous else range(len(self.env.sites))
         for k in sites:
             if self.env.mode_dim(k) > self.mode_dim:
@@ -108,6 +113,11 @@ class CollisionModel:
     @property
     def g(self) -> float:
         return self.g_tau / self.tau
+
+    @property
+    def _one_channel(self) -> bool:
+        """Whether every collision is one channel: a homogeneous chain under one unitary."""
+        return self.env.homogeneous and not isinstance(self.unitary, tuple)
 
     def _shortfall(self, k_max: int) -> str | None:
         """Why the chain or the per-step unitary tuple has fewer than k_max collisions, or None."""
@@ -169,10 +179,10 @@ def kraus_operators(model: CollisionModel, k: int) -> np.ndarray:
 
 def _joint_transfer(model: CollisionModel) -> bool:
     """Whether one X walks by ``_transfer_sum`` (the trajectory, the kernel threads): a chain of
-    one channel (homogeneous, one unitary) whose joint Kraus stack, m_eff operators on
+    one channel (``CollisionModel._one_channel``) whose joint Kraus stack, m_eff operators on
     system (x) bond, ``_transfer_pays``."""
-    return (model.env.homogeneous and not isinstance(model.unitary, tuple) and
-            _transfer_pays(model.effective_mode_dim(), model.d_system * len(model.env.chi0)))
+    return model._one_channel and _transfer_pays(model.effective_mode_dim(),
+                                                 model.d_system * len(model.env.chi0))
 
 
 def _kraus_stacks(model: CollisionModel, ks: range):
@@ -270,14 +280,16 @@ def _system_state(rho_s0, d_system: int) -> np.ndarray:
 
 
 def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:
-    """tr(rho O) per step for Hermitian O; complains about imaginary residue."""
+    """tr(rho O) per step for Hermitian O; complains about an imaginary residue over
+    1e-10 ||O||, since |Im tr(rho O)| <= ||rho - rho^dag|| ||O|| (Frobenius norms)."""
     observable = np.asarray(observable, dtype=complex)
     if not frobenius(observable - dagger(observable)) <= DEFAULT_TOL:   # a NaN residual fails too
         raise ValueError("observable must be Hermitian")
+    bound = 1e-10 * frobenius(observable)
     values = []
     for j, rho in enumerate(states):
         val = complex(np.trace(rho @ observable))
-        if abs(val.imag) > 1e-10:
+        if abs(val.imag) > bound:
             raise ValueError(f"expectation at step {j} has imaginary part {val.imag:.3e}")
         values.append(val.real)
     return values

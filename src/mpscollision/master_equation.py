@@ -36,7 +36,7 @@ import numpy as np
 
 from . import embedding as emb, mps
 from .embedding import CollisionModel, SizeGuardError
-from .linalg import DEFAULT_TOL, dagger, frobenius, kron
+from .linalg import frobenius, kron
 from .mps import (
     BondState,
     _bond_steps,
@@ -169,11 +169,11 @@ def _fixed(chi: np.ndarray, image: np.ndarray) -> bool:
 
 def _bond_ladder(model: CollisionModel, k_max: int, first: int = 0) -> list[BondState]:
     """Bond states chi_first..chi_{s*}, s* <= k_max, one ``_bond_steps`` step a rung.  On a chain
-    of one channel (homogeneous, one unitary) the walk stops at the onset s*, the first rung
+    of one channel (``CollisionModel._one_channel``) the walk stops at the onset s*, the first rung
     ``_fixed`` against the next, from which every thread repeats; else s* = k_max.  Rung k >= s* is
     chi_{s*} (``_rung``): an onset before ``first`` leaves it alone; earlier rungs are not kept.
     Rung ``LADDER_GUARD`` short of the onset is a ``SizeGuardError``."""
-    repeats = model.env.homogeneous and not isinstance(model.unitary, tuple)
+    repeats = model._one_channel
     chis = [model.env.initial_bond_state()]
     for step in _bond_steps(model.env, range(k_max)):
         chi = BondState(chis[-1].site + 1, step(chis[-1].matrix))
@@ -440,11 +440,9 @@ def _double_commutator(h: np.ndarray, corr: np.ndarray) -> np.ndarray:
 
 
 def _effective_hamiltonian(model: CollisionModel) -> np.ndarray:
-    """Interaction generator on system (x) (mode (x) purification ancilla); H must be Hermitian."""
+    """kron(H, I_anc) of the model's H, as ``CollisionModel`` checked it; a ValueError without."""
     if model.hamiltonian is None:
         raise ValueError("model carries no interaction Hamiltonian")
-    if not frobenius(model.hamiltonian - dagger(model.hamiltonian)) <= DEFAULT_TOL:   # NaN fails
-        raise ValueError("interaction Hamiltonian must be Hermitian")
     return kron(model.hamiltonian, np.eye(model.env.ancilla_dim))
 
 
@@ -467,8 +465,8 @@ def second_order_kernel(model: CollisionModel, k: int, m: int) -> Superoperator:
     average is one matrix product of C with two copies of H (see
     ``_double_commutator``); it equals the expansion of H in any
     Hilbert-Schmidt-orthonormal mode basis weighted by tr[(E_b (x) E_a) C].
-    A chain short of k + 1 sites (IndexError) or a model without a Hermitian
-    H (ValueError) is refused before the bond ladder to k - m.
+    A chain short of k + 1 sites (IndexError) or a model without an H
+    (ValueError) is refused before the bond ladder to k - m.
     """
     if m < 1 or m > k:
         raise ValueError(f"need 1 <= m <= k, got m={m}, k={k}")
@@ -500,7 +498,7 @@ def kernel_scan(model: CollisionModel, k: int, m_max: int) -> tuple[list[Superop
 # -- stroboscopic (GKSL) limit ------------------------------------------------
 
 def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") -> Superoperator:
-    """Markovian generator of the stroboscopic limit for a homogeneous model.
+    """Markovian generator of the stroboscopic limit of a chain of one channel.
 
     The local part is the two-collision channel rate (Phi_12 - Id)/(2 tau) at the stationary
     bond state (with the correlated or the product two-particle state per ``two_site``).  The
@@ -512,10 +510,8 @@ def stroboscopic_generator(model: CollisionModel, two_site: str = "correlated") 
     """
     if two_site not in ("correlated", "product"):
         raise ValueError("two_site must be 'correlated' or 'product'")
-    if not model.env.homogeneous:
-        raise ValueError("stroboscopic limit needs a homogeneous environment")
-    if isinstance(model.unitary, tuple):
-        raise ValueError("stroboscopic limit needs a homogeneous interaction")
+    if not model._one_channel:
+        raise ValueError("stroboscopic limit needs a homogeneous environment and interaction")
     h = _effective_hamiltonian(model)
 
     eigs, vecs = np.linalg.eig(_real_transfer_matrix(model.env))

@@ -275,12 +275,12 @@ def site_reduced_state(env: MpsEnvironment, chi: BondState) -> np.ndarray:
     return _collide(b.transpose(2, 0, 1), b.conj().transpose(2, 1, 0), chi.matrix)
 
 
-def _purify_bond(chi0: np.ndarray) -> np.ndarray:
-    """Matrix W with W^T W^* = chi0, rows indexing a rank-sized ancilla."""
-    w_eig, v = np.linalg.eigh(hermitian_part(chi0))
+def _purify_marginal(rho: np.ndarray, k: int) -> np.ndarray:
+    """Matrix W with W^T W^* = rho, the marginal of site k, rows indexing a rank-sized ancilla."""
+    w_eig, v = np.linalg.eigh(hermitian_part(rho))
     keep = w_eig > DEFAULT_TOL * max(w_eig.max(), 1.0)
     if not np.any(keep):
-        raise ValueError("chi0 has no positive weight")
+        raise ValueError(f"site {k} marginal has no positive weight")
     return (np.sqrt(w_eig[keep])[:, None] * v[:, keep].T).astype(complex)
 
 
@@ -411,7 +411,7 @@ def decorrelate(env: MpsEnvironment, length: int | None = None) -> MpsEnvironmen
         marginals.append(rho)
         chi = evolve_bond_state(env, chi)
 
-    purified = [_purify_bond(rho).T for rho in marginals]
+    purified = [_purify_marginal(rho, k).T for k, rho in enumerate(marginals)]
     anc = max(p.shape[1] for p in purified)
     sites = []
     for p in purified:

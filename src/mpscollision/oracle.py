@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import CollisionModel, SizeGuardError
+from .embedding import CollisionModel, SizeGuardError, _system_state
 from .linalg import hermitian_part
 from .mps import MpsEnvironment
 
@@ -32,12 +32,10 @@ class OracleRun:
     k_max: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rho_s0", np.asarray(self.rho_s0, dtype=complex))
         d_s = self.model.d_system
         if self.k_max < 0 or self.n_sites < 0:
             raise ValueError(f"need k_max, n_sites >= 0, got {self.k_max}, {self.n_sites}")
-        if self.rho_s0.shape != (d_s, d_s):
-            raise ValueError(f"system state shape {self.rho_s0.shape}, expected ({d_s}, {d_s})")
+        object.__setattr__(self, "rho_s0", _system_state(self.rho_s0, d_s))
         if self.k_max > self.n_sites:
             raise ValueError("cannot collide more times than there are sites")
         env = self.model.env

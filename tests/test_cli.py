@@ -433,8 +433,10 @@ def test_reproduce_unwritable_out_exits_2(tmp_path, capsys):
 
 # One field of a small valid document replaced by a valid or an invalid value
 # (MISSING deletes the field); every document must exit 2 at validate exactly
-# when it exits 2 at run.
+# when it exits 2 at run, and no command may raise out of main.
+# ``tools/pool_exit_codes.py`` runs every such document.
 MISSING = object()
+BIG_SIGMA_Y = {"name": "y", "matrix": matrix(1e9 * models.SIGMA_Y)}
 PROPERTY_BASES = [
     {"model": {"name": "aklt", "parameters": {}}, "g_tau": 0.5, "k_max": 3},
     {"model": {"name": "ghz", "parameters": {"n_sites": 4}}, "g_tau": 0.4, "k_max": 3},
@@ -465,7 +467,7 @@ FIELD_POOLS = {
         {"matrix": matrix(np.eye(6)), "hamiltonian": matrix(np.eye(4))},
         {"matrix": matrix(np.eye(5))}, {"matrix": []}, {"matrix": [[1]]}, {"matrix": "x"}, {}, 3,
         None, {"matrix": matrix(DFT_UNITARY)}],
-    ("g_tau",): [0, 0.3, -0.1, "x", float("nan"), 1e9, True, None, MISSING],
+    ("g_tau",): [0, 0.3, -0.1, "x", float("nan"), 1e9, True, None, MISSING, 1e-6],
     ("k_max",): [0, 1, 4, 6, -1, 2.5, "x", True, False, None, MISSING],
     ("tau",): [None, 0, -1, 0.5, "x", float("inf"), True, False],
     ("method",): ["embedding", "decorrelated", "oracle", "nz", "gksl", "nope", 3],
@@ -479,7 +481,7 @@ FIELD_POOLS = {
         [{"name": "p", "matrix": matrix([[1, 0], [0, 0]])}],
         [{"name": "p", "matrix": matrix([[0, 1], [0, 0]])}],
         [{"name": "p", "matrix": matrix(np.eye(3))}], [{"matrix": matrix(np.eye(2))}], [3],
-        "sigma_z", ["coherence", "excited_population", "sigma_y"], None],
+        "sigma_z", ["coherence", "excited_population", "sigma_y"], None, [BIG_SIGMA_Y]],
     ("n_sites",): [2, 3, 4, 6, "x", True, False, None],
     ("fock_cutoff",): [1, 2, 3, 7, "x", None],
     ("tolerances",): [{}, {"cutoff_shift": "x"}, {"cutoff_shift": 1e-3}, {"cutoff_shift": -1},
@@ -492,13 +494,11 @@ FIELD_POOLS = {
     ("output",): [None, "/", "/nonexistent/dir/x.csv", 3],
 }
 FIELD_CHANGES = [(path, value) for path, pool in FIELD_POOLS.items() for value in pool]
+KERNEL_ARGS = ["--k", "1", "--m-max", "1"]
 
 
-@settings(max_examples=60, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(base=st.sampled_from(PROPERTY_BASES), method=st.sampled_from(cli.METHODS),
-       change=st.sampled_from(FIELD_CHANGES))
-def test_validate_rejects_exactly_what_run_rejects(tmp_path, base, method, change):
+def pool_document(base, method, change):
+    """``base`` under ``method`` with one (path, value) of ``FIELD_CHANGES`` applied."""
     doc = copy.deepcopy({**base, "method": method})
     (*parents, key), value = change
     target = doc
@@ -508,11 +508,29 @@ def test_validate_rejects_exactly_what_run_rejects(tmp_path, base, method, chang
         del target[key]
     else:
         target[key] = copy.deepcopy(value)
-    path = write_config(tmp_path, doc)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(PROPERTY_BASES), method=st.sampled_from(cli.METHODS),
+       change=st.sampled_from(FIELD_CHANGES))
+def test_validate_rejects_exactly_what_run_rejects(tmp_path, base, method, change):
+    path = write_config(tmp_path, pool_document(base, method, change))
     validated = main(["validate", "--config", path])
     ran = main(["run", "--config", path])  # raising out of main fails the test
-    assert validated in (0, 2) and ran in (0, 2, 3)
+    kerneled = main(["kernel", "--config", path, *KERNEL_ARGS])
+    assert validated in (0, 2) and ran in (0, 2, 3) and kerneled in (0, 2, 3)
     assert (validated == 2) == (ran == 2)
+    assert validated != 2 or kerneled == 2
+
+
+def test_run_reads_a_hermitian_observable_of_large_norm(tmp_path, capsys):
+    # The imaginary roundoff of tr(rho O) grows with ||O||, and so does the bound it is held to.
+    doc = aklt_doc(initial_state="plus", k_max=40, observables=[BIG_SIGMA_Y, "sigma_y"])
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    header, rows = parse_csv(capsys.readouterr().out)
+    assert np.max(np.abs(rows[:, 2] - 1e9 * rows[:, 3])) <= 1e-5
 
 
 # -- run ---------------------------------------------------------------------------
@@ -574,6 +592,26 @@ def test_custom_unitary_with_eigenvalue_minus_one_runs(tmp_path, capsys, u, meth
     assert main(["validate", "--config", path]) == 0
     assert main(["run", "--config", path]) == 0  # raising out of main fails the test
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("u", [DFT_UNITARY, seeded_minus_one_unitary()], ids=["dft", "seeded"])
+def test_a_derived_hamiltonian_passes_the_model_at_a_weak_coupling(tmp_path, capsys, u):
+    # At g_tau = 1e-6 H has a norm near 4e6: unless it is symmetrised, its roundoff asymmetry
+    # exceeds the model's absolute 1e-12 Hermiticity bound.
+    doc = model_doc("aklt", {}, g_tau=1e-6, interaction={"matrix": matrix(u)})
+    assert main(["kernel", "--config", write_config(tmp_path, doc), *KERNEL_ARGS]) == 0
+    assert main(["run", "--config", write_config(tmp_path, {**doc, "method": "gksl"})]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_hamiltonian_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # -theta / g_tau overflows at g_tau = 1e-310, and every command refuses the document.
+    path = write_config(tmp_path, model_doc("aklt", {}, g_tau=1e-310,
+                                            interaction={"matrix": matrix(DFT_UNITARY)}))
+    for command, args in (("validate", []), ("run", []), ("kernel", KERNEL_ARGS)):
+        assert main([command, "--config", path, *args]) == 2
+        assert capsys.readouterr().err == ("error: config.interaction.hamiltonian: hamiltonian "
+                                           "must be finite, Hermitian and of shape (6, 6)\n")
 
 
 @pytest.mark.parametrize("name", models.INTERACTION_NAMES)

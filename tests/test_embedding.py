@@ -75,6 +75,13 @@ def test_model_refuses_a_non_finite_coupling_or_step(g_tau, tau, why):
         dataclasses.replace(zoo_models()["aklt"], g_tau=g_tau, tau=tau)
 
 
+def test_the_time_axis_does_not_follow_the_sign_of_the_coupling():
+    aklt = zoo_models()["aklt"]
+    plus, minus, zero = (dataclasses.replace(aklt, g_tau=g, tau=None) for g in (0.5, -0.5, 0.0))
+    assert plus.tau == minus.tau == 0.5 and zero.tau == 1.0
+    assert plus.g == -minus.g == 1.0
+
+
 def test_kraus_identity_unitary():
     env = models.aklt_env()
     model = CollisionModel(env=env, unitary=np.eye(6), d_system=2, mode_dim=3, g_tau=0.0)

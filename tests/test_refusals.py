@@ -76,7 +76,7 @@ REFUSALS = {
                                      ValueError, "outer bond dimensions 1"),
     # mps: decorrelation and transfer spectra of chains they do not cover
     "decorrelate_zero_marginal": (lambda: decorrelate(_zero_marginal_chain()), ValueError,
-                                  "no positive weight"),
+                                  "^site 1 marginal has no positive weight$"),
     "spectrum_no_bulk_tensor": (lambda: transfer_spectrum(
         finite_chain(np.random.default_rng(1), [1, 2, 1])), ValueError,
         "no repeated bulk tensor"),
@@ -95,11 +95,14 @@ REFUSALS = {
                               ValueError, "two_site must be"),
     "gksl_unitary_tuple": (lambda: stroboscopic_generator(
         dataclasses.replace(aklt(), unitary=(aklt().unitary,) * 3)), ValueError,
-        "needs a homogeneous interaction"),
+        "needs a homogeneous environment and interaction"),
     # embedding, linalg, models, oracle
     "unitary_wrong_shape": (lambda: CollisionModel(env=models.aklt_env(), unitary=np.eye(4),
                                                    d_system=2, mode_dim=3, g_tau=0.1),
                             ValueError, r"unitary shape \(4, 4\), expected \(6, 6\)"),
+    "hamiltonian_wrong_shape": (lambda: dataclasses.replace(aklt(), hamiltonian=np.eye(4)),
+                                ValueError,
+                                r"hamiltonian must be finite, Hermitian and of shape \(6, 6\)"),
     "lq_not_a_matrix": (lambda: lq_factorize(np.ones(3)), ValueError, "expects a matrix"),
     "chi0_not_hermitian": (lambda: homogeneous(models.aklt_env().sites[0],
                                                np.array([[0.5, 0.5], [0.0, 0.5]])).validate(),
