@@ -285,41 +285,26 @@ def _column(matrix: np.ndarray | None, states: list[np.ndarray]) -> list[float]:
     return observable_series(states, matrix)
 
 
-def _embedding_model(cfg: dict, model: CollisionModel) -> CollisionModel:
-    """The model the embedding evolves: the decorrelated twin for ``decorrelated``."""
-    if cfg["method"] == "decorrelated":
-        return dataclasses.replace(model, env=decorrelate(model.env, length=cfg["k_max"]))
-    return model
-
-
-def _check_cluster_cutoff(cfg: dict) -> list[np.ndarray] | None:
-    """Abort photon-creating runs whose observables depend on the cutoff.
-
-    Returns the embedding trajectory at the configured cutoff, which is the
-    run's result for the ``embedding`` and ``decorrelated`` methods, or None
-    when the interaction creates no photons.
-    """
+def _check_cluster_cutoff(cfg: dict, model: CollisionModel) -> None:
+    """Refuse a ``cluster`` run of ``model`` whose states lie over ``tolerances.cutoff_shift`` in
+    trace distance from the untruncated ones: max_k 2 |rho_+-(k) - rho_+-^inf(k)|."""
     if cfg["interaction"] != "cluster":
-        return None
-    tol = cfg["tolerances"]["cutoff_shift"]
-    cutoff = cfg["model"].mode_dim
-    wider = models._named_model(cfg["model"].env, "cluster", cfg["g_tau"], cutoff + 2, cfg["tau"])
-    states, wide = (trajectory(_embedding_model(cfg, m), cfg["initial_state"], cfg["k_max"])
-                    for m in (cfg["model"], wider))
-    probe = models.named_observable("coherence")
-    shift = float(np.max(np.abs(np.subtract(observable_series(states, probe),
-                                            observable_series(wide, probe)))))
-    if shift > tol:
+        return
+    rho_pm = models._cluster_coherence(model, cfg["initial_state"], cfg["k_max"])
+    dist, tol = 2.0 * np.max(np.abs(rho_pm[:, 0] - rho_pm[:, 1])), cfg["tolerances"]["cutoff_shift"]
+    if not dist <= tol:
         raise CutoffConvergenceError(
-            f"observables shift by {shift:.3e} (> {tol:.1e}) when the Fock cutoff "
-            f"grows from {cutoff} to {cutoff + 2}; increase fock_cutoff"
-        )
-    return states
+            f"states lie {dist:.3e} (> {tol:.1e}) in trace distance from the untruncated "
+            f"dynamics at Fock cutoff {model.mode_dim}; increase fock_cutoff")
 
 
-def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.ndarray]:
-    """States 0..k_max by the configured method; ``gated`` is the cutoff gate's trajectory."""
+def _states_for_method(cfg: dict) -> list[np.ndarray]:
+    """States 0..k_max by the configured method, of the decorrelated twin for ``decorrelated``,
+    once the model they evolve passes the cutoff gate."""
     method, model, rho0, k_max = cfg["method"], cfg["model"], cfg["initial_state"], cfg["k_max"]
+    if method == "decorrelated":
+        model = dataclasses.replace(model, env=decorrelate(model.env, length=k_max))
+    _check_cluster_cutoff(cfg, model)
     if method == "oracle":
         from .oracle import OracleRun, brute_force_trajectory
         return brute_force_trajectory(OracleRun(model, rho0, n_sites=cfg["n_sites"], k_max=k_max))
@@ -327,7 +312,7 @@ def _states_for_method(cfg: dict, gated: list[np.ndarray] | None) -> list[np.nda
         return _nz_states(model, rho0, k_max)
     if method == "gksl":
         return _gksl_states(cfg["generator"], rho0, model.tau, k_max)
-    return gated if gated is not None else trajectory(_embedding_model(cfg, model), rho0, k_max)
+    return trajectory(model, rho0, k_max)
 
 
 def _nz_states(model: CollisionModel, rho0: np.ndarray, k_max: int) -> list[np.ndarray]:
@@ -385,7 +370,7 @@ def _rows(g_tau: float, columns: list[list[float]]) -> list[list[float]]:
 
 def _run_columns(cfg: dict) -> tuple[list[str], list[list[float]]]:
     """Evolve the built model by the configured method, evaluate the observables."""
-    states = _states_for_method(cfg, _check_cluster_cutoff(cfg))
+    states = _states_for_method(cfg)
     names, matrices = zip(*cfg["observables"])
     return list(names), [_column(m, states) for m in matrices]
 
@@ -563,12 +548,10 @@ def main(argv=None) -> int:
             print("ok")
         elif args.command == "kernel":
             cfg = load_config(_load_file(args.config))
-            chain = cfg["model"].env.length
-            if args.k < 0 or (chain is not None and args.k >= chain):
-                p_ker.error("argument --k: must be >= 0" +
-                            ("" if chain is None else f" and below the chain length {chain}"))
+            if why := "must be >= 0" if args.k < 0 else cfg["model"]._shortfall(args.k + 1):
+                raise ConfigError("", f"argument --k: {why}")
             if args.m_max < 0:
-                p_ker.error("argument --m-max: must be >= 0")
+                raise ConfigError("", "argument --m-max: must be >= 0")
             sys.stdout.write(kernel_norms(cfg, args.k, args.m_max))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ _KRAUS_BATCH_BYTES = 64 * 1024   # Kraus stacks ``_kraus_stacks`` builds by one 
 
 
 class CutoffConvergenceError(RuntimeError):
-    """Observables moved by more than the allowed shift when the Fock cutoff grew."""
+    """A run's states lie farther than allowed from its untruncated dynamics in trace distance."""
 
 
 class SizeGuardError(ValueError):
@@ -65,8 +65,8 @@ class CollisionModel:
     coupling is the sign of g alone.  ``hamiltonian`` optionally records the
     dimensionless generator H with U = exp(-i g_tau H); kernel perturbation
     theory and the stroboscopic limit need it.  A non-finite ``g_tau``, a
-    ``tau`` that is not a finite number > 0, or an H that is not a finite
-    Hermitian matrix of the unitary's shape is refused (ValueError).
+    ``tau`` that is not a finite number > 0, or an H that is not a finite matrix of the
+    unitary's shape, Hermitian to 1e-12 max(1, ||H||_F), is refused (ValueError).
     """
 
     env: MpsEnvironment
@@ -99,8 +99,8 @@ class CollisionModel:
                 raise ValueError(f"interaction is not unitary (residual {res:.3e})")
         if self.hamiltonian is not None:   # isfinite first, as inf - inf would warn
             object.__setattr__(self, "hamiltonian", h := np.asarray(self.hamiltonian, complex))
-            if h.shape != (dim, dim) or not (np.isfinite(h).all() and
-                                             frobenius(h - dagger(h)) <= DEFAULT_TOL):
+            if h.shape != (dim, dim) or not (np.isfinite(h).all() and frobenius(
+                    h - dagger(h)) <= DEFAULT_TOL * max(1.0, frobenius(h))):
                 raise ValueError(f"hamiltonian must be finite, Hermitian and of shape {(dim, dim)}")
         sites = [0] if self.env.homogeneous else range(len(self.env.sites))
         for k in sites:
@@ -280,12 +280,13 @@ def _system_state(rho_s0, d_system: int) -> np.ndarray:
 
 
 def observable_series(states: list[np.ndarray], observable: np.ndarray) -> list[float]:
-    """tr(rho O) per step for Hermitian O; complains about an imaginary residue over
-    1e-10 ||O||, since |Im tr(rho O)| <= ||rho - rho^dag|| ||O|| (Frobenius norms)."""
+    """tr(rho O) per step for O Hermitian to 1e-12 max(1, ||O||); complains about an imaginary
+    residue over 1e-10 ||O||, since |Im tr(rho O)| <= ||rho - rho^dag|| ||O|| (Frobenius norms)."""
     observable = np.asarray(observable, dtype=complex)
-    if not frobenius(observable - dagger(observable)) <= DEFAULT_TOL:   # a NaN residual fails too
+    norm = frobenius(observable)
+    if not frobenius(observable - dagger(observable)) <= DEFAULT_TOL * max(1.0, norm):  # NaN fails
         raise ValueError("observable must be Hermitian")
-    bound = 1e-10 * frobenius(observable)
+    bound = 1e-10 * norm
     values = []
     for j, rho in enumerate(states):
         val = complex(np.trace(rho @ observable))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import CollisionModel
-from .linalg import expm_hermitian_generator, kron
+from .linalg import dagger, expm_hermitian_generator, kron
 from .mps import MpsEnvironment
 
 __all__ = [
@@ -355,6 +355,41 @@ def aklt_exact_q(k: int, g_tau: float) -> float:
 def aklt_markov_q(k: int, g_tau: float) -> float:
     """Depolarization parameter per the uncorrelated-environment assumption."""
     return float(((11.0 + 16.0 * np.cos(1.5 * g_tau)) / 27.0) ** k)
+
+
+def _displacement(alpha: float, d: int) -> np.ndarray:
+    """<m|D(alpha)|n>, m, n < d, of the untruncated displacement exp(alpha (a^dag - a)) at real
+    alpha (Cahill and Glauber, Phys. Rev. 177, 1857, 1969), for the few levels a chain populates:
+    within 1e-13 up to d = 10 at |alpha| <= 6, as the row recurrence loses digits as d grows."""
+    w = np.zeros((d, d))
+    w[0, 0] = math.exp(-alpha * alpha / 2)   # far out it underflows to 0, never to inf
+    for n in range(1, d):   # <0|D|n> = e^{-alpha^2/2} (-alpha)^n / sqrt(n!)
+        w[0, n] = -alpha * w[0, n - 1] / math.sqrt(n)
+    for m in range(1, d):   # a D = D (a + alpha) takes each row to the next
+        w[m] = w[m - 1] @ (annihilation(d).real + alpha * np.eye(d)) / math.sqrt(m)
+    return w
+
+
+def _cluster_coherence(model: CollisionModel, rho0: np.ndarray, k_max: int) -> np.ndarray:
+    """rho_+-(k), k = 0..k_max, of U = |+><+| (x) V_+ + |-><-| (x) V_- (``cluster``) on ``model``'s
+    chain: rho_+-(0) tr E_W^k(chi0), E_W(chi) = sum_ij W_ji B_i^T chi B_j^*, with the run's W =
+    V_-^dag V_+ (column 0) or the untruncated D(-2 g_tau) (column 1) on the populated levels, (x)
+    I_anc on a twin; vec chi steps as a row by one W-inserted transfer matrix per site tensor."""
+    env, m = model.env, model.mode_dim
+    d = max(t.shape[0] for t in env.sites) // env.ancilla_dim
+    pm = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)   # rows <+| and <-|
+    v = np.einsum("as,smtn,at->amn", pm, model.unitary.reshape(2, m, 2, m), pm)
+    ws = np.stack([(dagger(v[1]) @ v[0])[:d, :d], _displacement(-2.0 * model.g_tau, d)])
+    rows, site = np.repeat(env.chi0.reshape(1, 1, -1), 2, axis=0), None
+    out = [np.trace(env.chi0) * np.ones(2)]
+    for k in range(k_max):
+        if env.site(k) is not site:
+            site, dm, (dl, dr) = env.site(k), env.mode_dim(k), env.site(k).shape[1:]
+            w = kron(ws[:, :dm, :dm], np.eye(env.ancilla_dim))
+            t = np.einsum("wji,iba,jec->wbeac", w, site, site.conj()).reshape(2, dl * dl, -1)
+        rows = rows @ t
+        out.append(rows[:, 0, :: dr + 1].sum(-1))
+    return (pm[0] @ rho0 @ pm[1]) * np.array(out)
 
 
 def named_initial_state(name: str) -> np.ndarray:

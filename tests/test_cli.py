@@ -533,6 +533,33 @@ def test_run_reads_a_hermitian_observable_of_large_norm(tmp_path, capsys):
     assert np.max(np.abs(rows[:, 2] - 1e9 * rows[:, 3])) <= 1e-5
 
 
+def test_a_hamiltonian_of_large_norm_is_held_to_a_relative_bound(tmp_path):
+    # DFT_UNITARY's generator at g_tau = 1e-6, not symmetrised: ||H||_F ~ 5.6e6 and a roundoff
+    # asymmetry far over an absolute 1e-12, but 1e-16 relative.
+    w, v = np.linalg.eig(DFT_UNITARY)
+    q = np.linalg.qr(v)[0]
+    h = (q * (-np.where(np.abs(w + 1) <= 1e-12, np.pi, np.angle(w)) / 1e-6)) @ q.conj().T
+    assert 1e-12 < np.linalg.norm(h - h.conj().T) <= 1e-15 * np.linalg.norm(h)
+    doc = model_doc("aklt", {}, g_tau=1e-6, interaction={"matrix": matrix(DFT_UNITARY),
+                                                         "hamiltonian": matrix(h)})
+    assert main(["validate", "--config", write_config(tmp_path, doc)]) == 0
+
+
+def test_an_observable_of_large_norm_is_held_to_a_relative_bound(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    q = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    o = (q * [1e9, -3e8]) @ q.conj().T
+    assert 1e-12 < np.linalg.norm(o - o.conj().T) <= 1e-15 * np.linalg.norm(o)
+    path = write_config(tmp_path, aklt_doc(observables=[{"name": "o", "matrix": matrix(o)}]))
+    assert main(["validate", "--config", path]) == 0
+    assert main(["run", "--config", path]) == 0
+    # Off Hermiticity by 1e-6 of its norm, it is refused.
+    o[0, 1] += 1e-6 * np.linalg.norm(o)
+    path = write_config(tmp_path, aklt_doc(observables=[{"name": "o", "matrix": matrix(o)}]))
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.endswith("observable must be Hermitian\n")
+
+
 # -- run ---------------------------------------------------------------------------
 
 def test_run_embedding_vs_oracle_columns(tmp_path):
@@ -747,8 +774,8 @@ def test_run_cluster_cutoff_gate(tmp_path, capsys):
 
 @pytest.mark.parametrize("method,column", [("embedding", 2), ("decorrelated", 3)])
 def test_run_cluster_gate_reuses_cutoff_trajectory(monkeypatch, method, column):
-    # The gate's trajectory at the configured cutoff is the run's result: two
-    # trajectories (cutoff and cutoff + 2), not a third repeat for the method.
+    # The gate is closed form: the run is one trajectory at the configured cutoff, and no
+    # model is built at any other.
     calls = []
     original = embedding.trajectory
 
@@ -756,14 +783,33 @@ def test_run_cluster_gate_reuses_cutoff_trajectory(monkeypatch, method, column):
         calls.append(args)
         return original(*args)
 
+    cfg = load_config({**PRESETS["fig5b"], "method": method})
     for module in (embedding, cli):
         monkeypatch.setattr(module, "trajectory", counted)
-    text = run_config(load_config({**PRESETS["fig5b"], "method": method}))
-    cutoff = PRESETS["fig5b"]["fock_cutoff"]
-    assert [model.mode_dim for model, *_ in calls] == [cutoff, cutoff + 2]
-    # reproduce skips the gate; the gated run gives its numbers.
+    monkeypatch.setattr(models, "_named_model", None)   # calling it fails the test
+    text = run_config(cfg)
+    assert [model.mode_dim for model, *_ in calls] == [PRESETS["fig5b"]["fock_cutoff"]]
     assert text.splitlines()[0] == "k,g_t,coherence"
     assert_golden_columns(text, "fig5b_gtau03.csv", (0, 1, column))
+
+
+@pytest.mark.parametrize("g_tau,cutoff,value", [(0.3, 7, 1.7e-8), (0.6, 9, 1.0e-7)])
+@pytest.mark.parametrize("method", ["embedding", "decorrelated"])
+def test_cluster_gate_value_is_the_trace_distance_to_the_untruncated_run(g_tau, cutoff, value,
+                                                                        method):
+    # At cutoff 30 the fig5b runs are untruncated to roundoff; without running either, the gate
+    # reads the largest trace norm |r - s| of their difference, r and s the Bloch vectors.
+    doc = {**PRESETS["fig5b"], "g_tau": g_tau, "fock_cutoff": cutoff, "method": method,
+           "initial_state": {"matrix": matrix([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])},
+           "observables": ["sigma_x", "sigma_y", "sigma_z"]}
+    with pytest.raises(embedding.CutoffConvergenceError, match="Fock cutoff") as exc:
+        run_config(load_config({**doc, "tolerances": {"cutoff_shift": 0.0}}))
+    gate = float(str(exc.value).split()[2])
+    bloch = [parse_csv(run_config(load_config({**doc, "fock_cutoff": c})))[1][:, 2:]
+             for c in (cutoff, 30)]
+    assert gate == pytest.approx(np.max(np.linalg.norm(bloch[0] - bloch[1], axis=1)), rel=1e-3)
+    if method == "embedding":   # 2 |rho_+-(0)| = 0.72 here, 1 from the ground state
+        assert gate == pytest.approx(0.72 * value, rel=0.05)
 
 
 def test_run_oracle_guard_exit_code(tmp_path, capsys):
@@ -1018,12 +1064,12 @@ def test_kernel_subcommand_ladder_guard(tmp_path, capsys, monkeypatch):
     (aklt_doc(), ["--k", "3", "--m-max", "-1"], "--m-max"),
 ])
 def test_kernel_subcommand_argument_errors(tmp_path, capsys, doc, args, argument):
-    with pytest.raises(SystemExit) as exc:
-        main(["kernel", "--config", write_config(tmp_path, doc), *args])
-    assert exc.value.code == 2
+    # A refusal like any other: main returns 2 and names the argument and its bound.
+    assert main(["kernel", "--config", write_config(tmp_path, doc), *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"error: argument {argument}: must be >= 0" in captured.err
+    bound = "must be >= 0" if "-1" in args else "collision 4 beyond environment length 4"
+    assert captured.err == f"error: config: argument {argument}: {bound}\n"
 
 
 def test_kernel_subcommand_on_an_explicit_matrix_with_its_hamiltonian(tmp_path, capsys):

@@ -1,5 +1,9 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg  # test-only reference for the matrix exponential
 
 from mpscollision import models
 from mpscollision.embedding import trajectory
@@ -18,6 +22,7 @@ from mpscollision.models import (
 )
 from mpscollision.mps import (
     check_right_canonical,
+    decorrelate,
     site_reduced_state,
     stationary_bond_state,
     transfer_spectrum,
@@ -282,3 +287,63 @@ def test_named_states_and_observables():
         models.named_observable("sideways")
     with pytest.raises(ValueError):
         ModelSpec("unknown_model")
+
+
+# -- the cluster coupling in closed form ---------------------------------------------------
+# U = exp(g_tau sigma_x (x) (a - a^dag)) is |+><+| (x) V_+ + |-><-| (x) V_- with V_+- =
+# exp(+-g_tau (a - a^dag)), so W = V_-^dag V_+ is exp(2 g_tau (a - a^dag)) at the cutoff and
+# the displacement D(-2 g_tau) untruncated.
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+PLUS_MINUS = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)   # rows <+| and <-|
+GROUND = np.diag([1.0, 0.0]).astype(complex)
+
+
+def cluster_model(g_tau, cutoff, k_max, twin, spec=ModelSpec("cluster")):
+    model = build_model(spec, g_tau, "cluster", fock_cutoff=cutoff)
+    if twin:
+        model = dataclasses.replace(model, env=decorrelate(model.env, length=k_max))
+    return model
+
+
+@pytest.mark.parametrize("g_tau", [0.3, 0.6, 1.5])
+def test_displacement_is_the_block_of_a_wide_exponential(g_tau):
+    a = models.annihilation(60)
+    wide = scipy.linalg.expm(2.0 * g_tau * (a - a.conj().T))
+    assert np.max(np.abs(models._displacement(-2.0 * g_tau, 4) - wide[:4, :4])) <= 1e-14
+
+
+def test_displacement_underflows_far_out():
+    # e^{-alpha^2/2} is 0 in floating point past |alpha| ~ 38.6; no entry may turn inf or nan.
+    for alpha in (-40.0, -2e200):
+        assert np.array_equal(models._displacement(alpha, 6), np.zeros((6, 6)))
+
+
+@pytest.mark.parametrize("name,g_tau,cutoff", [("fig5b_gtau03.csv", 0.3, 7),
+                                               ("fig5b_gtau06.csv", 0.6, 9)])
+def test_fig5b_golden_columns_are_the_controlled_overlap(name, g_tau, cutoff):
+    # The coherence is 2 Re rho_+-(k); the uncorrelated column is the decorrelated twin's, on
+    # which W acts as W (x) I_anc.
+    golden = np.loadtxt(GOLDEN / name, delimiter=",", skiprows=1)
+    for column, twin in ((2, False), (3, True)):
+        rho_pm = models._cluster_coherence(cluster_model(g_tau, cutoff, 30, twin), GROUND, 30)
+        assert np.max(np.abs(golden[:, column] - 2.0 * rho_pm[:, 0].real)) <= 1e-13
+        # The untruncated column is the run at cutoff 30, where the truncation is below roundoff.
+        wide = models._cluster_coherence(cluster_model(g_tau, 30, 30, twin), GROUND, 30)
+        assert np.max(np.abs(rho_pm[:, 1] - wide[:, 0])) <= 1e-15
+
+
+@pytest.mark.parametrize("spec,g_tau,cutoff,k_max", [
+    (ModelSpec("cluster"), 0.6, 9, 2000),
+    (ModelSpec("ghz", {"n_sites": 6}), 0.4, 5, 6),
+    (ModelSpec("two_photon", {"tau_over_T1": 0.1, "tau_over_T2": 0.02}), 0.4, 5, 200),
+    (ModelSpec("aklt"), 0.4, 5, 500),
+], ids=["cluster", "ghz", "two_photon", "aklt"])
+@pytest.mark.parametrize("twin", [False, True], ids=["correlated", "decorrelated"])
+def test_embedding_under_the_cluster_coupling_is_the_controlled_overlap(spec, g_tau, cutoff,
+                                                                        k_max, twin):
+    model = cluster_model(g_tau, cutoff, k_max, twin, spec)
+    rho0 = np.array([[0.7, 0.2 - 0.3j], [0.2 + 0.3j, 0.3]])
+    states = PLUS_MINUS @ np.array(trajectory(model, rho0, k_max)) @ PLUS_MINUS
+    rho_pm = models._cluster_coherence(model, rho0, k_max)
+    assert np.max(np.abs(states[:, 0, 1] - rho_pm[:, 0])) <= 1e-13

@@ -115,6 +115,8 @@ REFUSALS = {
     # cli: document shapes
     "config_initial_state_number": (lambda: config(initial_state=3), ConfigError,
                                     r"^config\.initial_state: expected a name or"),
+    "config_interaction_number": (lambda: config(interaction=5), ConfigError,
+                                  r"^config\.interaction: expected a name or \{matrix: \.\.\.\}$"),
     "config_tolerances_list": (lambda: config(tolerances=[]), ConfigError,
                                r"^config\.tolerances: expected an object"),
     "config_interaction_odd_dimension": (lambda: config(interaction={"matrix": [[[1, 0]]]}),

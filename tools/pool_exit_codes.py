@@ -10,8 +10,8 @@ of ``PROPERTY_BASES`` under each method of ``cli.METHODS`` with one change of
 at another checkout's ``src`` probes that checkout on the same documents, and two outputs
 can be diffed.  Each key is "model/method/field/digest", the digest a hash of the
 document's canonical JSON; each value maps a command to its exit code (``kernel`` runs with
-``--k 1 --m-max 1``, and argparse's refusal of those arguments is its exit 2) or to the
-exception that escaped ``main``.  Warnings are errors, as in Tier-1.  The configs are
+``--k 1 --m-max 1``) or to the exception that escaped ``main``, ``SystemExit`` included, since
+``main`` returns every exit code it means.  Warnings are errors, as in Tier-1.  The configs are
 written to a temporary directory; the commands' own output is discarded.
 """
 
@@ -39,9 +39,7 @@ def exit_code(argv: list[str]) -> int | str:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             return cli.main(argv)
-        except SystemExit as exc:
-            return exc.code
-        except Exception as exc:   # the finding this script exists to report
+        except (Exception, SystemExit) as exc:   # the finding this script exists to report
             return f"{type(exc).__name__}: {exc}"
 
 
